@@ -5,7 +5,10 @@ its inputs and a closure mapping the output gradient to input gradients, so
 the recorded graph (the tape) is rebuilt on each forward pass and is always
 topologically ordered by construction. backward() walks it once from the
 loss and accumulates into leaf .grad; repeated calls without zero_grad()
-accumulate. Leaves persist across steps, graphs do not.
+accumulate. Leaves persist across steps, graphs do not. Inside a
+no_grad() block nothing is recorded: ops return plain result tensors, so an
+evaluation pass holds no graph. Backward rules compute a gradient only for
+the inputs that require one.
 
 No broadcasting beyond bias-add; explicit shapes keep the finite-difference
 checks unambiguous.
@@ -13,7 +16,8 @@ checks unambiguous.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from contextlib import contextmanager
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -46,16 +50,28 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
+_recording = True
+
+
+@contextmanager
+def no_grad() -> Iterator[None]:
+    """Record no graph inside the block; the previous setting returns on exit."""
+    global _recording
+    before = _recording
+    _recording = False
+    try:
+        yield
+    finally:
+        _recording = before
+
+
 def _node(data: np.ndarray, parents: Sequence[Tensor], backward_rule: BackwardRule) -> Tensor:
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
+    if _recording and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward_rule
@@ -67,7 +83,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"matmul shape mismatch: {a.shape} x {b.shape}")
 
     def rule(g):
-        return g @ b.data.T, a.data.T @ g
+        ga = g @ b.data.T if a.requires_grad else None
+        gb = a.data.T @ g if b.requires_grad else None
+        return ga, gb
 
     return _node(a.data @ b.data, (a, b), rule)
 
@@ -76,8 +94,8 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     out = kernels.conv2d_forward(x.data, w.data, stride, padding)
 
     def rule(g):
-        gx = kernels.conv2d_backward_x(g, x.data.shape, w.data, stride, padding)
-        gw = kernels.conv2d_backward_w(g, x.data, w.data.shape, stride, padding)
+        gx = kernels.conv2d_backward_x(g, x.data.shape, w.data, stride, padding) if x.requires_grad else None
+        gw = kernels.conv2d_backward_w(g, x.data, w.data.shape, stride, padding) if w.requires_grad else None
         return gx, gw
 
     return _node(out, (x, w), rule)

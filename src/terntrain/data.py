@@ -42,9 +42,6 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.images)
 
-    def subset(self, idx) -> "Dataset":
-        return Dataset(self.images[idx], self.labels[idx], self.mean, self.std)
-
 
 def _read_u32s(fh, count: int, path) -> tuple[int, ...]:
     raw = fh.read(4 * count)

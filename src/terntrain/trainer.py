@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autograd import backward, softmax_cross_entropy
+from .autograd import backward, no_grad, softmax_cross_entropy
 from .network import FLOAT_MODE, Model
 from .optim import OptimizerConfig, ThresholdOptimizer, make_optimizer
 from .ternarize import THRESHOLD_PHASE, WEIGHT_PHASE
@@ -132,7 +132,7 @@ def tern_train_step(state: TrainState, batch: tuple[np.ndarray, np.ndarray]) -> 
 
 
 def eval_loss_acc(model: Model, dataset, mode: str, batch_size: int = 256) -> tuple[float, float]:
-    """Mean loss and top-1 accuracy over a dataset in the given mode."""
+    """Mean loss and top-1 accuracy over a dataset in the given mode; records no graph."""
     if len(dataset) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
     fwd_mode = WEIGHT_PHASE if mode == "ternary" else FLOAT_MODE
@@ -144,8 +144,9 @@ def eval_loss_acc(model: Model, dataset, mode: str, batch_size: int = 256) -> tu
     for start in range(0, n, batch_size):
         xb = dataset.images[start : start + batch_size]
         yb = dataset.labels[start : start + batch_size]
-        logits = model.forward(xb, fwd_mode)
-        loss = softmax_cross_entropy(logits, yb)
+        with no_grad():
+            logits = model.forward(xb, fwd_mode)
+            loss = softmax_cross_entropy(logits, yb)
         total_loss += float(loss.data) * len(yb)
         correct += int(np.sum(np.argmax(logits.data, axis=1) == yb))
     return total_loss / n, correct / n

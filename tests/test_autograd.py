@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from terntrain import autograd as ag
+from terntrain import kernels
 from terntrain.autograd import Tensor, backward
 from terntrain.gradcheck import fd_grad, max_rel_err
 
@@ -245,3 +246,105 @@ def test_diamond_graph_accumulates_both_paths():
     x = Tensor(np.arange(3.0), requires_grad=True)
     backward(ag.tsum(ag.add(x, x)))
     assert np.array_equal(x.grad, 2.0 * np.ones(3))
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("gradient computed for an input that does not require one")
+
+
+def _weighted_sum(out, g):
+    """sum(out * g), whose gradient with respect to out is exactly g."""
+    op = ag.register_custom_grad(lambda a: np.sum(a * g), lambda gr, a: float(gr) * g)
+    return op(out)
+
+
+def _conv_case(seed):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(2, 2, 6, 6))
+    w = rng.normal(size=(3, 2, 4, 4))
+    g = rng.normal(size=(2, 3, 3, 3))
+    return x, w, g
+
+
+def test_conv2d_skips_input_gradient_of_constant_input(monkeypatch):
+    x, w, g = _conv_case(3)
+    expected = kernels.conv2d_backward_w(g, x, w.shape, 2, 1)
+    monkeypatch.setattr(kernels, "conv2d_backward_x", _refuse)
+    wt = Tensor(w, requires_grad=True)
+    backward(_weighted_sum(ag.conv2d(Tensor(x), wt, 2, 1), g))
+    assert np.array_equal(wt.grad, expected)
+
+
+def test_conv2d_skips_kernel_gradient_of_frozen_kernel(monkeypatch):
+    x, w, g = _conv_case(4)
+    expected = kernels.conv2d_backward_x(g, x.shape, w, 2, 1)
+    monkeypatch.setattr(kernels, "conv2d_backward_w", _refuse)
+    xt = Tensor(x, requires_grad=True)
+    backward(_weighted_sum(ag.conv2d(xt, Tensor(w), 2, 1), g))
+    assert np.array_equal(xt.grad, expected)
+
+
+def test_conv2d_computes_both_gradients_when_both_are_needed():
+    x, w, g = _conv_case(5)
+    xt = Tensor(x, requires_grad=True)
+    wt = Tensor(w, requires_grad=True)
+    backward(_weighted_sum(ag.conv2d(xt, wt, 2, 1), g))
+    assert np.array_equal(xt.grad, kernels.conv2d_backward_x(g, x.shape, w, 2, 1))
+    assert np.array_equal(wt.grad, kernels.conv2d_backward_w(g, x, w.shape, 2, 1))
+
+
+class _NoTranspose(np.ndarray):
+    """A matmul operand whose transpose serves only the other operand's gradient."""
+
+    @property
+    def T(self):
+        _refuse()
+
+
+def _trainable_without_transpose(a):
+    t = Tensor(a, requires_grad=True)
+    t.data = a.view(_NoTranspose)
+    return t
+
+
+def test_matmul_skips_gradient_of_constant_operand():
+    rng = np.random.default_rng(6)
+    a = rng.normal(size=(3, 4))
+    b = rng.normal(size=(4, 2))
+    g = rng.normal(size=(3, 2))
+
+    # a constant: its gradient g @ b.T would be the only use of b.T.
+    bt = _trainable_without_transpose(b)
+    backward(_weighted_sum(ag.matmul(Tensor(a), bt), g))
+    assert np.array_equal(bt.grad, a.T @ g)
+
+    # b constant: its gradient a.T @ g would be the only use of a.T.
+    at = _trainable_without_transpose(a)
+    backward(_weighted_sum(ag.matmul(at, Tensor(b)), g))
+    assert np.array_equal(at.grad, g @ b.T)
+
+
+def test_no_grad_records_no_parents():
+    x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+    w = Tensor(np.ones((3, 2)), requires_grad=True)
+    with ag.no_grad():
+        out = ag.relu(ag.matmul(x, w))
+    assert out._parents == () and out._backward is None
+    assert not out.requires_grad
+    assert np.array_equal(out.data, np.maximum(x.data @ w.data, 0.0))
+
+
+def test_recording_resumes_after_no_grad_block():
+    x = Tensor(np.ones((2, 2)), requires_grad=True)
+    with ag.no_grad():
+        with ag.no_grad():
+            pass
+        assert ag.relu(x)._parents == ()
+    assert ag.relu(x)._parents == (x,)
+    with pytest.raises(RuntimeError):
+        with ag.no_grad():
+            raise RuntimeError("inside the block")
+    out = ag.tsum(ag.relu(x))
+    assert out._parents and out.requires_grad
+    backward(out)
+    assert np.array_equal(x.grad, np.ones((2, 2)))

@@ -1,58 +1,73 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
 from terntrain import kernels
 
 
-@pytest.fixture
-def restore_backend():
-    before = kernels.backend()
-    yield
-    kernels.set_backend(before)
+def _reference(x, w, g, stride, padding):
+    """Forward, input gradient and kernel gradient by direct loops over every tap."""
+    n_, c_, h_, w_in = x.shape
+    f_, _, kh, kw = w.shape
+    ho, wo = g.shape[2], g.shape[3]
+    out = np.zeros((n_, f_, ho, wo))
+    gx = np.zeros(x.shape)
+    gw = np.zeros(w.shape)
+    for n in range(n_):
+        for f in range(f_):
+            for i in range(ho):
+                for j in range(wo):
+                    for c in range(c_):
+                        for p in range(kh):
+                            yy = i * stride - padding + p
+                            if not 0 <= yy < h_:
+                                continue
+                            for q in range(kw):
+                                xx = j * stride - padding + q
+                                if 0 <= xx < w_in:
+                                    out[n, f, i, j] += x[n, c, yy, xx] * w[f, c, p, q]
+                                    gx[n, c, yy, xx] += g[n, f, i, j] * w[f, c, p, q]
+                                    gw[f, c, p, q] += g[n, f, i, j] * x[n, c, yy, xx]
+    return out, gx, gw
 
 
-needs_numba = pytest.mark.skipif(
-    "numba" not in kernels.available_backends(), reason="numba unavailable"
-)
-
-
-def _random_case(rng, n, c, h, w, f, k, stride, padding):
-    x = rng.normal(size=(n, c, h, w))
-    wt = rng.normal(size=(f, c, k, k))
-    ho, wo = kernels.conv_out_hw(h, w, k, k, stride, padding)
-    g = rng.normal(size=(n, f, ho, wo))
-    return x, wt, g
-
-
-@needs_numba
 @pytest.mark.parametrize(
     "case",
     [
+        # n, c, h, w, f, k, stride, padding
         (2, 1, 6, 6, 3, 3, 1, 1),
         (1, 2, 8, 8, 4, 4, 2, 1),
         (3, 2, 5, 7, 2, 3, 1, 0),
         (2, 3, 9, 9, 5, 3, 3, 0),
+        (2, 1, 28, 28, 8, 4, 2, 1),  # lenet-small conv0
+        (2, 8, 14, 14, 16, 4, 2, 1),  # lenet-small conv1
     ],
 )
-def test_backends_agree(case, restore_backend):
-    rng = np.random.default_rng(hash(case) % 2**32)
+def test_kernels_match_direct_loops(case):
+    rng = np.random.default_rng(sum(case))
     n, c, h, w, f, k, stride, padding = case
-    x, wt, g = _random_case(rng, n, c, h, w, f, k, stride, padding)
+    x = rng.normal(size=(n, c, h, w))
+    wt = rng.normal(size=(f, c, k, k))
+    ho, wo = kernels.conv_out_hw(h, w, k, k, stride, padding)
+    g = rng.normal(size=(n, f, ho, wo))
 
-    results = {}
-    for name in ("numba", "numpy"):
-        kernels.set_backend(name)
-        results[name] = (
-            kernels.conv2d_forward(x, wt, stride, padding),
-            kernels.conv2d_backward_x(g, x.shape, wt, stride, padding),
-            kernels.conv2d_backward_w(g, x, wt.shape, stride, padding),
-        )
-    for a, b in zip(results["numba"], results["numpy"]):
+    got = (
+        kernels.conv2d_forward(x, wt, stride, padding),
+        kernels.conv2d_backward_x(g, x.shape, wt, stride, padding),
+        kernels.conv2d_backward_w(g, x, wt.shape, stride, padding),
+    )
+    for a, b in zip(got, _reference(x, wt, g, stride, padding)):
+        assert a.shape == b.shape
         assert np.allclose(a, b, rtol=1e-12, atol=1e-12)
+
+
+def test_all_ones_3x3_sums_to_nine():
+    out = kernels.conv2d_forward(np.ones((1, 1, 3, 3)), np.ones((1, 1, 3, 3)), 1, 0)
+    assert out.shape == (1, 1, 1, 1)
+    assert out[0, 0, 0, 0] == 9.0
+
+
+def test_backend_is_numpy():
+    assert kernels.backend() == "numpy"
 
 
 def test_conv_out_hw():
@@ -71,28 +86,11 @@ def test_forward_shape_validation():
         kernels.conv2d_forward(np.ones((1, 2, 4, 4)), np.ones((1, 3, 3, 3)), 1, 0)
 
 
-def test_set_backend_rejects_unknown():
-    with pytest.raises(ValueError):
-        kernels.set_backend("tpu")
-
-
-def test_env_flag_selects_numpy_backend():
-    env = dict(os.environ, TERNTRAIN_NUMBA="0")
-    out = subprocess.run(
-        [sys.executable, "-c", "from terntrain import kernels; print(kernels.backend())"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "numpy"
-
-
-def test_numpy_backend_standalone(restore_backend):
-    # The fallback must be usable on its own, not just as a comparison target.
-    kernels.set_backend("numpy")
-    x = np.ones((1, 1, 3, 3))
-    w = np.ones((1, 1, 3, 3))
-    out = kernels.conv2d_forward(x, w, 1, 0)
-    assert out.shape == (1, 1, 1, 1)
-    assert out[0, 0, 0, 0] == 9.0
+def test_backward_rejects_mismatched_output_gradient():
+    x = np.ones((2, 1, 4, 4))
+    w = np.ones((3, 1, 3, 3))
+    g = np.ones((2, 3, 3, 3))  # the output is 2x2 at stride 1, padding 0
+    with pytest.raises(ValueError, match="gradient shape"):
+        kernels.conv2d_backward_x(g, x.shape, w, 1, 0)
+    with pytest.raises(ValueError, match="gradient shape"):
+        kernels.conv2d_backward_w(g, x, w.shape, 1, 0)

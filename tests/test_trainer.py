@@ -13,11 +13,14 @@ from terntrain.gaussian import (
     truncated_upper_mean,
 )
 from terntrain.modelio import checkpoint_to_bytes
-from terntrain.network import LayerSpec, Model, build_from_config
+from terntrain import trainer
+from terntrain.autograd import softmax_cross_entropy
+from terntrain.network import FLOAT_MODE, LayerSpec, Model, build_from_config
 from terntrain.optim import OptimizerConfig
-from terntrain.ternarize import tern
+from terntrain.ternarize import WEIGHT_PHASE, tern
 from terntrain.trainer import (
     DivergenceError,
+    eval_loss_acc,
     evaluate,
     make_train_state,
     pretrain,
@@ -302,3 +305,40 @@ def test_train_requires_quantized_layers():
     )
     with pytest.raises(ValueError, match="quantized"):
         train(state, _toy_dataset(seed=15), epochs=1)
+
+
+def _taped_loss_acc(model, ds, mode, batch_size):
+    total, correct = 0.0, 0
+    for start in range(0, len(ds), batch_size):
+        xb, yb = ds.images[start : start + batch_size], ds.labels[start : start + batch_size]
+        logits = model.forward(xb, mode)
+        assert logits.requires_grad and logits._parents  # a tape was recorded
+        total += float(softmax_cross_entropy(logits, yb).data) * len(yb)
+        correct += int(np.sum(np.argmax(logits.data, axis=1) == yb))
+    return total / len(ds), correct / len(ds)
+
+
+@pytest.mark.parametrize("mode", ["float", "ternary"])
+def test_eval_loss_acc_matches_taped_forward(mode, monkeypatch):
+    specs = [
+        LayerSpec("conv2d", in_dim=1, out_dim=3, kernel=4, stride=2, padding=1, quantized=True),
+        LayerSpec("relu"),
+        LayerSpec("flatten"),
+        LayerSpec("dense", in_dim=3 * 4 * 4, out_dim=4, quantized=True),
+    ]
+    model = build_from_config(specs, seed=8)
+    model.init_thresholds(0.1)
+    model.refresh_all()
+    rng = np.random.default_rng(8)
+    ds = Dataset(rng.normal(size=(70, 1, 8, 8)), rng.integers(0, 4, size=70))
+    fwd_mode = WEIGHT_PHASE if mode == "ternary" else FLOAT_MODE
+    taped = _taped_loss_acc(model, ds, fwd_mode, 32)
+    seen = []
+
+    def loss_of(logits, yb):
+        seen.append(logits._parents)
+        return softmax_cross_entropy(logits, yb)
+
+    monkeypatch.setattr(trainer, "softmax_cross_entropy", loss_of)
+    assert eval_loss_acc(model, ds, mode, batch_size=32) == taped
+    assert seen == [(), (), ()]  # three batches, no graph behind any of them
