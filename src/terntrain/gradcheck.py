@@ -22,12 +22,11 @@ from .gaussian import (
 )
 from .network import LayerSpec, build_from_config
 from .ternarize import (
-    THRESHOLD_PHASE,
     QuantizerState,
-    forward_quantized,
     refresh,
     ste_codes_node,
     tern,
+    threshold_scale_node,
 )
 
 FD_STEP = 1e-6
@@ -207,12 +206,14 @@ def check_ste_identity(seed: int = 0) -> CheckResult:
 def check_threshold_phase_grad(seed: int = 0) -> CheckResult:
     """Threshold-phase gradient against finite differences with frozen codes."""
     rng = np.random.default_rng(seed)
-    w = Tensor(rng.normal(scale=0.5, size=(40,)), requires_grad=True)
-    state = _fresh_state(w.data, 0.35)
-    codes = tern(w.data, state.mu, state.delta_c)
+    w = rng.normal(scale=0.5, size=(40,))
+    state = _fresh_state(w, 0.35)
+    codes = tern(w, state.mu, state.delta_c)
 
+    # The threshold-phase wiring of Model.forward: the scale as a function of
+    # the threshold times the refreshed, frozen codes.
     leaf = Tensor(np.float64(state.delta), requires_grad=True)
-    out = forward_quantized(w, state, THRESHOLD_PHASE, delta_leaf=leaf)
+    out = ag.smul(threshold_scale_node(leaf, state), Tensor(state.codes))
     backward(ag.tsum(out))
     analytic = float(leaf.grad)
 

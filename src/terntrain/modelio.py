@@ -25,9 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .gaussian import TruncGaussParams, clip_threshold, truncated_upper_mean
 from .network import LayerSpec, Model, arch_specs, build_from_config
-from .ternarize import codes_from_state, is_fresh, sparsity
+from .ternarize import codes_from_state, is_fresh, layer_stats, refresh, sparsity
 
 CHECKPOINT_MAGIC = b"TNCK"
 PACKED_MAGIC = b"TERN"
@@ -292,14 +291,15 @@ def model_from_checkpoint(ckpt: Checkpoint) -> Model:
             if layer.qstate is None:
                 raise FormatError(f"quantizer record for non-quantized layer {rec.name}")
             delta, mu, sigma = rec.quant
-            layer.qstate.delta = delta
-            layer.qstate.mu = mu
-            layer.qstate.sigma = sigma
-            if np.isfinite(sigma) and sigma > 0:
-                layer.qstate.delta_c = clip_threshold(delta, sigma)
-                layer.qstate.scale = truncated_upper_mean(
-                    TruncGaussParams(mu, sigma, layer.qstate.delta_c)
-                )
+            st = layer.qstate
+            st.delta, st.mu, st.sigma = delta, mu, sigma
+            # A state refreshed from these very weights is derived again, so
+            # the loaded model is ready to run. Any other record (never
+            # refreshed, or saved after a weight update without a refresh)
+            # loads stale, as saved: the forward and the export reject it
+            # until refresh_all().
+            if np.isfinite(sigma) and sigma > 0 and layer_stats(layer.w.data) == (mu, sigma):
+                refresh(st, layer.w.data)
     return model
 
 
@@ -337,6 +337,12 @@ def pack_codes(codes) -> bytes:
     return packed.astype(np.uint8).tobytes()
 
 
+_PAIR_CODE = np.array([0, 1, -1, 0], dtype=np.int8)  # bit pair 11 is reserved
+_BYTE_PAIRS = (np.arange(256)[:, None] >> np.array([0, 2, 4, 6])) & 3
+_BYTE_CODES = _PAIR_CODE[_BYTE_PAIRS]  # (256, 4) int8: the four codes of each byte
+_BYTE_RESERVED = (_BYTE_PAIRS == 3).any(axis=1)  # (256,) bool: the byte holds an 11 pair
+
+
 def unpack_codes(data: bytes, n: int) -> np.ndarray:
     """Inverse of pack_codes; rejects the reserved 11 pair and bad padding.
 
@@ -350,19 +356,12 @@ def unpack_codes(data: bytes, n: int) -> np.ndarray:
     if n == 0:
         return np.zeros(0, dtype=np.int8)
     b = np.frombuffer(data, dtype=np.uint8)
-    pairs = np.empty((b.size, 4), dtype=np.uint8)
-    pairs[:, 0] = b & 3
-    pairs[:, 1] = (b >> 2) & 3
-    pairs[:, 2] = (b >> 4) & 3
-    pairs[:, 3] = (b >> 6) & 3
-    flat = pairs.reshape(-1)
-    if np.any(flat == 3):
+    # np.take, not fancy indexing: it gathers whole table rows several times faster.
+    if np.take(_BYTE_RESERVED, b).any():
         raise InvalidCodeError("reserved 11 bit pair in packed codes")
-    if np.any(flat[n:]):
+    codes = np.take(_BYTE_CODES, b, axis=0).reshape(-1)
+    if codes[n:].any():
         raise FormatError("non-zero padding bit pairs in final byte")
-    codes = np.zeros(flat.size, dtype=np.int8)
-    codes[flat == 1] = 1
-    codes[flat == 2] = -1
     return codes[:n]
 
 

@@ -22,7 +22,7 @@ from .ternarize import (
     assert_fresh,
     refresh,
     ste_codes_node,
-    tern,
+    tern,  # noqa: F401  re-exported: tracing tools wrap network.tern by name
     threshold_scale_node,
 )
 
@@ -205,8 +205,7 @@ class Model:
             leaf = Tensor(np.float64(layer.qstate.delta), requires_grad=True)
             self.delta_leaves[layer.name] = leaf
             s = threshold_scale_node(leaf, layer.qstate)
-            codes = Tensor(tern(layer.w.data, layer.qstate.mu, layer.qstate.delta_c))
-            z = linop(codes)
+            z = linop(Tensor(layer.qstate.codes))
             z = ag.smul(s, z)
         return ag.add_bias(z, layer.b)
 

@@ -11,11 +11,11 @@ is exactly one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autograd import Tensor, register_custom_grad, scale_by, smul
+from .autograd import Tensor, register_custom_grad
 from .gaussian import (
     TruncGaussParams,
     clip_threshold,
@@ -34,10 +34,13 @@ class DegenerateLayerError(ValueError):
 
 @dataclass
 class QuantizerState:
-    """Trainable threshold plus cached per-layer statistics and scale.
+    """Trainable threshold plus the quantizer state derived from the weights.
 
-    mu/sigma/delta_c/scale are caches refreshed from the current weights;
     delta is the trainable parameter and is never touched by refresh().
+    mu/sigma/delta_c/scale/codes are derived by refresh() from the weight
+    array `source`, which refresh() marks read-only: the state is fresh
+    exactly while the layer still holds that same array. codes are the
+    float64 codes Tern(source), read-only too.
     """
 
     delta: float
@@ -45,6 +48,8 @@ class QuantizerState:
     sigma: float = float("nan")
     delta_c: float = float("nan")
     scale: float = float("nan")
+    codes: np.ndarray | None = field(default=None, repr=False, compare=False)
+    source: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -71,56 +76,66 @@ def tern(w: np.ndarray, mu: float, delta_c: float) -> np.ndarray:
     if delta_c < 0:
         raise ValueError(f"delta_c must be non-negative, got {delta_c}")
     w = np.asarray(w, dtype=np.float64)
-    codes = np.zeros(w.shape)
-    codes[w > mu + delta_c] = 1.0
-    codes[w < mu - delta_c] = -1.0
+    codes = (w > mu + delta_c).astype(np.float64)
+    codes -= w < mu - delta_c
     return codes
 
 
 def refresh(state: QuantizerState, w: np.ndarray) -> QuantizerState:
-    """Recompute mu, sigma, delta_c and scale from the current weights.
+    """Derive mu, sigma, delta_c, scale and codes from the weights w.
 
-    delta is left unchanged. Raises DegenerateLayerError when the weights
-    have zero spread, since no Gaussian fit exists then.
+    mu and sigma are recomputed only when w is not the array the state was
+    last derived from; w is then marked read-only, so that the state stays
+    exact for as long as the layer holds w. The codes are recomputed when
+    the weights or the clipped threshold changed. delta is left unchanged.
+    Raises DegenerateLayerError when the weights have zero spread, since
+    no Gaussian fit exists then.
     """
-    mu, sigma = layer_stats(w)
-    if sigma <= 0.0:
-        raise DegenerateLayerError("all weights equal: sigma is 0, no scale is defined")
-    state.mu = mu
-    state.sigma = sigma
-    state.delta_c = clip_threshold(state.delta, sigma)
-    state.scale = truncated_upper_mean(TruncGaussParams(mu, sigma, state.delta_c))
+    new_weights = not is_fresh(state, w)
+    if new_weights:
+        mu, sigma = layer_stats(w)
+        if sigma <= 0.0:
+            raise DegenerateLayerError("all weights equal: sigma is 0, no scale is defined")
+        w.flags.writeable = False
+        state.mu, state.sigma, state.source = mu, sigma, w
+    delta_c = clip_threshold(state.delta, state.sigma)
+    if new_weights or delta_c != state.delta_c:
+        state.codes = tern(w, state.mu, delta_c)
+        state.codes.flags.writeable = False
+    state.delta_c = delta_c
+    state.scale = truncated_upper_mean(TruncGaussParams(state.mu, state.sigma, delta_c))
     return state
 
 
-def is_fresh(state: QuantizerState, w: np.ndarray, rtol: float = 1e-9) -> bool:
-    """Whether the cached statistics match the weights they claim to describe."""
-    try:
-        mu, sigma = layer_stats(w)
-    except DegenerateLayerError:
-        return False
-    tol = rtol * max(1.0, abs(mu), sigma)
-    return abs(mu - state.mu) <= tol and abs(sigma - state.sigma) <= tol
+def is_fresh(state: QuantizerState, w: np.ndarray) -> bool:
+    """Whether the state was derived from w and w cannot have changed since.
+
+    refresh() marks the array it derives from read-only, so an in-place
+    write raises; a new array bound in its place, or a writable copy such
+    as copy.deepcopy makes, is stale until the next refresh().
+    """
+    return w is state.source and not w.flags.writeable
 
 
 def assert_fresh(state: QuantizerState, w: np.ndarray) -> None:
     assert is_fresh(state, w), (
-        "stale quantizer state: cached mu/sigma do not match the weights; "
-        "call refresh() after any weight update"
+        "stale quantizer state: the weights were replaced since the last "
+        "refresh(); call refresh() after any weight update"
     )
 
 
 def ste_codes_node(w: Tensor, state: QuantizerState, grad_correctness: bool = True) -> Tensor:
-    """Tern(w) as a tape node with the straight-through backward rule.
+    """The state's cached Tern(w) as a tape node with the straight-through backward rule.
 
-    With grad_correctness the backward multiplies incoming gradients by
-    1/scale, so scale * Tern(w) differentiates to exactly 1 w.r.t. w;
-    without it the staircase passes gradients through unchanged.
+    The state must be fresh for w.data. With grad_correctness the backward
+    multiplies incoming gradients by 1/scale, so scale * Tern(w)
+    differentiates to exactly 1 w.r.t. w; without it the staircase passes
+    gradients through unchanged.
     """
     factor = 1.0 / state.scale if grad_correctness else 1.0
-    mu, delta_c = state.mu, state.delta_c
+    codes = state.codes
     op = register_custom_grad(
-        lambda arr: tern(arr, mu, delta_c),
+        lambda arr: codes,
         lambda g, arr: (g * factor,),
     )
     return op(w)
@@ -144,40 +159,11 @@ def threshold_scale_node(delta_leaf: Tensor, state: QuantizerState) -> Tensor:
     return mean_op(clip_op(delta_leaf))
 
 
-def forward_quantized(
-    w: Tensor,
-    state: QuantizerState,
-    mode: str,
-    grad_correctness: bool = True,
-    delta_leaf: Tensor | None = None,
-) -> Tensor:
-    """Effective weights scale * Tern(w) with phase-dependent gradient wiring.
-
-    weight-phase: the scale is a frozen constant and the staircase backward
-    multiplies by 1/scale (or 1 without grad correctness); the threshold
-    receives no gradient. threshold-phase: the codes are frozen constants
-    and the scale participates in the tape as a function of delta_leaf; the
-    weights receive no gradient.
-    """
-    if __debug__:
-        assert_fresh(state, w.data)
-    if mode == WEIGHT_PHASE:
-        codes = ste_codes_node(w, state, grad_correctness)
-        return scale_by(codes, state.scale)
-    if mode == THRESHOLD_PHASE:
-        if delta_leaf is None:
-            delta_leaf = Tensor(np.float64(state.delta), requires_grad=True)
-        s = threshold_scale_node(delta_leaf, state)
-        codes = Tensor(tern(w.data, state.mu, state.delta_c))
-        return smul(s, codes)
-    raise ValueError(f"unknown quantization mode {mode!r}")
-
-
 def codes_from_state(w: np.ndarray, state: QuantizerState) -> TernaryCodes:
-    return TernaryCodes(
-        codes=tern(w, state.mu, state.delta_c).astype(np.int8),
-        scale=state.scale,
-    )
+    """The state's cached codes as int8; the state must be fresh for w."""
+    if not is_fresh(state, w):
+        raise ValueError("stale quantizer state: call refresh() before reading its codes")
+    return TernaryCodes(codes=state.codes.astype(np.int8), scale=state.scale)
 
 
 def sparsity(codes) -> float:

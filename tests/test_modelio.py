@@ -27,7 +27,7 @@ from terntrain.modelio import (
     unpack_codes,
 )
 from terntrain.network import LayerSpec, Model, build_from_config
-from terntrain.ternarize import WEIGHT_PHASE
+from terntrain.ternarize import WEIGHT_PHASE, DegenerateLayerError, is_fresh
 
 
 def _trained_like_model(arch="mlp-16-8-4", seed=0, delta=0.2):
@@ -95,6 +95,32 @@ def test_unpack_rejects_dirty_padding():
         unpack_codes(bytes([0b01_00_00_01]), 2)
 
 
+def _unpack_by_bit_loop(data: bytes, n: int) -> np.ndarray:
+    """Reference decoder: one bit pair at a time, first code in bits 1:0."""
+    pairs = [(byte >> (2 * j)) & 3 for byte in data for j in range(4)]
+    if 3 in pairs:
+        raise InvalidCodeError("reserved pair")
+    if any(pairs[n:]):
+        raise FormatError("dirty padding")
+    return np.array([{0: 0, 1: 1, 2: -1}[p] for p in pairs[:n]], dtype=np.int8)
+
+
+@pytest.mark.parametrize("rem", [0, 1, 2, 3])
+def test_unpack_matches_bit_loop_on_every_byte(rem):
+    n = 4 + (rem or 4)  # a full first byte, then a last byte holding n % 4 == rem codes
+    for value in range(256):
+        data = bytes([0b10_01_10_01, value])
+        try:
+            expected = _unpack_by_bit_loop(data, n)
+        except ModelIOError as e:
+            with pytest.raises(type(e)):
+                unpack_codes(data, n)
+            continue
+        got = unpack_codes(data, n)
+        assert got.dtype == np.int8 and got.shape == (n,)
+        assert np.array_equal(got, expected)
+
+
 # --- checkpoint format --------------------------------------------------------
 
 
@@ -108,6 +134,50 @@ def test_checkpoint_roundtrip_bit_identical(tmp_path):
         assert np.array_equal(a.b.data, b.b.data)
         assert a.qstate.delta == b.qstate.delta
     assert restored.meta["note"] == "fixture"
+
+
+def test_refreshed_checkpoint_loads_fresh_with_the_saved_state():
+    model = _trained_like_model(seed=3)
+    x = np.random.default_rng(4).normal(size=(3, 16))
+    expected = model.forward(x, WEIGHT_PHASE).data
+    restored = model_from_checkpoint(checkpoint_from_bytes(checkpoint_to_bytes(checkpoint_from_model(model))))
+    fields = ("delta", "mu", "sigma", "delta_c", "scale")
+    for a, b in zip(model.quantized_layers(), restored.quantized_layers()):
+        assert [getattr(a.qstate, f) for f in fields] == [getattr(b.qstate, f) for f in fields]
+        assert is_fresh(b.qstate, b.w.data)
+    assert np.array_equal(restored.forward(x, WEIGHT_PHASE).data, expected)
+
+
+def test_checkpoint_saved_before_refresh_loads_stale(tmp_path):
+    # Saved between a weight update and a refresh: mu/sigma describe older weights.
+    model = _trained_like_model(seed=3)
+    layer = model.quantized_layers()[0]
+    saved = (layer.qstate.mu, layer.qstate.sigma)
+    layer.w.data = layer.w.data * 2.0
+    restored = model_from_checkpoint(checkpoint_from_bytes(checkpoint_to_bytes(checkpoint_from_model(model))))
+    r = restored.quantized_layers()[0]
+    assert (r.qstate.mu, r.qstate.sigma) == saved
+    assert not is_fresh(r.qstate, r.w.data)
+    x = np.random.default_rng(4).normal(size=(3, 16))
+    with pytest.raises(AssertionError, match="stale"):
+        restored.forward(x, WEIGHT_PHASE)
+    with pytest.raises(ValueError, match="stale"):
+        export_packed(restored, tmp_path / "stale.tern")
+    model.refresh_all()
+    restored.refresh_all()
+    assert np.array_equal(restored.forward(x, WEIGHT_PHASE).data, model.forward(x, WEIGHT_PHASE).data)
+
+
+def test_checkpoint_record_on_constant_weights_loads_stale():
+    model = build_from_config("mlp-6-4", seed=2)
+    layer = model.quantized_layers()[0]
+    layer.w.data = np.full(layer.w.shape, 0.5)
+    layer.qstate.mu, layer.qstate.sigma = 0.5, 0.1  # a record no refresh could have written
+    restored = model_from_checkpoint(checkpoint_from_bytes(checkpoint_to_bytes(checkpoint_from_model(model))))
+    r = restored.quantized_layers()[0]
+    assert not is_fresh(r.qstate, r.w.data)
+    with pytest.raises(DegenerateLayerError):
+        restored.refresh_all()
 
 
 def test_checkpoint_roundtrip_custom_specs():
@@ -225,6 +295,21 @@ def test_export_rejects_stale_state(tmp_path):
     model.param_layers()[0].w.data = model.param_layers()[0].w.data * 2.0
     with pytest.raises(ValueError, match="stale"):
         export_packed(model, tmp_path / "stale.tern")
+
+
+def test_rebinding_equal_weights_trips_forward_and_export(tmp_path):
+    # A copy has the same mu and sigma, so only the identity check sees it.
+    model = _trained_like_model()
+    layer = model.param_layers()[0]
+    with pytest.raises(ValueError, match="read-only"):
+        layer.w.data[0, 0] = 0.0
+    layer.w.data = layer.w.data.copy()
+    with pytest.raises(AssertionError, match="stale"):
+        model.forward(np.zeros((1, 16)), WEIGHT_PHASE)
+    with pytest.raises(ValueError, match="stale"):
+        export_packed(model, tmp_path / "stale.tern")
+    model.refresh_all()
+    export_packed(model, tmp_path / "fresh.tern")
 
 
 def test_packed_never_contains_reserved_pair(tmp_path):

@@ -57,7 +57,7 @@ def test_all_plus_one_codes_sum():
     layer = model.param_layers()[0]
     layer.w.data = np.array([[0.5], [-0.5]])
     refresh(layer.qstate, layer.w.data)
-    layer.qstate.scale = 1.0  # mu/sigma stay fresh; force the unit scale
+    layer.qstate.scale = 1.0  # the state stays fresh; force the unit scale
     out = model.forward(np.array([[1.0, -1.0]]), WEIGHT_PHASE)
     # codes are [+1, -1] and x is [1, -1], so the accumulation is 2.
     assert out.data[0, 0] == pytest.approx(2.0)

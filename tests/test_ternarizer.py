@@ -10,6 +10,7 @@ from terntrain import autograd as ag
 from terntrain.autograd import Tensor, backward
 from terntrain.gaussian import TruncGaussParams, clip_threshold, truncated_upper_mean
 from terntrain.gradcheck import check_threshold_phase_grad, fd_grad, max_rel_err
+from terntrain.network import LayerSpec, Model, build_from_config
 from terntrain.ternarize import (
     THRESHOLD_PHASE,
     WEIGHT_PHASE,
@@ -17,7 +18,6 @@ from terntrain.ternarize import (
     QuantizerState,
     TernaryCodes,
     codes_from_state,
-    forward_quantized,
     layer_stats,
     refresh,
     sparsity,
@@ -117,7 +117,7 @@ def test_weight_phase_ste_identity():
     rng = np.random.default_rng(15)
     w = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
     state = refresh(QuantizerState(0.4), w.data)
-    out = forward_quantized(w, state, WEIGHT_PHASE)
+    out = ag.scale_by(ste_codes_node(w, state), state.scale)
     backward(ag.tsum(out))
     # d(sum(scale * Tern(w)))/dw = scale * (1/scale) = 1 for every weight.
     assert max_rel_err(w.grad, np.ones_like(w.data)) < 1e-6
@@ -127,7 +127,7 @@ def test_weight_phase_without_grad_correctness_scales_by_s():
     rng = np.random.default_rng(16)
     w = Tensor(rng.normal(size=(5, 5)), requires_grad=True)
     state = refresh(QuantizerState(0.4), w.data)
-    out = forward_quantized(w, state, WEIGHT_PHASE, grad_correctness=False)
+    out = ag.scale_by(ste_codes_node(w, state, grad_correctness=False), state.scale)
     backward(ag.tsum(out))
     assert max_rel_err(w.grad, np.full_like(w.data, state.scale)) < 1e-12
 
@@ -135,7 +135,7 @@ def test_weight_phase_without_grad_correctness_scales_by_s():
 def test_tern_node_backward_reciprocal():
     w = Tensor(np.array([0.5, -0.5, 2.0, -2.0]), requires_grad=True)
     state = refresh(QuantizerState(0.0), w.data)
-    state.scale = 2.0  # freshness only checks mu/sigma; force the example scale
+    state.scale = 2.0  # the state stays fresh for w; force the example scale
     backward(ag.tsum(ste_codes_node(w, state)))
     assert np.allclose(w.grad, np.full(4, 0.5))
 
@@ -146,13 +146,18 @@ def test_threshold_phase_gradient_matches_finite_differences():
 
 
 def test_threshold_phase_gradient_value():
+    # dense 64->1 on an all-ones input with zero bias: the logit is
+    # scale(delta) * sum(codes), through Model.forward's threshold phase.
     rng = np.random.default_rng(18)
-    w = Tensor(rng.normal(scale=0.6, size=64), requires_grad=True)
-    state = refresh(QuantizerState(0.25), w.data)
-    codes = tern(w.data, state.mu, state.delta_c)
-    leaf = Tensor(np.float64(state.delta), requires_grad=True)
-    out = forward_quantized(w, state, THRESHOLD_PHASE, delta_leaf=leaf)
-    backward(ag.tsum(out))
+    model = Model([LayerSpec("dense", in_dim=64, out_dim=1, quantized=True)])
+    layer = model.param_layers()[0]
+    layer.w.data = rng.normal(scale=0.6, size=(64, 1))
+    layer.qstate.delta = 0.25
+    model.refresh_all()
+    state = layer.qstate
+    codes = tern(layer.w.data, state.mu, state.delta_c)
+    backward(ag.tsum(model.forward(np.ones((1, 64)), THRESHOLD_PHASE)))
+    leaf = model.delta_leaves[layer.name]
     # Finite difference of scale(delta) * sum(frozen codes).
     def f(d):
         dc = clip_threshold(float(d), state.sigma)
@@ -160,32 +165,18 @@ def test_threshold_phase_gradient_value():
 
     fd = float(fd_grad(f, np.float64(state.delta)))
     assert max_rel_err(float(leaf.grad), fd) < 1e-5
-    assert w.grad is None  # weights receive no gradient in threshold phase
-
-
-def test_threshold_phase_creates_leaf_when_missing():
-    rng = np.random.default_rng(19)
-    w = Tensor(rng.normal(size=16))
-    state = refresh(QuantizerState(0.2), w.data)
-    out = forward_quantized(w, state, THRESHOLD_PHASE)
-    assert out.shape == w.shape
-    assert out.requires_grad  # the internal delta leaf is on the tape
-
-
-def test_forward_quantized_rejects_unknown_mode():
-    w = Tensor(np.array([0.1, -0.2, 0.5]))
-    state = refresh(QuantizerState(0.1), w.data)
-    with pytest.raises(ValueError):
-        forward_quantized(w, state, "both-phases")
+    assert layer.w.grad is None  # weights receive no gradient in threshold phase
 
 
 def test_stale_state_detected_in_debug():
-    rng = np.random.default_rng(20)
-    w = Tensor(rng.normal(size=32), requires_grad=True)
-    state = refresh(QuantizerState(0.1), w.data)
-    w.data = w.data + 1.0  # shift the mean without refreshing
-    with pytest.raises(AssertionError, match="stale"):
-        forward_quantized(w, state, WEIGHT_PHASE)
+    model = build_from_config("mlp-8-4", seed=20)
+    model.init_thresholds(0.1)
+    model.refresh_all()
+    layer = model.quantized_layers()[0]
+    layer.w.data = layer.w.data + 1.0  # shift the mean without refreshing
+    for mode in (WEIGHT_PHASE, THRESHOLD_PHASE):
+        with pytest.raises(AssertionError, match="stale"):
+            model.forward(np.zeros((1, 8)), mode)
 
 
 def test_sparsity_examples():
@@ -218,3 +209,17 @@ def test_sparsity_monotone_in_delta_c():
 def test_ternary_codes_effective_weights():
     tc = TernaryCodes(codes=np.array([-1, 0, 1], dtype=np.int8), scale=0.25)
     assert np.allclose(tc.effective(), [-0.25, 0.0, 0.25])
+
+
+def test_refresh_locks_weights_and_caches_read_only_codes():
+    rng = np.random.default_rng(24)
+    w = rng.normal(size=(8, 3))
+    state = refresh(QuantizerState(0.3), w)
+    assert np.array_equal(state.codes, tern(w, state.mu, state.delta_c))
+    with pytest.raises(ValueError, match="read-only"):
+        w[0, 0] = 5.0  # an in-place write to refreshed weights raises
+    with pytest.raises(ValueError, match="read-only"):
+        state.codes[0, 0] = 0.0
+    assert np.array_equal(codes_from_state(w, state).codes, state.codes.astype(np.int8))
+    with pytest.raises(ValueError, match="stale"):
+        codes_from_state(w.copy(), state)  # equal weights, but not the refreshed array

@@ -1,3 +1,4 @@
+import copy
 import csv
 import warnings
 
@@ -13,7 +14,7 @@ from terntrain.gaussian import (
     truncated_upper_mean,
 )
 from terntrain.modelio import checkpoint_to_bytes
-from terntrain import trainer
+from terntrain import network, ternarize, trainer
 from terntrain.autograd import softmax_cross_entropy
 from terntrain.network import FLOAT_MODE, LayerSpec, Model, build_from_config
 from terntrain.optim import OptimizerConfig
@@ -342,3 +343,76 @@ def test_eval_loss_acc_matches_taped_forward(mode, monkeypatch):
     monkeypatch.setattr(trainer, "softmax_cross_entropy", loss_of)
     assert eval_loss_acc(model, ds, mode, batch_size=32) == taped
     assert seen == [(), (), ()]  # three batches, no graph behind any of them
+
+
+def _count_layer_stats(monkeypatch) -> list:
+    calls = []
+    real = ternarize.layer_stats
+
+    def counted(w):
+        calls.append(np.shape(w))
+        return real(w)
+
+    monkeypatch.setattr(ternarize, "layer_stats", counted)
+    return calls
+
+
+def test_layer_stats_once_per_quantized_layer_per_step(monkeypatch):
+    state = _toy_state(seed=21)
+    ds = _toy_dataset(seed=21)
+    n_layers = len(state.model.quantized_layers())
+    calls = _count_layer_stats(monkeypatch)
+    for start in (0, 16, 32):
+        calls.clear()
+        tern_train_step(state, (ds.images[start : start + 16], ds.labels[start : start + 16]))
+        assert len(calls) == n_layers
+    calls.clear()
+    eval_loss_acc(state.model, ds, "ternary")
+    assert len(calls) <= n_layers
+    calls.clear()
+    eval_loss_acc(state.model, ds, "ternary")  # the weights have not changed since
+    assert calls == []
+
+
+def test_cached_quantizer_state_matches_recomputing_every_refresh(monkeypatch):
+    ds = _toy_dataset(seed=22)
+    batches = [(ds.images[s : s + 16], ds.labels[s : s + 16]) for s in range(0, 64, 16)]
+
+    def run():
+        state = _toy_state(seed=22, w_kind="sgd-momentum")
+        losses = [tern_train_step(state, b) for b in batches]
+        model = state.model
+        ev = eval_loss_acc(model, ds, "ternary")
+        return losses, ev, [p.data.copy() for p in model.parameters()], [
+            l.qstate.delta for l in model.quantized_layers()
+        ]
+
+    cached = run()
+    real_refresh = network.refresh
+
+    def recompute_everything(qstate, w):
+        qstate.source = None  # forget the weights: stats, scale and codes are derived anew
+        return real_refresh(qstate, w)
+
+    monkeypatch.setattr(network, "refresh", recompute_everything)
+    reference = run()
+    assert cached[0] == reference[0]  # both losses of every step, bit for bit
+    assert cached[1] == reference[1]
+    assert all(np.array_equal(a, b) for a, b in zip(cached[2], reference[2]))
+    assert cached[3] == reference[3]
+
+
+def test_deepcopy_then_ternary_eval_matches_original():
+    state = _toy_state(seed=23)
+    ds = _toy_dataset(seed=23)
+    train(state, ds, epochs=1, batch_size=16)
+    model = state.model
+    expected = eval_loss_acc(model, ds, "ternary")
+    clone = copy.deepcopy(model)
+    for layer in clone.quantized_layers():
+        # deepcopy makes writable weights, so the copied state is stale
+        # until eval_loss_acc refreshes it.
+        assert not ternarize.is_fresh(layer.qstate, layer.w.data)
+    assert eval_loss_acc(clone, ds, "ternary") == expected
+    for layer in clone.quantized_layers():
+        assert ternarize.is_fresh(layer.qstate, layer.w.data)
