@@ -4,11 +4,11 @@ Define-by-run: every operation returns a fresh node holding references to
 its inputs and a closure mapping the output gradient to input gradients, so
 the recorded graph (the tape) is rebuilt on each forward pass and is always
 topologically ordered by construction. backward() walks it once from the
-loss and accumulates into leaf .grad; repeated calls without zero_grad()
-accumulate. Leaves persist across steps, graphs do not. Inside a
-no_grad() block nothing is recorded: ops return plain result tensors, so an
-evaluation pass holds no graph. Backward rules compute a gradient only for
-the inputs that require one.
+loss and accumulates into leaf .grad, a read-only array; repeated calls
+without zero_grad() accumulate. Leaves persist across steps, graphs do not.
+Inside a no_grad() block nothing is recorded: ops return plain result
+tensors, so an evaluation pass holds no graph. Backward rules compute a
+gradient only for the inputs that require one.
 
 No broadcasting beyond bias-add; explicit shapes keep the finite-difference
 checks unambiguous.
@@ -272,7 +272,11 @@ def backward(loss: Tensor) -> None:
             continue
         if node._backward is None:
             if node.requires_grad:
-                node.grad = g.copy() if node.grad is None else node.grad + g
+                # A read-only view, not a copy: g may be shared with other
+                # nodes, so a stray in-place write to .grad must raise.
+                grad = np.asarray(g if node.grad is None else node.grad + g).view()
+                grad.flags.writeable = False
+                node.grad = grad
             continue
         parent_grads = node._backward(g)
         for p, pg in zip(node._parents, parent_grads):

@@ -52,7 +52,9 @@ def _columns(x: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> np.n
     n, c = x.shape[:2]
     ho, wo = conv_out_hw(x.shape[2], x.shape[3], kh, kw, stride, padding)
     if padding:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+        xp = np.zeros((n, c, x.shape[2] + 2 * padding, x.shape[3] + 2 * padding), dtype=x.dtype)
+        xp[:, :, padding:-padding, padding:-padding] = x
+        x = xp
     win = sliding_window_view(x, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
     # win is (N, C, Ho, Wo, kh, kw); the reshape copies it into the buffer.
     return win.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * kh * kw, ho * wo)

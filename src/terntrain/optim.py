@@ -38,26 +38,54 @@ class OptimizerConfig:
 def sgd_update(p, g, lr, momentum=0.0, weight_decay=0.0, velocity=None):
     """One SGD step; returns (p_new, velocity_new).
 
-    Vanilla (momentum 0): p - lr * (g + weight_decay * p), velocity None.
+    d = g + weight_decay * p; with momentum, v = momentum * v + d and the
+    step follows v; vanilla (momentum 0) steps along d and returns velocity
+    None. The velocity is updated in place (a numpy scalar rebinds); on the
+    first step it is a private copy of d, never the gradient itself. p_new
+    is a new array: refresh() identifies weights by array identity.
     """
-    d = g + weight_decay * p
-    if momentum == 0.0:
-        return p - lr * d, None
-    v = d if velocity is None else momentum * velocity + d
-    return p - lr * v, v
+    d = g
+    if weight_decay:
+        d = weight_decay * p
+        d += g  # g + weight_decay * p: addition commutes exactly
+    if momentum:
+        if velocity is None:
+            velocity = np.copy(d)
+        else:
+            velocity *= momentum
+            velocity += d
+        d = velocity
+    else:
+        velocity = None
+    p_new = d * -lr  # -(lr * d) exactly, so p_new == p - lr * d bit for bit
+    p_new += p
+    return p_new, velocity
 
 
 def adam_update(p, g, state, cfg: OptimizerConfig):
-    """One bias-corrected Adam step; mutates state (m, v, t) and returns p_new."""
+    """One bias-corrected Adam step; returns p_new.
+
+    Updates state (m, v, t): m and v in place when they are arrays, by
+    rebinding when they are scalars. p_new is a new array, as in sgd_update.
+    """
     b1, b2 = cfg.betas
     state["t"] += 1
     t = state["t"]
-    g = g + cfg.weight_decay * p
-    state["m"] = b1 * state["m"] + (1 - b1) * g
-    state["v"] = b2 * state["v"] + (1 - b2) * g * g
-    m_hat = state["m"] / (1 - b1**t)
-    v_hat = state["v"] / (1 - b2**t)
-    return p - cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
+    if cfg.weight_decay:
+        g = g + cfg.weight_decay * p
+    m, v = state["m"], state["v"]
+    m *= b1
+    m += (1 - b1) * g
+    v *= b2
+    v += (1 - b2) * g * g
+    state["m"], state["v"] = m, v
+    denom = np.sqrt(v / (1 - b2**t))
+    denom += cfg.eps
+    step = m / (1 - b1**t)
+    step *= cfg.lr  # lr * m_hat
+    step /= denom
+    del denom  # at most two parameter-sized temporaries are alive at once
+    return p - step
 
 
 class SGD:

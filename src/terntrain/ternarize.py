@@ -64,11 +64,18 @@ class TernaryCodes:
 
 
 def layer_stats(w: np.ndarray) -> tuple[float, float]:
-    """Mean and population standard deviation of a weight array."""
+    """Mean and population standard deviation of a weight array.
+
+    One mean pass; sigma is then numpy's own std recipe on that mean, so
+    the pair equals (w.mean(), w.std()) bit for bit.
+    """
     w = np.asarray(w, dtype=np.float64)
     if w.size < 2:
         raise DegenerateLayerError(f"layer needs at least 2 weights, got {w.size}")
-    return float(w.mean()), float(w.std())
+    mu = w.mean()
+    dev = w - mu
+    np.square(dev, out=dev)
+    return float(mu), float(np.sqrt(dev.sum() / w.size))
 
 
 def tern(w: np.ndarray, mu: float, delta_c: float) -> np.ndarray:

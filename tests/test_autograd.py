@@ -248,6 +248,32 @@ def test_diamond_graph_accumulates_both_paths():
     assert np.array_equal(x.grad, 2.0 * np.ones(3))
 
 
+def test_leaf_gradients_are_read_only():
+    # add hands the same gradient array to both leaves: each gets a view of it.
+    a = Tensor(np.arange(3.0), requires_grad=True)
+    b = Tensor(np.ones(3), requires_grad=True)
+    backward(ag.tsum(ag.add(a, b)))
+    for leaf in (a, b):
+        with pytest.raises(ValueError, match="read-only"):
+            leaf.grad[0] = 5.0
+        with pytest.raises(ValueError, match="read-only"):
+            leaf.grad += 1.0
+    assert np.array_equal(a.grad, np.ones(3)) and np.array_equal(b.grad, np.ones(3))
+    # An accumulated sum is locked the same way.
+    backward(ag.tsum(ag.add(a, b)))
+    assert np.array_equal(a.grad, 2.0 * np.ones(3))
+    with pytest.raises(ValueError, match="read-only"):
+        a.grad *= 0.0
+
+
+def test_scalar_leaf_gradient_is_read_only():
+    s = Tensor(np.asarray(2.0), requires_grad=True)
+    backward(ag.scale_by(s, 3.0))
+    assert float(s.grad) == 3.0
+    with pytest.raises(ValueError, match="read-only"):
+        s.grad[...] = 0.0
+
+
 def _refuse(*args, **kwargs):
     raise AssertionError("gradient computed for an input that does not require one")
 

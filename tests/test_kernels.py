@@ -40,6 +40,8 @@ def _reference(x, w, g, stride, padding):
         (2, 3, 9, 9, 5, 3, 3, 0),
         (2, 1, 28, 28, 8, 4, 2, 1),  # lenet-small conv0
         (2, 8, 14, 14, 16, 4, 2, 1),  # lenet-small conv1
+        (2, 2, 7, 6, 3, 5, 1, 2),
+        (1, 2, 9, 7, 2, 3, 2, 2),
     ],
 )
 def test_kernels_match_direct_loops(case):

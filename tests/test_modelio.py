@@ -249,13 +249,13 @@ def test_trailing_garbage_rejected():
 # --- packed model -------------------------------------------------------------
 
 
-def test_export_report_overhead_dominated_layer():
+def test_export_report_overhead_dominated_layer(tmp_path):
     # 4 weights pack into 1 byte; with the 4-byte scale the ratio is 16/5.
     specs = [LayerSpec("dense", in_dim=2, out_dim=2, quantized=True)]
     model = Model(specs, seed=4)
     model.quantized_layers()[0].qstate.delta = 0.05
     model.refresh_all()
-    report = export_packed(model, "/tmp/tiny.tern")
+    report = export_packed(model, tmp_path / "tiny.tern")
     entry = report["layers"][0]
     assert entry["bytes_packed"] == 1
     assert entry["compression_ratio"] == pytest.approx(16 / 5)

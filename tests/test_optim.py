@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -109,3 +111,108 @@ def test_threshold_optimizer_adam_tracks_per_name_state():
 def test_threshold_optimizer_rejects_other_kinds():
     with pytest.raises(ValueError):
         ThresholdOptimizer("sgd-momentum", lr=0.1)
+
+
+# -- in-place optimizer state ------------------------------------------------
+
+LR, MOMENTUM, BETAS, EPS = 0.05, 0.9, (0.9, 0.999), 1e-8
+
+
+def _param_and_grads(seed=0, shape=(40, 30), steps=5):
+    rng = np.random.default_rng(seed)
+    t = Tensor(rng.normal(size=shape), requires_grad=True)
+    grads = []
+    for _ in range(steps):
+        g = rng.normal(size=shape)
+        g.flags.writeable = False  # as autograd.backward hands them out
+        grads.append(g)
+    return t, grads
+
+
+@pytest.mark.parametrize("momentum,wd", [(0.0, 0.0), (0.0, 0.01), (MOMENTUM, 0.0), (MOMENTUM, 0.01)])
+def test_sgd_five_steps_match_the_formula_bit_for_bit(momentum, wd):
+    t, grads = _param_and_grads()
+    opt = SGD([t], lr=LR, momentum=momentum, weight_decay=wd)
+    p, v = t.data.copy(), None
+    for g in grads:
+        t.grad = g
+        opt.step()
+        d = g + wd * p
+        if momentum == 0.0:
+            p = p - LR * d
+        else:
+            v = d if v is None else momentum * v + d
+            p = p - LR * v
+        assert t.data.tobytes() == p.tobytes()
+        if momentum:
+            assert opt._velocity[0].tobytes() == v.tobytes()
+
+
+@pytest.mark.parametrize("wd", [0.0, 0.01])
+def test_adam_five_steps_match_the_formula_bit_for_bit(wd):
+    t, grads = _param_and_grads(seed=1)
+    cfg = OptimizerConfig(kind="adam", lr=LR, betas=BETAS, eps=EPS, weight_decay=wd)
+    opt = Adam([t], cfg)
+    b1, b2 = BETAS
+    p, m, v = t.data.copy(), np.zeros_like(t.data), np.zeros_like(t.data)
+    for step, g in enumerate(grads, start=1):
+        t.grad = g
+        opt.step()
+        g = g + wd * p
+        m = b1 * m + (1 - b1) * g
+        v = b2 * v + (1 - b2) * g * g
+        m_hat = m / (1 - b1**step)
+        v_hat = v / (1 - b2**step)
+        p = p - LR * m_hat / (np.sqrt(v_hat) + EPS)
+        assert t.data.tobytes() == p.tobytes()
+        assert opt._state[0]["m"].tobytes() == m.tobytes()
+        assert opt._state[0]["v"].tobytes() == v.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["sgd-momentum", "adam"])
+@pytest.mark.parametrize("wd", [0.0, 0.01])
+def test_optimizer_state_is_private_and_updated_in_place(kind, wd):
+    t, grads = _param_and_grads(seed=2)
+    opt = make_optimizer(OptimizerConfig(kind=kind, lr=LR, weight_decay=wd), [t])
+    state = None
+    for g in grads:
+        t.grad = g
+        before = t.data
+        opt.step()
+        assert t.data is not before  # each step binds a new parameter array
+        arrays = [opt._velocity[0]] if kind == "sgd-momentum" else [opt._state[0]["m"], opt._state[0]["v"]]
+        for a in arrays:
+            assert not np.shares_memory(a, g)
+            assert not np.shares_memory(a, t.data)
+        if state is not None:
+            assert all(a is b for a, b in zip(arrays, state))
+        state = arrays
+
+
+def _second_step_peak(opt, t) -> float:
+    """Peak bytes allocated by one step after the first, in parameter sizes."""
+    t.grad = np.full(t.shape, 0.5)
+    opt.step()  # the first step creates the optimizer state
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        opt.step()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return peak / t.data.nbytes
+
+
+@pytest.mark.parametrize("momentum", [0.0, MOMENTUM])
+def test_sgd_step_allocates_only_the_new_parameter(momentum):
+    t = Tensor(np.ones((256, 1024)), requires_grad=True)
+    ratio = _second_step_peak(SGD([t], lr=LR, momentum=momentum), t)
+    assert ratio <= 1.25, f"SGD step (momentum {momentum}) peaked at {ratio:.2f}x the parameter's bytes"
+
+
+def test_adam_step_peak_allocation():
+    t = Tensor(np.ones((256, 1024)), requires_grad=True)
+    ratio = _second_step_peak(Adam([t], OptimizerConfig(kind="adam", lr=LR)), t)
+    print(f"Adam step peak: {ratio:.2f}x the parameter's bytes")
+    assert ratio <= 2.25, f"Adam step peaked at {ratio:.2f}x the parameter's bytes"

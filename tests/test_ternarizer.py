@@ -38,6 +38,14 @@ def test_layer_stats_population_std():
     assert (mu, sigma) == (0.0, 1.0)  # divide-by-N, not N-1
 
 
+@pytest.mark.parametrize("shape", [(2,), (1001,), (784, 300), (100, 10), (16, 6, 5, 5)])
+@pytest.mark.parametrize("offset", [0.0, 3.7, -250.0])
+def test_layer_stats_equals_numpy_mean_and_std_exactly(shape, offset):
+    rng = np.random.default_rng(len(shape))
+    w = rng.normal(offset, 0.05, size=shape)
+    assert layer_stats(w) == (float(w.mean()), float(w.std()))
+
+
 def test_layer_stats_rejects_tiny_layers():
     with pytest.raises(DegenerateLayerError):
         layer_stats(np.array([3.0]))
