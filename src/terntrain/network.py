@@ -86,47 +86,62 @@ class Model:
     """Ordered layer specs plus per-parametric-layer weights and quantizer state."""
 
     def __init__(self, specs: list[LayerSpec], arch: str = "custom", seed: int = 0):
+        """Glorot-uniform weights drawn from seed, zero biases."""
+        rng = np.random.default_rng(seed)
+
+        def glorot(spec: LayerSpec, name: str, shape: tuple) -> tuple[np.ndarray, np.ndarray]:
+            rf = spec.kernel * spec.kernel if spec.kind == "conv2d" else 1
+            w = _glorot_uniform(rng, shape, spec.in_dim * rf, spec.out_dim * rf)
+            return w, np.zeros(spec.out_dim)
+
+        self._build(specs, arch, glorot)
+
+    @classmethod
+    def from_params(cls, specs: list[LayerSpec], arch: str, params) -> "Model":
+        """A model whose weights and biases come from params, with no init drawn.
+
+        params(spec, name, weight_shape) -> (weights, bias) is called once
+        per parametric layer, in order, before that layer is built; it may
+        raise to reject the layer. Loaders build models this way.
+        """
+        model = cls.__new__(cls)
+        model._build(specs, arch, params)
+        return model
+
+    def _build(self, specs: list[LayerSpec], arch: str, params) -> None:
         if not specs:
             raise ValueError("model needs at least one layer spec")
         _validate_chain(specs)
         self.arch = arch
         self.specs = list(specs)
         self.meta: dict = {}
+        # True for a model loaded from a packed file: its quantized layers
+        # hold the file's codes and scale, and only the ternary forward runs.
+        self.packed = False
         self.delta_leaves: dict[str, Tensor] = {}
         self._items: list[tuple[LayerSpec, ParamLayer | None]] = []
 
-        rng = np.random.default_rng(seed)
         idx = 0
         for spec in self.specs:
-            if spec.kind == "dense":
-                shape = (spec.in_dim, spec.out_dim)
-                w = _glorot_uniform(rng, shape, spec.in_dim, spec.out_dim)
-                layer = ParamLayer(
-                    spec,
-                    f"dense{idx}",
-                    Tensor(w, requires_grad=True),
-                    Tensor(np.zeros(spec.out_dim), requires_grad=True),
-                    QuantizerState(0.0) if spec.quantized else None,
-                )
-                self._items.append((spec, layer))
-                idx += 1
-            elif spec.kind == "conv2d":
-                shape = (spec.out_dim, spec.in_dim, spec.kernel, spec.kernel)
-                rf = spec.kernel * spec.kernel
-                w = _glorot_uniform(rng, shape, spec.in_dim * rf, spec.out_dim * rf)
-                layer = ParamLayer(
-                    spec,
-                    f"conv{idx}",
-                    Tensor(w, requires_grad=True),
-                    Tensor(np.zeros(spec.out_dim), requires_grad=True),
-                    QuantizerState(0.0) if spec.quantized else None,
-                )
-                self._items.append((spec, layer))
-                idx += 1
-            elif spec.kind in ("relu", "flatten"):
+            if spec.kind in ("relu", "flatten"):
                 self._items.append((spec, None))
+                continue
+            if spec.kind == "dense":
+                name, shape = f"dense{idx}", (spec.in_dim, spec.out_dim)
+            elif spec.kind == "conv2d":
+                name, shape = f"conv{idx}", (spec.out_dim, spec.in_dim, spec.kernel, spec.kernel)
             else:
                 raise ValueError(f"unknown layer kind {spec.kind!r}")
+            w, b = params(spec, name, shape)
+            layer = ParamLayer(
+                spec,
+                name,
+                Tensor(w, requires_grad=True),
+                Tensor(b, requires_grad=True),
+                QuantizerState(0.0) if spec.quantized else None,
+            )
+            self._items.append((spec, layer))
+            idx += 1
 
     # -- structure ----------------------------------------------------------
 
@@ -165,6 +180,8 @@ class Model:
             layer.qstate.delta = frac * float(np.max(np.abs(layer.w.data)))
 
     def refresh_all(self) -> None:
+        if self.packed:
+            raise ValueError("a packed model holds frozen codes, not weights; it cannot be refreshed")
         for layer in self.quantized_layers():
             refresh(layer.qstate, layer.w.data)
 
@@ -173,6 +190,8 @@ class Model:
     def forward(self, x, mode: str = FLOAT_MODE, grad_correctness: bool = True) -> Tensor:
         if mode not in (FLOAT_MODE, WEIGHT_PHASE, THRESHOLD_PHASE):
             raise ValueError(f"unknown forward mode {mode!r}")
+        if self.packed and mode != WEIGHT_PHASE:
+            raise ValueError(f"a packed model runs only the {WEIGHT_PHASE!r} forward, not {mode!r}")
         if mode == THRESHOLD_PHASE:
             self.delta_leaves = {}
         t = x if isinstance(x, Tensor) else Tensor(x)

@@ -139,11 +139,13 @@ def ste_codes_node(w: Tensor, state: QuantizerState, grad_correctness: bool = Tr
     differentiates to exactly 1 w.r.t. w; without it the staircase passes
     gradients through unchanged.
     """
-    factor = 1.0 / state.scale if grad_correctness else 1.0
+    # 1/scale is taken only when a gradient is: a forward alone runs on any
+    # scale, 0.0 included.
+    scale = state.scale
     codes = state.codes
     op = register_custom_grad(
         lambda arr: codes,
-        lambda g, arr: (g * factor,),
+        lambda g, arr: (g * (1.0 / scale if grad_correctness else 1.0),),
     )
     return op(w)
 

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from terntrain import kernels, modelio, network
+from terntrain.autograd import no_grad
 from terntrain.modelio import (
     BadMagicError,
     CrcMismatchError,
@@ -17,17 +19,21 @@ from terntrain.modelio import (
     checkpoint_from_bytes,
     checkpoint_from_model,
     checkpoint_to_bytes,
+    _Writer,
     export_packed,
     load_checkpoint,
+    load_packed,
     load_packed_and_infer,
     model_from_checkpoint,
+    model_from_packed,
     pack_codes,
+    packed_from_bytes,
     packed_to_bytes,
     save_checkpoint,
     unpack_codes,
 )
-from terntrain.network import LayerSpec, Model, build_from_config
-from terntrain.ternarize import WEIGHT_PHASE, DegenerateLayerError, is_fresh
+from terntrain.network import FLOAT_MODE, LayerSpec, Model, arch_specs, build_from_config
+from terntrain.ternarize import THRESHOLD_PHASE, WEIGHT_PHASE, DegenerateLayerError, is_fresh
 
 
 def _trained_like_model(arch="mlp-16-8-4", seed=0, delta=0.2):
@@ -316,8 +322,6 @@ def test_packed_never_contains_reserved_pair(tmp_path):
     model = _trained_like_model(seed=7)
     blob = packed_to_bytes(model)
     # Parse back: unpack_codes validates every pair, including padding.
-    from terntrain.modelio import packed_from_bytes
-
     arch, meta, layers = packed_from_bytes(blob)
     assert all(l.codes is not None for l in layers if l.quantized)
 
@@ -376,3 +380,303 @@ def test_wrong_magic_across_formats(tmp_path):
     save_checkpoint(model, path)
     with pytest.raises(BadMagicError):
         load_packed_and_infer(path, np.zeros((1, 16)))
+
+
+# --- one loader for both formats ----------------------------------------------
+
+
+def _tern_mlp_8_4(arch="mlp-8-4", meta="{}", name="dense0", shape=(8, 4), bias_len=4, quantized=1):
+    """A TERN file written field by field: one dense layer with all-zero codes."""
+    w = _Writer()
+    w.raw(b"TERN")
+    w.u16(1)
+    w.str16(arch)
+    w.str32(meta)
+    w.u16(1)  # layer count
+    raw_name = name.encode("utf-8", "surrogateescape")
+    w.u16(len(raw_name))
+    w.raw(raw_name)
+    w.u8(len(shape))
+    for e in shape:
+        w.u32(e)
+    w.u8(quantized)
+    n = int(np.prod(shape))
+    if quantized:
+        w.f32(0.5)
+        w.raw(bytes((n + 3) // 4))
+    else:
+        w.f32_array(np.zeros(n))
+    w.u32(bias_len)
+    w.f32_array(np.arange(bias_len, dtype=np.float64))
+    return w.finish()
+
+
+def test_hand_built_tern_file_loads():
+    model = model_from_packed(_tern_mlp_8_4())
+    with no_grad():
+        out = model.forward(np.ones((2, 8)), WEIGHT_PHASE).data
+    assert np.array_equal(out, np.tile(np.arange(4.0), (2, 1)))
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"bias_len": 1},  # would broadcast one bias into every logit
+        {"name": "conv7"},
+        {"shape": (4, 8)},  # transposed weights
+        {"arch": "mlp-8-6"},  # a valid arch that the record does not hold
+        {"arch": "mlp-8-4-2"},  # one record short
+        {"quantized": 0},  # mlp layers are quantized
+        {"quantized": 2},  # a flag byte is 0 or 1
+        {"meta": "[1]"},  # metadata is a JSON object
+        {"name": "dense\udc80"},  # the lone byte 0x80 is not UTF-8
+        {"meta": '{"a": ' + "1" * 5000 + "}"},  # json refuses ints over 4300 digits
+        {"meta": '{"a": ' + "[" * 100000 + "]" * 100000 + "}"},  # nested past the recursion limit
+        # A 10^7 x 10^7 layer (728 TiB of float64) is rejected before anything is allocated.
+        {"arch": "custom", "meta": '{"specs": [{"kind": "dense", "in_dim": 10000000, '
+                                   '"out_dim": 10000000, "quantized": true}]}'},
+    ],
+    ids=["bias-length", "name", "transposed", "other-arch", "missing-layer", "quantized-flag",
+         "flag-byte", "metadata-type", "name-encoding", "metadata-long-int", "metadata-nesting",
+         "custom-huge-spec"],
+)
+def test_tern_record_not_matching_its_spec_rejected_at_load(tmp_path, fields):
+    data = _tern_mlp_8_4(**fields)
+    with pytest.raises(FormatError):
+        model_from_packed(data)
+    path = tmp_path / "bad.tern"
+    path.write_bytes(data)
+    with pytest.raises(FormatError):
+        load_packed(path)
+    with pytest.raises(FormatError):
+        load_packed_and_infer(path, np.zeros((1, 8)))
+
+
+def test_tnck_short_bias_rejected_at_load():
+    ckpt = checkpoint_from_model(_trained_like_model())
+    ckpt.layers[0].bias = ckpt.layers[0].bias[:1]
+    with pytest.raises(FormatError, match="bias length"):
+        model_from_checkpoint(checkpoint_from_bytes(checkpoint_to_bytes(ckpt)))
+
+
+def test_tnck_extra_layer_record_rejected_at_load():
+    ckpt = checkpoint_from_model(_trained_like_model())
+    ckpt.layers.append(ckpt.layers[-1])
+    with pytest.raises(FormatError, match="more than"):
+        model_from_checkpoint(checkpoint_from_bytes(checkpoint_to_bytes(ckpt)))
+
+
+def test_tnck_quantizer_record_must_match_the_spec():
+    ckpt = checkpoint_from_model(_trained_like_model())
+    ckpt.layers[1].quant = None
+    with pytest.raises(FormatError):
+        model_from_checkpoint(checkpoint_from_bytes(checkpoint_to_bytes(ckpt)))
+
+
+def test_loading_draws_no_random_init(tmp_path, monkeypatch):
+    model = _trained_like_model()
+    save_checkpoint(model, tmp_path / "m.ckpt")
+    export_packed(model, tmp_path / "m.tern")
+
+    def no_init(*args, **kwargs):
+        raise AssertionError("a loader drew a random init")
+
+    monkeypatch.setattr(network, "_glorot_uniform", no_init)
+    x = np.random.default_rng(2).normal(size=(3, 16))
+    assert np.array_equal(load_checkpoint(tmp_path / "m.ckpt").forward(x, WEIGHT_PHASE).data,
+                          model.forward(x, WEIGHT_PHASE).data)
+    load_packed(tmp_path / "m.tern")
+
+
+# --- packed models --------------------------------------------------------------
+
+
+def _reference_packed_forward(data: bytes, x: np.ndarray) -> np.ndarray:
+    """A second, independent interpreter of a TERN file: per layer, the linear
+    op on the codes, times the float32 scale, plus the bias."""
+    arch, meta, records = packed_from_bytes(data)
+    t = np.asarray(x, dtype=np.float64)
+    it = iter(records)
+    specs = [LayerSpec.from_dict(d) for d in meta["specs"]] if arch == "custom" else arch_specs(arch)
+    for spec in specs:
+        if spec.kind == "relu":
+            t = np.maximum(t, 0.0)
+            continue
+        if spec.kind == "flatten":
+            t = t.reshape(t.shape[0], -1)
+            continue
+        rec = next(it)
+        if rec.quantized:
+            eff = rec.codes.astype(np.float64).reshape(rec.shape)
+            scale = float(rec.scale)
+        else:
+            eff = rec.weights.astype(np.float64).reshape(rec.shape)
+            scale = None
+        if spec.kind == "dense":
+            z = t @ eff
+        else:
+            z = kernels.conv2d_forward(t, eff, spec.stride, spec.padding)
+        if scale is not None:
+            z = z * scale
+        bias = rec.bias.astype(np.float64)
+        t = z + (bias if spec.kind == "dense" else bias[None, :, None, None])
+    assert next(it, None) is None
+    return t
+
+
+def _trained_like_lenet(seed=10):
+    model = build_from_config("lenet-small", seed=seed)
+    model.init_thresholds(0.1)
+    model.refresh_all()
+    return model
+
+
+@pytest.mark.parametrize("arch", ["mlp-784-300-100-10", "lenet-small"])
+def test_packed_inference_matches_reference_interpreter_bit_for_bit(tmp_path, arch):
+    model = _trained_like_lenet() if arch == "lenet-small" else _trained_like_model(arch, seed=16)
+    path = tmp_path / "m.tern"
+    export_packed(model, path)
+    x = np.random.default_rng(17).normal(size=(4, 1, 28, 28))
+    if arch != "lenet-small":
+        x = x.reshape(4, -1)
+    for batch in (x, x[2:3]):
+        got = load_packed_and_infer(path, batch)
+        assert np.array_equal(got, _reference_packed_forward(path.read_bytes(), batch))
+        in_memory = model.forward(batch, WEIGHT_PHASE).data
+        assert np.allclose(got, in_memory, rtol=1e-6, atol=1e-9)
+
+
+@pytest.mark.parametrize("make", [_trained_like_model, _trained_like_lenet])
+def test_export_load_packed_export_is_byte_identical(tmp_path, make):
+    path = tmp_path / "m.tern"
+    export_packed(make(), path)
+    loaded = load_packed(path)
+    assert packed_to_bytes(loaded) == path.read_bytes()
+    assert loaded.packed and all(is_fresh(l.qstate, l.w.data) for l in loaded.quantized_layers())
+    export_packed(loaded, tmp_path / "again.tern")
+    assert (tmp_path / "again.tern").read_bytes() == path.read_bytes()
+
+
+def test_packed_mixed_layers_roundtrip(tmp_path):
+    specs = [
+        LayerSpec("dense", in_dim=6, out_dim=4, quantized=True),
+        LayerSpec("relu"),
+        LayerSpec("dense", in_dim=4, out_dim=2, quantized=False),
+    ]
+    model = Model(specs, seed=6)
+    model.quantized_layers()[0].qstate.delta = 0.1
+    model.refresh_all()
+    path = tmp_path / "mixed.tern"
+    export_packed(model, path)
+    x = np.random.default_rng(5).normal(size=(3, 6))
+    loaded = load_packed(path)
+    assert packed_to_bytes(loaded) == path.read_bytes()
+    assert np.array_equal(load_packed_and_infer(path, x), _reference_packed_forward(path.read_bytes(), x))
+
+
+def test_unchanged_file_is_decoded_once(tmp_path, monkeypatch):
+    path = tmp_path / "m.tern"
+    export_packed(_trained_like_model(seed=18), path)
+    calls = []
+    decode = modelio.packed_from_bytes
+    monkeypatch.setattr(modelio, "packed_from_bytes", lambda data: calls.append(1) or decode(data))
+    x = np.random.default_rng(19).normal(size=(2, 16))
+    first = load_packed_and_infer(path, x)
+    for _ in range(3):
+        assert np.array_equal(load_packed_and_infer(path, x), first)
+    assert len(calls) == 1
+
+
+def test_rewritten_file_serves_the_new_model(tmp_path):
+    path = tmp_path / "m.tern"
+    x = np.random.default_rng(20).normal(size=(2, 16))
+    served = []
+    for seed in (21, 22, 21):
+        model = _trained_like_model(seed=seed)
+        export_packed(model, path)
+        served.append(load_packed_and_infer(path, x))
+        assert np.array_equal(served[-1], _reference_packed_forward(path.read_bytes(), x))
+    assert not np.array_equal(served[0], served[1])
+    assert np.array_equal(served[0], served[2])
+
+
+def test_bit_flip_after_a_served_request_still_rejected(tmp_path):
+    path = tmp_path / "m.tern"
+    export_packed(_trained_like_model(seed=23), path)
+    load_packed_and_infer(path, np.zeros((1, 16)))
+    blob = bytearray(path.read_bytes())
+    blob[40] ^= 0x01
+    path.write_bytes(bytes(blob))
+    for _ in range(2):
+        with pytest.raises(CrcMismatchError):
+            load_packed_and_infer(path, np.zeros((1, 16)))
+
+
+def test_packed_model_rejects_refresh_training_and_checkpoint(tmp_path):
+    path = tmp_path / "m.tern"
+    export_packed(_trained_like_model(seed=24), path)
+    model = load_packed(path)
+    before = [l.w.data.copy() for l in model.param_layers()]
+    with pytest.raises(ValueError, match="cannot be refreshed"):
+        model.refresh_all()
+    for layer, codes in zip(model.quantized_layers(), before):
+        assert np.array_equal(layer.w.data, codes)
+        assert layer.qstate.codes is layer.w.data and not layer.w.data.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        model.param_layers()[0].w.data[0, 0] = 1.0
+    for mode in (FLOAT_MODE, THRESHOLD_PHASE):
+        with pytest.raises(ValueError, match="packed"):
+            model.forward(np.zeros((1, 16)), mode)
+    with pytest.raises(ValueError, match="packed"):
+        checkpoint_from_model(model)
+
+
+def test_packed_forward_with_a_zero_scale(tmp_path):
+    # Only the weight-phase backward divides by the scale; a forward never does.
+    model = model_from_packed(_tern_mlp_8_4())
+    model.quantized_layers()[0].qstate.scale = 0.0
+    with no_grad():
+        out = model.forward(np.ones((1, 8)), WEIGHT_PHASE).data
+    assert np.array_equal(out, np.arange(4.0)[None])
+
+
+FUZZ_SEED = 4711  # pinned before the first run
+
+
+@pytest.mark.parametrize("arch", ["mlp-16-8-4", "lenet-small"])
+@pytest.mark.parametrize("fmt", ["tnck", "tern"])
+def test_single_byte_mutations_behind_a_valid_crc(arch, fmt):
+    """Each mutated file either raises ModelIOError or loads a model whose
+    forward answers with logits of the right shape; nothing else escapes."""
+    model = _trained_like_lenet(seed=25) if arch == "lenet-small" else _trained_like_model(seed=25)
+    x = np.random.default_rng(26).normal(size=(1, 1, 28, 28) if arch == "lenet-small" else (1, 16))
+    if fmt == "tnck":
+        blob = checkpoint_to_bytes(checkpoint_from_model(model))
+
+        def load_and_run(data):
+            return model_from_checkpoint(checkpoint_from_bytes(data)).forward(x).data
+
+    else:
+        blob = packed_to_bytes(model)
+
+        def load_and_run(data):
+            with no_grad():
+                return model_from_packed(data).forward(x, WEIGHT_PHASE).data
+
+    expected_shape = load_and_run(blob).shape
+    rng = np.random.default_rng(FUZZ_SEED)
+    outcomes = {"rejected": 0, "loaded": 0}
+    with np.errstate(all="ignore"):
+        for _ in range(1000):
+            body = bytearray(blob[:-4])
+            pos = int(rng.integers(len(body)))
+            body[pos] ^= int(rng.integers(1, 256))
+            data = bytes(body) + struct.pack("<I", zlib.crc32(bytes(body)) & 0xFFFFFFFF)
+            try:
+                out = load_and_run(data)
+            except ModelIOError:
+                outcomes["rejected"] += 1
+                continue
+            assert out.shape == expected_shape, f"byte {pos}: logits of shape {out.shape}"
+            outcomes["loaded"] += 1
+    assert outcomes["rejected"] > 0 and outcomes["loaded"] > 0

@@ -44,6 +44,27 @@ def test_incompatible_dense_chain_rejected():
         )
 
 
+def test_from_params_takes_each_layers_arrays_in_order():
+    specs = arch_specs("lenet-small")
+    seen, given = [], []
+
+    def params(spec, name, shape):
+        seen.append((spec.kind, name, shape))
+        given.append((np.full(shape, len(given) + 1.0), np.arange(spec.out_dim, dtype=np.float64)))
+        return given[-1]
+
+    model = Model.from_params(specs, "lenet-small", params)
+    assert seen == [("conv2d", "conv0", (8, 1, 4, 4)), ("conv2d", "conv1", (16, 8, 4, 4)),
+                    ("dense", "dense2", (784, 10))]
+    assert model.arch == "lenet-small" and model.specs == specs and not model.packed
+    for layer, (w, b) in zip(model.param_layers(), given):
+        assert layer.w.data is w and layer.b.data is b and layer.qstate is not None
+    # seed keeps meaning a Glorot draw: the same seed, the same weights.
+    a, b = build_from_config("lenet-small", seed=4), build_from_config("lenet-small", seed=4)
+    for la, lb in zip(a.param_layers(), b.param_layers()):
+        assert np.array_equal(la.w.data, lb.w.data) and la.w.data.std() > 0
+
+
 def test_conv_non_integral_output_errors_at_forward():
     specs = [LayerSpec("conv2d", in_dim=1, out_dim=2, kernel=5, stride=2, padding=2)]
     model = Model(specs)
