@@ -27,7 +27,13 @@ BackwardRule = Callable[[np.ndarray], Sequence["np.ndarray | None"]]
 
 
 class Tensor:
-    """Dense row-major float64 array, optionally tracked for gradients."""
+    """Dense row-major float64 array, optionally tracked for gradients.
+
+    live_columns, when set on a 2-D tensor, is (indices, data[:, indices]
+    as one contiguous array) and promises that every other column of data
+    is zero; matmul then multiplies only those columns. Ternary layers set
+    it on their read-only codes.
+    """
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
@@ -38,6 +44,7 @@ class Tensor:
         self.grad: np.ndarray | None = None
         self._parents: tuple[Tensor, ...] = ()
         self._backward: BackwardRule | None = None
+        self.live_columns: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -79,6 +86,10 @@ def _node(data: np.ndarray, parents: Sequence[Tensor], backward_rule: BackwardRu
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """a @ b; with b.live_columns set, the product of only those columns,
+    scattered into zeros. Each output sums the same terms either way, but
+    the BLAS kernel that sums a column can depend on the matrix width, so
+    the two may differ in the last bits. The backward rule uses the full b."""
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ValueError(f"matmul shape mismatch: {a.shape} x {b.shape}")
 
@@ -87,7 +98,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         gb = a.data.T @ g if b.requires_grad else None
         return ga, gb
 
-    return _node(a.data @ b.data, (a, b), rule)
+    if b.live_columns is None:
+        out = a.data @ b.data
+    else:
+        idx, cols = b.live_columns
+        out = np.zeros((a.shape[0], b.shape[1]))
+        out[:, idx] = a.data @ cols
+    return _node(out, (a, b), rule)
 
 
 def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:

@@ -22,6 +22,8 @@ from .gaussian import (
 )
 from .network import LayerSpec, build_from_config
 from .ternarize import (
+    THRESHOLD_PHASE,
+    WEIGHT_PHASE,
     QuantizerState,
     refresh,
     ste_codes_node,
@@ -259,6 +261,78 @@ def check_model_composite(seed: int = 0) -> CheckResult:
     return CheckResult("model_composite", worst, REL_TOL)
 
 
+def dead_column_model(seed: int = 0):
+    """A small ternary MLP whose quantized layers each have all-zero code columns.
+
+    Two output columns of every layer are shrunk into the threshold band.
+    Biases are drawn away from 0, so that a dead unit's output, which is
+    its bias alone, sits away from the ReLU kink.
+    """
+    rng = np.random.default_rng(seed)
+    model = build_from_config("mlp-6-5-4-3", seed=seed)
+    for layer in model.quantized_layers():
+        w = layer.w.data.copy()
+        w[:, :2] *= 0.01
+        layer.w.data = w
+        n = layer.b.size
+        layer.b.data = rng.choice([-1.0, 1.0], size=n) * rng.uniform(0.2, 1.0, size=n)
+    model.init_thresholds(0.4)
+    model.refresh_all()
+    return model
+
+
+def check_dead_column_grads(seed: int = 0) -> CheckResult:
+    """Gradients through forwards that multiply only the live code columns.
+
+    Against finite differences with the codes frozen: each threshold's
+    gradient in the threshold phase, and each bias's gradient in the weight
+    phase, which flows back through the compacted forwards of the later
+    layers.
+    """
+    rng = np.random.default_rng(seed)
+    model = dead_column_model(seed)
+    layers = model.quantized_layers()
+    if any(l.qstate.live_columns is None for l in layers):
+        return CheckResult("dead_column_grads", float("inf"), REL_TOL)
+    x = rng.normal(size=(6, 6))
+    y = rng.integers(0, 3, size=6)
+
+    def loss_value(mode: str) -> float:
+        with ag.no_grad():
+            return float(ag.softmax_cross_entropy(model.forward(x, mode), y).data)
+
+    model.zero_grad()
+    backward(ag.softmax_cross_entropy(model.forward(x, THRESHOLD_PHASE), y))
+    # Each forward below records new leaves; keep these gradients first.
+    delta_grads = [float(model.delta_leaves[l.name].grad) for l in layers]
+    worst = 0.0
+    for layer, analytic in zip(layers, delta_grads):
+        st = layer.qstate
+        original = st.delta
+
+        def f(d):
+            st.delta = float(d)  # no refresh: the threshold forward keeps the cached codes
+            v = loss_value(THRESHOLD_PHASE)
+            st.delta = original
+            return v
+
+        worst = max(worst, max_rel_err(analytic, float(fd_grad(f, np.float64(original)))))
+
+    model.zero_grad()
+    backward(ag.softmax_cross_entropy(model.forward(x, WEIGHT_PHASE), y))
+    for layer in layers:
+        b, original = layer.b, layer.b.data
+
+        def f(arr):
+            b.data = arr
+            v = loss_value(WEIGHT_PHASE)
+            b.data = original
+            return v
+
+        worst = max(worst, max_rel_err(b.grad, fd_grad(f, original)))
+    return CheckResult("dead_column_grads", worst, REL_TOL)
+
+
 def run_suite(seed: int = 0) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
     return [
@@ -272,6 +346,7 @@ def run_suite(seed: int = 0) -> list[CheckResult]:
         check_ste_identity(seed=seed),
         check_threshold_phase_grad(seed=seed),
         check_model_composite(seed=seed),
+        check_dead_column_grads(seed=seed),
     ]
 
 

@@ -33,7 +33,16 @@ import numpy as np
 
 from .autograd import no_grad
 from .network import LayerSpec, Model, arch_specs
-from .ternarize import WEIGHT_PHASE, codes_from_state, is_fresh, layer_stats, refresh, sparsity
+from .ternarize import (
+    WEIGHT_PHASE,
+    codes_from_state,
+    compact_columns,
+    dead_outputs,
+    is_fresh,
+    layer_stats,
+    refresh,
+    sparsity,
+)
 
 CHECKPOINT_MAGIC = b"TNCK"
 PACKED_MAGIC = b"TERN"
@@ -502,14 +511,19 @@ def model_from_packed(data: bytes) -> Model:
 
     A quantized layer's read-only float64 codes serve as its weights and as
     its quantizer state's codes and source, beside the file's float32 scale,
-    so the weight-phase forward computes (x @ codes) * scale + bias.
+    so the weight-phase forward computes (x @ codes) * scale + bias. A
+    quantized dense layer's live columns are derived from the file's codes.
     """
     arch, meta, records = packed_from_bytes(data)
     model = _model_from_records(arch, meta, records, _packed_weights)
     for layer, rec in zip(model.param_layers(), records):
         if rec.quantized:
-            layer.qstate.codes = layer.qstate.source = layer.w.data
-            layer.qstate.scale = rec.scale
+            st = layer.qstate
+            st.codes = st.source = layer.w.data
+            st.scale = rec.scale
+            if len(rec.shape) == 2:
+                codes = rec.codes.reshape(rec.shape)
+                st.live_columns = compact_columns(codes, codes.any(axis=0))
     model.packed = True
     return model
 
@@ -524,8 +538,9 @@ def export_packed(model: Model, path) -> dict:
     """Write the packed model and return the compression/sparsity report.
 
     Per quantized layer the ratio is (4 * params) / (packed bytes + 4 bytes
-    of scale); non-quantized layers are stored as float32 and excluded from
-    the ratio, flagged in the report.
+    of scale), and dead_outputs counts the output units (dense columns or
+    conv filters) whose codes are all zero; non-quantized layers are stored
+    as float32 and excluded from the ratio, flagged in the report.
     """
     data = packed_to_bytes(model)
     with open(path, "wb") as fh:
@@ -544,7 +559,9 @@ def export_packed(model: Model, path) -> dict:
         }
         if layer.qstate is not None:
             packed_bytes = (n + 3) // 4
-            entry["sparsity"] = sparsity(codes_from_state(layer.w.data, layer.qstate))
+            codes = codes_from_state(layer.w.data, layer.qstate)
+            entry["sparsity"] = sparsity(codes)
+            entry["dead_outputs"] = dead_outputs(codes.codes)
             entry["bytes_packed"] = packed_bytes
             entry["compression_ratio"] = (4 * n) / (packed_bytes + 4)
             q_params += n

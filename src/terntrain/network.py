@@ -3,7 +3,8 @@
 One weight base serves three forward modes: full-precision, and the two
 ternary phases. In the ternary modes each quantized layer runs its linear
 op on the codes first and applies the scalar scale to the accumulated
-result afterwards, never the other way around.
+result afterwards, never the other way around. A quantized dense layer
+whose codes have all-zero columns multiplies only its live columns.
 """
 
 from __future__ import annotations
@@ -224,8 +225,9 @@ class Model:
             leaf = Tensor(np.float64(layer.qstate.delta), requires_grad=True)
             self.delta_leaves[layer.name] = leaf
             s = threshold_scale_node(leaf, layer.qstate)
-            z = linop(Tensor(layer.qstate.codes))
-            z = ag.smul(s, z)
+            codes = Tensor(layer.qstate.codes)
+            codes.live_columns = layer.qstate.live_columns
+            z = ag.smul(s, linop(codes))
         return ag.add_bias(z, layer.b)
 
 

@@ -41,6 +41,12 @@ class QuantizerState:
     array `source`, which refresh() marks read-only: the state is fresh
     exactly while the layer still holds that same array. codes are the
     float64 codes Tern(source), read-only too.
+
+    For 2-D (dense, in x out) weights refresh() also keeps col_range, each
+    output column's max and min, and live_columns: the indices of the
+    columns holding a nonzero code beside the codes on those columns as one
+    contiguous read-only array, when at least one column is all zero. It is
+    None when every column is live, and for conv weights.
     """
 
     delta: float
@@ -50,6 +56,8 @@ class QuantizerState:
     scale: float = float("nan")
     codes: np.ndarray | None = field(default=None, repr=False, compare=False)
     source: np.ndarray | None = field(default=None, repr=False, compare=False)
+    col_range: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False, compare=False)
+    live_columns: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -89,12 +97,13 @@ def tern(w: np.ndarray, mu: float, delta_c: float) -> np.ndarray:
 
 
 def refresh(state: QuantizerState, w: np.ndarray) -> QuantizerState:
-    """Derive mu, sigma, delta_c, scale and codes from the weights w.
+    """Derive mu, sigma, delta_c, scale, codes and live columns from the weights w.
 
-    mu and sigma are recomputed only when w is not the array the state was
-    last derived from; w is then marked read-only, so that the state stays
-    exact for as long as the layer holds w. The codes are recomputed when
-    the weights or the clipped threshold changed. delta is left unchanged.
+    mu and sigma (and a dense layer's column extremes) are recomputed only
+    when w is not the array the state was last derived from; w is then
+    marked read-only, so that the state stays exact for as long as the
+    layer holds w. The codes and live columns are recomputed when the
+    weights or the clipped threshold changed. delta is left unchanged.
     Raises DegenerateLayerError when the weights have zero spread, since
     no Gaussian fit exists then.
     """
@@ -105,13 +114,33 @@ def refresh(state: QuantizerState, w: np.ndarray) -> QuantizerState:
             raise DegenerateLayerError("all weights equal: sigma is 0, no scale is defined")
         w.flags.writeable = False
         state.mu, state.sigma, state.source = mu, sigma, w
+        state.col_range = (w.max(axis=0), w.min(axis=0)) if w.ndim == 2 else None
     delta_c = clip_threshold(state.delta, state.sigma)
     if new_weights or delta_c != state.delta_c:
         state.codes = tern(w, state.mu, delta_c)
         state.codes.flags.writeable = False
+        if state.col_range is not None:
+            # tern()'s comparisons, on each column's extremes: O(columns).
+            col_max, col_min = state.col_range
+            live = (col_max > state.mu + delta_c) | (col_min < state.mu - delta_c)
+            state.live_columns = compact_columns(state.codes, live)
     state.delta_c = delta_c
     state.scale = truncated_upper_mean(TruncGaussParams(state.mu, state.sigma, delta_c))
     return state
+
+
+def compact_columns(codes: np.ndarray, live: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """The live_columns pair for 2-D codes and a boolean mask of their live
+    columns: the live indices beside the float64 codes on them as one
+    contiguous read-only array; None when every column is live."""
+    if live.all():
+        return None
+    idx = np.flatnonzero(live)
+    # np.take keeps the row-major layout that codes[:, idx] would not: a
+    # batch-1 product then runs the same BLAS routine as on the full codes.
+    cols = np.take(codes, idx, axis=1).astype(np.float64, copy=False)
+    cols.flags.writeable = False
+    return idx, cols
 
 
 def is_fresh(state: QuantizerState, w: np.ndarray) -> bool:
@@ -134,10 +163,11 @@ def assert_fresh(state: QuantizerState, w: np.ndarray) -> None:
 def ste_codes_node(w: Tensor, state: QuantizerState, grad_correctness: bool = True) -> Tensor:
     """The state's cached Tern(w) as a tape node with the straight-through backward rule.
 
-    The state must be fresh for w.data. With grad_correctness the backward
-    multiplies incoming gradients by 1/scale, so scale * Tern(w)
-    differentiates to exactly 1 w.r.t. w; without it the staircase passes
-    gradients through unchanged.
+    The node carries the state's live columns, so a matmul against it
+    multiplies only those. The state must be fresh for w.data. With
+    grad_correctness the backward multiplies incoming gradients by 1/scale,
+    so scale * Tern(w) differentiates to exactly 1 w.r.t. w; without it the
+    staircase passes gradients through unchanged.
     """
     # 1/scale is taken only when a gradient is: a forward alone runs on any
     # scale, 0.0 included.
@@ -147,7 +177,9 @@ def ste_codes_node(w: Tensor, state: QuantizerState, grad_correctness: bool = Tr
         lambda arr: codes,
         lambda g, arr: (g * (1.0 / scale if grad_correctness else 1.0),),
     )
-    return op(w)
+    node = op(w)
+    node.live_columns = state.live_columns
+    return node
 
 
 def threshold_scale_node(delta_leaf: Tensor, state: QuantizerState) -> Tensor:
@@ -173,6 +205,14 @@ def codes_from_state(w: np.ndarray, state: QuantizerState) -> TernaryCodes:
     if not is_fresh(state, w):
         raise ValueError("stale quantizer state: call refresh() before reading its codes")
     return TernaryCodes(codes=state.codes.astype(np.int8), scale=state.scale)
+
+
+def dead_outputs(codes: np.ndarray) -> int:
+    """Output units whose codes are all zero: the columns of dense (in, out)
+    codes, the filters of conv (out, in, kh, kw) codes."""
+    nonzero = np.asarray(codes) != 0
+    live = nonzero.any(axis=0) if nonzero.ndim == 2 else nonzero.reshape(nonzero.shape[0], -1).any(axis=1)
+    return int(live.size - np.count_nonzero(live))
 
 
 def sparsity(codes) -> float:

@@ -113,6 +113,7 @@ def test_quantize_export_inspect_roundtrip(pretrained, tmp_path, capsys):
     assert rc == 0
     report = json.loads(report_path.read_text())
     assert report["totals"]["compression_ratio"] > 10
+    assert all(type(e["dead_outputs"]) is int and e["dead_outputs"] >= 0 for e in report["layers"] if e["quantized"])
     stdout_report = json.loads(capsys.readouterr().out)
     assert stdout_report["totals"] == report["totals"]
     assert packed.exists()

@@ -267,6 +267,24 @@ def test_export_report_overhead_dominated_layer(tmp_path):
     assert entry["compression_ratio"] == pytest.approx(16 / 5)
 
 
+def test_export_report_counts_dead_outputs(tmp_path):
+    # Weights of mean 0: with the threshold at 0.5, dense columns 1 and 3
+    # and conv filter 1 hold only zero codes.
+    dense_w = np.array([[1.0, 0, 2, 0, 0], [-1, 0, -2, 0, 0], [1, 0, 0, 0, 3], [-1, 0, 0, 0, -3]])
+    conv_w = np.array([[[[1.0, -1], [1, -1]]], [[[0, 0], [0, 0]]], [[[0, 2], [-2, 0]]]])
+    for specs, w, dead in (
+        ([LayerSpec("dense", in_dim=4, out_dim=5, quantized=True)], dense_w, 2),
+        ([LayerSpec("conv2d", in_dim=1, out_dim=3, kernel=2, quantized=True)], conv_w, 1),
+    ):
+        model = Model.from_params(specs, "custom", lambda spec, name, shape: (w.copy(), np.zeros(spec.out_dim)))
+        model.quantized_layers()[0].qstate.delta = 0.5
+        model.refresh_all()
+        before = packed_to_bytes(model)
+        entry = export_packed(model, tmp_path / "hand.tern")["layers"][0]
+        assert entry["dead_outputs"] == dead
+        assert (tmp_path / "hand.tern").read_bytes() == before
+
+
 def test_export_report_large_layer_near_16x(tmp_path):
     specs = [LayerSpec("dense", in_dim=1000, out_dim=1000, quantized=True)]
     model = Model(specs, seed=5)
@@ -544,6 +562,49 @@ def test_packed_inference_matches_reference_interpreter_bit_for_bit(tmp_path, ar
         assert np.array_equal(got, _reference_packed_forward(path.read_bytes(), batch))
         in_memory = model.forward(batch, WEIGHT_PHASE).data
         assert np.allclose(got, in_memory, rtol=1e-6, atol=1e-9)
+
+
+def _mlp_with_dead_columns(seed):
+    rng = np.random.default_rng(seed)
+    model = build_from_config("mlp-784-300-100-10", seed=seed)
+    for layer, share in zip(model.quantized_layers(), (0.7, 0.2, 0.0)):
+        w = layer.w.data.copy()
+        w[:, rng.permutation(w.shape[1])[: int(share * w.shape[1])]] *= 0.01
+        layer.w.data = w
+        layer.b.data = rng.normal(scale=0.1, size=layer.b.size).astype(np.float32).astype(np.float64)
+    model.init_thresholds(0.4)
+    model.refresh_all()
+    return model
+
+
+def test_packed_model_with_dead_columns_matches_the_full_codes(tmp_path):
+    model = _mlp_with_dead_columns(seed=24)
+    path = tmp_path / "dead.tern"
+    export_packed(model, path)
+    data = path.read_bytes()
+    packed = load_packed(path)
+    for layer, rec in zip(packed.quantized_layers(), packed_from_bytes(data)[2]):
+        codes = rec.codes.reshape(rec.shape)
+        live = np.flatnonzero(codes.any(axis=0))
+        if live.size == codes.shape[1]:
+            assert layer.qstate.live_columns is None
+            continue
+        idx, cols = layer.qstate.live_columns
+        assert np.array_equal(idx, live)
+        assert cols.dtype == np.float64 and not cols.flags.writeable
+        assert np.array_equal(cols, codes[:, idx])
+    dense0_live = packed.quantized_layers()[0].qstate.live_columns[0]
+    assert dense0_live.size < 100
+    assert np.array_equal(dense0_live, model.quantized_layers()[0].qstate.live_columns[0])
+    # A GEMM over fewer columns may sum in another order: within float64
+    # rounding of the 784-term sums (see tests/test_live_columns.py).
+    x = np.random.default_rng(25).normal(size=(64, 784))
+    for batch in (x, x[:1]):
+        with no_grad():
+            got = packed.forward(batch, WEIGHT_PHASE).data
+        np.testing.assert_allclose(got, _reference_packed_forward(data, batch), rtol=1e-11, atol=1e-11)
+        assert np.array_equal(load_packed_and_infer(path, batch), got)
+    assert packed_to_bytes(packed) == data
 
 
 @pytest.mark.parametrize("make", [_trained_like_model, _trained_like_lenet])

@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 from terntrain import autograd as ag
 from terntrain.autograd import Tensor, backward
 from terntrain.gaussian import TruncGaussParams, clip_threshold, truncated_upper_mean
-from terntrain.gradcheck import check_threshold_phase_grad, fd_grad, max_rel_err
+from terntrain.gradcheck import check_threshold_phase_grad, dead_column_model, fd_grad, max_rel_err
 from terntrain.network import LayerSpec, Model, build_from_config
 from terntrain.ternarize import (
     THRESHOLD_PHASE,
@@ -180,11 +180,13 @@ def test_stale_state_detected_in_debug():
     model = build_from_config("mlp-8-4", seed=20)
     model.init_thresholds(0.1)
     model.refresh_all()
-    layer = model.quantized_layers()[0]
-    layer.w.data = layer.w.data + 1.0  # shift the mean without refreshing
-    for mode in (WEIGHT_PHASE, THRESHOLD_PHASE):
-        with pytest.raises(AssertionError, match="stale"):
-            model.forward(np.zeros((1, 8)), mode)
+    dead = dead_column_model(seed=20)  # its layers multiply only live columns
+    for m in (model, dead):
+        layer = m.quantized_layers()[0]
+        layer.w.data = layer.w.data + 1.0  # shift the mean without refreshing
+        for mode in (WEIGHT_PHASE, THRESHOLD_PHASE):
+            with pytest.raises(AssertionError, match="stale"):
+                m.forward(np.zeros((1, layer.w.shape[0])), mode)
 
 
 def test_sparsity_examples():
