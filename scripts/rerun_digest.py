@@ -23,7 +23,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402  after the thread pinning
 
 from terntrain.data import Dataset, make_synth_mnist
-from terntrain.modelio import checkpoint_to_bytes, export_packed
+from terntrain.modelio import export_packed
 from terntrain.network import build_from_config
 from terntrain.optim import OptimizerConfig
 from terntrain.trainer import make_train_state, pretrain, train
@@ -63,7 +63,7 @@ def run(arch: str, seed: int, out_dir: str) -> dict:
         csv_bytes = fh.read()
     with open(tern_path, "rb") as fh:
         tern_bytes = fh.read()
-    return {"csv": _sha(csv_bytes), "tnck": _sha(checkpoint_to_bytes(ckpt)), "tern": _sha(tern_bytes)}
+    return {"csv": _sha(csv_bytes), "tnck": _sha(ckpt), "tern": _sha(tern_bytes)}
 
 
 def main():

@@ -26,9 +26,10 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402  after the thread pinning
 
 from terntrain.data import Dataset, make_synth_mnist
-from terntrain.modelio import export_packed, load_packed_and_infer, packed_from_bytes
+from terntrain.modelio import export_packed, load_packed, load_packed_and_infer
 from terntrain.network import build_from_config
 from terntrain.optim import OptimizerConfig
+from terntrain.ternarize import dead_outputs
 from terntrain.trainer import make_train_state, pretrain, train
 
 ARCHS = {"mlp-784-300-100-10": 2048, "lenet-small": 768}  # training samples, as in the benchmark
@@ -62,19 +63,12 @@ def export_trained(arch: str, n_train: int, seed: int, path: str) -> None:
 
 
 def dead_units(path: str) -> list[str]:
-    """Per quantized layer, all-zero output units out of all, read from the file.
-
-    Counted from the decoded codes, not taken from export_packed's report,
-    so that the script runs unchanged on versions whose report lacks them.
-    """
-    with open(path, "rb") as fh:
-        _, _, layers = packed_from_bytes(fh.read())
+    """Per quantized layer, all-zero output units out of all, read from the file."""
     out = []
-    for rec in layers:
-        if rec.quantized:
-            codes = rec.codes.reshape(rec.shape)
-            live = codes.any(axis=0) if codes.ndim == 2 else codes.reshape(codes.shape[0], -1).any(axis=1)
-            out.append(f"{rec.name} {live.size - np.count_nonzero(live)}/{live.size}")
+    for layer in load_packed(path).quantized_layers():
+        codes = layer.qstate.codes
+        units = codes.shape[1] if codes.ndim == 2 else codes.shape[0]
+        out.append(f"{layer.name} {dead_outputs(codes)}/{units}")
     return out
 
 

@@ -21,7 +21,6 @@ from .data import DataError, Dataset, load_csv, load_idx
 from .gradcheck import run_suite, suite_passed
 from .modelio import (
     ModelIOError,
-    checkpoint_to_bytes,
     export_packed,
     load_checkpoint,
     save_checkpoint,
@@ -134,7 +133,7 @@ def cmd_pretrain(args) -> int:
         raise
     ckpt_path = os.path.join(out, "pretrain.ckpt")
     with open(ckpt_path, "wb") as fh:
-        fh.write(checkpoint_to_bytes(ckpt))
+        fh.write(ckpt)
     final = metrics[-1] if metrics else {}
     print(f"pretrain done: checkpoint={ckpt_path}")
     if final:
@@ -188,7 +187,7 @@ def cmd_quantize(args) -> int:
         raise
     out_ckpt = os.path.join(out, "ternary.ckpt")
     with open(out_ckpt, "wb") as fh:
-        fh.write(checkpoint_to_bytes(ckpt))
+        fh.write(ckpt)
     print(f"quantize done: checkpoint={out_ckpt}")
     for row in reversed(metrics):
         if row["split"] == "test":

@@ -1,7 +1,9 @@
-"""Checkpoint persistence, 2-bit ternary packing, and compression reporting.
+"""Model files: TNCK checkpoints and TERN 2-bit packed models.
 
-Two little-endian binary formats, both CRC-32 trailed so corruption and
-truncation are rejected before any parsing:
+Both formats turn a Model into bytes and bytes into a Model, with no record
+type between: checkpoint_to_bytes / checkpoint_from_bytes and
+packed_to_bytes / packed_from_bytes. Both are little-endian and CRC-32
+trailed, so corruption and truncation are rejected before any parsing.
 
 TNCK checkpoints: magic "TNCK", version u16, arch string, JSON metadata,
 then per parametric layer the name, weight shape, float32 weight payload,
@@ -14,10 +16,11 @@ bits each, first weight in the least-significant pair, 00=0, 01=+1, 10=-1,
 11 reserved) or, for non-quantized layers, the raw float32 weights; biases
 follow in float32 either way.
 
-Both formats load through one loader: it resolves the layer specs, builds
-the Model structure without drawing an init, and rejects every layer
-record whose name, weight shape, bias length or quantized flag differs
-from its spec. A TERN file loads into a packed Model, which runs through
+Both formats load through one loader: it resolves the layer specs and
+builds the Model with no init drawn, reading each layer record as its layer
+is built. A record whose name, weight shape, bias length or quantized flag
+differs from its spec is rejected as it is read, before its layer is
+allocated. A TERN file loads into a packed Model, which runs through
 Model.forward like any other.
 """
 
@@ -27,7 +30,6 @@ import json
 import math
 import struct
 import zlib
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,6 +37,7 @@ from .autograd import no_grad
 from .network import LayerSpec, Model, arch_specs
 from .ternarize import (
     WEIGHT_PHASE,
+    QuantizerState,
     codes_from_state,
     compact_columns,
     dead_outputs,
@@ -115,11 +118,11 @@ class _Writer:
         self.raw(b)
 
     def f32_array(self, a: np.ndarray):
-        self.raw(np.ascontiguousarray(a, dtype="<f4").tobytes())
+        self.buf += np.ascontiguousarray(a, dtype="<f4").data
 
     def finish(self) -> bytes:
-        crc = zlib.crc32(bytes(self.buf)) & 0xFFFFFFFF
-        return bytes(self.buf) + struct.pack("<I", crc)
+        self.u32(zlib.crc32(self.buf) & 0xFFFFFFFF)
+        return bytes(self.buf)
 
 
 class _Reader:
@@ -181,12 +184,15 @@ class _Reader:
 # --- container layout and loader shared by both formats ----------------------
 
 
-def _write_header(w: _Writer, magic: bytes, arch: str, meta: dict, nlayers: int) -> None:
+def _write_header(w: _Writer, magic: bytes, model: Model, meta: dict) -> None:
+    """Magic, version, arch, metadata (plus a custom arch's specs) and layer count."""
+    if model.arch == "custom":
+        meta = {**meta, "specs": [s.to_dict() for s in model.specs]}
     w.raw(magic)
     w.u16(FORMAT_VERSION)
-    w.str16(arch)
+    w.str16(model.arch)
     w.str32(json.dumps(meta, sort_keys=True))
-    w.u16(nlayers)
+    w.u16(len(model.param_layers()))
 
 
 def _read_header(data: bytes, magic: bytes) -> tuple[_Reader, str, dict, int]:
@@ -225,17 +231,6 @@ def _write_layer_head(w: _Writer, name: str, shape: tuple[int, ...]) -> None:
         w.u32(e)
 
 
-def _read_layer_head(r: _Reader) -> tuple[str, tuple[int, ...], int]:
-    """Name, weight shape and weight count of the next layer record."""
-    name = r.str16()
-    rank = r.u8()
-    shape = tuple(r.u32() for _ in range(rank))
-    n = math.prod(shape) if shape else 0
-    if n <= 0:
-        raise FormatError(f"layer {name!r} has empty shape {shape}")
-    return name, shape, n
-
-
 def _specs_from(arch: str, metadata: dict) -> list[LayerSpec]:
     if arch == "custom":
         try:
@@ -248,36 +243,48 @@ def _specs_from(arch: str, metadata: dict) -> list[LayerSpec]:
         raise FormatError(str(e)) from e
 
 
-def _model_from_records(arch: str, meta: dict, records: list, weights) -> Model:
-    """The model for arch, built from its layer records with no init drawn.
+def _load(data: bytes, magic: bytes, read_layer) -> Model:
+    """The model of a file's bytes, built from its layer records with no init drawn.
 
-    Each record is checked against its parametric layer before that layer
-    is built: a record whose name, weight shape, bias length or quantized
-    flag differs, or a record too many or too few, is a FormatError.
-    weights(rec) gives a matching record's float64 weights.
+    Each record is read as Model.from_params asks for its layer: its name
+    and weight shape are checked against the spec before the payload is
+    read, its bias length and quantized flag once it is. A record that
+    differs, or a record too many or too few, is a FormatError.
+    read_layer(reader, shape) reads the rest of a record and returns the
+    float64 weights, the bias and the layer's quantizer state (None for a
+    layer stored unquantized).
     """
+    r, arch, meta, nlayers = _read_header(data, magic)
     specs = _specs_from(arch, meta)
-    todo = iter(records)
+    states = []
 
     def params(spec: LayerSpec, name: str, shape: tuple) -> tuple[np.ndarray, np.ndarray]:
-        rec = next(todo, None)
-        if rec is None:
-            raise FormatError(f"file has {len(records)} layer records, fewer than arch {arch!r} needs")
-        want = (name, shape, spec.out_dim, spec.quantized)
-        got = (rec.name, rec.shape, rec.bias.size, rec.quantized)
+        if len(states) == nlayers:
+            raise FormatError(f"file has {nlayers} layer records, fewer than arch {arch!r} needs")
+        head = (r.str16(), tuple(r.u32() for _ in range(r.u8())))
+        if head != (name, shape):
+            raise FormatError(
+                f"layer record (name, shape) {head} does not match the architecture's {(name, shape)}"
+            )
+        weights, bias, state = read_layer(r, shape)
+        got, want = (bias.size, state is not None), (spec.out_dim, spec.quantized)
         if got != want:
             raise FormatError(
-                f"layer record (name, shape, bias length, quantized) {got} does not match "
+                f"layer record {name!r} (bias length, quantized) {got} does not match "
                 f"the architecture's {want}"
             )
-        return weights(rec), rec.bias.astype(np.float64)
+        states.append(state)
+        return weights, bias.astype(np.float64)
 
     try:
         model = Model.from_params(specs, arch, params)
     except (ValueError, TypeError) as e:
         raise FormatError(f"unusable layer specs: {e}") from e
-    if next(todo, None) is not None:
-        raise FormatError(f"file has {len(records)} layer records, more than arch {arch!r} has")
+    if len(states) != nlayers:
+        raise FormatError(f"file has {nlayers} layer records, more than arch {arch!r} has")
+    r.expect_end()
+    for layer, state in zip(model.param_layers(), states):
+        layer.qstate = state
     model.meta = dict(meta)
     return model
 
@@ -285,103 +292,45 @@ def _model_from_records(arch: str, meta: dict, records: list, weights) -> Model:
 # --- checkpoint format ------------------------------------------------------
 
 
-@dataclass
-class LayerRecord:
-    name: str
-    shape: tuple[int, ...]
-    weights: np.ndarray  # float32
-    bias: np.ndarray  # float32
-    quant: tuple[float, float, float] | None = None  # delta, mu, sigma
-
-    @property
-    def quantized(self) -> bool:
-        return self.quant is not None
-
-
-@dataclass
-class Checkpoint:
-    arch: str
-    metadata: dict = field(default_factory=dict)
-    layers: list[LayerRecord] = field(default_factory=list)
-
-
-def checkpoint_from_model(model: Model, metadata: dict | None = None) -> Checkpoint:
+def checkpoint_to_bytes(model: Model, metadata: dict | None = None) -> bytes:
     if model.packed:
         raise ValueError("a packed model holds codes, not float weights; it has no checkpoint")
-    meta = dict(metadata or {})
-    if model.arch == "custom":
-        meta["specs"] = [s.to_dict() for s in model.specs]
-    layers = []
-    for layer in model.param_layers():
-        quant = None
-        if layer.qstate is not None:
-            st = layer.qstate
-            quant = (st.delta, st.mu, st.sigma)
-        layers.append(
-            LayerRecord(
-                name=layer.name,
-                shape=tuple(layer.w.shape),
-                weights=layer.w.data.astype(np.float32),
-                bias=layer.b.data.astype(np.float32),
-                quant=quant,
-            )
-        )
-    return Checkpoint(arch=model.arch, metadata=meta, layers=layers)
-
-
-def checkpoint_to_bytes(ckpt: Checkpoint) -> bytes:
     w = _Writer()
-    _write_header(w, CHECKPOINT_MAGIC, ckpt.arch, ckpt.metadata, len(ckpt.layers))
-    for rec in ckpt.layers:
-        _write_layer_head(w, rec.name, rec.shape)
-        w.f32_array(rec.weights)
-        w.u32(rec.bias.size)
-        w.f32_array(rec.bias)
-        if rec.quant is None:
-            w.u8(0)
-        else:
-            w.u8(1)
-            for v in rec.quant:
+    _write_header(w, CHECKPOINT_MAGIC, model, metadata or {})
+    for layer in model.param_layers():
+        _write_layer_head(w, layer.name, layer.w.shape)
+        w.f32_array(layer.w.data)
+        w.u32(layer.b.size)
+        w.f32_array(layer.b.data)
+        st = layer.qstate
+        w.u8(st is not None)
+        if st is not None:
+            for v in (st.delta, st.mu, st.sigma):
                 w.f64(v)
     return w.finish()
 
 
-def checkpoint_from_bytes(data: bytes) -> Checkpoint:
-    r, arch, metadata, nlayers = _read_header(data, CHECKPOINT_MAGIC)
-    layers = []
-    for _ in range(nlayers):
-        name, shape, n = _read_layer_head(r)
-        weights = r.f32_array(n)
-        bias = r.f32_array(r.u32())
-        quant = None
-        if r.flag():
-            quant = (r.f64(), r.f64(), r.f64())
-        layers.append(LayerRecord(name, shape, weights, bias, quant))
-    r.expect_end()
-    return Checkpoint(arch=arch, metadata=metadata, layers=layers)
+def _read_checkpoint_layer(r: _Reader, shape: tuple) -> tuple:
+    weights = r.f32_array(math.prod(shape)).astype(np.float64).reshape(shape)
+    bias = r.f32_array(r.u32())
+    if not r.flag():
+        return weights, bias, None
+    st = QuantizerState(r.f64(), r.f64(), r.f64())
+    # A state refreshed from these very weights is derived again, so the
+    # loaded model is ready to run. Any other record (never refreshed, or
+    # saved after a weight update without a refresh) loads stale, as saved:
+    # the forward and the export reject it until refresh_all().
+    if np.isfinite(st.sigma) and st.sigma > 0 and layer_stats(weights) == (st.mu, st.sigma):
+        refresh(st, weights)
+    return weights, bias, st
 
 
-def model_from_checkpoint(ckpt: Checkpoint) -> Model:
-    model = _model_from_records(
-        ckpt.arch, ckpt.metadata, ckpt.layers, lambda rec: rec.weights.astype(np.float64).reshape(rec.shape)
-    )
-    for layer, rec in zip(model.param_layers(), ckpt.layers):
-        if rec.quant is not None:
-            delta, mu, sigma = rec.quant
-            st = layer.qstate
-            st.delta, st.mu, st.sigma = delta, mu, sigma
-            # A state refreshed from these very weights is derived again, so
-            # the loaded model is ready to run. Any other record (never
-            # refreshed, or saved after a weight update without a refresh)
-            # loads stale, as saved: the forward and the export reject it
-            # until refresh_all().
-            if np.isfinite(sigma) and sigma > 0 and layer_stats(layer.w.data) == (mu, sigma):
-                refresh(st, layer.w.data)
-    return model
+def checkpoint_from_bytes(data: bytes) -> Model:
+    return _load(data, CHECKPOINT_MAGIC, _read_checkpoint_layer)
 
 
 def save_checkpoint(model: Model, path, metadata: dict | None = None) -> None:
-    data = checkpoint_to_bytes(checkpoint_from_model(model, metadata))
+    data = checkpoint_to_bytes(model, metadata)
     with open(path, "wb") as fh:
         fh.write(data)
 
@@ -389,7 +338,7 @@ def save_checkpoint(model: Model, path, metadata: dict | None = None) -> None:
 def load_checkpoint(path) -> Model:
     with open(path, "rb") as fh:
         data = fh.read()
-    return model_from_checkpoint(checkpoint_from_bytes(data))
+    return checkpoint_from_bytes(data)
 
 
 # --- 2-bit packing ----------------------------------------------------------
@@ -443,25 +392,10 @@ def unpack_codes(data: bytes, n: int) -> np.ndarray:
 # --- packed model format ----------------------------------------------------
 
 
-@dataclass
-class PackedLayer:
-    name: str
-    shape: tuple[int, ...]
-    quantized: bool
-    scale: float  # only meaningful when quantized
-    codes: np.ndarray | None  # int8, quantized layers
-    weights: np.ndarray | None  # float32, non-quantized layers
-    bias: np.ndarray
-
-
 def packed_to_bytes(model: Model) -> bytes:
     w = _Writer()
-    meta = {}
-    if model.arch == "custom":
-        meta["specs"] = [s.to_dict() for s in model.specs]
-    params = model.param_layers()
-    _write_header(w, PACKED_MAGIC, model.arch, meta, len(params))
-    for layer in params:
+    _write_header(w, PACKED_MAGIC, model, {})
+    for layer in model.param_layers():
         _write_layer_head(w, layer.name, layer.w.shape)
         if layer.qstate is not None:
             if not is_fresh(layer.qstate, layer.w.data):
@@ -479,34 +413,20 @@ def packed_to_bytes(model: Model) -> bytes:
     return w.finish()
 
 
-def packed_from_bytes(data: bytes) -> tuple[str, dict, list[PackedLayer]]:
-    r, arch, meta, nlayers = _read_header(data, PACKED_MAGIC)
-    layers = []
-    for _ in range(nlayers):
-        name, shape, n = _read_layer_head(r)
-        quantized = r.flag()
-        scale = 0.0
-        codes = weights = None
-        if quantized:
-            scale = r.f32()
-            codes = unpack_codes(r.take((n + 3) // 4), n)
-        else:
-            weights = r.f32_array(n)
-        bias = r.f32_array(r.u32())
-        layers.append(PackedLayer(name, shape, quantized, scale, codes, weights, bias))
-    r.expect_end()
-    return arch, meta, layers
+def _read_packed_layer(r: _Reader, shape: tuple) -> tuple:
+    n = math.prod(shape)
+    if not r.flag():
+        return r.f32_array(n).astype(np.float64).reshape(shape), r.f32_array(r.u32()), None
+    st = QuantizerState(0.0, scale=r.f32())
+    codes = unpack_codes(r.take((n + 3) // 4), n).reshape(shape)
+    st.codes = st.source = codes.astype(np.float64)
+    st.codes.flags.writeable = False
+    if codes.ndim == 2:
+        st.live_columns = compact_columns(codes, codes.any(axis=0))
+    return st.codes, r.f32_array(r.u32()), st
 
 
-def _packed_weights(rec: PackedLayer) -> np.ndarray:
-    if not rec.quantized:
-        return rec.weights.astype(np.float64).reshape(rec.shape)
-    codes = rec.codes.astype(np.float64).reshape(rec.shape)
-    codes.flags.writeable = False
-    return codes
-
-
-def model_from_packed(data: bytes) -> Model:
+def packed_from_bytes(data: bytes) -> Model:
     """A packed Model from the bytes of a TERN file.
 
     A quantized layer's read-only float64 codes serve as its weights and as
@@ -514,16 +434,7 @@ def model_from_packed(data: bytes) -> Model:
     so the weight-phase forward computes (x @ codes) * scale + bias. A
     quantized dense layer's live columns are derived from the file's codes.
     """
-    arch, meta, records = packed_from_bytes(data)
-    model = _model_from_records(arch, meta, records, _packed_weights)
-    for layer, rec in zip(model.param_layers(), records):
-        if rec.quantized:
-            st = layer.qstate
-            st.codes = st.source = layer.w.data
-            st.scale = rec.scale
-            if len(rec.shape) == 2:
-                codes = rec.codes.reshape(rec.shape)
-                st.live_columns = compact_columns(codes, codes.any(axis=0))
+    model = _load(data, PACKED_MAGIC, _read_packed_layer)
     model.packed = True
     return model
 
@@ -531,7 +442,7 @@ def model_from_packed(data: bytes) -> Model:
 def load_packed(path) -> Model:
     with open(path, "rb") as fh:
         data = fh.read()
-    return model_from_packed(data)
+    return packed_from_bytes(data)
 
 
 def export_packed(model: Model, path) -> dict:
@@ -599,6 +510,6 @@ def load_packed_and_infer(path, x: np.ndarray) -> np.ndarray:
     with open(path, "rb") as fh:
         data = fh.read()
     if _served is None or _served[0] != data:
-        _served = (data, model_from_packed(data))
+        _served = (data, packed_from_bytes(data))
     with no_grad():
         return _served[1].forward(x, WEIGHT_PHASE).data

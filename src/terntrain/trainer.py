@@ -16,9 +16,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autograd import backward, no_grad, softmax_cross_entropy
+from .modelio import checkpoint_to_bytes
 from .network import FLOAT_MODE, Model
 from .optim import OptimizerConfig, ThresholdOptimizer, make_optimizer
-from .ternarize import THRESHOLD_PHASE, WEIGHT_PHASE
+from .ternarize import THRESHOLD_PHASE, WEIGHT_PHASE, codes_from_state, sparsity
 
 
 class DivergenceError(RuntimeError):
@@ -160,8 +161,6 @@ def evaluate(model: Model, dataset, mode: str = "float") -> float:
 
 
 def _quantizer_columns(model: Model) -> dict:
-    from .ternarize import codes_from_state, sparsity
-
     cols: dict = {}
     for layer in model.quantized_layers():
         st = layer.qstate
@@ -195,13 +194,11 @@ def pretrain(
     test_dataset=None,
     csv_path=None,
 ):
-    """Train the full-precision model; returns (checkpoint, metrics).
+    """Train the full-precision model; returns (TNCK checkpoint bytes, metrics).
 
     Zero epochs returns the initialization unchanged. A non-finite loss
     aborts with a DivergenceError carrying a state dump.
     """
-    from .modelio import checkpoint_from_model
-
     opt = make_optimizer(cfg, model.parameters())
     rng = np.random.default_rng(seed)
     metrics: list[dict] = []
@@ -226,7 +223,7 @@ def pretrain(
 
     final_train = metrics[-2 if test_dataset is not None else -1]["accuracy"] if metrics else None
     final_test = metrics[-1]["accuracy"] if metrics and test_dataset is not None else None
-    ckpt = checkpoint_from_model(
+    ckpt = checkpoint_to_bytes(
         model,
         metadata={
             "kind": "pretrain",
@@ -247,13 +244,11 @@ def train(
     test_dataset=None,
     csv_path=None,
 ):
-    """Run the alternating ternary training; returns (checkpoint, metrics).
+    """Run the alternating ternary training; returns (TNCK checkpoint bytes, metrics).
 
     Per epoch, both splits are evaluated in ternary mode and the per-layer
     threshold, clipped threshold, scale and sparsity are logged.
     """
-    from .modelio import checkpoint_from_model
-
     model = state.model
     if not model.quantized_layers():
         raise ValueError("ternary training needs at least one quantized layer")
@@ -282,7 +277,7 @@ def train(
         if row["split"] == "test":
             final_test = row["accuracy"]
             break
-    ckpt = checkpoint_from_model(
+    ckpt = checkpoint_to_bytes(
         model,
         metadata={
             "kind": "ternary",

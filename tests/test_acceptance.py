@@ -25,8 +25,6 @@ from terntrain.modelio import (
     pack_codes,
     unpack_codes,
     checkpoint_from_bytes,
-    checkpoint_from_model,
-    model_from_checkpoint,
 )
 from terntrain.network import build_from_config
 from terntrain.optim import OptimizerConfig
@@ -121,7 +119,7 @@ class DeskRuns:
         if key not in self.tern:
             ckpt, _, _ = self.baseline(seed)
             train_ds, test_ds = self.splits(seed)
-            model = model_from_checkpoint(checkpoint_from_bytes(checkpoint_to_bytes(ckpt)))
+            model = checkpoint_from_bytes(ckpt)
             model.init_thresholds(frac)
             state = make_train_state(
                 model,
@@ -251,11 +249,11 @@ def test_criterion_08_compression(desk, tmp_path):
 
     # unpack(pack(codes)) is the identity on every layer, both in memory and
     # through the written file.
-    _, _, records = packed_from_bytes(path.read_bytes())
-    for layer, rec in zip(model.param_layers(), records):
+    loaded = packed_from_bytes(path.read_bytes())
+    for layer, packed in zip(model.param_layers(), loaded.param_layers()):
         codes = codes_from_state(layer.w.data, layer.qstate).codes
         assert np.array_equal(unpack_codes(pack_codes(codes), codes.size), codes.reshape(-1))
-        assert np.array_equal(rec.codes.reshape(codes.shape), codes)
+        assert np.array_equal(packed.w.data, codes)
 
 
 @criterion(9, "10,000 randomized steps never leak updates across phases")
@@ -296,7 +294,7 @@ def test_criterion_10_format_robustness():
     for layer in model.quantized_layers():
         layer.qstate.delta = 0.15
     model.refresh_all()
-    ckpt_blob = checkpoint_to_bytes(checkpoint_from_model(model))
+    ckpt_blob = checkpoint_to_bytes(model)
     from terntrain.modelio import packed_to_bytes
 
     packed_blob = packed_to_bytes(model)

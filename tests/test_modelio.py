@@ -17,15 +17,12 @@ from terntrain.modelio import (
     TruncatedFileError,
     UnsupportedVersionError,
     checkpoint_from_bytes,
-    checkpoint_from_model,
     checkpoint_to_bytes,
     _Writer,
     export_packed,
     load_checkpoint,
     load_packed,
     load_packed_and_infer,
-    model_from_checkpoint,
-    model_from_packed,
     pack_codes,
     packed_from_bytes,
     packed_to_bytes,
@@ -146,7 +143,7 @@ def test_refreshed_checkpoint_loads_fresh_with_the_saved_state():
     model = _trained_like_model(seed=3)
     x = np.random.default_rng(4).normal(size=(3, 16))
     expected = model.forward(x, WEIGHT_PHASE).data
-    restored = model_from_checkpoint(checkpoint_from_bytes(checkpoint_to_bytes(checkpoint_from_model(model))))
+    restored = checkpoint_from_bytes(checkpoint_to_bytes(model))
     fields = ("delta", "mu", "sigma", "delta_c", "scale")
     for a, b in zip(model.quantized_layers(), restored.quantized_layers()):
         assert [getattr(a.qstate, f) for f in fields] == [getattr(b.qstate, f) for f in fields]
@@ -160,7 +157,7 @@ def test_checkpoint_saved_before_refresh_loads_stale(tmp_path):
     layer = model.quantized_layers()[0]
     saved = (layer.qstate.mu, layer.qstate.sigma)
     layer.w.data = layer.w.data * 2.0
-    restored = model_from_checkpoint(checkpoint_from_bytes(checkpoint_to_bytes(checkpoint_from_model(model))))
+    restored = checkpoint_from_bytes(checkpoint_to_bytes(model))
     r = restored.quantized_layers()[0]
     assert (r.qstate.mu, r.qstate.sigma) == saved
     assert not is_fresh(r.qstate, r.w.data)
@@ -179,7 +176,7 @@ def test_checkpoint_record_on_constant_weights_loads_stale():
     layer = model.quantized_layers()[0]
     layer.w.data = np.full(layer.w.shape, 0.5)
     layer.qstate.mu, layer.qstate.sigma = 0.5, 0.1  # a record no refresh could have written
-    restored = model_from_checkpoint(checkpoint_from_bytes(checkpoint_to_bytes(checkpoint_from_model(model))))
+    restored = checkpoint_from_bytes(checkpoint_to_bytes(model))
     r = restored.quantized_layers()[0]
     assert not is_fresh(r.qstate, r.w.data)
     with pytest.raises(DegenerateLayerError):
@@ -195,8 +192,8 @@ def test_checkpoint_roundtrip_custom_specs():
     model = Model(specs, seed=3)
     model.quantized_layers()[0].qstate.delta = 0.15
     model.refresh_all()
-    blob = checkpoint_to_bytes(checkpoint_from_model(model))
-    restored = model_from_checkpoint(checkpoint_from_bytes(blob))
+    blob = checkpoint_to_bytes(model)
+    restored = checkpoint_from_bytes(blob)
     assert [s.to_dict() for s in restored.specs] == [s.to_dict() for s in specs]
     assert restored.param_layers()[1].qstate is None
     assert restored.quantized_layers()[0].qstate.delta == 0.15
@@ -206,15 +203,15 @@ def test_checkpoint_before_any_refresh_roundtrips():
     # Quantizer caches are NaN until the first refresh; they must survive
     # serialization without inventing values.
     model = build_from_config("mlp-6-4", seed=2)
-    blob = checkpoint_to_bytes(checkpoint_from_model(model))
-    restored = model_from_checkpoint(checkpoint_from_bytes(blob))
+    blob = checkpoint_to_bytes(model)
+    restored = checkpoint_from_bytes(blob)
     st = restored.quantized_layers()[0].qstate
     assert st.delta == 0.0
     assert np.isnan(st.mu) and np.isnan(st.sigma)
 
 
 def test_truncated_file_rejected():
-    blob = checkpoint_to_bytes(checkpoint_from_model(_trained_like_model()))
+    blob = checkpoint_to_bytes(_trained_like_model())
     with pytest.raises(ModelIOError):
         checkpoint_from_bytes(blob[: len(blob) // 2])
     with pytest.raises(TruncatedFileError):
@@ -222,21 +219,21 @@ def test_truncated_file_rejected():
 
 
 def test_bit_flip_rejected():
-    blob = bytearray(checkpoint_to_bytes(checkpoint_from_model(_trained_like_model())))
+    blob = bytearray(checkpoint_to_bytes(_trained_like_model()))
     blob[100] ^= 0x10
     with pytest.raises(CrcMismatchError):
         checkpoint_from_bytes(bytes(blob))
 
 
 def test_flipped_magic_rejected():
-    blob = bytearray(checkpoint_to_bytes(checkpoint_from_model(_trained_like_model())))
+    blob = bytearray(checkpoint_to_bytes(_trained_like_model()))
     blob[0] ^= 0xFF
     with pytest.raises(BadMagicError):
         checkpoint_from_bytes(bytes(blob))
 
 
 def test_unsupported_version_rejected():
-    blob = bytearray(checkpoint_to_bytes(checkpoint_from_model(_trained_like_model())))
+    blob = bytearray(checkpoint_to_bytes(_trained_like_model()))
     struct.pack_into("<H", blob, 4, 999)
     # Re-seal the CRC so only the version check can fire.
     struct.pack_into("<I", blob, len(blob) - 4, zlib.crc32(bytes(blob[:-4])) & 0xFFFFFFFF)
@@ -245,7 +242,7 @@ def test_unsupported_version_rejected():
 
 
 def test_trailing_garbage_rejected():
-    blob = bytearray(checkpoint_to_bytes(checkpoint_from_model(_trained_like_model())))
+    blob = bytearray(checkpoint_to_bytes(_trained_like_model()))
     body = blob[:-4] + b"\x00\x00"
     sealed = body + struct.pack("<I", zlib.crc32(bytes(body)) & 0xFFFFFFFF)
     with pytest.raises(FormatError):
@@ -340,8 +337,8 @@ def test_packed_never_contains_reserved_pair(tmp_path):
     model = _trained_like_model(seed=7)
     blob = packed_to_bytes(model)
     # Parse back: unpack_codes validates every pair, including padding.
-    arch, meta, layers = packed_from_bytes(blob)
-    assert all(l.codes is not None for l in layers if l.quantized)
+    loaded = packed_from_bytes(blob)
+    assert all(l.qstate.codes is not None for l in loaded.quantized_layers())
 
 
 def test_load_packed_and_infer_matches_in_memory(tmp_path):
@@ -403,34 +400,86 @@ def test_wrong_magic_across_formats(tmp_path):
 # --- one loader for both formats ----------------------------------------------
 
 
-def _tern_mlp_8_4(arch="mlp-8-4", meta="{}", name="dense0", shape=(8, 4), bias_len=4, quantized=1):
-    """A TERN file written field by field: one dense layer with all-zero codes."""
+def _tern_mlp_8_4(arch="mlp-8-4", meta="{}", name="dense0", shape=(8, 4), bias_len=4, quantized=1, records=1):
+    """A TERN file written field by field: `records` copies of one dense
+    layer record with all-zero codes."""
     w = _Writer()
     w.raw(b"TERN")
     w.u16(1)
     w.str16(arch)
     w.str32(meta)
-    w.u16(1)  # layer count
-    raw_name = name.encode("utf-8", "surrogateescape")
-    w.u16(len(raw_name))
-    w.raw(raw_name)
-    w.u8(len(shape))
-    for e in shape:
-        w.u32(e)
-    w.u8(quantized)
-    n = int(np.prod(shape))
-    if quantized:
-        w.f32(0.5)
-        w.raw(bytes((n + 3) // 4))
-    else:
-        w.f32_array(np.zeros(n))
-    w.u32(bias_len)
-    w.f32_array(np.arange(bias_len, dtype=np.float64))
+    w.u16(records)  # layer count
+    for _ in range(records):
+        raw_name = name.encode("utf-8", "surrogateescape")
+        w.u16(len(raw_name))
+        w.raw(raw_name)
+        w.u8(len(shape))
+        for e in shape:
+            w.u32(e)
+        w.u8(quantized)
+        n = int(np.prod(shape))
+        if quantized:
+            w.f32(0.5)
+            w.raw(bytes((n + 3) // 4))
+        else:
+            w.f32_array(np.zeros(n))
+        w.u32(bias_len)
+        w.f32_array(np.arange(bias_len, dtype=np.float64))
     return w.finish()
 
 
+TNCK_QUANT = (0.25, -0.0625, 1.15)  # delta, mu, sigma of the hand-built record
+
+
+def _tnck_weights(n):
+    return (np.arange(n, dtype=np.float64) - n // 2) / 8  # exact in float32
+
+
+def _tnck_mlp_8_4(arch="mlp-8-4", meta="{}", name="dense0", shape=(8, 4), bias_len=4, quantized=1, records=1):
+    """A TNCK file written field by field: `records` copies of one dense
+    layer record, weights from _tnck_weights and the quantizer TNCK_QUANT."""
+    w = _Writer()
+    w.raw(b"TNCK")
+    w.u16(1)
+    w.str16(arch)
+    w.str32(meta)
+    w.u16(records)  # layer count
+    for _ in range(records):
+        w.str16(name)
+        w.u8(len(shape))
+        for e in shape:
+            w.u32(e)
+        w.f32_array(_tnck_weights(int(np.prod(shape))))
+        w.u32(bias_len)
+        w.f32_array(np.arange(bias_len, dtype=np.float64))
+        w.u8(quantized)
+        if quantized:
+            for v in TNCK_QUANT:
+                w.f64(v)
+    return w.finish()
+
+
+def _hand_set_mlp_8_4():
+    def params(spec, name, shape):
+        return _tnck_weights(32).reshape(shape), np.arange(4.0)
+
+    model = Model.from_params(arch_specs("mlp-8-4"), "mlp-8-4", params)
+    st = model.quantized_layers()[0].qstate
+    st.delta, st.mu, st.sigma = TNCK_QUANT
+    return model
+
+
+def test_tnck_layout_is_pinned():
+    assert checkpoint_to_bytes(_hand_set_mlp_8_4()) == _tnck_mlp_8_4()
+    loaded = checkpoint_from_bytes(_tnck_mlp_8_4())
+    layer = loaded.quantized_layers()[0]
+    assert np.array_equal(layer.w.data, _tnck_weights(32).reshape(8, 4))
+    assert np.array_equal(layer.b.data, np.arange(4.0))
+    assert (layer.qstate.delta, layer.qstate.mu, layer.qstate.sigma) == TNCK_QUANT
+
+
 def test_hand_built_tern_file_loads():
-    model = model_from_packed(_tern_mlp_8_4())
+    model = packed_from_bytes(_tern_mlp_8_4())
     with no_grad():
         out = model.forward(np.ones((2, 8)), WEIGHT_PHASE).data
     assert np.array_equal(out, np.tile(np.arange(4.0), (2, 1)))
@@ -453,15 +502,16 @@ def test_hand_built_tern_file_loads():
         # A 10^7 x 10^7 layer (728 TiB of float64) is rejected before anything is allocated.
         {"arch": "custom", "meta": '{"specs": [{"kind": "dense", "in_dim": 10000000, '
                                    '"out_dim": 10000000, "quantized": true}]}'},
+        {"records": 2},  # one record more than the arch has
     ],
     ids=["bias-length", "name", "transposed", "other-arch", "missing-layer", "quantized-flag",
          "flag-byte", "metadata-type", "name-encoding", "metadata-long-int", "metadata-nesting",
-         "custom-huge-spec"],
+         "custom-huge-spec", "extra-layer"],
 )
 def test_tern_record_not_matching_its_spec_rejected_at_load(tmp_path, fields):
     data = _tern_mlp_8_4(**fields)
     with pytest.raises(FormatError):
-        model_from_packed(data)
+        packed_from_bytes(data)
     path = tmp_path / "bad.tern"
     path.write_bytes(data)
     with pytest.raises(FormatError):
@@ -470,25 +520,32 @@ def test_tern_record_not_matching_its_spec_rejected_at_load(tmp_path, fields):
         load_packed_and_infer(path, np.zeros((1, 8)))
 
 
-def test_tnck_short_bias_rejected_at_load():
-    ckpt = checkpoint_from_model(_trained_like_model())
-    ckpt.layers[0].bias = ckpt.layers[0].bias[:1]
-    with pytest.raises(FormatError, match="bias length"):
-        model_from_checkpoint(checkpoint_from_bytes(checkpoint_to_bytes(ckpt)))
-
-
-def test_tnck_extra_layer_record_rejected_at_load():
-    ckpt = checkpoint_from_model(_trained_like_model())
-    ckpt.layers.append(ckpt.layers[-1])
-    with pytest.raises(FormatError, match="more than"):
-        model_from_checkpoint(checkpoint_from_bytes(checkpoint_to_bytes(ckpt)))
-
-
-def test_tnck_quantizer_record_must_match_the_spec():
-    ckpt = checkpoint_from_model(_trained_like_model())
-    ckpt.layers[1].quant = None
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"bias_len": 1},  # would broadcast one bias into every logit
+        {"name": "conv7"},
+        {"shape": (4, 8)},  # transposed weights
+        {"arch": "mlp-8-6"},  # a valid arch that the record does not hold
+        {"arch": "mlp-8-4-2"},  # one record short
+        {"records": 2},  # one record more than the arch has
+        {"quantized": 0},  # mlp layers are quantized: the quantizer record is missing
+        {"quantized": 2},  # a flag byte is 0 or 1
+        # A 10^7 x 10^7 layer (728 TiB of float64) is rejected before anything is allocated.
+        {"arch": "custom", "meta": '{"specs": [{"kind": "dense", "in_dim": 10000000, '
+                                   '"out_dim": 10000000, "quantized": true}]}'},
+    ],
+    ids=["bias-length", "name", "transposed", "other-arch", "missing-layer", "extra-layer",
+         "quantized-flag", "flag-byte", "custom-huge-spec"],
+)
+def test_tnck_record_not_matching_its_spec_rejected_at_load(tmp_path, fields):
+    data = _tnck_mlp_8_4(**fields)
     with pytest.raises(FormatError):
-        model_from_checkpoint(checkpoint_from_bytes(checkpoint_to_bytes(ckpt)))
+        checkpoint_from_bytes(data)
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(data)
+    with pytest.raises(FormatError):
+        load_checkpoint(path)
 
 
 def test_loading_draws_no_random_init(tmp_path, monkeypatch):
@@ -511,10 +568,10 @@ def test_loading_draws_no_random_init(tmp_path, monkeypatch):
 
 def _reference_packed_forward(data: bytes, x: np.ndarray) -> np.ndarray:
     """A second, independent interpreter of a TERN file: per layer, the linear
-    op on the codes, times the float32 scale, plus the bias."""
-    arch, meta, records = packed_from_bytes(data)
+    op on the codes, times the float32 scale, plus the bias. It reads the
+    records with the format's record reader, not through the loader."""
+    r, arch, meta, nlayers = modelio._read_header(data, modelio.PACKED_MAGIC)
     t = np.asarray(x, dtype=np.float64)
-    it = iter(records)
     specs = [LayerSpec.from_dict(d) for d in meta["specs"]] if arch == "custom" else arch_specs(arch)
     for spec in specs:
         if spec.kind == "relu":
@@ -523,22 +580,20 @@ def _reference_packed_forward(data: bytes, x: np.ndarray) -> np.ndarray:
         if spec.kind == "flatten":
             t = t.reshape(t.shape[0], -1)
             continue
-        rec = next(it)
-        if rec.quantized:
-            eff = rec.codes.astype(np.float64).reshape(rec.shape)
-            scale = float(rec.scale)
-        else:
-            eff = rec.weights.astype(np.float64).reshape(rec.shape)
-            scale = None
+        nlayers -= 1
+        r.str16()  # name
+        shape = tuple(r.u32() for _ in range(r.u8()))
+        eff, bias, st = modelio._read_packed_layer(r, shape)
         if spec.kind == "dense":
             z = t @ eff
         else:
             z = kernels.conv2d_forward(t, eff, spec.stride, spec.padding)
-        if scale is not None:
-            z = z * scale
-        bias = rec.bias.astype(np.float64)
+        if st is not None:
+            z = z * float(st.scale)
+        bias = bias.astype(np.float64)
         t = z + (bias if spec.kind == "dense" else bias[None, :, None, None])
-    assert next(it, None) is None
+    assert nlayers == 0
+    r.expect_end()
     return t
 
 
@@ -583,8 +638,8 @@ def test_packed_model_with_dead_columns_matches_the_full_codes(tmp_path):
     export_packed(model, path)
     data = path.read_bytes()
     packed = load_packed(path)
-    for layer, rec in zip(packed.quantized_layers(), packed_from_bytes(data)[2]):
-        codes = rec.codes.reshape(rec.shape)
+    for layer, source in zip(packed.quantized_layers(), model.quantized_layers()):
+        codes = source.qstate.codes
         live = np.flatnonzero(codes.any(axis=0))
         if live.size == codes.shape[1]:
             assert layer.qstate.live_columns is None
@@ -689,12 +744,12 @@ def test_packed_model_rejects_refresh_training_and_checkpoint(tmp_path):
         with pytest.raises(ValueError, match="packed"):
             model.forward(np.zeros((1, 16)), mode)
     with pytest.raises(ValueError, match="packed"):
-        checkpoint_from_model(model)
+        checkpoint_to_bytes(model)
 
 
 def test_packed_forward_with_a_zero_scale(tmp_path):
     # Only the weight-phase backward divides by the scale; a forward never does.
-    model = model_from_packed(_tern_mlp_8_4())
+    model = packed_from_bytes(_tern_mlp_8_4())
     model.quantized_layers()[0].qstate.scale = 0.0
     with no_grad():
         out = model.forward(np.ones((1, 8)), WEIGHT_PHASE).data
@@ -712,17 +767,17 @@ def test_single_byte_mutations_behind_a_valid_crc(arch, fmt):
     model = _trained_like_lenet(seed=25) if arch == "lenet-small" else _trained_like_model(seed=25)
     x = np.random.default_rng(26).normal(size=(1, 1, 28, 28) if arch == "lenet-small" else (1, 16))
     if fmt == "tnck":
-        blob = checkpoint_to_bytes(checkpoint_from_model(model))
+        blob = checkpoint_to_bytes(model)
 
         def load_and_run(data):
-            return model_from_checkpoint(checkpoint_from_bytes(data)).forward(x).data
+            return checkpoint_from_bytes(data).forward(x).data
 
     else:
         blob = packed_to_bytes(model)
 
         def load_and_run(data):
             with no_grad():
-                return model_from_packed(data).forward(x, WEIGHT_PHASE).data
+                return packed_from_bytes(data).forward(x, WEIGHT_PHASE).data
 
     expected_shape = load_and_run(blob).shape
     rng = np.random.default_rng(FUZZ_SEED)

@@ -1,12 +1,7 @@
 import numpy as np
 import pytest
 
-from terntrain.modelio import (
-    checkpoint_from_bytes,
-    checkpoint_from_model,
-    checkpoint_to_bytes,
-    model_from_checkpoint,
-)
+from terntrain.modelio import checkpoint_from_bytes, checkpoint_to_bytes
 from terntrain.network import LayerSpec, Model, arch_specs, build_from_config, mlp_specs
 from terntrain.ternarize import THRESHOLD_PHASE, WEIGHT_PHASE, refresh, tern
 
@@ -103,8 +98,7 @@ def test_float_forward_reproduces_saved_logits_bit_identically():
     model = build_from_config("mlp-16-8-4", seed=7)
     x = np.random.default_rng(8).normal(size=(5, 16))
     saved_logits = model.forward(x, "float").data.copy()
-    blob = checkpoint_to_bytes(checkpoint_from_model(model))
-    restored = model_from_checkpoint(checkpoint_from_bytes(blob))
+    restored = checkpoint_from_bytes(checkpoint_to_bytes(model))
     again = restored.forward(x, "float").data
     assert np.array_equal(saved_logits, again)
 

@@ -13,7 +13,7 @@ from terntrain.gaussian import (
     d_truncated_mean_d_delta,
     truncated_upper_mean,
 )
-from terntrain.modelio import checkpoint_to_bytes
+from terntrain.modelio import checkpoint_from_bytes
 from terntrain import network, ternarize, trainer
 from terntrain.autograd import softmax_cross_entropy
 from terntrain.network import FLOAT_MODE, LayerSpec, Model, build_from_config
@@ -215,9 +215,7 @@ def test_pretrain_zero_epochs_keeps_initialization():
     assert metrics == []
     for p, before in zip(model.parameters(), snapshot):
         assert np.array_equal(p.data, before)
-    assert np.array_equal(
-        ckpt.layers[0].weights.astype(np.float64).reshape(snapshot[0].shape), snapshot[0]
-    )
+    assert np.array_equal(checkpoint_from_bytes(ckpt).param_layers()[0].w.data, snapshot[0])
 
 
 def test_pretrain_deterministic_checkpoint_bytes():
@@ -231,7 +229,7 @@ def test_pretrain_deterministic_checkpoint_bytes():
             batch_size=16,
             seed=9,
         )
-        return checkpoint_to_bytes(ckpt)
+        return ckpt
 
     assert run() == run()
 
