@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 
 from .autograd import Tensor, backward
 from .network import Model, build_from_config
-from .ternarize import QuantizerState, TernaryCodes
+from .ternarize import QuantizerState
 
 __all__ = [
     "Tensor",
@@ -18,6 +18,5 @@ __all__ = [
     "Model",
     "build_from_config",
     "QuantizerState",
-    "TernaryCodes",
     "__version__",
 ]

@@ -173,8 +173,8 @@ def smul(s: Tensor, x: Tensor) -> Tensor:
     sval = float(s.data)
 
     def rule(g):
-        gs = np.asarray(np.sum(g * x.data)).reshape(s.data.shape)
-        return gs, g * sval
+        gs = np.asarray(np.sum(g * x.data)).reshape(s.data.shape) if s.requires_grad else None
+        return gs, (g * sval if x.requires_grad else None)
 
     return _node(sval * x.data, (s, x), rule)
 

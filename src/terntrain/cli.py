@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, RunConfig, parse_config
+from .config import ConfigError, RunConfig, checked_float, parse_config
 from .data import DataError, Dataset, load_csv, load_idx
 from .gradcheck import run_suite, suite_passed
 from .modelio import (
@@ -26,7 +26,7 @@ from .modelio import (
     save_checkpoint,
 )
 from .network import build_from_config
-from .ternarize import DegenerateLayerError, codes_from_state, sparsity
+from .ternarize import DegenerateLayerError, sparsity
 from .trainer import DivergenceError, evaluate, make_train_state, pretrain, train
 
 
@@ -146,7 +146,7 @@ def cmd_quantize(args) -> int:
     if args.epochs is not None:
         cfg.epochs = args.epochs
     if args.init_frac is not None:
-        cfg.init_frac = args.init_frac
+        cfg.init_frac = checked_float("init_frac", args.init_frac)
     if args.no_grad_correctness:
         cfg.grad_correctness = False
     if args.out_dir:
@@ -263,10 +263,9 @@ def cmd_inspect(args) -> int:
         line = f"  mean={w.mean():+.6f} std={w.std():.6f} skewness={_skewness(w):+.4f}"
         if layer.qstate is not None:
             st = layer.qstate
-            sp = sparsity(codes_from_state(w, st))
             line += (
                 f"\n  delta={st.delta:+.6f} delta_c={st.delta_c:.6f} "
-                f"scale={st.scale:+.6f} sparsity={sp:.4f}"
+                f"scale={st.scale:+.6f} sparsity={sparsity(st.codes):.4f}"
             )
         print(line)
         _print_histogram(w.reshape(-1))

@@ -2,12 +2,13 @@
 
 Zero-dependency text format: one "key = value" per line, blank lines and
 '#' comments ignored. Unknown keys are rejected, every numeric value is
-range-checked at parse time, and the parsed config echoes back into the run
-directory so ablation grids stay diffable.
+range-checked at parse time (a float must also be finite), and the parsed
+config echoes back into the run directory so ablation grids stay diffable.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 
 from .optim import OPTIMIZER_KINDS, OptimizerConfig
@@ -91,8 +92,8 @@ def _parse_schedule(key: str, v: str) -> list[tuple[int, float]]:
             ep, lr = int(ep_s), float(lr_s)
         except ValueError:
             raise ConfigError(f"{key}: expected epoch:lr pairs, got {part!r}") from None
-        if ep < 0 or lr <= 0:
-            raise ConfigError(f"{key}: epoch must be >= 0 and lr > 0, got {part!r}")
+        if ep < 0 or not 0 < lr < math.inf:
+            raise ConfigError(f"{key}: epoch must be >= 0 and lr finite and > 0, got {part!r}")
         out.append((ep, lr))
     if sorted(e for e, _ in out) != [e for e, _ in out]:
         raise ConfigError(f"{key}: breakpoints must be in ascending epoch order")
@@ -105,6 +106,28 @@ def _in_range(key, value, lo=None, hi=None, lo_open=False, hi_open=False):
     if hi is not None and (value >= hi if hi_open else value > hi):
         raise ConfigError(f"{key}: value {value} above allowed range")
     return value
+
+
+# Each float key's allowed range, as keyword arguments to _in_range.
+_FLOAT_RANGES = {
+    "normalize_mean": {},
+    "normalize_std": dict(lo=0.0, lo_open=True),
+    "weight_lr": dict(lo=0.0, lo_open=True),
+    "weight_momentum": dict(lo=0.0, hi=1.0, hi_open=True),
+    "weight_decay": dict(lo=0.0),
+    "adam_beta1": dict(lo=0.0, hi=1.0, hi_open=True),
+    "adam_beta2": dict(lo=0.0, hi=1.0, hi_open=True),
+    "adam_eps": dict(lo=0.0, lo_open=True),
+    "threshold_lr": dict(lo=0.0, lo_open=True),
+    "init_frac": dict(lo=0.0, lo_open=True),
+}
+
+
+def checked_float(key: str, value: float) -> float:
+    """value if it is finite and inside the float key's allowed range; else a ConfigError."""
+    if not math.isfinite(value):
+        raise ConfigError(f"{key}: value {value} is not a finite number")
+    return _in_range(key, value, **_FLOAT_RANGES[key])
 
 
 _STR_KEYS = (
@@ -146,10 +169,8 @@ def config_from_pairs(pairs: dict[str, str], source: str = "<config>") -> RunCon
                 if value not in ("idx", "csv"):
                     raise ConfigError(f"dataset: expected idx or csv, got {value!r}")
                 cfg.dataset = value
-            elif key == "normalize_mean":
-                cfg.normalize_mean = float(value)
-            elif key == "normalize_std":
-                cfg.normalize_std = _in_range(key, float(value), lo=0.0, lo_open=True)
+            elif key in _FLOAT_RANGES:
+                setattr(cfg, key, checked_float(key, float(value)))
             elif key == "batch_size":
                 cfg.batch_size = _in_range(key, int(value), lo=1)
             elif key == "epochs":
@@ -160,30 +181,14 @@ def config_from_pairs(pairs: dict[str, str], source: str = "<config>") -> RunCon
                 if value not in OPTIMIZER_KINDS:
                     raise ConfigError(f"weight_opt: expected one of {OPTIMIZER_KINDS}, got {value!r}")
                 cfg.weight_opt = value
-            elif key == "weight_lr":
-                cfg.weight_lr = _in_range(key, float(value), lo=0.0, lo_open=True)
-            elif key == "weight_momentum":
-                cfg.weight_momentum = _in_range(key, float(value), lo=0.0, hi=1.0, hi_open=True)
-            elif key == "weight_decay":
-                cfg.weight_decay = _in_range(key, float(value), lo=0.0)
-            elif key == "adam_beta1":
-                cfg.adam_beta1 = _in_range(key, float(value), lo=0.0, hi=1.0, hi_open=True)
-            elif key == "adam_beta2":
-                cfg.adam_beta2 = _in_range(key, float(value), lo=0.0, hi=1.0, hi_open=True)
-            elif key == "adam_eps":
-                cfg.adam_eps = _in_range(key, float(value), lo=0.0, lo_open=True)
             elif key == "threshold_opt":
                 if value not in ("vanilla-sgd", "adam"):
                     raise ConfigError(
                         f"threshold_opt: expected vanilla-sgd or adam, got {value!r}"
                     )
                 cfg.threshold_opt = value
-            elif key == "threshold_lr":
-                cfg.threshold_lr = _in_range(key, float(value), lo=0.0, lo_open=True)
             elif key == "lr_schedule":
                 cfg.lr_schedule = _parse_schedule(key, value)
-            elif key == "init_frac":
-                cfg.init_frac = _in_range(key, float(value), lo=0.0, lo_open=True)
             elif key == "grad_correctness":
                 cfg.grad_correctness = _parse_bool(key, value)
             else:

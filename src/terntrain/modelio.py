@@ -38,12 +38,11 @@ from .network import LayerSpec, Model, arch_specs
 from .ternarize import (
     WEIGHT_PHASE,
     QuantizerState,
-    codes_from_state,
-    compact_columns,
     dead_outputs,
     is_fresh,
     layer_stats,
     refresh,
+    set_codes,
     sparsity,
 )
 
@@ -404,7 +403,7 @@ def packed_to_bytes(model: Model) -> bytes:
                 )
             w.u8(1)
             w.f32(layer.qstate.scale)
-            w.raw(pack_codes(codes_from_state(layer.w.data, layer.qstate).codes))
+            w.raw(pack_codes(layer.qstate.codes))
         else:
             w.u8(0)
             w.f32_array(layer.w.data)
@@ -418,11 +417,8 @@ def _read_packed_layer(r: _Reader, shape: tuple) -> tuple:
     if not r.flag():
         return r.f32_array(n).astype(np.float64).reshape(shape), r.f32_array(r.u32()), None
     st = QuantizerState(0.0, scale=r.f32())
-    codes = unpack_codes(r.take((n + 3) // 4), n).reshape(shape)
-    st.codes = st.source = codes.astype(np.float64)
-    st.codes.flags.writeable = False
-    if codes.ndim == 2:
-        st.live_columns = compact_columns(codes, codes.any(axis=0))
+    set_codes(st, unpack_codes(r.take((n + 3) // 4), n).reshape(shape).astype(np.float64))
+    st.source = st.codes
     return st.codes, r.f32_array(r.u32()), st
 
 
@@ -431,8 +427,9 @@ def packed_from_bytes(data: bytes) -> Model:
 
     A quantized layer's read-only float64 codes serve as its weights and as
     its quantizer state's codes and source, beside the file's float32 scale,
-    so the weight-phase forward computes (x @ codes) * scale + bias. A
-    quantized dense layer's live columns are derived from the file's codes.
+    so the weight-phase forward computes (x @ codes) * scale + bias. The
+    codes are set through set_codes(), as a trained layer's are, so a
+    quantized dense layer's live columns follow from them the same way.
     """
     model = _load(data, PACKED_MAGIC, _read_packed_layer)
     model.packed = True
@@ -470,9 +467,8 @@ def export_packed(model: Model, path) -> dict:
         }
         if layer.qstate is not None:
             packed_bytes = (n + 3) // 4
-            codes = codes_from_state(layer.w.data, layer.qstate)
-            entry["sparsity"] = sparsity(codes)
-            entry["dead_outputs"] = dead_outputs(codes.codes)
+            entry["sparsity"] = sparsity(layer.qstate.codes)
+            entry["dead_outputs"] = dead_outputs(layer.qstate.codes)
             entry["bytes_packed"] = packed_bytes
             entry["compression_ratio"] = (4 * n) / (packed_bytes + 4)
             q_params += n

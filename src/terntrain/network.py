@@ -175,8 +175,8 @@ class Model:
 
     def init_thresholds(self, frac: float) -> None:
         """Set each quantized layer's threshold to frac * max|w|."""
-        if frac <= 0:
-            raise ValueError(f"threshold init fraction must be positive, got {frac}")
+        if not 0 < frac < math.inf:
+            raise ValueError(f"threshold init fraction must be positive and finite, got {frac}")
         for layer in self.quantized_layers():
             layer.qstate.delta = frac * float(np.max(np.abs(layer.w.data)))
 

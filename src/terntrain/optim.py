@@ -31,7 +31,7 @@ class OptimizerConfig:
             raise ValueError(f"betas must be in [0, 1), got {self.betas}")
         if not self.eps > 0:
             raise ValueError(f"eps must be positive, got {self.eps}")
-        if self.weight_decay < 0:
+        if not self.weight_decay >= 0:
             raise ValueError(f"weight_decay must be non-negative, got {self.weight_decay}")
 
 

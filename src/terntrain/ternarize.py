@@ -7,6 +7,10 @@ with respect to the threshold while the codes stay frozen, and the weight
 phase routes gradients through the staircase with a 1/scale correction so
 the composite derivative of the effective weight w.r.t. the float weight
 is exactly one.
+
+A layer's codes and the live columns that follow from them are written in
+one place, set_codes(): by refresh() for a trained layer, and by the TERN
+loader for a packed one.
 """
 
 from __future__ import annotations
@@ -42,11 +46,8 @@ class QuantizerState:
     exactly while the layer still holds that same array. codes are the
     float64 codes Tern(source), read-only too.
 
-    For 2-D (dense, in x out) weights refresh() also keeps col_range, each
-    output column's max and min, and live_columns: the indices of the
-    columns holding a nonzero code beside the codes on those columns as one
-    contiguous read-only array, when at least one column is all zero. It is
-    None when every column is live, and for conv weights.
+    codes and live_columns are written by set_codes() alone, which derives
+    the live columns from the codes: see there.
     """
 
     delta: float
@@ -56,19 +57,7 @@ class QuantizerState:
     scale: float = float("nan")
     codes: np.ndarray | None = field(default=None, repr=False, compare=False)
     source: np.ndarray | None = field(default=None, repr=False, compare=False)
-    col_range: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False, compare=False)
     live_columns: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False, compare=False)
-
-
-@dataclass
-class TernaryCodes:
-    """Codes in {-1, 0, +1} plus the scale that reconstitutes effective weights."""
-
-    codes: np.ndarray  # int8
-    scale: float
-
-    def effective(self) -> np.ndarray:
-        return self.scale * self.codes.astype(np.float64)
 
 
 def layer_stats(w: np.ndarray) -> tuple[float, float]:
@@ -99,11 +88,11 @@ def tern(w: np.ndarray, mu: float, delta_c: float) -> np.ndarray:
 def refresh(state: QuantizerState, w: np.ndarray) -> QuantizerState:
     """Derive mu, sigma, delta_c, scale, codes and live columns from the weights w.
 
-    mu and sigma (and a dense layer's column extremes) are recomputed only
-    when w is not the array the state was last derived from; w is then
-    marked read-only, so that the state stays exact for as long as the
-    layer holds w. The codes and live columns are recomputed when the
-    weights or the clipped threshold changed. delta is left unchanged.
+    mu and sigma are recomputed only when w is not the array the state was
+    last derived from; w is then marked read-only, so that the state stays
+    exact for as long as the layer holds w. The codes and live columns are
+    recomputed when the weights or the clipped threshold changed. delta is
+    left unchanged.
     Raises DegenerateLayerError when the weights have zero spread, since
     no Gaussian fit exists then.
     """
@@ -114,33 +103,33 @@ def refresh(state: QuantizerState, w: np.ndarray) -> QuantizerState:
             raise DegenerateLayerError("all weights equal: sigma is 0, no scale is defined")
         w.flags.writeable = False
         state.mu, state.sigma, state.source = mu, sigma, w
-        state.col_range = (w.max(axis=0), w.min(axis=0)) if w.ndim == 2 else None
     delta_c = clip_threshold(state.delta, state.sigma)
     if new_weights or delta_c != state.delta_c:
-        state.codes = tern(w, state.mu, delta_c)
-        state.codes.flags.writeable = False
-        if state.col_range is not None:
-            # tern()'s comparisons, on each column's extremes: O(columns).
-            col_max, col_min = state.col_range
-            live = (col_max > state.mu + delta_c) | (col_min < state.mu - delta_c)
-            state.live_columns = compact_columns(state.codes, live)
+        set_codes(state, tern(w, state.mu, delta_c))
     state.delta_c = delta_c
     state.scale = truncated_upper_mean(TruncGaussParams(state.mu, state.sigma, delta_c))
     return state
 
 
-def compact_columns(codes: np.ndarray, live: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """The live_columns pair for 2-D codes and a boolean mask of their live
-    columns: the live indices beside the float64 codes on them as one
-    contiguous read-only array; None when every column is live."""
-    if live.all():
-        return None
-    idx = np.flatnonzero(live)
-    # np.take keeps the row-major layout that codes[:, idx] would not: a
-    # batch-1 product then runs the same BLAS routine as on the full codes.
-    cols = np.take(codes, idx, axis=1).astype(np.float64, copy=False)
-    cols.flags.writeable = False
-    return idx, cols
+def set_codes(state: QuantizerState, codes: np.ndarray) -> None:
+    """Make the float64 codes the state's codes, read-only, with their live columns.
+
+    For 2-D (dense, in x out) codes with at least one all-zero column,
+    live_columns is the indices of the columns holding a nonzero code
+    beside the codes on those columns as one contiguous read-only array.
+    It is None when every column is live, and for conv codes.
+    """
+    codes.flags.writeable = False
+    state.codes, state.live_columns = codes, None
+    if codes.ndim == 2:
+        live = (codes != 0).any(axis=0)
+        if not live.all():
+            idx = np.flatnonzero(live)
+            # np.take keeps the row-major layout that codes[:, idx] would not: a
+            # batch-1 product then runs the same BLAS routine as on the full codes.
+            cols = np.take(codes, idx, axis=1)
+            cols.flags.writeable = False
+            state.live_columns = (idx, cols)
 
 
 def is_fresh(state: QuantizerState, w: np.ndarray) -> bool:
@@ -200,13 +189,6 @@ def threshold_scale_node(delta_leaf: Tensor, state: QuantizerState) -> Tensor:
     return mean_op(clip_op(delta_leaf))
 
 
-def codes_from_state(w: np.ndarray, state: QuantizerState) -> TernaryCodes:
-    """The state's cached codes as int8; the state must be fresh for w."""
-    if not is_fresh(state, w):
-        raise ValueError("stale quantizer state: call refresh() before reading its codes")
-    return TernaryCodes(codes=state.codes.astype(np.int8), scale=state.scale)
-
-
 def dead_outputs(codes: np.ndarray) -> int:
     """Output units whose codes are all zero: the columns of dense (in, out)
     codes, the filters of conv (out, in, kh, kw) codes."""
@@ -217,7 +199,7 @@ def dead_outputs(codes: np.ndarray) -> int:
 
 def sparsity(codes) -> float:
     """Fraction of zero codes."""
-    arr = codes.codes if isinstance(codes, TernaryCodes) else np.asarray(codes)
+    arr = np.asarray(codes)
     if arr.size == 0:
         raise ValueError("sparsity of an empty layer is undefined")
     return float(np.mean(arr == 0))

@@ -19,7 +19,7 @@ from .autograd import backward, no_grad, softmax_cross_entropy
 from .modelio import checkpoint_to_bytes
 from .network import FLOAT_MODE, Model
 from .optim import OptimizerConfig, ThresholdOptimizer, make_optimizer
-from .ternarize import THRESHOLD_PHASE, WEIGHT_PHASE, codes_from_state, sparsity
+from .ternarize import THRESHOLD_PHASE, WEIGHT_PHASE, sparsity
 
 
 class DivergenceError(RuntimeError):
@@ -133,7 +133,9 @@ def tern_train_step(state: TrainState, batch: tuple[np.ndarray, np.ndarray]) -> 
 
 
 def eval_loss_acc(model: Model, dataset, mode: str, batch_size: int = 256) -> tuple[float, float]:
-    """Mean loss and top-1 accuracy over a dataset in the given mode; records no graph."""
+    """Mean loss and top-1 accuracy over a dataset in "float" or "ternary" mode; records no graph."""
+    if mode not in ("float", "ternary"):
+        raise ValueError(f"unknown evaluation mode {mode!r}")
     if len(dataset) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
     fwd_mode = WEIGHT_PHASE if mode == "ternary" else FLOAT_MODE
@@ -155,8 +157,6 @@ def eval_loss_acc(model: Model, dataset, mode: str, batch_size: int = 256) -> tu
 
 def evaluate(model: Model, dataset, mode: str = "float") -> float:
     """Top-1 accuracy in "float" or "ternary" mode (frozen refreshed states)."""
-    if mode not in ("float", "ternary"):
-        raise ValueError(f"unknown evaluation mode {mode!r}")
     return eval_loss_acc(model, dataset, mode)[1]
 
 
@@ -164,11 +164,10 @@ def _quantizer_columns(model: Model) -> dict:
     cols: dict = {}
     for layer in model.quantized_layers():
         st = layer.qstate
-        codes = codes_from_state(layer.w.data, st)
         cols[f"{layer.name}_delta"] = st.delta
         cols[f"{layer.name}_delta_c"] = st.delta_c
         cols[f"{layer.name}_scale"] = st.scale
-        cols[f"{layer.name}_sparsity"] = sparsity(codes)
+        cols[f"{layer.name}_sparsity"] = sparsity(st.codes)
     return cols
 
 

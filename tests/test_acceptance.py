@@ -28,7 +28,7 @@ from terntrain.modelio import (
 )
 from terntrain.network import build_from_config
 from terntrain.optim import OptimizerConfig
-from terntrain.ternarize import codes_from_state, sparsity, tern
+from terntrain.ternarize import sparsity, tern
 from terntrain.trainer import (
     make_train_state,
     pretrain,
@@ -224,7 +224,7 @@ def test_criterion_07_threshold_init_insensitivity(desk):
         model = desk.models[(C7_SEED, True, f)]
         layers = ", ".join(
             f"{l.name} delta_c/sigma {l.qstate.delta_c / l.qstate.sigma:.3f} "
-            f"sparsity {sparsity(codes_from_state(l.w.data, l.qstate)):.3f}"
+            f"sparsity {sparsity(l.qstate.codes):.3f}"
             for l in model.quantized_layers()
         )
         print(f"  init {f}: {layers}")
@@ -251,7 +251,7 @@ def test_criterion_08_compression(desk, tmp_path):
     # through the written file.
     loaded = packed_from_bytes(path.read_bytes())
     for layer, packed in zip(model.param_layers(), loaded.param_layers()):
-        codes = codes_from_state(layer.w.data, layer.qstate).codes
+        codes = layer.qstate.codes
         assert np.array_equal(unpack_codes(pack_codes(codes), codes.size), codes.reshape(-1))
         assert np.array_equal(packed.w.data, codes)
 

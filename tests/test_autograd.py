@@ -350,6 +350,27 @@ def test_matmul_skips_gradient_of_constant_operand():
     assert np.array_equal(at.grad, g @ b.T)
 
 
+def test_smul_skips_gradient_of_constant_operand():
+    rng = np.random.default_rng(8)
+    s = np.float64(0.75)
+    x = rng.normal(size=(3, 2))
+    g = rng.normal(size=(3, 2))
+
+    # x constant, as the first layer's threshold-phase product is: no g * s.
+    st = Tensor(s, requires_grad=True)
+    out = ag.smul(st, Tensor(x))
+    assert out._backward(g)[1] is None
+    backward(_weighted_sum(out, g))
+    assert st.grad == np.sum(g * x)
+
+    # s constant: no sum(g * x).
+    xt = Tensor(x, requires_grad=True)
+    out = ag.smul(Tensor(s), xt)
+    assert out._backward(g)[0] is None
+    backward(_weighted_sum(out, g))
+    assert np.array_equal(xt.grad, g * s)
+
+
 def test_no_grad_records_no_parents():
     x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
     w = Tensor(np.ones((3, 2)), requires_grad=True)

@@ -125,6 +125,23 @@ def test_quantize_export_inspect_roundtrip(pretrained, tmp_path, capsys):
     assert text.count("[") > 32  # histogram lines present
 
 
+@pytest.mark.parametrize(
+    "flag, line",
+    [("nan", ""), ("inf", ""), ("-1", ""), (None, "init_frac = nan")],
+    ids=["flag-nan", "flag-inf", "flag-negative", "config-nan"],
+)
+def test_quantize_rejects_a_bad_init_frac_as_a_config_error(pretrained, tmp_path, capsys, flag, line):
+    root, cfg, ckpt = pretrained
+    bad_cfg = tmp_path / "run.cfg"
+    bad_cfg.write_text(cfg.read_text() + line + "\n")
+    argv = ["quantize", "--config", str(bad_cfg), "--checkpoint", str(ckpt), "--out-dir", str(tmp_path / "q")]
+    if flag is not None:
+        argv += ["--init-frac", flag]
+    assert main(argv) == 1
+    assert "config error: init_frac" in capsys.readouterr().err
+    assert not (tmp_path / "q" / "ternary.ckpt").exists()
+
+
 def test_quantize_rerun_reproduces_metrics(pretrained, tmp_path):
     root, cfg, ckpt = pretrained
 

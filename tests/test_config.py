@@ -64,6 +64,17 @@ def test_numeric_ranges():
         _parse(MINIMAL + "batch_size = sixty-four\n")
 
 
+FLOAT_KEYS = ("normalize_mean", "normalize_std", "weight_lr", "weight_momentum", "weight_decay",
+              "adam_beta1", "adam_beta2", "adam_eps", "threshold_lr", "init_frac")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_non_finite_float_rejected(key, value):
+    with pytest.raises(ConfigError, match=key):
+        _parse(MINIMAL + f"{key} = {value}\n")
+
+
 def test_enum_values():
     with pytest.raises(ConfigError):
         _parse(MINIMAL + "dataset = parquet\n")
@@ -89,8 +100,9 @@ def test_schedule_parsing():
         _parse(MINIMAL + "lr_schedule = 20:0.01,10:0.001\n")
     with pytest.raises(ConfigError):
         _parse(MINIMAL + "lr_schedule = 10=0.01\n")
-    with pytest.raises(ConfigError):
-        _parse(MINIMAL + "lr_schedule = 10:0\n")
+    for rate in ("0", "nan", "inf"):
+        with pytest.raises(ConfigError, match="lr_schedule"):
+            _parse(MINIMAL + f"lr_schedule = 10:{rate}\n")
 
 
 def test_to_dict_roundtrips_schedule():

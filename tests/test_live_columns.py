@@ -108,7 +108,7 @@ def test_no_dead_column_keeps_the_plain_path():
     lenet.init_thresholds(0.1)
     lenet.refresh_all()
     for layer in lenet.quantized_layers()[:2]:  # conv layers keep no live set
-        assert layer.qstate.col_range is None and layer.qstate.live_columns is None
+        assert layer.qstate.live_columns is None
 
 
 @pytest.mark.parametrize("mode", [THRESHOLD_PHASE, WEIGHT_PHASE])
@@ -186,14 +186,14 @@ def test_live_set_recomputed_exactly_when_the_codes_are(monkeypatch):
     log = []
 
     def watched(qstate, w):
-        before = (qstate.codes, qstate.live_columns, qstate.col_range)
+        before = (qstate.codes, qstate.live_columns)
         out = real_refresh(qstate, w)
         idx, cols = qstate.live_columns  # every layer keeps dead columns here
         assert np.array_equal(idx, _live_of(qstate.codes))
         assert np.array_equal(cols, qstate.codes[:, idx])
         codes_new = qstate.codes is not before[0]
         assert (qstate.live_columns is not before[1]) == codes_new
-        log.append((codes_new, qstate.col_range is not before[2]))
+        log.append(codes_new)
         return out
 
     monkeypatch.setattr(network, "refresh", watched)
@@ -203,14 +203,13 @@ def test_live_set_recomputed_exactly_when_the_codes_are(monkeypatch):
         tern_calls.clear()
         tern_train_step(state, batch())
         assert len(log) == 2 * n_layers
-        assert sum(c for c, _ in log) == len(tern_calls)
-        assert [r for _, r in log] == [True] * n_layers + [False] * n_layers  # column extremes once per weight change
+        assert sum(log) == len(tern_calls)
     dataset = Dataset(rng.normal(size=(16, 6)), rng.integers(0, 3, size=16))
     eval_loss_acc(model, dataset, "ternary")  # refreshes the last step's new weights
     log.clear()
     tern_calls.clear()
     eval_loss_acc(model, dataset, "ternary")  # neither the weights nor the thresholds moved since
-    assert log == [(False, False)] * n_layers and tern_calls == []
+    assert log == [False] * n_layers and tern_calls == []
 
 
 def test_dead_column_gradcheck_catches_a_forward_that_disagrees_with_the_codes(monkeypatch):

@@ -400,9 +400,11 @@ def test_wrong_magic_across_formats(tmp_path):
 # --- one loader for both formats ----------------------------------------------
 
 
-def _tern_mlp_8_4(arch="mlp-8-4", meta="{}", name="dense0", shape=(8, 4), bias_len=4, quantized=1, records=1):
+def _tern_mlp_8_4(arch="mlp-8-4", meta="{}", name="dense0", shape=(8, 4), bias_len=4, quantized=1, records=1,
+                  codes=None, scale=0.5):
     """A TERN file written field by field: `records` copies of one dense
-    layer record with all-zero codes."""
+    layer record holding the packed `codes` (all zero by default) and
+    `scale`."""
     w = _Writer()
     w.raw(b"TERN")
     w.u16(1)
@@ -419,8 +421,8 @@ def _tern_mlp_8_4(arch="mlp-8-4", meta="{}", name="dense0", shape=(8, 4), bias_l
         w.u8(quantized)
         n = int(np.prod(shape))
         if quantized:
-            w.f32(0.5)
-            w.raw(bytes((n + 3) // 4))
+            w.raw(struct.pack("<f", scale))
+            w.raw(bytes((n + 3) // 4) if codes is None else codes)
         else:
             w.f32_array(np.zeros(n))
         w.u32(bias_len)
@@ -476,6 +478,38 @@ def test_tnck_layout_is_pinned():
     assert np.array_equal(layer.w.data, _tnck_weights(32).reshape(8, 4))
     assert np.array_equal(layer.b.data, np.arange(4.0))
     assert (layer.qstate.delta, layer.qstate.mu, layer.qstate.sigma) == TNCK_QUANT
+
+
+# mlp-8-4 codes holding +1, -1 and 0, with column 3 all zero, and their
+# TERN payload: one byte per row of four codes, the first code in bits 1:0,
+# 01 = +1, 10 = -1.
+TERN_CODES = np.array(
+    [[1, -1, 0, 0], [-1, 1, 0, 0], [0, 0, 1, 0], [0, 0, -1, 0],
+     [1, 0, -1, 0], [-1, 0, 1, 0], [0, 1, 0, 0], [0, -1, 0, 0]],
+    dtype=np.float64,
+)
+TERN_PACKED = bytes([0b00_00_10_01, 0b00_00_01_10, 0b00_01_00_00, 0b00_10_00_00,
+                     0b00_10_00_01, 0b00_01_00_10, 0b00_00_01_00, 0b00_00_10_00])
+TERN_SCALE = 0.75  # exact in float32
+
+
+def test_tern_layout_is_pinned():
+    # Weights equal to the codes have mean 0 and sigma sqrt(12/32), so a
+    # threshold of 0.5 ternarizes them back into the codes.
+    def params(spec, name, shape):
+        return TERN_CODES.copy(), np.arange(4.0)
+
+    model = Model.from_params(arch_specs("mlp-8-4"), "mlp-8-4", params)
+    st = model.quantized_layers()[0].qstate
+    st.delta = 0.5
+    model.refresh_all()
+    assert np.array_equal(st.codes, TERN_CODES)
+    st.scale = TERN_SCALE
+    assert packed_to_bytes(model) == _tern_mlp_8_4(codes=TERN_PACKED, scale=TERN_SCALE)
+    loaded = packed_from_bytes(_tern_mlp_8_4(codes=TERN_PACKED, scale=TERN_SCALE))
+    layer = loaded.quantized_layers()[0]
+    assert np.array_equal(layer.w.data, TERN_CODES) and layer.qstate.scale == TERN_SCALE
+    assert np.array_equal(layer.qstate.live_columns[0], [0, 1, 2])
 
 
 def test_hand_built_tern_file_loads():

@@ -177,8 +177,9 @@ def test_init_thresholds_uses_max_abs_weight():
     model.init_thresholds(0.1)
     layer = model.param_layers()[0]
     assert layer.qstate.delta == pytest.approx(0.1 * np.max(np.abs(layer.w.data)))
-    with pytest.raises(ValueError):
-        model.init_thresholds(0.0)
+    for frac in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="positive and finite"):
+            model.init_thresholds(frac)
 
 
 def test_weights_are_float32_representable_at_init():

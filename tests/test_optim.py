@@ -69,8 +69,9 @@ def test_optimizer_config_validation():
         OptimizerConfig(lr=0.0)
     with pytest.raises(ValueError):
         OptimizerConfig(momentum=1.0)
-    with pytest.raises(ValueError):
-        OptimizerConfig(weight_decay=-0.1)
+    for wd in (-0.1, float("nan")):
+        with pytest.raises(ValueError, match="weight_decay"):
+            OptimizerConfig(weight_decay=wd)
     with pytest.raises(ValueError):
         OptimizerConfig(betas=(0.9, 1.0))
 

@@ -16,8 +16,7 @@ from terntrain.ternarize import (
     WEIGHT_PHASE,
     DegenerateLayerError,
     QuantizerState,
-    TernaryCodes,
-    codes_from_state,
+    is_fresh,
     layer_stats,
     refresh,
     sparsity,
@@ -199,7 +198,7 @@ def test_sparsity_zero_threshold_is_measure_zero():
     rng = np.random.default_rng(21)
     w = rng.standard_normal(100_000)
     state = refresh(QuantizerState(0.0), w)
-    assert sparsity(codes_from_state(w, state)) < 1e-4
+    assert sparsity(state.codes) < 1e-4
 
 
 def test_sparsity_at_standard_quartile():
@@ -216,11 +215,6 @@ def test_sparsity_monotone_in_delta_c():
     assert all(a <= b for a, b in zip(values, values[1:]))
 
 
-def test_ternary_codes_effective_weights():
-    tc = TernaryCodes(codes=np.array([-1, 0, 1], dtype=np.int8), scale=0.25)
-    assert np.allclose(tc.effective(), [-0.25, 0.0, 0.25])
-
-
 def test_refresh_locks_weights_and_caches_read_only_codes():
     rng = np.random.default_rng(24)
     w = rng.normal(size=(8, 3))
@@ -230,6 +224,5 @@ def test_refresh_locks_weights_and_caches_read_only_codes():
         w[0, 0] = 5.0  # an in-place write to refreshed weights raises
     with pytest.raises(ValueError, match="read-only"):
         state.codes[0, 0] = 0.0
-    assert np.array_equal(codes_from_state(w, state).codes, state.codes.astype(np.int8))
-    with pytest.raises(ValueError, match="stale"):
-        codes_from_state(w.copy(), state)  # equal weights, but not the refreshed array
+    assert is_fresh(state, w)
+    assert not is_fresh(state, w.copy())  # equal weights, but not the refreshed array

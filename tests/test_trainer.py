@@ -202,8 +202,9 @@ def test_evaluate_constant_predictor_on_balanced_data():
 def test_evaluate_rejects_unknown_mode():
     model = build_from_config("mlp-4-2", seed=7)
     ds = _toy_dataset(seed=7, d=4, k=2)
-    with pytest.raises(ValueError):
-        evaluate(model, ds, "int4")
+    for fn in (evaluate, eval_loss_acc):
+        with pytest.raises(ValueError, match="unknown evaluation mode 'int4'"):
+            fn(model, ds, "int4")
 
 
 def test_pretrain_zero_epochs_keeps_initialization():
