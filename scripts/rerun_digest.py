@@ -23,7 +23,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402  after the thread pinning
 
 from terntrain.data import Dataset, make_synth_mnist
-from terntrain.modelio import export_packed
+from terntrain.modelio import checkpoint_to_bytes, export_packed
 from terntrain.network import build_from_config
 from terntrain.optim import OptimizerConfig
 from terntrain.trainer import make_train_state, pretrain, train
@@ -56,7 +56,18 @@ def run(arch: str, seed: int, out_dir: str) -> dict:
         seed=seed,
     )
     csv_path = os.path.join(out_dir, f"{arch}.csv")
-    ckpt, _ = train(state, train_ds, epochs=3, test_dataset=test_ds, csv_path=csv_path)
+    metrics = train(state, train_ds, epochs=3, test_dataset=test_ds, csv_path=csv_path)
+    # The metadata `terntrain quantize` writes into ternary.ckpt.
+    ckpt = checkpoint_to_bytes(
+        model,
+        metadata={
+            "kind": "ternary",
+            "epochs": 3,
+            "seed": seed,
+            "grad_correctness": state.grad_correctness,
+            "final_test_accuracy": metrics[-1]["accuracy"],
+        },
+    )
     tern_path = os.path.join(out_dir, f"{arch}.tern")
     export_packed(model, tern_path)
     with open(csv_path, "rb") as fh:

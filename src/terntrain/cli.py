@@ -19,15 +19,10 @@ from . import __version__
 from .config import ConfigError, RunConfig, checked_float, parse_config
 from .data import DataError, Dataset, load_csv, load_idx
 from .gradcheck import run_suite, suite_passed
-from .modelio import (
-    ModelIOError,
-    export_packed,
-    load_checkpoint,
-    save_checkpoint,
-)
+from .modelio import ModelIOError, export_packed, load_checkpoint, save_checkpoint
 from .network import build_from_config
 from .ternarize import DegenerateLayerError, sparsity
-from .trainer import DivergenceError, evaluate, make_train_state, pretrain, train
+from .trainer import DivergenceError, eval_loss_acc, make_train_state, pretrain, train
 
 
 class CliUsageError(Exception):
@@ -105,6 +100,14 @@ def _fresh_csv(path: str) -> str:
     return path
 
 
+def _last_accuracy(metrics: list[dict], split: str) -> float | None:
+    """The accuracy of a split's last metric row; None when it has no row."""
+    for row in reversed(metrics):
+        if row["split"] == split:
+            return row["accuracy"]
+    return None
+
+
 def cmd_pretrain(args) -> int:
     cfg = parse_config(args.config)
     if args.epochs is not None:
@@ -118,7 +121,7 @@ def cmd_pretrain(args) -> int:
     model = build_from_config(cfg.arch, seed=seed)
     csv_path = _fresh_csv(os.path.join(out, "pretrain_metrics.csv"))
     try:
-        ckpt, metrics = pretrain(
+        metrics = pretrain(
             model,
             train_ds,
             cfg.weight_optimizer(),
@@ -132,8 +135,17 @@ def cmd_pretrain(args) -> int:
         _write_dump(out, e)
         raise
     ckpt_path = os.path.join(out, "pretrain.ckpt")
-    with open(ckpt_path, "wb") as fh:
-        fh.write(ckpt)
+    save_checkpoint(
+        model,
+        ckpt_path,
+        {
+            "kind": "pretrain",
+            "epochs": cfg.epochs,
+            "seed": seed,
+            "final_train_accuracy": _last_accuracy(metrics, "train"),
+            "final_test_accuracy": _last_accuracy(metrics, "test"),
+        },
+    )
     final = metrics[-1] if metrics else {}
     print(f"pretrain done: checkpoint={ckpt_path}")
     if final:
@@ -174,7 +186,7 @@ def cmd_quantize(args) -> int:
     test_ds = _load_split(cfg, "test")
     csv_path = _fresh_csv(os.path.join(out, "metrics.csv"))
     try:
-        ckpt, metrics = train(
+        metrics = train(
             state,
             train_ds,
             cfg.epochs,
@@ -186,13 +198,21 @@ def cmd_quantize(args) -> int:
         _write_dump(out, e)
         raise
     out_ckpt = os.path.join(out, "ternary.ckpt")
-    with open(out_ckpt, "wb") as fh:
-        fh.write(ckpt)
+    final_test = _last_accuracy(metrics, "test")
+    save_checkpoint(
+        model,
+        out_ckpt,
+        {
+            "kind": "ternary",
+            "epochs": cfg.epochs,
+            "seed": seed,
+            "grad_correctness": cfg.grad_correctness,
+            "final_test_accuracy": final_test,
+        },
+    )
     print(f"quantize done: checkpoint={out_ckpt}")
-    for row in reversed(metrics):
-        if row["split"] == "test":
-            print(f"final test accuracy={row['accuracy']:.6f}")
-            break
+    if final_test is not None:
+        print(f"final test accuracy={final_test:.6f}")
     return 0
 
 
@@ -204,7 +224,7 @@ def cmd_eval(args) -> int:
     ds = _load_split(cfg, args.split)
     if ds is None:
         raise ConfigError(f"config does not name a {args.split} dataset")
-    acc = evaluate(model, ds, args.mode)
+    acc = eval_loss_acc(model, ds, args.mode)[1]
     print(f"mode={args.mode} split={args.split} accuracy={acc:.6f}")
     return 0
 

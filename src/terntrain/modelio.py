@@ -20,8 +20,11 @@ Both formats load through one loader: it resolves the layer specs and
 builds the Model with no init drawn, reading each layer record as its layer
 is built. A record whose name, weight shape, bias length or quantized flag
 differs from its spec is rejected as it is read, before its layer is
-allocated. A TERN file loads into a packed Model, which runs through
-Model.forward like any other.
+allocated. So is a non-finite quantizer number: a TERN scale that is NaN or
+infinite (its sign is not checked), or a TNCK delta that is. A TNCK record's
+mu and sigma must be both NaN (a state never refreshed, as in every
+pretrain checkpoint) or both finite with sigma > 0. A TERN file loads into
+a packed Model, which runs through Model.forward like any other.
 """
 
 from __future__ import annotations
@@ -314,12 +317,17 @@ def _read_checkpoint_layer(r: _Reader, shape: tuple) -> tuple:
     bias = r.f32_array(r.u32())
     if not r.flag():
         return weights, bias, None
-    st = QuantizerState(r.f64(), r.f64(), r.f64())
+    delta, mu, sigma = r.f64(), r.f64(), r.f64()
+    # mu and sigma are both NaN in a state never refreshed, else a Gaussian fit.
+    fitted = math.isfinite(mu) and math.isfinite(sigma) and sigma > 0
+    if not math.isfinite(delta) or not (fitted or (math.isnan(mu) and math.isnan(sigma))):
+        raise FormatError(f"quantizer record (delta, mu, sigma) {(delta, mu, sigma)} is not usable")
+    st = QuantizerState(delta, mu, sigma)
     # A state refreshed from these very weights is derived again, so the
     # loaded model is ready to run. Any other record (never refreshed, or
     # saved after a weight update without a refresh) loads stale, as saved:
     # the forward and the export reject it until refresh_all().
-    if np.isfinite(st.sigma) and st.sigma > 0 and layer_stats(weights) == (st.mu, st.sigma):
+    if fitted and layer_stats(weights) == (mu, sigma):
         refresh(st, weights)
     return weights, bias, st
 
@@ -416,7 +424,10 @@ def _read_packed_layer(r: _Reader, shape: tuple) -> tuple:
     n = math.prod(shape)
     if not r.flag():
         return r.f32_array(n).astype(np.float64).reshape(shape), r.f32_array(r.u32()), None
-    st = QuantizerState(0.0, scale=r.f32())
+    scale = r.f32()
+    if not math.isfinite(scale):
+        raise FormatError(f"layer scale {scale} is not finite")
+    st = QuantizerState(0.0, scale=scale)
     set_codes(st, unpack_codes(r.take((n + 3) // 4), n).reshape(shape).astype(np.float64))
     st.source = st.codes
     return st.codes, r.f32_array(r.u32()), st

@@ -23,16 +23,16 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.kind not in OPTIMIZER_KINDS:
             raise ValueError(f"unknown optimizer kind {self.kind!r}, expected one of {OPTIMIZER_KINDS}")
-        if not self.lr > 0:
-            raise ValueError(f"lr must be positive, got {self.lr}")
+        if not 0 < self.lr < np.inf:
+            raise ValueError(f"lr must be positive and finite, got {self.lr}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
         if not all(0.0 <= b < 1.0 for b in self.betas):
             raise ValueError(f"betas must be in [0, 1), got {self.betas}")
         if not self.eps > 0:
             raise ValueError(f"eps must be positive, got {self.eps}")
-        if not self.weight_decay >= 0:
-            raise ValueError(f"weight_decay must be non-negative, got {self.weight_decay}")
+        if not 0 <= self.weight_decay < np.inf:
+            raise ValueError(f"weight_decay must be non-negative and finite, got {self.weight_decay}")
 
 
 def sgd_update(p, g, lr, momentum=0.0, weight_decay=0.0, velocity=None):
@@ -62,17 +62,17 @@ def sgd_update(p, g, lr, momentum=0.0, weight_decay=0.0, velocity=None):
     return p_new, velocity
 
 
-def adam_update(p, g, state, cfg: OptimizerConfig):
+def adam_update(p, g, state, lr, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.0):
     """One bias-corrected Adam step; returns p_new.
 
     Updates state (m, v, t): m and v in place when they are arrays, by
     rebinding when they are scalars. p_new is a new array, as in sgd_update.
     """
-    b1, b2 = cfg.betas
+    b1, b2 = betas
     state["t"] += 1
     t = state["t"]
-    if cfg.weight_decay:
-        g = g + cfg.weight_decay * p
+    if weight_decay:
+        g = g + weight_decay * p
     m, v = state["m"], state["v"]
     m *= b1
     m += (1 - b1) * g
@@ -80,9 +80,9 @@ def adam_update(p, g, state, cfg: OptimizerConfig):
     v += (1 - b2) * g * g
     state["m"], state["v"] = m, v
     denom = np.sqrt(v / (1 - b2**t))
-    denom += cfg.eps
+    denom += eps
     step = m / (1 - b1**t)
-    step *= cfg.lr  # lr * m_hat
+    step *= lr  # lr * m_hat
     step /= denom
     del denom  # at most two parameter-sized temporaries are alive at once
     return p - step
@@ -119,17 +119,11 @@ class Adam:
         ]
 
     def step(self) -> None:
-        cfg = OptimizerConfig(
-            kind="adam",
-            lr=self.lr,
-            betas=self.cfg.betas,
-            eps=self.cfg.eps,
-            weight_decay=self.cfg.weight_decay,
-        )
+        cfg = self.cfg
         for p, st in zip(self.params, self._state):
             if p.grad is None:
                 continue
-            p.data = adam_update(p.data, p.grad, st, cfg)
+            p.data = adam_update(p.data, p.grad, st, self.lr, cfg.betas, cfg.eps, cfg.weight_decay)
 
     def zero_grad(self) -> None:
         for p in self.params:
@@ -164,5 +158,4 @@ class ThresholdOptimizer:
         if self.kind == "vanilla-sgd":
             return value - self.lr * grad
         st = self._state.setdefault(name, {"m": 0.0, "v": 0.0, "t": 0})
-        cfg = OptimizerConfig(kind="adam", lr=self.lr, betas=self.betas, eps=self.eps)
-        return float(adam_update(np.float64(value), np.float64(grad), st, cfg))
+        return float(adam_update(np.float64(value), np.float64(grad), st, self.lr, self.betas, self.eps))

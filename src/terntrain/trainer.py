@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autograd import backward, no_grad, softmax_cross_entropy
-from .modelio import checkpoint_to_bytes
 from .network import FLOAT_MODE, Model
 from .optim import OptimizerConfig, ThresholdOptimizer, make_optimizer
 from .ternarize import THRESHOLD_PHASE, WEIGHT_PHASE, sparsity
@@ -35,7 +34,6 @@ class TrainState:
     model: Model
     weight_opt: object
     threshold_opt: ThresholdOptimizer
-    seed: int
     rng: np.random.Generator
     schedule: list[tuple[int, float]] = field(default_factory=list)
     grad_correctness: bool = True
@@ -62,7 +60,6 @@ def make_train_state(
         model=model,
         weight_opt=make_optimizer(weight_cfg, model.parameters()),
         threshold_opt=t_opt,
-        seed=seed,
         rng=np.random.default_rng(seed),
         schedule=sorted(schedule or []),
         grad_correctness=grad_correctness,
@@ -155,11 +152,6 @@ def eval_loss_acc(model: Model, dataset, mode: str, batch_size: int = 256) -> tu
     return total_loss / n, correct / n
 
 
-def evaluate(model: Model, dataset, mode: str = "float") -> float:
-    """Top-1 accuracy in "float" or "ternary" mode (frozen refreshed states)."""
-    return eval_loss_acc(model, dataset, mode)[1]
-
-
 def _quantizer_columns(model: Model) -> dict:
     cols: dict = {}
     for layer in model.quantized_layers():
@@ -192,11 +184,13 @@ def pretrain(
     seed: int = 0,
     test_dataset=None,
     csv_path=None,
-):
-    """Train the full-precision model; returns (TNCK checkpoint bytes, metrics).
+) -> list[dict]:
+    """Train the full-precision model in place; returns its metric rows.
 
-    Zero epochs returns the initialization unchanged. A non-finite loss
-    aborts with a DivergenceError carrying a state dump.
+    Each epoch adds a train row and, given a test set, a test row. Zero
+    epochs leave the initialization unchanged. A non-finite loss aborts with
+    a DivergenceError carrying a state dump. Saving the model is the
+    caller's step.
     """
     opt = make_optimizer(cfg, model.parameters())
     rng = np.random.default_rng(seed)
@@ -219,20 +213,7 @@ def pretrain(
             rows.append({"epoch": epoch, "split": "test", "loss": te_loss, "accuracy": te_acc})
         metrics.extend(rows)
         _append_csv(csv_path, rows)
-
-    final_train = metrics[-2 if test_dataset is not None else -1]["accuracy"] if metrics else None
-    final_test = metrics[-1]["accuracy"] if metrics and test_dataset is not None else None
-    ckpt = checkpoint_to_bytes(
-        model,
-        metadata={
-            "kind": "pretrain",
-            "epochs": epochs,
-            "seed": seed,
-            "final_train_accuracy": final_train,
-            "final_test_accuracy": final_test,
-        },
-    )
-    return ckpt, metrics
+    return metrics
 
 
 def train(
@@ -242,11 +223,13 @@ def train(
     batch_size: int = 64,
     test_dataset=None,
     csv_path=None,
-):
-    """Run the alternating ternary training; returns (TNCK checkpoint bytes, metrics).
+) -> list[dict]:
+    """Run the alternating ternary training in place; returns state.metrics.
 
     Per epoch, both splits are evaluated in ternary mode and the per-layer
-    threshold, clipped threshold, scale and sparsity are logged.
+    threshold, clipped threshold, scale and sparsity are logged. The rows
+    accumulate in state.metrics across calls. Saving the model is the
+    caller's step.
     """
     model = state.model
     if not model.quantized_layers():
@@ -254,10 +237,8 @@ def train(
     model.refresh_all()
     for _ in range(epochs):
         _apply_schedule(state)
-        losses = []
         for idx in _batches(len(dataset), batch_size, state.rng):
-            step = tern_train_step(state, (dataset.images[idx], dataset.labels[idx]))
-            losses.append(step["weight_loss"])
+            tern_train_step(state, (dataset.images[idx], dataset.labels[idx]))
         model.refresh_all()
         rows = []
         tr_loss, tr_acc = eval_loss_acc(model, dataset, "ternary")
@@ -270,20 +251,4 @@ def train(
         state.metrics.extend(rows)
         _append_csv(csv_path, rows)
         state.epoch += 1
-
-    final_test = None
-    for row in reversed(state.metrics):
-        if row["split"] == "test":
-            final_test = row["accuracy"]
-            break
-    ckpt = checkpoint_to_bytes(
-        model,
-        metadata={
-            "kind": "ternary",
-            "epochs": epochs,
-            "seed": state.seed,
-            "grad_correctness": state.grad_correctness,
-            "final_test_accuracy": final_test,
-        },
-    )
-    return ckpt, state.metrics
+    return state.metrics

@@ -101,7 +101,7 @@ class DeskRuns:
         if seed not in self.pretrained:
             train_ds, test_ds = self.splits(seed)
             model = build_from_config(ARCH, seed=seed)
-            ckpt, metrics = pretrain(
+            metrics = pretrain(
                 model,
                 train_ds,
                 OptimizerConfig(**PRETRAIN_CFG),
@@ -111,7 +111,7 @@ class DeskRuns:
                 test_dataset=test_ds,
             )
             train_acc = [m for m in metrics if m["split"] == "train"][-1]["accuracy"]
-            self.pretrained[seed] = (ckpt, train_acc, _final_test_accuracy(metrics))
+            self.pretrained[seed] = (checkpoint_to_bytes(model), train_acc, _final_test_accuracy(metrics))
         return self.pretrained[seed]
 
     def ternary(self, seed, grad_correctness=True, frac=INIT_FRAC_DEFAULT):
@@ -129,7 +129,7 @@ class DeskRuns:
                 schedule=SCHEDULE,
                 grad_correctness=grad_correctness,
             )
-            _, metrics = train(
+            metrics = train(
                 state, train_ds, TERN_EPOCHS, batch_size=BATCH, test_dataset=test_ds
             )
             self.tern[key] = _final_test_accuracy(metrics)

@@ -60,6 +60,35 @@ def test_pretrain_outputs(pretrained):
     assert info["config"]["arch"] == "mlp-784-16-10"
 
 
+def _last_logged_accuracy(csv_path, split):
+    import csv
+
+    with open(csv_path) as fh:
+        return float([r for r in csv.DictReader(fh) if r["split"] == split][-1]["accuracy"])
+
+
+def test_checkpoints_carry_the_run_metadata(pretrained, tmp_path):
+    root, cfg, ckpt = pretrained
+    log = root / "out" / "pretrain_metrics.csv"
+    assert load_checkpoint(ckpt).meta == {
+        "kind": "pretrain",
+        "epochs": 4,
+        "seed": 3,
+        "final_train_accuracy": _last_logged_accuracy(log, "train"),
+        "final_test_accuracy": _last_logged_accuracy(log, "test"),
+    }
+    out_dir = tmp_path / "q"
+    argv = ["quantize", "--config", str(cfg), "--checkpoint", str(ckpt), "--epochs", "1", "--out-dir", str(out_dir)]
+    assert main(argv) == 0
+    assert load_checkpoint(out_dir / "ternary.ckpt").meta == {
+        "kind": "ternary",
+        "epochs": 1,
+        "seed": 3,
+        "grad_correctness": True,
+        "final_test_accuracy": _last_logged_accuracy(out_dir / "metrics.csv", "test"),
+    }
+
+
 def test_eval_float_matches_final_pretrain_log(pretrained, capsys):
     root, cfg, ckpt = pretrained
     import csv

@@ -1,3 +1,4 @@
+import math
 import struct
 import zlib
 
@@ -437,9 +438,11 @@ def _tnck_weights(n):
     return (np.arange(n, dtype=np.float64) - n // 2) / 8  # exact in float32
 
 
-def _tnck_mlp_8_4(arch="mlp-8-4", meta="{}", name="dense0", shape=(8, 4), bias_len=4, quantized=1, records=1):
+def _tnck_mlp_8_4(arch="mlp-8-4", meta="{}", name="dense0", shape=(8, 4), bias_len=4, quantized=1, records=1,
+                  quant=TNCK_QUANT):
     """A TNCK file written field by field: `records` copies of one dense
-    layer record, weights from _tnck_weights and the quantizer TNCK_QUANT."""
+    layer record, weights from _tnck_weights and the quantizer `quant`
+    (delta, mu, sigma)."""
     w = _Writer()
     w.raw(b"TNCK")
     w.u16(1)
@@ -456,7 +459,7 @@ def _tnck_mlp_8_4(arch="mlp-8-4", meta="{}", name="dense0", shape=(8, 4), bias_l
         w.f32_array(np.arange(bias_len, dtype=np.float64))
         w.u8(quantized)
         if quantized:
-            for v in TNCK_QUANT:
+            for v in quant:
                 w.f64(v)
     return w.finish()
 
@@ -537,10 +540,13 @@ def test_hand_built_tern_file_loads():
         {"arch": "custom", "meta": '{"specs": [{"kind": "dense", "in_dim": 10000000, '
                                    '"out_dim": 10000000, "quantized": true}]}'},
         {"records": 2},  # one record more than the arch has
+        {"scale": math.nan},  # would serve NaN logits
+        {"scale": math.inf},
+        {"scale": -math.inf},
     ],
     ids=["bias-length", "name", "transposed", "other-arch", "missing-layer", "quantized-flag",
          "flag-byte", "metadata-type", "name-encoding", "metadata-long-int", "metadata-nesting",
-         "custom-huge-spec", "extra-layer"],
+         "custom-huge-spec", "extra-layer", "scale-nan", "scale-inf", "scale-minus-inf"],
 )
 def test_tern_record_not_matching_its_spec_rejected_at_load(tmp_path, fields):
     data = _tern_mlp_8_4(**fields)
@@ -568,9 +574,19 @@ def test_tern_record_not_matching_its_spec_rejected_at_load(tmp_path, fields):
         # A 10^7 x 10^7 layer (728 TiB of float64) is rejected before anything is allocated.
         {"arch": "custom", "meta": '{"specs": [{"kind": "dense", "in_dim": 10000000, '
                                    '"out_dim": 10000000, "quantized": true}]}'},
+        {"quant": (math.nan, -0.0625, 1.15)},  # would train with delta_c pinned at 0
+        {"quant": (math.inf, -0.0625, 1.15)},
+        # mu and sigma are both NaN (never refreshed) or a fit with sigma > 0.
+        {"quant": (0.25, math.nan, 1.15)},
+        {"quant": (0.25, -0.0625, math.nan)},
+        {"quant": (0.25, math.inf, 1.15)},
+        {"quant": (0.25, -0.0625, math.inf)},
+        {"quant": (0.25, -0.0625, 0.0)},
+        {"quant": (0.25, -0.0625, -1.15)},
     ],
     ids=["bias-length", "name", "transposed", "other-arch", "missing-layer", "extra-layer",
-         "quantized-flag", "flag-byte", "custom-huge-spec"],
+         "quantized-flag", "flag-byte", "custom-huge-spec", "delta-nan", "delta-inf", "mu-nan-alone",
+         "sigma-nan-alone", "mu-inf", "sigma-inf", "sigma-zero", "sigma-negative"],
 )
 def test_tnck_record_not_matching_its_spec_rejected_at_load(tmp_path, fields):
     data = _tnck_mlp_8_4(**fields)

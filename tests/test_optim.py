@@ -37,20 +37,19 @@ def test_momentum_recurrence_two_steps():
 
 
 def test_adam_first_step_magnitude_is_lr():
-    cfg = OptimizerConfig(kind="adam", lr=0.01)
+    lr = 0.01
     for g in (1e-3, 1.0, 1e3):
         state = {"m": np.float64(0.0), "v": np.float64(0.0), "t": 0}
-        p = adam_update(np.float64(0.0), np.float64(g), state, cfg)
-        assert abs(abs(p) - cfg.lr) < 1e-5 * cfg.lr
+        p = adam_update(np.float64(0.0), np.float64(g), state, lr)
+        assert abs(abs(p) - lr) < 1e-5 * lr
 
 
 def test_adam_matches_hand_recurrence():
-    cfg = OptimizerConfig(kind="adam", lr=0.1, betas=(0.9, 0.999), eps=1e-8)
     state = {"m": np.float64(0.0), "v": np.float64(0.0), "t": 0}
     p = np.float64(1.0)
     g1, g2 = 0.5, -0.25
-    p = adam_update(p, np.float64(g1), state, cfg)
-    p = adam_update(p, np.float64(g2), state, cfg)
+    p = adam_update(p, np.float64(g1), state, lr=0.1, betas=(0.9, 0.999), eps=1e-8)
+    p = adam_update(p, np.float64(g2), state, lr=0.1, betas=(0.9, 0.999), eps=1e-8)
 
     m = 0.0
     v = 0.0
@@ -65,11 +64,12 @@ def test_adam_matches_hand_recurrence():
 def test_optimizer_config_validation():
     with pytest.raises(ValueError):
         OptimizerConfig(kind="rmsprop")
-    with pytest.raises(ValueError):
-        OptimizerConfig(lr=0.0)
+    for lr in (0.0, float("inf")):
+        with pytest.raises(ValueError, match="lr"):
+            OptimizerConfig(lr=lr)
     with pytest.raises(ValueError):
         OptimizerConfig(momentum=1.0)
-    for wd in (-0.1, float("nan")):
+    for wd in (-0.1, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="weight_decay"):
             OptimizerConfig(weight_decay=wd)
     with pytest.raises(ValueError):

@@ -13,7 +13,7 @@ from terntrain.gaussian import (
     d_truncated_mean_d_delta,
     truncated_upper_mean,
 )
-from terntrain.modelio import checkpoint_from_bytes
+from terntrain.modelio import checkpoint_to_bytes
 from terntrain import network, ternarize, trainer
 from terntrain.autograd import softmax_cross_entropy
 from terntrain.network import FLOAT_MODE, LayerSpec, Model, build_from_config
@@ -22,7 +22,6 @@ from terntrain.ternarize import WEIGHT_PHASE, tern
 from terntrain.trainer import (
     DivergenceError,
     eval_loss_acc,
-    evaluate,
     make_train_state,
     pretrain,
     tern_train_step,
@@ -196,33 +195,31 @@ def test_evaluate_constant_predictor_on_balanced_data():
     layer.b.data[0] = 1000.0
     rng = np.random.default_rng(6)
     ds = Dataset(rng.normal(size=(100, 4)), np.repeat(np.arange(10), 10))
-    assert evaluate(model, ds, "float") == pytest.approx(0.10)
+    assert eval_loss_acc(model, ds, "float")[1] == pytest.approx(0.10)
 
 
 def test_evaluate_rejects_unknown_mode():
     model = build_from_config("mlp-4-2", seed=7)
     ds = _toy_dataset(seed=7, d=4, k=2)
-    for fn in (evaluate, eval_loss_acc):
-        with pytest.raises(ValueError, match="unknown evaluation mode 'int4'"):
-            fn(model, ds, "int4")
+    with pytest.raises(ValueError, match="unknown evaluation mode 'int4'"):
+        eval_loss_acc(model, ds, "int4")
 
 
 def test_pretrain_zero_epochs_keeps_initialization():
     model = build_from_config("mlp-6-5-3", seed=8)
     snapshot = [p.data.copy() for p in model.parameters()]
-    ckpt, metrics = pretrain(
+    metrics = pretrain(
         model, _toy_dataset(seed=8), OptimizerConfig(kind="vanilla-sgd", lr=0.1), epochs=0
     )
     assert metrics == []
     for p, before in zip(model.parameters(), snapshot):
         assert np.array_equal(p.data, before)
-    assert np.array_equal(checkpoint_from_bytes(ckpt).param_layers()[0].w.data, snapshot[0])
 
 
 def test_pretrain_deterministic_checkpoint_bytes():
     def run():
         model = build_from_config("mlp-6-5-3", seed=9)
-        ckpt, _ = pretrain(
+        pretrain(
             model,
             _toy_dataset(seed=9),
             OptimizerConfig(kind="sgd-momentum", lr=0.1, momentum=0.9),
@@ -230,7 +227,7 @@ def test_pretrain_deterministic_checkpoint_bytes():
             batch_size=16,
             seed=9,
         )
-        return ckpt
+        return checkpoint_to_bytes(model)
 
     assert run() == run()
 
@@ -238,7 +235,7 @@ def test_pretrain_deterministic_checkpoint_bytes():
 def test_train_zero_epochs_refreshes_once():
     state = _toy_state(seed=10)
     snapshot = [p.data.copy() for p in state.model.parameters()]
-    ckpt, metrics = train(state, _toy_dataset(seed=10), epochs=0)
+    metrics = train(state, _toy_dataset(seed=10), epochs=0)
     assert metrics == []
     for p, before in zip(state.model.parameters(), snapshot):
         assert np.array_equal(p.data, before)
