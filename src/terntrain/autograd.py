@@ -31,8 +31,8 @@ class Tensor:
 
     live_columns, when set on a 2-D tensor, is (indices, data[:, indices]
     as one contiguous array) and promises that every other column of data
-    is zero; matmul then multiplies only those columns. Ternary layers set
-    it on their read-only codes.
+    is zero; matmul then multiplies only those columns.
+    ternarize.ste_codes_node sets it on a ternary layer's codes.
     """
 
     def __init__(self, data, requires_grad: bool = False):
@@ -156,18 +156,8 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
     return _node(data, (x, b), rule)
 
 
-def scale_by(x: Tensor, s: float) -> Tensor:
-    """Multiply by a plain scalar; the backward rule re-applies the same s."""
-    s = float(s)
-
-    def rule(g):
-        return (g * s,)
-
-    return _node(x.data * s, (x,), rule)
-
-
 def smul(s: Tensor, x: Tensor) -> Tensor:
-    """Multiply an array by a scalar Tensor; both sides receive gradients."""
+    """Multiply an array by a scalar Tensor; each side that requires a gradient gets one."""
     if s.data.size != 1:
         raise ValueError(f"smul scale must be a scalar tensor, got shape {s.shape}")
     sval = float(s.data)

@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, RunConfig, checked_float, parse_config
+from .config import ConfigError, RunConfig, checked_float, checked_int, parse_config
 from .data import DataError, Dataset, load_csv, load_idx
 from .gradcheck import run_suite, suite_passed
 from .modelio import ModelIOError, export_packed, load_checkpoint, save_checkpoint
@@ -53,13 +53,14 @@ def build_id() -> str:
 
 def _resolve_seed(cfg: RunConfig, args) -> int:
     if getattr(args, "seed", None) is not None:
-        return args.seed
+        return checked_int("seed", args.seed)
     env = os.environ.get("TERNTRAIN_SEED")
     if env is not None:
         try:
-            return int(env)
+            seed = int(env)
         except ValueError:
             raise ConfigError(f"TERNTRAIN_SEED must be an integer, got {env!r}") from None
+        return checked_int("seed", seed)
     return cfg.seed
 
 
@@ -111,7 +112,7 @@ def _last_accuracy(metrics: list[dict], split: str) -> float | None:
 def cmd_pretrain(args) -> int:
     cfg = parse_config(args.config)
     if args.epochs is not None:
-        cfg.epochs = args.epochs
+        cfg.epochs = checked_int("epochs", args.epochs)
     if args.out_dir:
         cfg.out_dir = args.out_dir
     seed = _resolve_seed(cfg, args)
@@ -156,7 +157,7 @@ def cmd_pretrain(args) -> int:
 def cmd_quantize(args) -> int:
     cfg = parse_config(args.config)
     if args.epochs is not None:
-        cfg.epochs = args.epochs
+        cfg.epochs = checked_int("epochs", args.epochs)
     if args.init_frac is not None:
         cfg.init_frac = checked_float("init_frac", args.init_frac)
     if args.no_grad_correctness:
@@ -244,7 +245,7 @@ def cmd_export(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    results = run_suite(seed=args.seed if args.seed is not None else 0)
+    results = run_suite(seed=checked_int("seed", args.seed) if args.seed is not None else 0)
     for r in results:
         status = "PASS" if r.ok else "FAIL"
         print(f"{status} {r.name}: max_rel_err={r.max_err:.3e} tol={r.tol:.1e}")

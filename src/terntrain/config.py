@@ -130,6 +130,15 @@ def checked_float(key: str, value: float) -> float:
     return _in_range(key, value, **_FLOAT_RANGES[key])
 
 
+# Each integer key's lowest allowed value.
+_INT_MINIMA = {"batch_size": 1, "epochs": 0, "seed": 0}
+
+
+def checked_int(key: str, value: int) -> int:
+    """value if it is at least the integer key's lowest allowed value; else a ConfigError."""
+    return _in_range(key, value, lo=_INT_MINIMA[key])
+
+
 _STR_KEYS = (
     "arch",
     "train_images",
@@ -171,12 +180,8 @@ def config_from_pairs(pairs: dict[str, str], source: str = "<config>") -> RunCon
                 cfg.dataset = value
             elif key in _FLOAT_RANGES:
                 setattr(cfg, key, checked_float(key, float(value)))
-            elif key == "batch_size":
-                cfg.batch_size = _in_range(key, int(value), lo=1)
-            elif key == "epochs":
-                cfg.epochs = _in_range(key, int(value), lo=0)
-            elif key == "seed":
-                cfg.seed = int(value)
+            elif key in _INT_MINIMA:
+                setattr(cfg, key, checked_int(key, int(value)))
             elif key == "weight_opt":
                 if value not in OPTIMIZER_KINDS:
                     raise ConfigError(f"weight_opt: expected one of {OPTIMIZER_KINDS}, got {value!r}")

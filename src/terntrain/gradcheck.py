@@ -14,22 +14,9 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor, backward
-from .gaussian import (
-    TruncGaussParams,
-    clip_threshold,
-    d_truncated_mean_d_delta,
-    truncated_upper_mean,
-)
-from .network import LayerSpec, build_from_config
-from .ternarize import (
-    THRESHOLD_PHASE,
-    WEIGHT_PHASE,
-    QuantizerState,
-    refresh,
-    ste_codes_node,
-    tern,
-    threshold_scale_node,
-)
+from .gaussian import TruncGaussParams, d_truncated_mean_d_delta, truncated_upper_mean
+from .network import FLOAT_MODE, LayerSpec, Model, build_from_config
+from .ternarize import THRESHOLD_PHASE, WEIGHT_PHASE
 
 FD_STEP = 1e-6
 REL_TOL = 1e-5
@@ -130,9 +117,10 @@ def check_add_bias(rng) -> CheckResult:
     return CheckResult("add_bias", err, REL_TOL)
 
 
-def check_scale_smul(rng) -> CheckResult:
+def check_smul(rng) -> CheckResult:
+    # A constant scale, as the weight phase multiplies by, then a trainable one.
     x = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
-    (gx,) = _grad_of(lambda: ag.mean(ag.scale_by(x, 2.5)), [x])
+    (gx,) = _grad_of(lambda: ag.mean(ag.smul(Tensor(2.5), x)), [x])
     err = max_rel_err(gx, fd_grad(lambda a: float(np.mean(2.5 * a)), x.data))
     s = Tensor(np.float64(1.7), requires_grad=True)
     y = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
@@ -142,7 +130,7 @@ def check_scale_smul(rng) -> CheckResult:
         max_rel_err(gs, fd_grad(lambda a: float(np.mean(float(a) * y.data)), s.data)),
         max_rel_err(gy, fd_grad(lambda a: float(np.mean(float(s.data) * a)), y.data)),
     )
-    return CheckResult("scale_by/smul", err, REL_TOL)
+    return CheckResult("smul", err, REL_TOL)
 
 
 def check_softmax_ce(rng) -> CheckResult:
@@ -180,52 +168,100 @@ def check_scale_derivative(n_points: int = 1000, seed: int = 0, margin: float = 
     return CheckResult("scale_derivative", worst, REL_TOL)
 
 
-def _fresh_state(w: np.ndarray, delta: float) -> QuantizerState:
-    return refresh(QuantizerState(delta), w)
-
-
 def check_ste_identity(seed: int = 0) -> CheckResult:
-    """Weight-phase composite gradient equals the surrogate-identity gradient."""
+    """Weight-phase gradients equal those of a float twin whose weights are S * Tern(w).
+
+    With the 1/scale correction the straight-through rule makes the
+    effective weight's derivative w.r.t. the float weight exactly one, so
+    every weight and bias gradient of Model.forward's weight phase should
+    match the twin's float-mode gradient.
+    """
     rng = np.random.default_rng(seed)
-    x = Tensor(rng.normal(size=(4, 6)))
-    w = Tensor(rng.normal(scale=0.5, size=(6, 5)), requires_grad=True)
-    r = rng.normal(size=(5, 3))
-    state = _fresh_state(w.data, 0.3)
+    model = build_from_config("mlp-6-5-3", seed=seed)
+    model.init_thresholds(0.3)
+    model.refresh_all()
+    effective = iter((l.qstate.scale * l.qstate.codes, l.b.data) for l in model.param_layers())
+    twin = Model.from_params(model.specs, model.arch, lambda spec, name, shape: next(effective))
+    x = rng.normal(size=(4, 6))
+    y = rng.integers(0, 3, size=4)
+    for m, mode in ((model, WEIGHT_PHASE), (twin, FLOAT_MODE)):
+        m.zero_grad()
+        backward(ag.softmax_cross_entropy(m.forward(x, mode), y))
+    err = max(max_rel_err(p.grad, q.grad) for p, q in zip(model.parameters(), twin.parameters()))
+    return CheckResult("ste_identity", err, 1e-6)
 
-    def downstream(z: Tensor) -> Tensor:
-        return ag.mean(ag.relu(ag.matmul(z, Tensor(r))))
 
-    w.zero_grad()
-    codes = ste_codes_node(w, state, grad_correctness=True)
-    backward(downstream(ag.scale_by(ag.matmul(x, codes), state.scale)))
-    through_ste = w.grad
+def _offset_biases(model, rng) -> None:
+    """Draw every bias at 0.2 to 1 away from 0, so that a unit's input sits
+    away from the ReLU kink, where finite differences are undefined."""
+    for layer in model.param_layers():
+        n = layer.b.size
+        layer.b.data = rng.choice([-1.0, 1.0], size=n) * rng.uniform(0.2, 1.0, size=n)
 
-    w_prime = Tensor(state.scale * tern(w.data, state.mu, state.delta_c), requires_grad=True)
-    backward(downstream(ag.matmul(x, w_prime)))
-    return CheckResult("ste_identity", max_rel_err(through_ste, w_prime.grad), 1e-6)
+
+def _loss(model, x: np.ndarray, y: np.ndarray, mode: str) -> float:
+    with ag.no_grad():
+        return float(ag.softmax_cross_entropy(model.forward(x, mode), y).data)
+
+
+def _tensor_fd_err(model, x: np.ndarray, y: np.ndarray, mode: str, tensors: list[Tensor]) -> float:
+    """Worst relative error of each tensor's gradient against central
+    differences of the model's loss in mode."""
+    worst = 0.0
+    for t in tensors:
+        original = t.data
+
+        def f(arr):
+            t.data = arr
+            v = _loss(model, x, y, mode)
+            t.data = original
+            return v
+
+        worst = max(worst, max_rel_err(t.grad, fd_grad(f, original)))
+    return worst
+
+
+def _frozen_codes_err(model, x: np.ndarray, y: np.ndarray) -> float:
+    """Worst relative error of Model.forward's gradients against central
+    differences with the codes frozen: each threshold's gradient in the
+    threshold phase, then each quantized layer's bias gradient in the weight
+    phase. The model must be refreshed."""
+    layers = model.quantized_layers()
+    model.zero_grad()
+    backward(ag.softmax_cross_entropy(model.forward(x, THRESHOLD_PHASE), y))
+    # Each forward below records new leaves; keep these gradients first.
+    delta_grads = [float(model.delta_leaves[l.name].grad) for l in layers]
+    worst = 0.0
+    for layer, analytic in zip(layers, delta_grads):
+        st = layer.qstate
+        original = st.delta
+
+        def f(d):
+            st.delta = float(d)  # no refresh: the threshold forward keeps the cached codes
+            v = _loss(model, x, y, THRESHOLD_PHASE)
+            st.delta = original
+            return v
+
+        worst = max(worst, max_rel_err(analytic, float(fd_grad(f, np.float64(original)))))
+
+    model.zero_grad()
+    backward(ag.softmax_cross_entropy(model.forward(x, WEIGHT_PHASE), y))
+    return max(worst, _tensor_fd_err(model, x, y, WEIGHT_PHASE, [l.b for l in layers]))
 
 
 def check_threshold_phase_grad(seed: int = 0) -> CheckResult:
-    """Threshold-phase gradient against finite differences with frozen codes."""
+    """Threshold and bias gradients of a quantized conv + dense model against
+    finite differences with the codes frozen."""
     rng = np.random.default_rng(seed)
-    w = rng.normal(scale=0.5, size=(40,))
-    state = _fresh_state(w, 0.35)
-    codes = tern(w, state.mu, state.delta_c)
-
-    # The threshold-phase wiring of Model.forward: the scale as a function of
-    # the threshold times the refreshed, frozen codes.
-    leaf = Tensor(np.float64(state.delta), requires_grad=True)
-    out = ag.smul(threshold_scale_node(leaf, state), Tensor(state.codes))
-    backward(ag.tsum(out))
-    analytic = float(leaf.grad)
-
-    def f(d):
-        dc = clip_threshold(float(d), state.sigma)
-        s = truncated_upper_mean(TruncGaussParams(state.mu, state.sigma, dc))
-        return float(np.sum(s * codes))
-
-    fd = fd_grad(f, np.float64(state.delta))
-    return CheckResult("threshold_phase_grad", max_rel_err(analytic, float(fd)), REL_TOL)
+    conv = LayerSpec("conv2d", in_dim=1, out_dim=3, kernel=3, stride=2, padding=1, quantized=True)
+    dense = LayerSpec("dense", in_dim=3 * 3 * 3, out_dim=4, quantized=True)
+    model = Model([conv, LayerSpec("relu"), LayerSpec("flatten"), dense], seed=seed)
+    _offset_biases(model, rng)
+    model.init_thresholds(0.3)
+    model.refresh_all()
+    x = rng.normal(size=(5, 1, 5, 5))
+    y = rng.integers(0, 4, size=5)
+    return CheckResult("threshold_phase_grad", _frozen_codes_err(model, x, y), REL_TOL)
 
 
 def check_model_composite(seed: int = 0) -> CheckResult:
@@ -239,26 +275,10 @@ def check_model_composite(seed: int = 0) -> CheckResult:
     model = build_from_config(specs, seed=seed)
     x = rng.normal(size=(6, 5))
     y = rng.integers(0, 3, size=6)
-
-    def loss_value() -> float:
-        logits = model.forward(x, "float")
-        return float(ag.softmax_cross_entropy(logits, y).data)
-
     model.zero_grad()
-    backward(ag.softmax_cross_entropy(model.forward(x, "float"), y))
-    worst = 0.0
-    for p in model.parameters():
-        analytic = p.grad
-        original = p.data
-
-        def f(arr):
-            p.data = arr
-            v = loss_value()
-            p.data = original
-            return v
-
-        worst = max(worst, max_rel_err(analytic, fd_grad(f, original)))
-    return CheckResult("model_composite", worst, REL_TOL)
+    backward(ag.softmax_cross_entropy(model.forward(x, FLOAT_MODE), y))
+    err = _tensor_fd_err(model, x, y, FLOAT_MODE, model.parameters())
+    return CheckResult("model_composite", err, REL_TOL)
 
 
 def dead_column_model(seed: int = 0):
@@ -274,8 +294,7 @@ def dead_column_model(seed: int = 0):
         w = layer.w.data.copy()
         w[:, :2] *= 0.01
         layer.w.data = w
-        n = layer.b.size
-        layer.b.data = rng.choice([-1.0, 1.0], size=n) * rng.uniform(0.2, 1.0, size=n)
+    _offset_biases(model, rng)
     model.init_thresholds(0.4)
     model.refresh_all()
     return model
@@ -284,53 +303,16 @@ def dead_column_model(seed: int = 0):
 def check_dead_column_grads(seed: int = 0) -> CheckResult:
     """Gradients through forwards that multiply only the live code columns.
 
-    Against finite differences with the codes frozen: each threshold's
-    gradient in the threshold phase, and each bias's gradient in the weight
-    phase, which flows back through the compacted forwards of the later
-    layers.
+    The threshold and bias gradients of _frozen_codes_err; each bias's
+    gradient flows back through the compacted forwards of the later layers.
     """
     rng = np.random.default_rng(seed)
     model = dead_column_model(seed)
-    layers = model.quantized_layers()
-    if any(l.qstate.live_columns is None for l in layers):
+    if any(l.qstate.live_columns is None for l in model.quantized_layers()):
         return CheckResult("dead_column_grads", float("inf"), REL_TOL)
     x = rng.normal(size=(6, 6))
     y = rng.integers(0, 3, size=6)
-
-    def loss_value(mode: str) -> float:
-        with ag.no_grad():
-            return float(ag.softmax_cross_entropy(model.forward(x, mode), y).data)
-
-    model.zero_grad()
-    backward(ag.softmax_cross_entropy(model.forward(x, THRESHOLD_PHASE), y))
-    # Each forward below records new leaves; keep these gradients first.
-    delta_grads = [float(model.delta_leaves[l.name].grad) for l in layers]
-    worst = 0.0
-    for layer, analytic in zip(layers, delta_grads):
-        st = layer.qstate
-        original = st.delta
-
-        def f(d):
-            st.delta = float(d)  # no refresh: the threshold forward keeps the cached codes
-            v = loss_value(THRESHOLD_PHASE)
-            st.delta = original
-            return v
-
-        worst = max(worst, max_rel_err(analytic, float(fd_grad(f, np.float64(original)))))
-
-    model.zero_grad()
-    backward(ag.softmax_cross_entropy(model.forward(x, WEIGHT_PHASE), y))
-    for layer in layers:
-        b, original = layer.b, layer.b.data
-
-        def f(arr):
-            b.data = arr
-            v = loss_value(WEIGHT_PHASE)
-            b.data = original
-            return v
-
-        worst = max(worst, max_rel_err(b.grad, fd_grad(f, original)))
-    return CheckResult("dead_column_grads", worst, REL_TOL)
+    return CheckResult("dead_column_grads", _frozen_codes_err(model, x, y), REL_TOL)
 
 
 def run_suite(seed: int = 0) -> list[CheckResult]:
@@ -340,7 +322,7 @@ def run_suite(seed: int = 0) -> list[CheckResult]:
         check_conv2d(rng),
         check_relu(rng),
         check_add_bias(rng),
-        check_scale_smul(rng),
+        check_smul(rng),
         check_softmax_ce(rng),
         check_scale_derivative(seed=seed),
         check_ste_identity(seed=seed),

@@ -1,10 +1,11 @@
 """Small configurable models assembled from the autograd ops.
 
 One weight base serves three forward modes: full-precision, and the two
-ternary phases. In the ternary modes each quantized layer runs its linear
-op on the codes first and applies the scalar scale to the accumulated
-result afterwards, never the other way around. A quantized dense layer
-whose codes have all-zero columns multiplies only its live columns.
+ternary phases. In the ternary modes each quantized layer computes
+S * linop(Tern(w)) through one expression: the linear op runs on the codes
+first and the scalar scale multiplies the accumulated result afterwards,
+never the other way around. A quantized dense layer whose codes have
+all-zero columns multiplies only its live columns.
 """
 
 from __future__ import annotations
@@ -213,21 +214,21 @@ class Model:
                 return ag.matmul(t, weights)
             return ag.conv2d(t, weights, spec.stride, spec.padding)
 
-        if mode == FLOAT_MODE or layer.qstate is None:
+        st = layer.qstate
+        if mode == FLOAT_MODE or st is None:
             z = linop(layer.w)
-        elif mode == WEIGHT_PHASE:
-            assert_fresh(layer.qstate, layer.w.data)
-            codes = ste_codes_node(layer.w, layer.qstate, gc)
-            z = linop(codes)
-            z = ag.scale_by(z, layer.qstate.scale)
-        else:  # THRESHOLD_PHASE
-            assert_fresh(layer.qstate, layer.w.data)
-            leaf = Tensor(np.float64(layer.qstate.delta), requires_grad=True)
-            self.delta_leaves[layer.name] = leaf
-            s = threshold_scale_node(leaf, layer.qstate)
-            codes = Tensor(layer.qstate.codes)
-            codes.live_columns = layer.qstate.live_columns
-            z = ag.smul(s, linop(codes))
+        else:
+            # S * linop(Tern(w)): the threshold phase differentiates S through
+            # the threshold with the codes a constant, the weight phase the codes
+            # through the straight-through rule with S a constant.
+            assert_fresh(st, layer.w.data)
+            if mode == THRESHOLD_PHASE:
+                leaf = Tensor(np.float64(st.delta), requires_grad=True)
+                self.delta_leaves[layer.name] = leaf
+                s, src = threshold_scale_node(leaf, st), Tensor(layer.w.data)
+            else:
+                s, src = Tensor(st.scale), layer.w
+            z = ag.smul(s, linop(ste_codes_node(src, st, gc)))
         return ag.add_bias(z, layer.b)
 
 

@@ -29,8 +29,8 @@ class OptimizerConfig:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
         if not all(0.0 <= b < 1.0 for b in self.betas):
             raise ValueError(f"betas must be in [0, 1), got {self.betas}")
-        if not self.eps > 0:
-            raise ValueError(f"eps must be positive, got {self.eps}")
+        if not 0 < self.eps < np.inf:
+            raise ValueError(f"eps must be positive and finite, got {self.eps}")
         if not 0 <= self.weight_decay < np.inf:
             raise ValueError(f"weight_decay must be non-negative and finite, got {self.weight_decay}")
 

@@ -2,15 +2,18 @@
 
 A layer's weights are mapped to codes in {-1, 0, +1} around their mean,
 scaled by the closed-form mean of the Gaussian tail beyond the threshold.
-Two gradient wirings exist: the threshold phase differentiates the scale
-with respect to the threshold while the codes stay frozen, and the weight
-phase routes gradients through the staircase with a 1/scale correction so
-the composite derivative of the effective weight w.r.t. the float weight
-is exactly one.
+Both training phases build one product, S * linop(Tern(w)), from the two
+tape nodes below; a phase only chooses which factor is a tape variable.
+The threshold phase differentiates the scale with respect to the threshold
+(threshold_scale_node) while the codes stay frozen. The weight phase routes
+gradients through the staircase (ste_codes_node) with a 1/scale correction,
+so the composite derivative of the effective weight w.r.t. the float
+weight is exactly one.
 
 A layer's codes and the live columns that follow from them are written in
 one place, set_codes(): by refresh() for a trained layer, and by the TERN
-loader for a packed one.
+loader for a packed one. ste_codes_node() alone hands the live columns to
+the tape.
 """
 
 from __future__ import annotations
@@ -156,7 +159,8 @@ def ste_codes_node(w: Tensor, state: QuantizerState, grad_correctness: bool = Tr
     multiplies only those. The state must be fresh for w.data. With
     grad_correctness the backward multiplies incoming gradients by 1/scale,
     so scale * Tern(w) differentiates to exactly 1 w.r.t. w; without it the
-    staircase passes gradients through unchanged.
+    staircase passes gradients through unchanged. For a w that requires no
+    gradient the node is a constant holding the codes.
     """
     # 1/scale is taken only when a gradient is: a forward alone runs on any
     # scale, 0.0 included.
@@ -174,19 +178,20 @@ def ste_codes_node(w: Tensor, state: QuantizerState, grad_correctness: bool = Tr
 def threshold_scale_node(delta_leaf: Tensor, state: QuantizerState) -> Tensor:
     """The scale as a tape function of the threshold, with mu/sigma frozen.
 
-    Composes |delta| clipped to [0, 3*sigma] with the truncated-tail mean;
-    each stage carries its analytic derivative.
+    Forward: the truncated-tail mean at |delta| clipped to [0, 3*sigma].
+    Backward: the incoming gradient times dS/d(delta_c), times the clip's
+    derivative, in that order.
     """
     mu, sigma = state.mu, state.sigma
-    clip_op = register_custom_grad(
-        lambda d: np.asarray(clip_threshold(float(d), sigma)),
-        lambda g, d: (g * clip_threshold_grad(float(d), sigma),),
+
+    def params(d) -> TruncGaussParams:
+        return TruncGaussParams(mu, sigma, clip_threshold(float(d), sigma))
+
+    op = register_custom_grad(
+        lambda d: np.asarray(truncated_upper_mean(params(d))),
+        lambda g, d: ((g * d_truncated_mean_d_delta(params(d))) * clip_threshold_grad(float(d), sigma),),
     )
-    mean_op = register_custom_grad(
-        lambda dc: np.asarray(truncated_upper_mean(TruncGaussParams(mu, sigma, float(dc)))),
-        lambda g, dc: (g * d_truncated_mean_d_delta(TruncGaussParams(mu, sigma, float(dc))),),
-    )
-    return mean_op(clip_op(delta_leaf))
+    return op(delta_leaf)
 
 
 def dead_outputs(codes: np.ndarray) -> int:

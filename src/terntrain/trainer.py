@@ -77,26 +77,31 @@ def _apply_schedule(state: TrainState) -> None:
             state.threshold_opt.lr = state._base_threshold_lr * (lr / state._base_weight_lr)
 
 
-def _check_finite(loss_value: float, context: dict) -> None:
-    if not np.isfinite(loss_value):
-        raise DivergenceError(f"non-finite loss {loss_value!r} at {context}", dump=context)
-
-
 def _batches(n: int, batch_size: int, rng: np.random.Generator):
     order = rng.permutation(n)
     for start in range(0, n, batch_size):
         yield order[start : start + batch_size]
 
 
+def _loss_backward(model: Model, xb, yb, mode: str, context: dict, gc: bool = True) -> float:
+    """Zero the gradients, forward in mode, raise on a non-finite loss, back-propagate.
+
+    Returns the loss; a DivergenceError carries context as its dump.
+    """
+    model.zero_grad()
+    loss = softmax_cross_entropy(model.forward(xb, mode, gc), yb)
+    loss_value = float(loss.data)
+    if not np.isfinite(loss_value):
+        raise DivergenceError(f"non-finite loss {loss_value!r} at {context}", dump=context)
+    backward(loss)
+    return loss_value
+
+
 def threshold_substep(state: TrainState, xb: np.ndarray, yb: np.ndarray) -> float:
     """Forward in threshold phase, back-propagate, update only the thresholds."""
     model = state.model
-    model.zero_grad()
-    logits = model.forward(xb, THRESHOLD_PHASE)
-    loss = softmax_cross_entropy(logits, yb)
-    loss_value = float(loss.data)
-    _check_finite(loss_value, {"phase": "threshold", "epoch": state.epoch})
-    backward(loss)
+    context = {"phase": "threshold", "epoch": state.epoch}
+    loss_value = _loss_backward(model, xb, yb, THRESHOLD_PHASE, context)
     for layer in model.quantized_layers():
         leaf = model.delta_leaves[layer.name]
         g = 0.0 if leaf.grad is None else float(leaf.grad)
@@ -106,15 +111,10 @@ def threshold_substep(state: TrainState, xb: np.ndarray, yb: np.ndarray) -> floa
 
 def weight_substep(state: TrainState, xb: np.ndarray, yb: np.ndarray) -> float:
     """Forward in weight phase, back-propagate, update only weights and biases."""
-    model = state.model
-    model.zero_grad()
-    logits = model.forward(xb, WEIGHT_PHASE, grad_correctness=state.grad_correctness)
-    loss = softmax_cross_entropy(logits, yb)
-    loss_value = float(loss.data)
-    _check_finite(loss_value, {"phase": "weight", "epoch": state.epoch})
-    backward(loss)
+    context = {"phase": "weight", "epoch": state.epoch}
+    loss_value = _loss_backward(state.model, xb, yb, WEIGHT_PHASE, context, state.grad_correctness)
     state.weight_opt.step()
-    model.snap_params_f32()
+    state.model.snap_params_f32()
     return loss_value
 
 
@@ -198,11 +198,7 @@ def pretrain(
     for epoch in range(epochs):
         for bi, idx in enumerate(_batches(len(dataset), batch_size, rng)):
             xb, yb = dataset.images[idx], dataset.labels[idx]
-            model.zero_grad()
-            logits = model.forward(xb, FLOAT_MODE)
-            loss = softmax_cross_entropy(logits, yb)
-            _check_finite(float(loss.data), {"phase": "pretrain", "epoch": epoch, "batch": bi})
-            backward(loss)
+            _loss_backward(model, xb, yb, FLOAT_MODE, {"phase": "pretrain", "epoch": epoch, "batch": bi})
             opt.step()
             model.snap_params_f32()
         rows = []

@@ -80,9 +80,9 @@ def test_relu():
     assert np.array_equal(out.data, [0.0, 0.0, 2.0])
 
 
-def test_scale_by_identity():
+def test_smul_identity():
     x = Tensor(np.arange(6.0).reshape(2, 3))
-    assert np.array_equal(ag.scale_by(x, 1.0).data, x.data)
+    assert np.array_equal(ag.smul(Tensor(1.0), x).data, x.data)
 
 
 def test_mean_backward_is_one_over_n():
@@ -179,7 +179,7 @@ def test_backward_sum_gives_ones():
 
 def test_backward_scaled_sum_gives_twos():
     w = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
-    backward(ag.scale_by(ag.tsum(w), 2.0))
+    backward(ag.smul(Tensor(2.0), ag.tsum(w)))
     assert np.array_equal(w.grad, 2.0 * np.ones((2, 3)))
 
 
@@ -207,7 +207,7 @@ def test_backward_linearity():
     def run(alpha):
         w.zero_grad()
         loss = ag.mean(ag.relu(ag.matmul(Tensor(x), w)))
-        backward(ag.scale_by(loss, alpha))
+        backward(ag.smul(Tensor(alpha), loss))
         return w.grad.copy()
 
     g1 = run(1.0)
@@ -268,7 +268,7 @@ def test_leaf_gradients_are_read_only():
 
 def test_scalar_leaf_gradient_is_read_only():
     s = Tensor(np.asarray(2.0), requires_grad=True)
-    backward(ag.scale_by(s, 3.0))
+    backward(ag.smul(Tensor(3.0), s))
     assert float(s.grad) == 3.0
     with pytest.raises(ValueError, match="read-only"):
         s.grad[...] = 0.0

@@ -210,7 +210,7 @@ def test_no_grad_correctness_flag_changes_training(pretrained, tmp_path):
     assert info["config"]["grad_correctness"] is False
 
 
-def test_env_seed_override(pretrained, tmp_path, monkeypatch):
+def test_env_seed_override(pretrained, tmp_path, monkeypatch, capsys):
     root, cfg, ckpt = pretrained
     monkeypatch.setenv("TERNTRAIN_SEED", "99")
     out_dir = tmp_path / "env"
@@ -226,10 +226,29 @@ def test_env_seed_override(pretrained, tmp_path, monkeypatch):
     assert json.loads((out_dir2 / "run_info.json").read_text())["seed"] == 5
     monkeypatch.setenv("TERNTRAIN_SEED", "not-a-number")
     assert main(["pretrain", "--config", str(cfg), "--epochs", "0"]) == 1
+    # A negative seed from the config, the flag or the environment is a
+    # config error, raised before the run directory is written.
+    neg_cfg = tmp_path / "neg.cfg"
+    neg_cfg.write_text(cfg.read_text().replace("seed = 3", "seed = -2"))
+    monkeypatch.delenv("TERNTRAIN_SEED")
+    for env, config, flags in (
+        (None, neg_cfg, []),
+        (None, cfg, ["--seed", "-1"]),
+        ("-5", cfg, []),
+    ):
+        if env is not None:
+            monkeypatch.setenv("TERNTRAIN_SEED", env)
+        for command, extra in (("pretrain", []), ("quantize", ["--checkpoint", str(ckpt)])):
+            out_dir = tmp_path / "neg" / command
+            argv = [command, "--config", str(config), "--epochs", "0", "--out-dir", str(out_dir)]
+            capsys.readouterr()
+            assert main(argv + extra + flags) == 1
+            assert "config error: seed" in capsys.readouterr().err
+            assert not out_dir.exists()
 
 
-def test_usage_and_config_errors_exit_1(workspace, tmp_path):
-    root, cfg = workspace
+def test_usage_and_config_errors_exit_1(pretrained, tmp_path, capsys):
+    root, cfg, ckpt = pretrained
     assert main(["pretrain"]) == 1  # missing --config
     assert main(["no-such-command"]) == 1
     bad = tmp_path / "bad.cfg"
@@ -237,6 +256,15 @@ def test_usage_and_config_errors_exit_1(workspace, tmp_path):
     assert main(["pretrain", "--config", str(bad)]) == 1
     assert main(["quantize", "--config", str(cfg), "--checkpoint", str(tmp_path / "nope.ckpt")]) == 1
     assert main(["eval", "--config", str(cfg), "--checkpoint", str(tmp_path / "nope.ckpt")]) == 1
+    assert main(["gradcheck", "--seed", "-1"]) == 1
+    capsys.readouterr()
+    # An --epochs override gets the range check of the epochs config key.
+    for command, extra in (("pretrain", []), ("quantize", ["--checkpoint", str(ckpt)])):
+        out_dir = tmp_path / command
+        argv = [command, "--config", str(cfg), "--epochs", "-3", "--out-dir", str(out_dir)]
+        assert main(argv + extra) == 1
+        assert "config error: epochs" in capsys.readouterr().err
+        assert not (out_dir / "run_info.json").exists()
 
 
 def test_corrupt_checkpoint_exits_2(pretrained, tmp_path):
@@ -249,9 +277,10 @@ def test_corrupt_checkpoint_exits_2(pretrained, tmp_path):
 
 
 def test_gradcheck_passes(capsys):
-    assert main(["gradcheck", "--seed", "1"]) == 0
-    out = capsys.readouterr().out
-    assert "PASS" in out and "FAIL" not in out
+    for seed in range(4):
+        assert main(["gradcheck", "--seed", str(seed)]) == 0
+        out = capsys.readouterr().out
+        assert "PASS smul:" in out and "FAIL" not in out
 
 
 def test_gradcheck_failure_exits_3(monkeypatch, capsys):

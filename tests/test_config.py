@@ -62,6 +62,8 @@ def test_numeric_ranges():
         _parse(MINIMAL + "init_frac = 0\n")
     with pytest.raises(ConfigError):
         _parse(MINIMAL + "batch_size = sixty-four\n")
+    with pytest.raises(ConfigError, match="seed"):
+        _parse(MINIMAL + "seed = -2\n")
 
 
 FLOAT_KEYS = ("normalize_mean", "normalize_std", "weight_lr", "weight_momentum", "weight_decay",

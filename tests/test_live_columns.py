@@ -224,3 +224,30 @@ def test_dead_column_gradcheck_catches_a_forward_that_disagrees_with_the_codes(m
 
     monkeypatch.setattr(gradcheck, "dead_column_model", corrupted)
     assert not gradcheck.check_dead_column_grads(0).ok
+
+
+def _lenet_small(seed=0):
+    model = build_from_config("lenet-small", seed=seed)
+    model.init_thresholds(0.1)
+    model.refresh_all()
+    return model
+
+
+@pytest.mark.parametrize(
+    "make, shape",
+    [(_mlp_with_dead_columns, (32, 784)), (_lenet_small, (32, 1, 28, 28))],
+    ids=["mlp-784-300-100-10-dead-columns", "lenet-small"],
+)
+def test_both_phases_give_bit_identical_logits_at_one_state(make, shape):
+    # Both phases compute S * linop(Tern(w)) from the same refreshed state;
+    # they differ only in which factor is a tape variable.
+    model = make(seed=7)
+    x = np.random.default_rng(8).normal(size=shape)
+    y = np.random.default_rng(9).integers(0, 10, size=shape[0])
+    threshold = model.forward(x, THRESHOLD_PHASE).data
+    weight = model.forward(x, WEIGHT_PHASE).data
+    assert np.array_equal(threshold, weight)
+    # Recording a threshold-phase tape and back-propagating it leaves the state as it was.
+    model.zero_grad()
+    ag.backward(ag.softmax_cross_entropy(model.forward(x, THRESHOLD_PHASE), y))
+    assert np.array_equal(model.forward(x, WEIGHT_PHASE).data, threshold)

@@ -74,6 +74,9 @@ def test_optimizer_config_validation():
             OptimizerConfig(weight_decay=wd)
     with pytest.raises(ValueError):
         OptimizerConfig(betas=(0.9, 1.0))
+    for eps in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="eps"):
+            OptimizerConfig(eps=eps)
 
 
 def test_sgd_class_steps_params():

@@ -8,7 +8,13 @@ from hypothesis.extra.numpy import arrays
 
 from terntrain import autograd as ag
 from terntrain.autograd import Tensor, backward
-from terntrain.gaussian import TruncGaussParams, clip_threshold, truncated_upper_mean
+from terntrain.gaussian import (
+    TruncGaussParams,
+    clip_threshold,
+    clip_threshold_grad,
+    d_truncated_mean_d_delta,
+    truncated_upper_mean,
+)
 from terntrain.gradcheck import check_threshold_phase_grad, dead_column_model, fd_grad, max_rel_err
 from terntrain.network import LayerSpec, Model, build_from_config
 from terntrain.ternarize import (
@@ -22,6 +28,7 @@ from terntrain.ternarize import (
     sparsity,
     ste_codes_node,
     tern,
+    threshold_scale_node,
 )
 
 
@@ -124,7 +131,7 @@ def test_weight_phase_ste_identity():
     rng = np.random.default_rng(15)
     w = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
     state = refresh(QuantizerState(0.4), w.data)
-    out = ag.scale_by(ste_codes_node(w, state), state.scale)
+    out = ag.smul(Tensor(state.scale), ste_codes_node(w, state))
     backward(ag.tsum(out))
     # d(sum(scale * Tern(w)))/dw = scale * (1/scale) = 1 for every weight.
     assert max_rel_err(w.grad, np.ones_like(w.data)) < 1e-6
@@ -134,7 +141,7 @@ def test_weight_phase_without_grad_correctness_scales_by_s():
     rng = np.random.default_rng(16)
     w = Tensor(rng.normal(size=(5, 5)), requires_grad=True)
     state = refresh(QuantizerState(0.4), w.data)
-    out = ag.scale_by(ste_codes_node(w, state, grad_correctness=False), state.scale)
+    out = ag.smul(Tensor(state.scale), ste_codes_node(w, state, grad_correctness=False))
     backward(ag.tsum(out))
     assert max_rel_err(w.grad, np.full_like(w.data, state.scale)) < 1e-12
 
@@ -145,6 +152,19 @@ def test_tern_node_backward_reciprocal():
     state.scale = 2.0  # the state stays fresh for w; force the example scale
     backward(ag.tsum(ste_codes_node(w, state)))
     assert np.allclose(w.grad, np.full(4, 0.5))
+
+
+@pytest.mark.parametrize("delta", [0.3, -0.3, 0.0, 50.0], ids=["positive", "negative", "zero", "past-clip"])
+def test_threshold_scale_node_is_the_scale_and_its_chain_rule(delta):
+    rng = np.random.default_rng(19)
+    state = refresh(QuantizerState(delta), rng.normal(scale=0.5, size=(8, 6)))
+    leaf = Tensor(np.float64(delta), requires_grad=True)
+    node = threshold_scale_node(leaf, state)
+    assert float(node.data) == state.scale
+    backward(ag.smul(Tensor(2.5), node))
+    params = TruncGaussParams(state.mu, state.sigma, state.delta_c)
+    want = (2.5 * d_truncated_mean_d_delta(params)) * clip_threshold_grad(delta, state.sigma)
+    assert float(leaf.grad) == want
 
 
 def test_threshold_phase_gradient_matches_finite_differences():
