@@ -52,7 +52,7 @@ def build_id() -> str:
 
 
 def _resolve_seed(cfg: RunConfig, args) -> int:
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         return checked_int("seed", args.seed)
     env = os.environ.get("TERNTRAIN_SEED")
     if env is not None:
@@ -306,18 +306,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"terntrain {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, config_required=True):
-        p.add_argument("--config", required=config_required, help="key=value run config file")
-        p.add_argument("--seed", type=int, default=None, help="override config/env seed")
-
     p = sub.add_parser("pretrain", help="train the full-precision baseline")
-    add_common(p)
+    p.add_argument("--config", required=True, help="key=value run config file")
+    p.add_argument("--seed", type=int, default=None, help="override config/env seed")
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--out-dir", default=None)
     p.set_defaults(func=cmd_pretrain)
 
     p = sub.add_parser("quantize", help="alternating ternary training from a pretrain checkpoint")
-    add_common(p)
+    p.add_argument("--config", required=True, help="key=value run config file")
+    p.add_argument("--seed", type=int, default=None, help="override config/env seed")
     p.add_argument("--checkpoint", default=None, help="pretrain checkpoint path")
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--init-frac", type=float, default=None, help="threshold init as a fraction of max|w|")
@@ -326,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_quantize)
 
     p = sub.add_parser("eval", help="accuracy of a checkpoint in float or ternary mode")
-    add_common(p)
+    p.add_argument("--config", required=True, help="key=value run config file")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--mode", choices=("float", "ternary"), default="ternary")
     p.add_argument("--split", choices=("train", "test"), default="test")

@@ -234,7 +234,7 @@ def test_tape_determinism_bit_identical():
     assert np.array_equal(gb1, gb2)
 
 
-def test_composite_mlp_matches_finite_differences():
+def test_composite_model_matches_finite_differences():
     from terntrain.gradcheck import check_model_composite
 
     result = check_model_composite(seed=5)

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+import terntrain
 from terntrain.cli import build_id, main
 from terntrain.data import make_synth_mnist, save_idx_images, save_idx_labels
 from terntrain.modelio import load_checkpoint
@@ -258,6 +259,9 @@ def test_usage_and_config_errors_exit_1(pretrained, tmp_path, capsys):
     assert main(["eval", "--config", str(cfg), "--checkpoint", str(tmp_path / "nope.ckpt")]) == 1
     assert main(["gradcheck", "--seed", "-1"]) == 1
     capsys.readouterr()
+    # eval trains nothing and draws nothing, so it takes no seed.
+    assert main(["eval", "--config", str(cfg), "--checkpoint", str(ckpt), "--seed", "5"]) == 1
+    assert "usage error" in capsys.readouterr().err
     # An --epochs override gets the range check of the epochs config key.
     for command, extra in (("pretrain", []), ("quantize", ["--checkpoint", str(ckpt)])):
         out_dir = tmp_path / command
@@ -293,8 +297,11 @@ def test_gradcheck_failure_exits_3(monkeypatch, capsys):
 
 
 def test_console_entrypoint_subprocess():
+    # The child imports the terntrain under test, installed or not.
+    src = os.path.dirname(os.path.dirname(terntrain.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     out = subprocess.run(
-        [sys.executable, "-m", "terntrain", "--version"], capture_output=True, text=True
+        [sys.executable, "-m", "terntrain", "--version"], capture_output=True, text=True, env=env
     )
     assert out.returncode == 0
     assert "terntrain" in out.stdout

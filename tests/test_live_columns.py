@@ -15,9 +15,9 @@ import numpy as np
 import pytest
 
 from terntrain import autograd as ag
-from terntrain import gradcheck, network, ternarize
+from terntrain import network, ternarize
 from terntrain.data import Dataset
-from terntrain.gradcheck import dead_column_model
+from terntrain.gradcheck import ternary_fixture
 from terntrain.network import LayerSpec, Model, build_from_config
 from terntrain.optim import OptimizerConfig
 from terntrain.ternarize import THRESHOLD_PHASE, WEIGHT_PHASE, QuantizerState, refresh, sparsity, tern
@@ -167,7 +167,7 @@ def test_every_column_dead_gives_the_biases_alone():
 
 
 def test_live_set_recomputed_exactly_when_the_codes_are(monkeypatch):
-    model = dead_column_model(seed=11)
+    model, x, _ = ternary_fixture(seed=11)
     state = make_train_state(
         model,
         OptimizerConfig(kind="sgd-momentum", lr=0.01, momentum=0.9),
@@ -177,7 +177,7 @@ def test_live_set_recomputed_exactly_when_the_codes_are(monkeypatch):
     rng = np.random.default_rng(12)
 
     def batch():
-        return rng.normal(size=(8, 6)), rng.integers(0, 3, size=8)
+        return rng.normal(size=(8,) + x.shape[1:]), rng.integers(0, 4, size=8)
 
     tern_train_step(state, batch())  # from here on, every step starts on new weights
     tern_calls = []
@@ -188,11 +188,14 @@ def test_live_set_recomputed_exactly_when_the_codes_are(monkeypatch):
     def watched(qstate, w):
         before = (qstate.codes, qstate.live_columns)
         out = real_refresh(qstate, w)
-        idx, cols = qstate.live_columns  # every layer keeps dead columns here
-        assert np.array_equal(idx, _live_of(qstate.codes))
-        assert np.array_equal(cols, qstate.codes[:, idx])
         codes_new = qstate.codes is not before[0]
-        assert (qstate.live_columns is not before[1]) == codes_new
+        if qstate.codes.ndim == 2:
+            idx, cols = qstate.live_columns  # every dense layer keeps dead columns here
+            assert np.array_equal(idx, _live_of(qstate.codes))
+            assert np.array_equal(cols, qstate.codes[:, idx])
+            assert (qstate.live_columns is not before[1]) == codes_new
+        else:
+            assert qstate.live_columns is None  # conv layers keep no live set
         log.append(codes_new)
         return out
 
@@ -204,26 +207,12 @@ def test_live_set_recomputed_exactly_when_the_codes_are(monkeypatch):
         tern_train_step(state, batch())
         assert len(log) == 2 * n_layers
         assert sum(log) == len(tern_calls)
-    dataset = Dataset(rng.normal(size=(16, 6)), rng.integers(0, 3, size=16))
+    dataset = Dataset(rng.normal(size=(16,) + x.shape[1:]), rng.integers(0, 4, size=16))
     eval_loss_acc(model, dataset, "ternary")  # refreshes the last step's new weights
     log.clear()
     tern_calls.clear()
     eval_loss_acc(model, dataset, "ternary")  # neither the weights nor the thresholds moved since
     assert log == [False] * n_layers and tern_calls == []
-
-
-def test_dead_column_gradcheck_catches_a_forward_that_disagrees_with_the_codes(monkeypatch):
-    assert gradcheck.check_dead_column_grads(0).ok
-
-    def corrupted(seed=0):
-        model = dead_column_model(seed)
-        for layer in model.quantized_layers():
-            idx, cols = layer.qstate.live_columns
-            layer.qstate.live_columns = (idx, -cols)
-        return model
-
-    monkeypatch.setattr(gradcheck, "dead_column_model", corrupted)
-    assert not gradcheck.check_dead_column_grads(0).ok
 
 
 def _lenet_small(seed=0):

@@ -15,7 +15,7 @@ from terntrain.gaussian import (
     d_truncated_mean_d_delta,
     truncated_upper_mean,
 )
-from terntrain.gradcheck import check_threshold_phase_grad, dead_column_model, fd_grad, max_rel_err
+from terntrain.gradcheck import check_threshold_phase_grad, fd_grad, max_rel_err, ternary_fixture
 from terntrain.network import LayerSpec, Model, build_from_config
 from terntrain.ternarize import (
     THRESHOLD_PHASE,
@@ -199,13 +199,16 @@ def test_stale_state_detected_in_debug():
     model = build_from_config("mlp-8-4", seed=20)
     model.init_thresholds(0.1)
     model.refresh_all()
-    dead = dead_column_model(seed=20)  # its layers multiply only live columns
-    for m in (model, dead):
-        layer = m.quantized_layers()[0]
+    dead, x, _ = ternary_fixture(seed=20)
+    cases = (
+        (model, model.quantized_layers()[0], np.zeros((1, 8))),
+        (dead, dead.quantized_layers()[1], x),  # a dense layer that multiplies only live columns
+    )
+    for m, layer, inputs in cases:
         layer.w.data = layer.w.data + 1.0  # shift the mean without refreshing
         for mode in (WEIGHT_PHASE, THRESHOLD_PHASE):
             with pytest.raises(AssertionError, match="stale"):
-                m.forward(np.zeros((1, layer.w.shape[0])), mode)
+                m.forward(inputs, mode)
 
 
 def test_sparsity_examples():
