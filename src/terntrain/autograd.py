@@ -27,7 +27,11 @@ BackwardRule = Callable[[np.ndarray], Sequence["np.ndarray | None"]]
 
 
 class Tensor:
-    """Dense row-major float64 array, optionally tracked for gradients.
+    """A float64 array, optionally tracked for gradients.
+
+    data keeps the memory order it was made in: a conv output and the
+    ReLU, bias-add and scale nodes that follow it are batch-last, (C, H, W,
+    N) in memory, seen through an (N, C, H, W) transpose.
 
     live_columns, when set on a 2-D tensor, is (indices, data[:, indices]
     as one contiguous array) and promises that every other column of data
@@ -35,16 +39,17 @@ class Tensor:
     ternarize.ste_codes_node sets it on a ternary layer's codes.
     """
 
+    # Class-level defaults: a node sets only what differs from them.
+    requires_grad = False
+    grad: np.ndarray | None = None
+    _parents: tuple[Tensor, ...] = ()
+    _backward: BackwardRule | None = None
+    live_columns: tuple[np.ndarray, np.ndarray] | None = None
+
     def __init__(self, data, requires_grad: bool = False):
-        arr = np.asarray(data, dtype=np.float64)
-        if not arr.flags["C_CONTIGUOUS"]:
-            arr = np.ascontiguousarray(arr)
-        self.data = arr
-        self.requires_grad = bool(requires_grad)
-        self.grad: np.ndarray | None = None
-        self._parents: tuple[Tensor, ...] = ()
-        self._backward: BackwardRule | None = None
-        self.live_columns: tuple[np.ndarray, np.ndarray] | None = None
+        self.data = np.asarray(data, dtype=np.float64)
+        if requires_grad:
+            self.requires_grad = True
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -108,11 +113,20 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    out = kernels.conv2d_forward(x.data, w.data, stride, padding)
+    """Cross-correlation of x[N,C,H,W] with w[F,C,kh,kw]; the output is batch-last.
+
+    The forward's column buffer is kept for the kernel gradient only when
+    one will be taken: while recording, against a kernel that requires a
+    gradient. A no_grad pass and a frozen kernel free it at once.
+    """
+    if _recording and w.requires_grad:
+        out, cols = kernels.conv2d_forward(x.data, w.data, stride, padding, keep_columns=True)
+    else:
+        out, cols = kernels.conv2d_forward(x.data, w.data, stride, padding), None
 
     def rule(g):
         gx = kernels.conv2d_backward_x(g, x.data.shape, w.data, stride, padding) if x.requires_grad else None
-        gw = kernels.conv2d_backward_w(g, x.data, w.data.shape, stride, padding) if w.requires_grad else None
+        gw = kernels.conv2d_backward_w(g, x.data, w.data.shape, stride, padding, cols) if w.requires_grad else None
         return gx, gw
 
     return _node(out, (x, w), rule)
@@ -186,11 +200,17 @@ def tsum(x: Tensor) -> Tensor:
 
 
 def flatten(x: Tensor) -> Tensor:
+    """(N, ...) -> (N, features) in row-major feature order; a batch-last
+    conv output is viewed, not copied, as a column-major matrix."""
     n = x.data.shape[0]
     data = x.data.reshape(n, -1)
 
     def rule(g):
-        return (g.reshape(x.data.shape),)
+        # Hand the gradient back in x's memory order, so that the ops before
+        # flatten run on matching layouts.
+        gx = np.empty_like(x.data)
+        gx[...] = g.reshape(gx.shape)
+        return (gx,)
 
     return _node(data, (x,), rule)
 

@@ -40,8 +40,10 @@ class CheckResult:
 
 
 def fd_grad(f, x: np.ndarray, h: float = FD_STEP) -> np.ndarray:
-    """Central-difference gradient of a scalar function of an array."""
-    x = np.array(x, dtype=np.float64)
+    """Central-difference gradient of a scalar function of an array.
+
+    f sees a row-major copy of x, whatever x's memory order."""
+    x = np.array(x, dtype=np.float64, order="C")
     g = np.zeros_like(x)
     flat_x = x.reshape(-1)
     flat_g = g.reshape(-1)
@@ -97,10 +99,13 @@ def check_matmul(rng) -> CheckResult:
 
 
 def check_conv2d(rng) -> CheckResult:
-    err = _op_err(
-        lambda x, w: ag.conv2d(x, w, 2, 1),
-        lambda x, w: kernels.conv2d_forward(x, w, 2, 1),
-        [rng.normal(size=(2, 2, 5, 5)), rng.normal(size=(3, 2, 3, 3))],
+    """One input held row-major, then held batch-last as a conv that
+    follows a conv receives it."""
+    x, w = rng.normal(size=(2, 2, 5, 5)), rng.normal(size=(3, 2, 3, 3))
+    batch_last = np.ascontiguousarray(x.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
+    err = max(
+        _op_err(lambda a, b: ag.conv2d(a, b, 2, 1), lambda a, b: kernels.conv2d_forward(a, b, 2, 1), [held, w])
+        for held in (x, batch_last)
     )
     return CheckResult("conv2d", err, REL_TOL)
 

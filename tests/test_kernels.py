@@ -30,36 +30,58 @@ def _reference(x, w, g, stride, padding):
     return out, gx, gw
 
 
-@pytest.mark.parametrize(
-    "case",
-    [
-        # n, c, h, w, f, k, stride, padding
-        (2, 1, 6, 6, 3, 3, 1, 1),
-        (1, 2, 8, 8, 4, 4, 2, 1),
-        (3, 2, 5, 7, 2, 3, 1, 0),
-        (2, 3, 9, 9, 5, 3, 3, 0),
-        (2, 1, 28, 28, 8, 4, 2, 1),  # lenet-small conv0
-        (2, 8, 14, 14, 16, 4, 2, 1),  # lenet-small conv1
-        (2, 2, 7, 6, 3, 5, 1, 2),
-        (1, 2, 9, 7, 2, 3, 2, 2),
-    ],
-)
-def test_kernels_match_direct_loops(case):
+def _batch_last(a):
+    """a's values held (C, H, W, N) in memory, seen as (N, C, H, W), as a conv output is."""
+    return np.ascontiguousarray(a.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
+
+
+CASES = [
+    # n, c, h, w, f, k, stride, padding
+    (2, 1, 6, 6, 3, 3, 1, 1),
+    (1, 2, 8, 8, 4, 4, 2, 1),
+    (3, 2, 5, 7, 2, 3, 1, 0),
+    (2, 3, 9, 9, 5, 3, 3, 0),
+    (2, 1, 28, 28, 8, 4, 2, 1),  # lenet-small conv0
+    (2, 8, 14, 14, 16, 4, 2, 1),  # lenet-small conv1
+    (2, 2, 7, 6, 3, 5, 1, 2),
+    (1, 2, 9, 7, 2, 3, 2, 2),
+]
+
+
+def _check_against_direct_loops(case, hold):
+    """Each kernel, and the kernel gradient from the forward's kept columns,
+    against the direct loops, with x and g held in memory by hold."""
     rng = np.random.default_rng(sum(case))
     n, c, h, w, f, k, stride, padding = case
     x = rng.normal(size=(n, c, h, w))
     wt = rng.normal(size=(f, c, k, k))
     ho, wo = kernels.conv_out_hw(h, w, k, k, stride, padding)
     g = rng.normal(size=(n, f, ho, wo))
+    expected = _reference(x, wt, g, stride, padding)
+    x, g = hold(x), hold(g)
 
+    out, cols = kernels.conv2d_forward(x, wt, stride, padding, keep_columns=True)
     got = (
-        kernels.conv2d_forward(x, wt, stride, padding),
+        out,
         kernels.conv2d_backward_x(g, x.shape, wt, stride, padding),
         kernels.conv2d_backward_w(g, x, wt.shape, stride, padding),
+        kernels.conv2d_backward_w(g, x, wt.shape, stride, padding, cols),
     )
-    for a, b in zip(got, _reference(x, wt, g, stride, padding)):
+    for a, b in zip(got, expected + expected[-1:]):
         assert a.shape == b.shape
         assert np.allclose(a, b, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_kernels_match_direct_loops(case):
+    _check_against_direct_loops(case, np.ascontiguousarray)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_kernels_match_direct_loops_batch_last(case):
+    """x and g as a conv output and the gradient reaching it are held:
+    (N, C, H, W) views of (C, H, W, N) arrays."""
+    _check_against_direct_loops(case, _batch_last)
 
 
 def test_all_ones_3x3_sums_to_nine():
