@@ -1,8 +1,13 @@
 """Operator surface: pretrain, quantize, eval, export, gradcheck, inspect.
 
+pretrain and quantize share one run path. Each of their flags sets a config
+key and is checked by the config parser like a value in the file: the flag
+beats TERNTRAIN_SEED (for the seed), which beats the file. The settings, the
+checkpoint and both data splits load before the run directory is written, so
+a bad input leaves no run_info.json behind.
+
 Exit codes: 0 success, 1 usage/config error, 2 runtime/training failure,
-3 gradcheck failure. TERNTRAIN_SEED overrides the config seed; an explicit
---seed flag beats both.
+3 gradcheck failure.
 """
 
 from __future__ import annotations
@@ -16,11 +21,11 @@ import sys
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, RunConfig, checked_float, checked_int, parse_config
+from .config import ConfigError, RunConfig, checked_int, parse_config
 from .data import DataError, Dataset, load_csv, load_idx
 from .gradcheck import run_suite, suite_passed
 from .modelio import ModelIOError, export_packed, load_checkpoint, save_checkpoint
-from .network import build_from_config
+from .network import Model, build_from_config
 from .ternarize import DegenerateLayerError, sparsity
 from .trainer import DivergenceError, eval_loss_acc, make_train_state, pretrain, train
 
@@ -51,48 +56,34 @@ def build_id() -> str:
     return f"terntrain-{__version__}"
 
 
-def _resolve_seed(cfg: RunConfig, args) -> int:
-    if args.seed is not None:
-        return checked_int("seed", args.seed)
-    env = os.environ.get("TERNTRAIN_SEED")
-    if env is not None:
-        try:
-            seed = int(env)
-        except ValueError:
-            raise ConfigError(f"TERNTRAIN_SEED must be an integer, got {env!r}") from None
-        return checked_int("seed", seed)
-    return cfg.seed
+# The config keys that pretrain and quantize flags set, as text for parse_config.
+_OVERRIDES = ("seed", "epochs", "init_frac", "grad_correctness", "out_dir", "pretrain_checkpoint")
 
 
-def _load_split(cfg: RunConfig, split: str) -> Dataset | None:
-    if cfg.dataset == "idx":
-        images = cfg.train_images if split == "train" else cfg.test_images
-        labels = cfg.train_labels if split == "train" else cfg.test_labels
-        if not images or not labels:
-            if split == "train":
-                raise ConfigError("config must name train_images and train_labels")
-            return None
-        return load_idx(images, labels, cfg.normalize_mean, cfg.normalize_std)
-    path = cfg.train_csv if split == "train" else cfg.test_csv
-    if not path:
-        if split == "train":
-            raise ConfigError("config must name train_csv")
+def _open_checkpoint(path: str) -> Model:
+    if not os.path.exists(path):
+        raise ConfigError(f"checkpoint not found: {path}")
+    return load_checkpoint(path)
+
+
+def _load_split(cfg: RunConfig, split: str, model: Model, required: bool = True) -> Dataset | None:
+    """A split's dataset (None for an unnamed optional split); each label must be a class of model."""
+    keys = [f"{split}_images", f"{split}_labels"] if cfg.dataset == "idx" else [f"{split}_csv"]
+    paths = [getattr(cfg, key) for key in keys]
+    if not all(paths):
+        if required:
+            raise ConfigError(f"config must name {' and '.join(keys)}")
         return None
-    return load_csv(path)
-
-
-def _prepare_out_dir(cfg: RunConfig, seed: int, command: str) -> str:
-    out = cfg.out_dir
-    os.makedirs(out, exist_ok=True)
-    info = {
-        "command": command,
-        "seed": seed,
-        "build_id": build_id(),
-        "config": cfg.to_dict(),
-    }
-    with open(os.path.join(out, "run_info.json"), "w") as fh:
-        json.dump(info, fh, indent=2, sort_keys=True)
-    return out
+    if cfg.dataset == "idx":
+        ds = load_idx(*paths, cfg.normalize_mean, cfg.normalize_std)
+    else:
+        ds = load_csv(*paths)
+    # The model's classes are the outputs of its last layer when that layer is dense.
+    last = model.param_layers()[-1].spec if model.param_layers() else None
+    top = int(ds.labels.max())
+    if last is not None and last.kind == "dense" and top >= last.out_dim:
+        raise DataError(f"{split} split: label {top} is not one of the model's {last.out_dim} classes")
+    return ds
 
 
 def _fresh_csv(path: str) -> str:
@@ -109,131 +100,125 @@ def _last_accuracy(metrics: list[dict], split: str) -> float | None:
     return None
 
 
-def cmd_pretrain(args) -> int:
-    cfg = parse_config(args.config)
-    if args.epochs is not None:
-        cfg.epochs = checked_int("epochs", args.epochs)
-    if args.out_dir:
-        cfg.out_dir = args.out_dir
-    seed = _resolve_seed(cfg, args)
-    out = _prepare_out_dir(cfg, seed, "pretrain")
-    train_ds = _load_split(cfg, "train")
-    test_ds = _load_split(cfg, "test")
-    model = build_from_config(cfg.arch, seed=seed)
-    csv_path = _fresh_csv(os.path.join(out, "pretrain_metrics.csv"))
+def _run(args, command: str, open_model, fit, ckpt_name: str) -> int:
+    """The one path of pretrain and quantize.
+
+    Settings, model and both data splits load before anything is written, so
+    a bad input leaves no run directory behind. open_model(cfg) returns the
+    model to train; fit(cfg, model, train_ds, test_ds, out) trains it in
+    place and returns the checkpoint's metadata.
+    """
+    cfg = parse_config(args.config, {key: getattr(args, key, None) for key in _OVERRIDES})
+    model = open_model(cfg)
+    train_ds = _load_split(cfg, "train", model)
+    test_ds = _load_split(cfg, "test", model, required=False)
+    out = cfg.out_dir
+    os.makedirs(out, exist_ok=True)
+    info = {
+        "command": command,
+        "seed": cfg.seed,
+        "build_id": build_id(),
+        "config": cfg.to_dict(),
+    }
+    with open(os.path.join(out, "run_info.json"), "w") as fh:
+        json.dump(info, fh, indent=2, sort_keys=True)
     try:
-        metrics = pretrain(
-            model,
-            train_ds,
-            cfg.weight_optimizer(),
-            epochs=cfg.epochs,
-            batch_size=cfg.batch_size,
-            seed=seed,
-            test_dataset=test_ds,
-            csv_path=csv_path,
-        )
+        meta = fit(cfg, model, train_ds, test_ds, out)
     except DivergenceError as e:
-        _write_dump(out, e)
+        try:
+            with open(os.path.join(out, "divergence_dump.json"), "w") as fh:
+                json.dump({"error": str(e), "context": e.dump}, fh, indent=2)
+        except OSError:
+            pass
         raise
-    ckpt_path = os.path.join(out, "pretrain.ckpt")
-    save_checkpoint(
-        model,
-        ckpt_path,
-        {
-            "kind": "pretrain",
-            "epochs": cfg.epochs,
-            "seed": seed,
-            "final_train_accuracy": _last_accuracy(metrics, "train"),
-            "final_test_accuracy": _last_accuracy(metrics, "test"),
-        },
-    )
-    final = metrics[-1] if metrics else {}
-    print(f"pretrain done: checkpoint={ckpt_path}")
-    if final:
-        print(f"final {final['split']} accuracy={final['accuracy']:.6f}")
+    ckpt_path = os.path.join(out, ckpt_name)
+    save_checkpoint(model, ckpt_path, meta)
+    print(f"{command} done: checkpoint={ckpt_path}")
+    split = "test" if meta.get("final_test_accuracy") is not None else "train"
+    if meta.get(f"final_{split}_accuracy") is not None:
+        print(f"final {split} accuracy={meta[f'final_{split}_accuracy']:.6f}")
     return 0
 
 
-def cmd_quantize(args) -> int:
-    cfg = parse_config(args.config)
-    if args.epochs is not None:
-        cfg.epochs = checked_int("epochs", args.epochs)
-    if args.init_frac is not None:
-        cfg.init_frac = checked_float("init_frac", args.init_frac)
-    if args.no_grad_correctness:
-        cfg.grad_correctness = False
-    if args.out_dir:
-        cfg.out_dir = args.out_dir
-    seed = _resolve_seed(cfg, args)
-    ckpt_path = args.checkpoint or cfg.pretrain_checkpoint
-    if not ckpt_path:
+def _fit_float(cfg: RunConfig, model: Model, train_ds, test_ds, out: str) -> dict:
+    metrics = pretrain(
+        model,
+        train_ds,
+        cfg.weight_optimizer(),
+        epochs=cfg.epochs,
+        batch_size=cfg.batch_size,
+        seed=cfg.seed,
+        test_dataset=test_ds,
+        csv_path=_fresh_csv(os.path.join(out, "pretrain_metrics.csv")),
+    )
+    return {
+        "kind": "pretrain",
+        "epochs": cfg.epochs,
+        "seed": cfg.seed,
+        "final_train_accuracy": _last_accuracy(metrics, "train"),
+        "final_test_accuracy": _last_accuracy(metrics, "test"),
+    }
+
+
+def _pretrained_model(cfg: RunConfig) -> Model:
+    if not cfg.pretrain_checkpoint:
         raise ConfigError("quantize needs a pretrain checkpoint (--checkpoint or config)")
-    if not os.path.exists(ckpt_path):
-        raise ConfigError(f"pretrain checkpoint not found: {ckpt_path}")
-    out = _prepare_out_dir(cfg, seed, "quantize")
-    model = load_checkpoint(ckpt_path)
+    model = _open_checkpoint(cfg.pretrain_checkpoint)
     if not model.quantized_layers():
         raise ConfigError(f"architecture {model.arch!r} has no quantized layers")
     model.init_thresholds(cfg.init_frac)
+    return model
+
+
+def _fit_ternary(cfg: RunConfig, model: Model, train_ds, test_ds, out: str) -> dict:
     state = make_train_state(
         model,
         cfg.weight_optimizer(),
         cfg.threshold_optimizer(),
-        seed=seed,
+        seed=cfg.seed,
         schedule=cfg.lr_schedule,
         grad_correctness=cfg.grad_correctness,
     )
-    train_ds = _load_split(cfg, "train")
-    test_ds = _load_split(cfg, "test")
-    csv_path = _fresh_csv(os.path.join(out, "metrics.csv"))
-    try:
-        metrics = train(
-            state,
-            train_ds,
-            cfg.epochs,
-            batch_size=cfg.batch_size,
-            test_dataset=test_ds,
-            csv_path=csv_path,
-        )
-    except DivergenceError as e:
-        _write_dump(out, e)
-        raise
-    out_ckpt = os.path.join(out, "ternary.ckpt")
-    final_test = _last_accuracy(metrics, "test")
-    save_checkpoint(
-        model,
-        out_ckpt,
-        {
-            "kind": "ternary",
-            "epochs": cfg.epochs,
-            "seed": seed,
-            "grad_correctness": cfg.grad_correctness,
-            "final_test_accuracy": final_test,
-        },
+    metrics = train(
+        state,
+        train_ds,
+        cfg.epochs,
+        batch_size=cfg.batch_size,
+        test_dataset=test_ds,
+        csv_path=_fresh_csv(os.path.join(out, "metrics.csv")),
     )
-    print(f"quantize done: checkpoint={out_ckpt}")
-    if final_test is not None:
-        print(f"final test accuracy={final_test:.6f}")
-    return 0
+    return {
+        "kind": "ternary",
+        "epochs": cfg.epochs,
+        "seed": cfg.seed,
+        "grad_correctness": cfg.grad_correctness,
+        "final_test_accuracy": _last_accuracy(metrics, "test"),
+    }
+
+
+def _fresh_model(cfg: RunConfig) -> Model:
+    return build_from_config(cfg.arch, seed=cfg.seed)
+
+
+def cmd_pretrain(args) -> int:
+    return _run(args, "pretrain", _fresh_model, _fit_float, "pretrain.ckpt")
+
+
+def cmd_quantize(args) -> int:
+    return _run(args, "quantize", _pretrained_model, _fit_ternary, "ternary.ckpt")
 
 
 def cmd_eval(args) -> int:
     cfg = parse_config(args.config)
-    if not os.path.exists(args.checkpoint):
-        raise ConfigError(f"checkpoint not found: {args.checkpoint}")
-    model = load_checkpoint(args.checkpoint)
-    ds = _load_split(cfg, args.split)
-    if ds is None:
-        raise ConfigError(f"config does not name a {args.split} dataset")
+    model = _open_checkpoint(args.checkpoint)
+    ds = _load_split(cfg, args.split, model)
     acc = eval_loss_acc(model, ds, args.mode)[1]
     print(f"mode={args.mode} split={args.split} accuracy={acc:.6f}")
     return 0
 
 
 def cmd_export(args) -> int:
-    if not os.path.exists(args.checkpoint):
-        raise ConfigError(f"checkpoint not found: {args.checkpoint}")
-    model = load_checkpoint(args.checkpoint)
+    model = _open_checkpoint(args.checkpoint)
     model.refresh_all()
     report = export_packed(model, args.out)
     text = json.dumps(report, indent=2, sort_keys=True)
@@ -273,9 +258,7 @@ def _print_histogram(w: np.ndarray, bins: int = 32, width: int = 50) -> None:
 
 
 def cmd_inspect(args) -> int:
-    if not os.path.exists(args.checkpoint):
-        raise ConfigError(f"checkpoint not found: {args.checkpoint}")
-    model = load_checkpoint(args.checkpoint)
+    model = _open_checkpoint(args.checkpoint)
     model.refresh_all()
     print(f"arch={model.arch} params={model.num_params()}")
     for layer in model.param_layers():
@@ -293,35 +276,32 @@ def cmd_inspect(args) -> int:
     return 0
 
 
-def _write_dump(out_dir: str, e: DivergenceError) -> None:
-    try:
-        with open(os.path.join(out_dir, "divergence_dump.json"), "w") as fh:
-            json.dump({"error": str(e), "context": e.dump}, fh, indent=2)
-    except OSError:
-        pass
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="terntrain", description=__doc__)
     parser.add_argument("--version", action="version", version=f"terntrain {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("pretrain", help="train the full-precision baseline")
-    p.add_argument("--config", required=True, help="key=value run config file")
-    p.add_argument("--seed", type=int, default=None, help="override config/env seed")
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--out-dir", default=None)
-    p.set_defaults(func=cmd_pretrain)
+    # Each pretrain/quantize flag stores its value under its config key (_OVERRIDES).
+    def run_parser(name: str, help_text: str, func) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--config", required=True, help="key=value run config file")
+        p.add_argument("--seed", default=os.environ.get("TERNTRAIN_SEED"), help="override the config seed")
+        p.add_argument("--epochs")
+        p.add_argument("--out-dir")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("quantize", help="alternating ternary training from a pretrain checkpoint")
-    p.add_argument("--config", required=True, help="key=value run config file")
-    p.add_argument("--seed", type=int, default=None, help="override config/env seed")
-    p.add_argument("--checkpoint", default=None, help="pretrain checkpoint path")
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--init-frac", type=float, default=None, help="threshold init as a fraction of max|w|")
-    p.add_argument("--no-grad-correctness", action="store_true", help="unit STE backward instead of 1/scale")
-    p.add_argument("--out-dir", default=None)
-    p.set_defaults(func=cmd_quantize)
+    run_parser("pretrain", "train the full-precision baseline", cmd_pretrain)
+    p = run_parser("quantize", "alternating ternary training from a pretrain checkpoint", cmd_quantize)
+    p.add_argument("--checkpoint", dest="pretrain_checkpoint", help="pretrain checkpoint path")
+    p.add_argument("--init-frac", help="threshold init as a fraction of max|w|")
+    p.add_argument(
+        "--no-grad-correctness",
+        dest="grad_correctness",
+        action="store_const",
+        const="false",
+        help="unit STE backward instead of 1/scale",
+    )
 
     p = sub.add_parser("eval", help="accuracy of a checkpoint in float or ternary mode")
     p.add_argument("--config", required=True, help="key=value run config file")

@@ -2,8 +2,10 @@
 
 Zero-dependency text format: one "key = value" per line, blank lines and
 '#' comments ignored. Unknown keys are rejected, every numeric value is
-range-checked at parse time (a float must also be finite), and the parsed
-config echoes back into the run directory so ablation grids stay diffable.
+range-checked at parse time (a float must also be finite), `arch` must name
+a buildable network, and the parsed config echoes back into the run
+directory so ablation grids stay diffable. Command-line overrides are
+checked like the file's own values.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field
 
+from .network import arch_specs
 from .optim import OPTIMIZER_KINDS, OptimizerConfig
 
 
@@ -50,7 +53,7 @@ class RunConfig:
 
     def to_dict(self) -> dict:
         d = asdict(self)
-        d["lr_schedule"] = ",".join(f"{e}:{lr:g}" for e, lr in self.lr_schedule)
+        d["lr_schedule"] = ",".join(f"{e}:{lr!r}" for e, lr in self.lr_schedule)
         return d
 
     def weight_optimizer(self) -> OptimizerConfig:
@@ -123,13 +126,6 @@ _FLOAT_RANGES = {
 }
 
 
-def checked_float(key: str, value: float) -> float:
-    """value if it is finite and inside the float key's allowed range; else a ConfigError."""
-    if not math.isfinite(value):
-        raise ConfigError(f"{key}: value {value} is not a finite number")
-    return _in_range(key, value, **_FLOAT_RANGES[key])
-
-
 # Each integer key's lowest allowed value.
 _INT_MINIMA = {"batch_size": 1, "epochs": 0, "seed": 0}
 
@@ -140,7 +136,6 @@ def checked_int(key: str, value: int) -> int:
 
 
 _STR_KEYS = (
-    "arch",
     "train_images",
     "train_labels",
     "test_images",
@@ -172,14 +167,20 @@ def config_from_pairs(pairs: dict[str, str], source: str = "<config>") -> RunCon
     cfg = RunConfig()
     for key, value in pairs.items():
         try:
-            if key in _STR_KEYS:
+            if key == "arch":
+                arch_specs(value)
+                cfg.arch = value
+            elif key in _STR_KEYS:
                 setattr(cfg, key, value)
             elif key == "dataset":
                 if value not in ("idx", "csv"):
                     raise ConfigError(f"dataset: expected idx or csv, got {value!r}")
                 cfg.dataset = value
             elif key in _FLOAT_RANGES:
-                setattr(cfg, key, checked_float(key, float(value)))
+                number = float(value)
+                if not math.isfinite(number):
+                    raise ConfigError(f"{key}: value {number} is not a finite number")
+                setattr(cfg, key, _in_range(key, number, **_FLOAT_RANGES[key]))
             elif key in _INT_MINIMA:
                 setattr(cfg, key, checked_int(key, int(value)))
             elif key == "weight_opt":
@@ -201,16 +202,19 @@ def config_from_pairs(pairs: dict[str, str], source: str = "<config>") -> RunCon
         except ConfigError:
             raise
         except ValueError as e:
-            raise ConfigError(f"{source}: {key}: {e}") from e
+            raise ConfigError(f"{key}: {e}") from e
     if not cfg.arch:
         raise ConfigError(f"{source}: missing required key 'arch'")
     return cfg
 
 
-def parse_config(path) -> RunConfig:
+def parse_config(path, overrides: dict[str, str | None] | None = None) -> RunConfig:
+    """The config file at path, each non-None override replacing the file's value of its key."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as e:
         raise ConfigError(f"cannot read config {path}: {e}") from e
-    return config_from_pairs(parse_kv_text(text, str(path)), str(path))
+    pairs = parse_kv_text(text, str(path))
+    pairs.update((key, value) for key, value in (overrides or {}).items() if value is not None)
+    return config_from_pairs(pairs, str(path))

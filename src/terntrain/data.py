@@ -124,11 +124,13 @@ def load_csv(path) -> Dataset:
                     f"{path}: line {lineno}: ragged row, {len(parts)} fields where {width} expected"
                 )
             try:
-                label = int(float(parts[0]))
+                label = float(parts[0])
                 row = [float(p) for p in parts[1:]]
             except ValueError as e:
                 raise DataError(f"{path}: line {lineno}: {e}") from e
-            labels.append(label)
+            if not label.is_integer():
+                raise DataError(f"{path}: line {lineno}: label {parts[0]!r} is not a whole number")
+            labels.append(int(label))
             features.append(row)
     if not features:
         raise DataError(f"{path}: no data rows")

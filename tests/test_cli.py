@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 
@@ -7,7 +9,8 @@ import numpy as np
 import pytest
 
 import terntrain
-from terntrain.cli import build_id, main
+from terntrain.cli import build_id, build_parser, main
+from terntrain.config import config_from_pairs, parse_kv_text
 from terntrain.data import make_synth_mnist, save_idx_images, save_idx_labels
 from terntrain.modelio import load_checkpoint
 
@@ -88,6 +91,8 @@ def test_checkpoints_carry_the_run_metadata(pretrained, tmp_path):
         "grad_correctness": True,
         "final_test_accuracy": _last_logged_accuracy(out_dir / "metrics.csv", "test"),
     }
+    # run_info.json records the checkpoint the run read.
+    assert json.loads((out_dir / "run_info.json").read_text())["config"]["pretrain_checkpoint"] == str(ckpt)
 
 
 def test_eval_float_matches_final_pretrain_log(pretrained, capsys):
@@ -269,6 +274,124 @@ def test_usage_and_config_errors_exit_1(pretrained, tmp_path, capsys):
         assert main(argv + extra) == 1
         assert "config error: epochs" in capsys.readouterr().err
         assert not (out_dir / "run_info.json").exists()
+
+
+def _bad_input(case, root, cfg, ckpt, tmp_path):
+    """A config text and a quantize checkpoint holding one bad input, and its exit code."""
+    text = cfg.read_text()
+    if case == "missing-data":
+        return text.replace(str(root / "train_img.idx"), str(tmp_path / "nope.idx")), ckpt, 1
+    if case == "label-out-of-range":
+        save_idx_labels(tmp_path / "lbl.idx", np.arange(192) % 11)
+        return text.replace(str(root / "train_lbl.idx"), str(tmp_path / "lbl.idx")), ckpt, 1
+    if case == "bad-arch":
+        return text.replace("arch = mlp-784-16-10", "arch = mlp-784-x-10"), ckpt, 1
+    blob = bytearray(ckpt.read_bytes())
+    blob[50] ^= 0xFF
+    (tmp_path / "corrupt.ckpt").write_bytes(bytes(blob))
+    return text, tmp_path / "corrupt.ckpt", 2
+
+
+@pytest.mark.parametrize(
+    "command, case",
+    [
+        ("pretrain", "missing-data"),
+        ("pretrain", "label-out-of-range"),
+        ("pretrain", "bad-arch"),
+        ("quantize", "missing-data"),
+        ("quantize", "label-out-of-range"),
+        ("quantize", "bad-arch"),
+        ("quantize", "corrupt-checkpoint"),
+    ],
+)
+def test_bad_input_fails_before_the_run_directory_is_written(
+    pretrained, tmp_path, capsys, command, case
+):
+    root, cfg, ckpt = pretrained
+    text, checkpoint, code = _bad_input(case, root, cfg, ckpt, tmp_path)
+    bad_cfg = tmp_path / "bad.cfg"
+    bad_cfg.write_text(text)
+    out_dir = tmp_path / "out"
+    argv = [command, "--config", str(bad_cfg), "--out-dir", str(out_dir)]
+    if command == "quantize":
+        argv += ["--checkpoint", str(checkpoint)]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    if case == "label-out-of-range":
+        assert "config error: train split: label 10" in err
+    if case == "bad-arch":
+        assert "config error: arch" in err
+    assert not out_dir.exists()
+
+
+def test_eval_rejects_a_label_the_model_has_no_class_for(pretrained, tmp_path, capsys):
+    root, cfg, ckpt = pretrained
+    save_idx_labels(tmp_path / "lbl.idx", np.arange(64) % 12)
+    bad_cfg = tmp_path / "bad.cfg"
+    bad_cfg.write_text(cfg.read_text().replace(str(root / "test_lbl.idx"), str(tmp_path / "lbl.idx")))
+    assert main(["eval", "--config", str(bad_cfg), "--checkpoint", str(ckpt)]) == 1
+    assert "config error: test split: label 11" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, override, key, value",
+    [
+        ("pretrain", "--epochs", "epochs", "-3"),
+        ("pretrain", "--epochs", "epochs", "2.5"),
+        ("pretrain", "--seed", "seed", "-1"),
+        ("pretrain", "TERNTRAIN_SEED", "seed", "x"),
+        ("quantize", "--seed", "seed", "seven"),
+        ("quantize", "TERNTRAIN_SEED", "seed", "-5"),
+        ("quantize", "--init-frac", "init_frac", "nan"),
+        ("quantize", "--init-frac", "init_frac", "0"),
+        ("quantize", "--init-frac", "init_frac", "tenth"),
+    ],
+)
+def test_bad_override_fails_like_the_same_value_in_the_config(
+    pretrained, tmp_path, monkeypatch, capsys, command, override, key, value
+):
+    root, cfg, ckpt = pretrained
+    rest = "".join(line for line in cfg.read_text().splitlines(True) if not line.startswith(f"{key} ="))
+    run_cfg = tmp_path / "run.cfg"
+    out_dir = tmp_path / "out"
+    argv = [command, "--config", str(run_cfg), "--out-dir", str(out_dir)]
+    if command == "quantize":
+        argv += ["--checkpoint", str(ckpt)]
+
+    run_cfg.write_text(rest)
+    if override.startswith("--"):
+        assert main(argv + [override, value]) == 1
+    else:
+        monkeypatch.setenv(override, value)
+        assert main(argv) == 1
+        monkeypatch.delenv(override)
+    from_override = capsys.readouterr().err
+
+    run_cfg.write_text(rest + f"{key} = {value}\n")
+    assert main(argv) == 1
+    from_file = capsys.readouterr().err
+    assert from_override == from_file
+    assert from_file.startswith(f"config error: {key}: ")
+    assert not out_dir.exists()
+
+
+def _readme_cli_section() -> str:
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    return text.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_cli_section_matches_the_parsers():
+    blocks = re.findall(r"(?:^ {4}.*\n)+", _readme_cli_section(), flags=re.M)
+    config_block, commands_block = blocks[0], blocks[1]
+    cfg = config_from_pairs(parse_kv_text(config_block, "README.md"), "README.md")
+    assert cfg.arch == "mlp-784-300-100-10"
+    lines = commands_block.replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line) for line in lines if line.strip().startswith("terntrain ")]
+    assert {argv[1] for argv in commands} == {"pretrain", "quantize", "eval", "export", "inspect", "gradcheck"}
+    for argv in commands:
+        build_parser().parse_args(argv[1:])
 
 
 def test_corrupt_checkpoint_exits_2(pretrained, tmp_path):

@@ -40,6 +40,36 @@ def test_missing_arch_rejected():
         _parse("seed = 1\n")
 
 
+@pytest.mark.parametrize("arch", ["resnet18", "mlp-4-x-3", "mlp-4", "mlp-4-0-2", ""])
+def test_unbuildable_arch_rejected(arch):
+    with pytest.raises(ConfigError, match="^arch: "):
+        _parse(f"arch = {arch}\n")
+
+
+def test_overrides_replace_file_values_and_none_keeps_them(tmp_path):
+    p = tmp_path / "c.cfg"
+    p.write_text(MINIMAL + "seed = 7\nepochs = 3\n")
+    cfg = parse_config(p, {"seed": "11", "epochs": None, "init_frac": "0.2", "grad_correctness": "false"})
+    assert (cfg.seed, cfg.epochs, cfg.init_frac, cfg.grad_correctness) == (11, 3, 0.2, False)
+    assert parse_config(p, {}).seed == parse_config(p).seed == 7
+
+
+@pytest.mark.parametrize(
+    "key, value", [("seed", "-1"), ("epochs", "x"), ("init_frac", "nan"), ("arch", "mlp-4")]
+)
+def test_bad_override_fails_like_the_same_value_in_the_file(tmp_path, key, value):
+    rest = "" if key == "arch" else MINIMAL
+    p = tmp_path / "c.cfg"
+    p.write_text(rest)
+    with pytest.raises(ConfigError) as from_override:
+        parse_config(p, {key: value})
+    p.write_text(rest + f"{key} = {value}\n")
+    with pytest.raises(ConfigError) as from_file:
+        parse_config(p)
+    assert str(from_override.value) == str(from_file.value)
+    assert str(from_file.value).startswith(f"{key}: ")
+
+
 def test_malformed_line_rejected():
     with pytest.raises(ConfigError, match="line 2"):
         parse_kv_text("arch = a\nnot a pair\n")
@@ -110,6 +140,10 @@ def test_schedule_parsing():
 def test_to_dict_roundtrips_schedule():
     cfg = _parse(MINIMAL + "lr_schedule = 5:0.5\n")
     assert cfg.to_dict()["lr_schedule"] == "5:0.5"
+    cfg = _parse(MINIMAL + "lr_schedule = 0:0.00123456789,7:1e-05\n")
+    echoed = cfg.to_dict()["lr_schedule"]
+    assert echoed == "0:0.00123456789,7:1e-05"
+    assert _parse(MINIMAL + f"lr_schedule = {echoed}\n").lr_schedule == cfg.lr_schedule
 
 
 def test_optimizer_config_construction():

@@ -97,6 +97,16 @@ def test_load_csv_bad_value_names_line(tmp_path):
         load_csv(p)
 
 
+@pytest.mark.parametrize("label", ["2.7", "inf", "nan"])
+def test_load_csv_non_integral_label_names_line(tmp_path, label):
+    p = tmp_path / "d.csv"
+    p.write_text(f"1.0,0.5,0.5\n{label},-1.0,2.0\n")
+    with pytest.raises(DataError, match=f"line 2: label '{label}'"):
+        load_csv(p)
+    p.write_text("1.0,0.5,0.5\n2,-1.0,2.0\n")
+    assert np.array_equal(load_csv(p).labels, [1, 2])  # an integral float is a class
+
+
 def test_load_csv_empty(tmp_path):
     p = tmp_path / "d.csv"
     p.write_text("label,f1\n")
