@@ -2,8 +2,9 @@
 """Print SHA-256 digests of a fixed-seed training run's output files.
 
 On mlp-784-300-100-10 and lenet-small, builds a model, pretrains it in
-float, runs a 3-epoch alternating ternary train(), and writes the metrics
-CSV, the TNCK checkpoint and the TERN packed file. Running this script on
+float for one epoch, runs a 3-epoch alternating ternary train(), and
+digests both phases' metrics CSVs and TNCK checkpoints (as `terntrain
+pretrain` and `quantize` write them) and the TERN packed file. Running this script on
 two versions of the code and comparing the printed lines shows whether a
 change kept every output byte identical. Takes a few seconds on one core.
 
@@ -44,10 +45,35 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _read(path) -> bytes:
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
 def run(arch: str, seed: int, out_dir: str) -> dict:
     train_ds, test_ds = _dataset(N_TRAIN, seed), _dataset(N_TEST, seed + 1000)
     model = build_from_config(arch, seed=seed)
-    pretrain(model, train_ds, OptimizerConfig(kind="vanilla-sgd", lr=0.1), epochs=1, seed=seed)
+    pretrain_csv = os.path.join(out_dir, f"{arch}.pretrain.csv")
+    rows = pretrain(
+        model,
+        train_ds,
+        OptimizerConfig(kind="vanilla-sgd", lr=0.1),
+        epochs=1,
+        seed=seed,
+        test_dataset=test_ds,
+        csv_path=pretrain_csv,
+    )
+    # The metadata `terntrain pretrain` writes into pretrain.ckpt.
+    pretrain_ckpt = checkpoint_to_bytes(
+        model,
+        metadata={
+            "kind": "pretrain",
+            "epochs": 1,
+            "seed": seed,
+            "final_train_accuracy": rows[-2]["accuracy"],
+            "final_test_accuracy": rows[-1]["accuracy"],
+        },
+    )
     model.init_thresholds(0.1)
     state = make_train_state(
         model,
@@ -70,11 +96,13 @@ def run(arch: str, seed: int, out_dir: str) -> dict:
     )
     tern_path = os.path.join(out_dir, f"{arch}.tern")
     export_packed(model, tern_path)
-    with open(csv_path, "rb") as fh:
-        csv_bytes = fh.read()
-    with open(tern_path, "rb") as fh:
-        tern_bytes = fh.read()
-    return {"csv": _sha(csv_bytes), "tnck": _sha(ckpt), "tern": _sha(tern_bytes)}
+    return {
+        "pretrain-csv": _sha(_read(pretrain_csv)),
+        "pretrain-tnck": _sha(pretrain_ckpt),
+        "csv": _sha(_read(csv_path)),
+        "tnck": _sha(ckpt),
+        "tern": _sha(_read(tern_path)),
+    }
 
 
 def main():

@@ -1,8 +1,10 @@
 """Operator surface: pretrain, quantize, eval, export, gradcheck, inspect.
 
-pretrain and quantize share one run path. Each of their flags sets a config
-key and is checked by the config parser like a value in the file: the flag
-beats TERNTRAIN_SEED (for the seed), which beats the file. The settings, the
+pretrain and quantize share one run path and one fit, trainer.train():
+pretrain trains a float train state on a fresh model, quantize a ternary one
+on the pretrain checkpoint. Each of their flags sets a config key and is
+checked by the config parser like a value in the file: the flag beats
+TERNTRAIN_SEED (for the seed), which beats the file. The settings, the
 checkpoint and both data splits load before the run directory is written, so
 a bad input leaves no run_info.json behind.
 
@@ -27,7 +29,7 @@ from .gradcheck import run_suite, suite_passed
 from .modelio import ModelIOError, export_packed, load_checkpoint, save_checkpoint
 from .network import Model, build_from_config
 from .ternarize import DegenerateLayerError, sparsity
-from .trainer import DivergenceError, eval_loss_acc, make_train_state, pretrain, train
+from .trainer import DivergenceError, TrainState, eval_loss_acc, make_train_state, train
 
 
 class CliUsageError(Exception):
@@ -100,78 +102,22 @@ def _last_accuracy(metrics: list[dict], split: str) -> float | None:
     return None
 
 
-def _run(args, command: str, open_model, fit, ckpt_name: str) -> int:
-    """The one path of pretrain and quantize.
-
-    Settings, model and both data splits load before anything is written, so
-    a bad input leaves no run directory behind. open_model(cfg) returns the
-    model to train; fit(cfg, model, train_ds, test_ds, out) trains it in
-    place and returns the checkpoint's metadata.
-    """
-    cfg = parse_config(args.config, {key: getattr(args, key, None) for key in _OVERRIDES})
-    model = open_model(cfg)
-    train_ds = _load_split(cfg, "train", model)
-    test_ds = _load_split(cfg, "test", model, required=False)
-    out = cfg.out_dir
-    os.makedirs(out, exist_ok=True)
-    info = {
-        "command": command,
-        "seed": cfg.seed,
-        "build_id": build_id(),
-        "config": cfg.to_dict(),
-    }
-    with open(os.path.join(out, "run_info.json"), "w") as fh:
-        json.dump(info, fh, indent=2, sort_keys=True)
-    try:
-        meta = fit(cfg, model, train_ds, test_ds, out)
-    except DivergenceError as e:
-        try:
-            with open(os.path.join(out, "divergence_dump.json"), "w") as fh:
-                json.dump({"error": str(e), "context": e.dump}, fh, indent=2)
-        except OSError:
-            pass
-        raise
-    ckpt_path = os.path.join(out, ckpt_name)
-    save_checkpoint(model, ckpt_path, meta)
-    print(f"{command} done: checkpoint={ckpt_path}")
-    split = "test" if meta.get("final_test_accuracy") is not None else "train"
-    if meta.get(f"final_{split}_accuracy") is not None:
-        print(f"final {split} accuracy={meta[f'final_{split}_accuracy']:.6f}")
-    return 0
+# Each training command's metrics CSV and checkpoint, in out_dir.
+_OUTPUTS = {"pretrain": ("pretrain_metrics.csv", "pretrain.ckpt"), "quantize": ("metrics.csv", "ternary.ckpt")}
 
 
-def _fit_float(cfg: RunConfig, model: Model, train_ds, test_ds, out: str) -> dict:
-    metrics = pretrain(
-        model,
-        train_ds,
-        cfg.weight_optimizer(),
-        epochs=cfg.epochs,
-        batch_size=cfg.batch_size,
-        seed=cfg.seed,
-        test_dataset=test_ds,
-        csv_path=_fresh_csv(os.path.join(out, "pretrain_metrics.csv")),
-    )
-    return {
-        "kind": "pretrain",
-        "epochs": cfg.epochs,
-        "seed": cfg.seed,
-        "final_train_accuracy": _last_accuracy(metrics, "train"),
-        "final_test_accuracy": _last_accuracy(metrics, "test"),
-    }
-
-
-def _pretrained_model(cfg: RunConfig) -> Model:
+def _train_state(cfg: RunConfig, command: str) -> TrainState:
+    """pretrain: a float state on a fresh model. quantize: a ternary state on the pretrain checkpoint."""
+    if command == "pretrain":
+        model = build_from_config(cfg.arch, seed=cfg.seed)
+        return make_train_state(model, cfg.weight_optimizer(), seed=cfg.seed)
     if not cfg.pretrain_checkpoint:
         raise ConfigError("quantize needs a pretrain checkpoint (--checkpoint or config)")
     model = _open_checkpoint(cfg.pretrain_checkpoint)
     if not model.quantized_layers():
         raise ConfigError(f"architecture {model.arch!r} has no quantized layers")
     model.init_thresholds(cfg.init_frac)
-    return model
-
-
-def _fit_ternary(cfg: RunConfig, model: Model, train_ds, test_ds, out: str) -> dict:
-    state = make_train_state(
+    return make_train_state(
         model,
         cfg.weight_optimizer(),
         cfg.threshold_optimizer(),
@@ -179,33 +125,57 @@ def _fit_ternary(cfg: RunConfig, model: Model, train_ds, test_ds, out: str) -> d
         schedule=cfg.lr_schedule,
         grad_correctness=cfg.grad_correctness,
     )
-    metrics = train(
-        state,
-        train_ds,
-        cfg.epochs,
-        batch_size=cfg.batch_size,
-        test_dataset=test_ds,
-        csv_path=_fresh_csv(os.path.join(out, "metrics.csv")),
-    )
-    return {
-        "kind": "ternary",
-        "epochs": cfg.epochs,
+
+
+def _metadata(cfg: RunConfig, state: TrainState, metrics: list[dict]) -> dict:
+    """The checkpoint's run record; a float run adds its last train accuracy, a ternary one grad_correctness."""
+    meta = {"epochs": cfg.epochs, "seed": cfg.seed, "final_test_accuracy": _last_accuracy(metrics, "test")}
+    if state.threshold_opt is None:
+        return {"kind": "pretrain", **meta, "final_train_accuracy": _last_accuracy(metrics, "train")}
+    return {"kind": "ternary", **meta, "grad_correctness": cfg.grad_correctness}
+
+
+def cmd_run(args) -> int:
+    """The one path of pretrain and quantize: a float or a ternary train state through one fit.
+
+    Settings, train state and both data splits load before anything is
+    written, so a bad input leaves no run directory behind.
+    """
+    cfg = parse_config(args.config, {key: getattr(args, key, None) for key in _OVERRIDES})
+    state = _train_state(cfg, args.command)
+    train_ds = _load_split(cfg, "train", state.model)
+    test_ds = _load_split(cfg, "test", state.model, required=False)
+    out = cfg.out_dir
+    os.makedirs(out, exist_ok=True)
+    info = {
+        "command": args.command,
         "seed": cfg.seed,
-        "grad_correctness": cfg.grad_correctness,
-        "final_test_accuracy": _last_accuracy(metrics, "test"),
+        "build_id": build_id(),
+        "config": cfg.to_dict(),
     }
-
-
-def _fresh_model(cfg: RunConfig) -> Model:
-    return build_from_config(cfg.arch, seed=cfg.seed)
-
-
-def cmd_pretrain(args) -> int:
-    return _run(args, "pretrain", _fresh_model, _fit_float, "pretrain.ckpt")
-
-
-def cmd_quantize(args) -> int:
-    return _run(args, "quantize", _pretrained_model, _fit_ternary, "ternary.ckpt")
+    with open(os.path.join(out, "run_info.json"), "w") as fh:
+        json.dump(info, fh, indent=2, sort_keys=True)
+    csv_name, ckpt_name = _OUTPUTS[args.command]
+    csv_path = _fresh_csv(os.path.join(out, csv_name))
+    try:
+        metrics = train(
+            state, train_ds, cfg.epochs, batch_size=cfg.batch_size, test_dataset=test_ds, csv_path=csv_path
+        )
+    except DivergenceError as e:
+        try:
+            with open(os.path.join(out, "divergence_dump.json"), "w") as fh:
+                json.dump({"error": str(e), "context": e.dump}, fh, indent=2)
+        except OSError:
+            pass
+        raise
+    meta = _metadata(cfg, state, metrics)
+    ckpt_path = os.path.join(out, ckpt_name)
+    save_checkpoint(state.model, ckpt_path, meta)
+    print(f"{args.command} done: checkpoint={ckpt_path}")
+    split = "test" if meta["final_test_accuracy"] is not None else "train"
+    if meta.get(f"final_{split}_accuracy") is not None:
+        print(f"final {split} accuracy={meta[f'final_{split}_accuracy']:.6f}")
+    return 0
 
 
 def cmd_eval(args) -> int:
@@ -282,17 +252,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     # Each pretrain/quantize flag stores its value under its config key (_OVERRIDES).
-    def run_parser(name: str, help_text: str, func) -> argparse.ArgumentParser:
+    def run_parser(name: str, help_text: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="key=value run config file")
         p.add_argument("--seed", default=os.environ.get("TERNTRAIN_SEED"), help="override the config seed")
         p.add_argument("--epochs")
         p.add_argument("--out-dir")
-        p.set_defaults(func=func)
+        p.set_defaults(func=cmd_run)
         return p
 
-    run_parser("pretrain", "train the full-precision baseline", cmd_pretrain)
-    p = run_parser("quantize", "alternating ternary training from a pretrain checkpoint", cmd_quantize)
+    run_parser("pretrain", "train the full-precision baseline")
+    p = run_parser("quantize", "alternating ternary training from a pretrain checkpoint")
     p.add_argument("--checkpoint", dest="pretrain_checkpoint", help="pretrain checkpoint path")
     p.add_argument("--init-frac", help="threshold init as a fraction of max|w|")
     p.add_argument(

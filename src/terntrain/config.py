@@ -171,6 +171,8 @@ def config_from_pairs(pairs: dict[str, str], source: str = "<config>") -> RunCon
                 arch_specs(value)
                 cfg.arch = value
             elif key in _STR_KEYS:
+                if key == "out_dir" and not value:
+                    raise ConfigError("out_dir: must name a directory, got an empty value")
                 setattr(cfg, key, value)
             elif key == "dataset":
                 if value not in ("idx", "csv"):

@@ -7,6 +7,7 @@ scaled to [0, 1] and then normalized by the configured mean/std.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -130,6 +131,9 @@ def load_csv(path) -> Dataset:
                 raise DataError(f"{path}: line {lineno}: {e}") from e
             if not label.is_integer():
                 raise DataError(f"{path}: line {lineno}: label {parts[0]!r} is not a whole number")
+            bad = [p for p, v in zip(parts[1:], row) if not math.isfinite(v)]
+            if bad:
+                raise DataError(f"{path}: line {lineno}: feature {bad[0]!r} is not a finite number")
             labels.append(int(label))
             features.append(row)
     if not features:

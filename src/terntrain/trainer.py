@@ -1,10 +1,13 @@
-"""Training loops: float pretraining and the alternating ternary iteration.
+"""One training loop, train(), over a float or a ternary train state.
 
-Each ternary step runs, on one batch: refresh every quantizer, update only
-the thresholds through the scale path, refresh again to re-synchronize the
-codes, then update only the weights through the straight-through path. The
-second refresh is what keeps the weight phase consistent with the threshold
-it just moved.
+A state without a threshold optimizer is a float state: each step updates
+the full-precision weights, and each epoch is evaluated in float mode. A
+ternary state runs the alternating iteration. Each ternary step runs, on one
+batch: refresh every quantizer, update only the thresholds through the scale
+path, refresh again to re-synchronize the codes, then update only the
+weights through the straight-through path. The second refresh is what keeps
+the weight phase consistent with the threshold it just moved. Its epochs are
+evaluated in ternary mode and log each layer's quantizer.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from .ternarize import THRESHOLD_PHASE, WEIGHT_PHASE, sparsity
 
 
 class DivergenceError(RuntimeError):
-    """Raised when a training loss stops being finite."""
+    """Raised when a training loss or weight stops being finite."""
 
     def __init__(self, message: str, dump: dict | None = None):
         super().__init__(message)
@@ -31,9 +34,11 @@ class DivergenceError(RuntimeError):
 
 @dataclass
 class TrainState:
+    """What train() advances; threshold_opt is None on a float state."""
+
     model: Model
     weight_opt: object
-    threshold_opt: ThresholdOptimizer
+    threshold_opt: ThresholdOptimizer | None
     rng: np.random.Generator
     schedule: list[tuple[int, float]] = field(default_factory=list)
     grad_correctness: bool = True
@@ -46,16 +51,19 @@ class TrainState:
 def make_train_state(
     model: Model,
     weight_cfg: OptimizerConfig,
-    threshold_cfg: OptimizerConfig,
+    threshold_cfg: OptimizerConfig | None = None,
     seed: int = 0,
     schedule: list[tuple[int, float]] | None = None,
     grad_correctness: bool = True,
 ) -> TrainState:
-    if threshold_cfg.weight_decay != 0.0:
-        raise ValueError("weight decay on thresholds is forbidden; set it to 0")
-    t_opt = ThresholdOptimizer(
-        threshold_cfg.kind, threshold_cfg.lr, threshold_cfg.betas, threshold_cfg.eps
-    )
+    """A ternary train state, or a float one when threshold_cfg is None."""
+    t_opt = None
+    if threshold_cfg is not None:
+        if threshold_cfg.weight_decay != 0.0:
+            raise ValueError("weight decay on thresholds is forbidden; set it to 0")
+        t_opt = ThresholdOptimizer(
+            threshold_cfg.kind, threshold_cfg.lr, threshold_cfg.betas, threshold_cfg.eps
+        )
     return TrainState(
         model=model,
         weight_opt=make_optimizer(weight_cfg, model.parameters()),
@@ -64,7 +72,7 @@ def make_train_state(
         schedule=sorted(schedule or []),
         grad_correctness=grad_correctness,
         _base_weight_lr=weight_cfg.lr,
-        _base_threshold_lr=threshold_cfg.lr,
+        _base_threshold_lr=t_opt.lr if t_opt is not None else 0.0,
     )
 
 
@@ -74,7 +82,8 @@ def _apply_schedule(state: TrainState) -> None:
     for ep, lr in state.schedule:
         if state.epoch == ep:
             state.weight_opt.lr = lr
-            state.threshold_opt.lr = state._base_threshold_lr * (lr / state._base_weight_lr)
+            if state.threshold_opt is not None:
+                state.threshold_opt.lr = state._base_threshold_lr * (lr / state._base_weight_lr)
 
 
 def _batches(n: int, batch_size: int, rng: np.random.Generator):
@@ -83,25 +92,43 @@ def _batches(n: int, batch_size: int, rng: np.random.Generator):
         yield order[start : start + batch_size]
 
 
-def _loss_backward(model: Model, xb, yb, mode: str, context: dict, gc: bool = True) -> float:
+Batch = tuple[np.ndarray, np.ndarray]
+
+
+def _loss_backward(state: TrainState, xb, yb, mode: str, phase: str, batch_index: int | None) -> float:
     """Zero the gradients, forward in mode, raise on a non-finite loss, back-propagate.
 
-    Returns the loss; a DivergenceError carries context as its dump.
+    Returns the loss; a DivergenceError's dump holds the phase, epoch and batch.
     """
+    model = state.model
     model.zero_grad()
-    loss = softmax_cross_entropy(model.forward(xb, mode, gc), yb)
+    loss = softmax_cross_entropy(model.forward(xb, mode, state.grad_correctness), yb)
     loss_value = float(loss.data)
     if not np.isfinite(loss_value):
+        context = {"phase": phase, "epoch": state.epoch, "batch": batch_index}
         raise DivergenceError(f"non-finite loss {loss_value!r} at {context}", dump=context)
     backward(loss)
     return loss_value
 
 
-def threshold_substep(state: TrainState, xb: np.ndarray, yb: np.ndarray) -> float:
+def _weight_update(state: TrainState, xb, yb, mode: str, phase: str, batch_index: int | None) -> float:
+    """Back-propagate the loss in mode, step the weight optimizer and snap the parameters."""
+    loss_value = _loss_backward(state, xb, yb, mode, phase, batch_index)
+    state.weight_opt.step()
+    state.model.snap_params_f32()
+    return loss_value
+
+
+def float_train_step(state: TrainState, batch: Batch, batch_index: int | None = None) -> dict:
+    """One full-precision update on one batch."""
+    xb, yb = batch
+    return {"loss": _weight_update(state, xb, yb, FLOAT_MODE, "pretrain", batch_index)}
+
+
+def threshold_substep(state: TrainState, xb, yb, batch_index: int | None = None) -> float:
     """Forward in threshold phase, back-propagate, update only the thresholds."""
     model = state.model
-    context = {"phase": "threshold", "epoch": state.epoch}
-    loss_value = _loss_backward(model, xb, yb, THRESHOLD_PHASE, context)
+    loss_value = _loss_backward(state, xb, yb, THRESHOLD_PHASE, "threshold", batch_index)
     for layer in model.quantized_layers():
         leaf = model.delta_leaves[layer.name]
         g = 0.0 if leaf.grad is None else float(leaf.grad)
@@ -109,23 +136,29 @@ def threshold_substep(state: TrainState, xb: np.ndarray, yb: np.ndarray) -> floa
     return loss_value
 
 
-def weight_substep(state: TrainState, xb: np.ndarray, yb: np.ndarray) -> float:
+def weight_substep(state: TrainState, xb, yb, batch_index: int | None = None) -> float:
     """Forward in weight phase, back-propagate, update only weights and biases."""
-    context = {"phase": "weight", "epoch": state.epoch}
-    loss_value = _loss_backward(state.model, xb, yb, WEIGHT_PHASE, context, state.grad_correctness)
-    state.weight_opt.step()
-    state.model.snap_params_f32()
-    return loss_value
+    return _weight_update(state, xb, yb, WEIGHT_PHASE, "weight", batch_index)
 
 
-def tern_train_step(state: TrainState, batch: tuple[np.ndarray, np.ndarray]) -> dict:
+def _refresh(state: TrainState, batch_index: int | None) -> None:
+    """Refresh every quantizer; a weight update that overflowed fails here first, as a divergence."""
+    try:
+        state.model.refresh_all()
+    except ValueError as e:
+        if all(np.isfinite(p.data).all() for p in state.model.parameters()):
+            raise
+        context = {"phase": "refresh", "epoch": state.epoch, "batch": batch_index}
+        raise DivergenceError(f"non-finite weights at {context}: {e}", dump=context) from e
+
+
+def tern_train_step(state: TrainState, batch: Batch, batch_index: int | None = None) -> dict:
     """One alternating update on one batch; both phases see the identical batch."""
     xb, yb = batch
-    model = state.model
-    model.refresh_all()
-    t_loss = threshold_substep(state, xb, yb)
-    model.refresh_all()
-    w_loss = weight_substep(state, xb, yb)
+    _refresh(state, batch_index)
+    t_loss = threshold_substep(state, xb, yb, batch_index)
+    _refresh(state, batch_index)
+    w_loss = weight_substep(state, xb, yb, batch_index)
     return {"threshold_loss": t_loss, "weight_loss": w_loss}
 
 
@@ -175,6 +208,51 @@ def _append_csv(path, rows: list[dict]) -> None:
         writer.writerows(rows)
 
 
+def train(
+    state: TrainState,
+    dataset,
+    epochs: int,
+    batch_size: int = 64,
+    test_dataset=None,
+    csv_path=None,
+) -> list[dict]:
+    """Train state.model in place for another epochs epochs; returns state.metrics.
+
+    Each epoch draws its batch order from state.rng and adds a train row and,
+    given a test set, a test row, evaluated in float mode on a float state
+    and in ternary mode on a ternary one. Ternary rows also log each layer's
+    threshold, clipped threshold, scale and sparsity. The rows accumulate in
+    state.metrics across calls, so one call per epoch is the same run as one
+    call for all of them. A non-finite loss, or a quantizer refresh failing
+    on non-finite weights, raises a DivergenceError whose dump holds the
+    phase, epoch and batch index. Saving the model is the caller's step.
+    """
+    model = state.model
+    ternary = state.threshold_opt is not None
+    if ternary:
+        if not model.quantized_layers():
+            raise ValueError("ternary training needs at least one quantized layer")
+        model.refresh_all()
+    # Looked up here, not kept on the state, so a wrapper set on the module is seen.
+    step = tern_train_step if ternary else float_train_step
+    for _ in range(epochs):
+        _apply_schedule(state)
+        for bi, idx in enumerate(_batches(len(dataset), batch_size, state.rng)):
+            step(state, (dataset.images[idx], dataset.labels[idx]), bi)
+        if ternary:
+            _refresh(state, bi)
+        rows = []
+        for split, ds in (("train", dataset), ("test", test_dataset)):
+            if ds is not None:
+                loss, acc = eval_loss_acc(model, ds, "ternary" if ternary else "float")
+                row = {"epoch": state.epoch, "split": split, "loss": loss, "accuracy": acc}
+                rows.append({**row, **_quantizer_columns(model)} if ternary else row)
+        state.metrics.extend(rows)
+        _append_csv(csv_path, rows)
+        state.epoch += 1
+    return state.metrics
+
+
 def pretrain(
     model: Model,
     dataset,
@@ -187,64 +265,8 @@ def pretrain(
 ) -> list[dict]:
     """Train the full-precision model in place; returns its metric rows.
 
-    Each epoch adds a train row and, given a test set, a test row. Zero
-    epochs leave the initialization unchanged. A non-finite loss aborts with
-    a DivergenceError carrying a state dump. Saving the model is the
-    caller's step.
+    train() on a fresh float state: zero epochs leave the initialization
+    unchanged.
     """
-    opt = make_optimizer(cfg, model.parameters())
-    rng = np.random.default_rng(seed)
-    metrics: list[dict] = []
-    for epoch in range(epochs):
-        for bi, idx in enumerate(_batches(len(dataset), batch_size, rng)):
-            xb, yb = dataset.images[idx], dataset.labels[idx]
-            _loss_backward(model, xb, yb, FLOAT_MODE, {"phase": "pretrain", "epoch": epoch, "batch": bi})
-            opt.step()
-            model.snap_params_f32()
-        rows = []
-        tr_loss, tr_acc = eval_loss_acc(model, dataset, "float")
-        rows.append({"epoch": epoch, "split": "train", "loss": tr_loss, "accuracy": tr_acc})
-        if test_dataset is not None:
-            te_loss, te_acc = eval_loss_acc(model, test_dataset, "float")
-            rows.append({"epoch": epoch, "split": "test", "loss": te_loss, "accuracy": te_acc})
-        metrics.extend(rows)
-        _append_csv(csv_path, rows)
-    return metrics
-
-
-def train(
-    state: TrainState,
-    dataset,
-    epochs: int,
-    batch_size: int = 64,
-    test_dataset=None,
-    csv_path=None,
-) -> list[dict]:
-    """Run the alternating ternary training in place; returns state.metrics.
-
-    Per epoch, both splits are evaluated in ternary mode and the per-layer
-    threshold, clipped threshold, scale and sparsity are logged. The rows
-    accumulate in state.metrics across calls. Saving the model is the
-    caller's step.
-    """
-    model = state.model
-    if not model.quantized_layers():
-        raise ValueError("ternary training needs at least one quantized layer")
-    model.refresh_all()
-    for _ in range(epochs):
-        _apply_schedule(state)
-        for idx in _batches(len(dataset), batch_size, state.rng):
-            tern_train_step(state, (dataset.images[idx], dataset.labels[idx]))
-        model.refresh_all()
-        rows = []
-        tr_loss, tr_acc = eval_loss_acc(model, dataset, "ternary")
-        base = {"epoch": state.epoch, "split": "train", "loss": tr_loss, "accuracy": tr_acc}
-        rows.append({**base, **_quantizer_columns(model)})
-        if test_dataset is not None:
-            te_loss, te_acc = eval_loss_acc(model, test_dataset, "ternary")
-            base = {"epoch": state.epoch, "split": "test", "loss": te_loss, "accuracy": te_acc}
-            rows.append({**base, **_quantizer_columns(model)})
-        state.metrics.extend(rows)
-        _append_csv(csv_path, rows)
-        state.epoch += 1
-    return state.metrics
+    state = make_train_state(model, cfg, seed=seed)
+    return train(state, dataset, epochs, batch_size=batch_size, test_dataset=test_dataset, csv_path=csv_path)

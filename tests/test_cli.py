@@ -4,6 +4,7 @@ import re
 import shlex
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -286,6 +287,10 @@ def _bad_input(case, root, cfg, ckpt, tmp_path):
         return text.replace(str(root / "train_lbl.idx"), str(tmp_path / "lbl.idx")), ckpt, 1
     if case == "bad-arch":
         return text.replace("arch = mlp-784-16-10", "arch = mlp-784-x-10"), ckpt, 1
+    if case == "non-finite-feature":
+        (tmp_path / "train.csv").write_text("0,0.1,0.2\n1,nan,0.5\n0,0.2,inf\n")
+        text = text.replace("arch = mlp-784-16-10", "arch = mlp-2-4-2").replace("dataset = idx", "dataset = csv")
+        return text + f"train_csv = {tmp_path / 'train.csv'}\n", ckpt, 1
     blob = bytearray(ckpt.read_bytes())
     blob[50] ^= 0xFF
     (tmp_path / "corrupt.ckpt").write_bytes(bytes(blob))
@@ -298,6 +303,7 @@ def _bad_input(case, root, cfg, ckpt, tmp_path):
         ("pretrain", "missing-data"),
         ("pretrain", "label-out-of-range"),
         ("pretrain", "bad-arch"),
+        ("pretrain", "non-finite-feature"),
         ("quantize", "missing-data"),
         ("quantize", "label-out-of-range"),
         ("quantize", "bad-arch"),
@@ -321,7 +327,44 @@ def test_bad_input_fails_before_the_run_directory_is_written(
         assert "config error: train split: label 10" in err
     if case == "bad-arch":
         assert "config error: arch" in err
+    if case == "non-finite-feature":
+        assert "line 2: feature 'nan' is not a finite number" in err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command", ["pretrain", "quantize"])
+def test_empty_out_dir_is_a_config_error(pretrained, tmp_path, monkeypatch, capsys, command):
+    root, cfg, ckpt = pretrained
+    monkeypatch.chdir(tmp_path)
+    bad_cfg = tmp_path / "bad.cfg"
+    bad_cfg.write_text(cfg.read_text().replace(f"out_dir = {root / 'out'}", "out_dir ="))
+    extra = ["--checkpoint", str(ckpt)] if command == "quantize" else []
+    for argv in (["--config", str(cfg), "--out-dir", ""], ["--config", str(bad_cfg)]):
+        assert main([command] + argv + extra) == 1
+        assert capsys.readouterr().err.startswith("config error: out_dir: ")
+    assert os.listdir(tmp_path) == ["bad.cfg"]
+
+
+@pytest.mark.parametrize("command", ["pretrain", "quantize"])
+def test_divergence_exits_2_and_dumps_its_context(pretrained, tmp_path, capsys, command):
+    root, cfg, ckpt = pretrained
+    bad_cfg = tmp_path / "diverge.cfg"
+    bad_cfg.write_text(cfg.read_text().replace("weight_lr = 0.1", "weight_lr = 1e30"))
+    out_dir = tmp_path / "out"
+    argv = [command, "--config", str(bad_cfg), "--out-dir", str(out_dir)]
+    if command == "quantize":
+        argv += ["--checkpoint", str(ckpt)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("runtime error: non-finite ")
+    dump = json.loads((out_dir / "divergence_dump.json").read_text())
+    context = dump["context"]
+    assert list(context) == ["phase", "epoch", "batch"]
+    # A quantize step's overflowed weights fail the next quantizer refresh, before its loss.
+    assert context["phase"] in (("pretrain",) if command == "pretrain" else ("threshold", "weight", "refresh"))
+    assert context["epoch"] == 0 and context["batch"] >= 1
+    assert str(context) in dump["error"]
 
 
 def test_eval_rejects_a_label_the_model_has_no_class_for(pretrained, tmp_path, capsys):

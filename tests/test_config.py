@@ -55,7 +55,7 @@ def test_overrides_replace_file_values_and_none_keeps_them(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "key, value", [("seed", "-1"), ("epochs", "x"), ("init_frac", "nan"), ("arch", "mlp-4")]
+    "key, value", [("seed", "-1"), ("epochs", "x"), ("init_frac", "nan"), ("arch", "mlp-4"), ("out_dir", "")]
 )
 def test_bad_override_fails_like_the_same_value_in_the_file(tmp_path, key, value):
     rest = "" if key == "arch" else MINIMAL
@@ -68,6 +68,12 @@ def test_bad_override_fails_like_the_same_value_in_the_file(tmp_path, key, value
         parse_config(p)
     assert str(from_override.value) == str(from_file.value)
     assert str(from_file.value).startswith(f"{key}: ")
+
+
+def test_empty_out_dir_rejected():
+    with pytest.raises(ConfigError, match="^out_dir: "):
+        config_from_pairs({"arch": "mlp-4-2", "out_dir": ""})
+    assert config_from_pairs({"arch": "mlp-4-2", "out_dir": "runs/x"}).out_dir == "runs/x"
 
 
 def test_malformed_line_rejected():

@@ -107,6 +107,14 @@ def test_load_csv_non_integral_label_names_line(tmp_path, label):
     assert np.array_equal(load_csv(p).labels, [1, 2])  # an integral float is a class
 
 
+@pytest.mark.parametrize("row, value", [("1,nan,0.5", "nan"), ("0,0.2,inf", "inf"), ("0,-inf,0.2", "-inf")])
+def test_load_csv_non_finite_feature_names_line(tmp_path, row, value):
+    p = tmp_path / "d.csv"
+    p.write_text(f"1,0.5,0.5\n{row}\n")
+    with pytest.raises(DataError, match=f"line 2: feature '{value}' is not a finite number"):
+        load_csv(p)
+
+
 def test_load_csv_empty(tmp_path):
     p = tmp_path / "d.csv"
     p.write_text("label,f1\n")

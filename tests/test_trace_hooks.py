@@ -13,8 +13,11 @@ import pytest
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench"))
 
+import numpy as np  # noqa: E402
 import pipeline  # noqa: E402
 from tracer import Tracer  # noqa: E402
+
+from terntrain import data, network, optim, trainer  # noqa: E402
 
 
 @pytest.mark.parametrize("arch", ["mlp-784-300-100-10", "lenet-small"])
@@ -30,3 +33,25 @@ def test_every_benchmark_trace_hook_installs(arch):
         tracer.unwrap_all()
     for owner, attr, original in patches:
         assert getattr(owner, attr) is original, f"{owner!r}.{attr} was not restored"
+
+
+def test_pretrain_opens_no_ternary_step_span():
+    # The per-layer figures select these spans without a `within` filter, so a
+    # pretrain step running through them would count as a ternary step.
+    rng = np.random.default_rng(0)
+    ds = data.Dataset(rng.normal(size=(48, 6)), rng.integers(0, 3, size=48))
+    model = network.build_from_config("mlp-6-5-3", seed=0)
+    tracer = Tracer()
+    try:
+        pipeline.install(tracer, "mlp-784-300-100-10")
+        tracer.active = True
+        trainer.pretrain(model, ds, optim.OptimizerConfig(kind="vanilla-sgd", lr=0.1), epochs=2, batch_size=16)
+    finally:
+        tracer.active = False
+        tracer.unwrap_all()
+    tr = tracer.analyse()
+    for name in ("trainer.tern_train_step", "trainer.threshold_substep", "trainer.weight_substep"):
+        assert tr.select(name) == []
+    assert len(tr.select("trainer.pretrain")) == 1
+    steps = tr.select("network.forward", "float", within="trainer.pretrain", outside="trainer.eval_loss_acc")
+    assert len(steps) == 2 * 3  # two epochs of three batches

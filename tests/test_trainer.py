@@ -184,8 +184,34 @@ def test_divergence_raises():
     cfg = OptimizerConfig(kind="vanilla-sgd", lr=1e30)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        with pytest.raises(DivergenceError):
+        with pytest.raises(DivergenceError) as exc:
             pretrain(model, ds, cfg, epochs=3, batch_size=16, seed=4)
+    assert list(exc.value.dump) == ["phase", "epoch", "batch"]
+    assert exc.value.dump["phase"] == "pretrain"
+
+
+@pytest.mark.parametrize("ternary, phase", [(False, "pretrain"), (True, "threshold")])
+def test_divergence_dump_names_the_loop_batch(ternary, phase):
+    state = _toy_state(seed=4)
+    if not ternary:
+        state = make_train_state(state.model, OptimizerConfig(kind="vanilla-sgd", lr=0.05), seed=4)
+    ds = _toy_dataset(seed=4)
+    ds.images[5] = np.nan
+    with pytest.raises(DivergenceError) as exc:
+        train(state, ds, epochs=1, batch_size=16)
+    position = int(np.flatnonzero(np.random.default_rng(4).permutation(len(ds)) == 5)[0])
+    assert exc.value.dump == {"phase": phase, "epoch": 0, "batch": position // 16}
+
+
+def test_ternary_weights_that_overflow_are_a_divergence():
+    state = _toy_state(seed=4, w_lr=1e30)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(DivergenceError) as exc:
+            train(state, _toy_dataset(seed=4), epochs=3, batch_size=16)
+    dump = exc.value.dump
+    assert list(dump) == ["phase", "epoch", "batch"]
+    assert dump["phase"] in ("threshold", "weight", "refresh") and isinstance(dump["batch"], int)
 
 
 def test_evaluate_constant_predictor_on_balanced_data():
@@ -230,6 +256,36 @@ def test_pretrain_deterministic_checkpoint_bytes():
         return checkpoint_to_bytes(model)
 
     assert run() == run()
+
+
+def test_float_train_one_epoch_per_call_is_one_multi_epoch_call(tmp_path):
+    ds, test = _toy_dataset(seed=17), _toy_dataset(seed=18)
+    cfg = OptimizerConfig(kind="sgd-momentum", lr=0.05, momentum=0.9)
+
+    def run(calls, epochs, name):
+        state = make_train_state(build_from_config("mlp-6-5-3", seed=17), cfg, seed=17)
+        for _ in range(calls):
+            train(state, ds, epochs, batch_size=16, test_dataset=test, csv_path=tmp_path / name)
+        return state.metrics, checkpoint_to_bytes(state.model), (tmp_path / name).read_bytes()
+
+    per_epoch = run(3, 1, "a.csv")
+    assert per_epoch == run(1, 3, "b.csv")
+    rows = per_epoch[0]
+    assert [(r["epoch"], r["split"]) for r in rows] == [(e, s) for e in range(3) for s in ("train", "test")]
+    assert all(list(r) == ["epoch", "split", "loss", "accuracy"] for r in rows)  # no quantizer columns
+
+
+def test_float_state_needs_no_quantizer(monkeypatch):
+    def refuse(self):
+        raise AssertionError("a float state refreshed a quantizer")
+
+    monkeypatch.setattr(Model, "refresh_all", refuse)
+    cfg = OptimizerConfig(kind="vanilla-sgd", lr=0.1)
+    unquantized = Model([LayerSpec("dense", in_dim=6, out_dim=3, quantized=False)], seed=15)
+    for model in (unquantized, build_from_config("mlp-6-5-3", seed=15)):
+        state = make_train_state(model, cfg, seed=15)
+        assert state.threshold_opt is None
+        assert len(train(state, _toy_dataset(seed=15), epochs=2, batch_size=16)) == 2
 
 
 def test_train_zero_epochs_refreshes_once():
