@@ -2,11 +2,12 @@
 
 pretrain and quantize share one run path and one fit, trainer.train():
 pretrain trains a float train state on a fresh model, quantize a ternary one
-on the pretrain checkpoint. Each of their flags sets a config key and is
-checked by the config parser like a value in the file: the flag beats
-TERNTRAIN_SEED (for the seed), which beats the file. The settings, the
-checkpoint and both data splits load before the run directory is written, so
-a bad input leaves no run_info.json behind.
+on the pretrain checkpoint. Each of their flags stores its text under a
+RunConfig field name and is checked by that key's parser like a value in
+the file: the flag beats TERNTRAIN_SEED (for the seed), which beats the
+file. gradcheck's --seed goes through the seed key's parser too. The
+settings, the checkpoint and both data splits load before the run directory
+is written, so a bad input leaves no run_info.json behind.
 
 Exit codes: 0 success, 1 usage/config error, 2 runtime/training failure,
 3 gradcheck failure.
@@ -19,11 +20,12 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, RunConfig, checked_int, parse_config
+from .config import ConfigError, RunConfig, parse_config, parse_value
 from .data import DataError, Dataset, load_csv, load_idx
 from .gradcheck import run_suite, suite_passed
 from .modelio import ModelIOError, export_packed, load_checkpoint, save_checkpoint
@@ -56,10 +58,6 @@ def build_id() -> str:
     except OSError:
         pass
     return f"terntrain-{__version__}"
-
-
-# The config keys that pretrain and quantize flags set, as text for parse_config.
-_OVERRIDES = ("seed", "epochs", "init_frac", "grad_correctness", "out_dir", "pretrain_checkpoint")
 
 
 def _open_checkpoint(path: str) -> Model:
@@ -141,7 +139,7 @@ def cmd_run(args) -> int:
     Settings, train state and both data splits load before anything is
     written, so a bad input leaves no run directory behind.
     """
-    cfg = parse_config(args.config, {key: getattr(args, key, None) for key in _OVERRIDES})
+    cfg = parse_config(args.config, {f.name: getattr(args, f.name, None) for f in fields(RunConfig)})
     state = _train_state(cfg, args.command)
     train_ds = _load_split(cfg, "train", state.model)
     test_ds = _load_split(cfg, "test", state.model, required=False)
@@ -200,7 +198,7 @@ def cmd_export(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    results = run_suite(seed=checked_int("seed", args.seed) if args.seed is not None else 0)
+    results = run_suite(seed=parse_value("seed", args.seed))
     for r in results:
         status = "PASS" if r.ok else "FAIL"
         print(f"{status} {r.name}: max_rel_err={r.max_err:.3e} tol={r.tol:.1e}")
@@ -251,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"terntrain {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # Each pretrain/quantize flag stores its value under its config key (_OVERRIDES).
+    # Each pretrain/quantize flag stores its text under its config key, a RunConfig field name.
     def run_parser(name: str, help_text: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="key=value run config file")
@@ -287,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_export)
 
     p = sub.add_parser("gradcheck", help="finite-difference verification suite")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", default="0", help="seed of the checks' random inputs")
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("inspect", help="per-layer statistics and weight histograms")

@@ -1,55 +1,131 @@
 """Flat key=value run configuration.
 
 Zero-dependency text format: one "key = value" per line, blank lines and
-'#' comments ignored. Unknown keys are rejected, every numeric value is
-range-checked at parse time (a float must also be finite), `arch` must name
-a buildable network, and the parsed config echoes back into the run
-directory so ablation grids stay diffable. Command-line overrides are
-checked like the file's own values.
+'#' comments ignored. Each `RunConfig` field declares its parser next to its
+default, so the field list is the key list: the parser checks the value's
+type and range (a float must also be finite), `arch` must name a buildable
+network, and `parse_value` prefixes any rejection with "<key>: ". Unknown
+keys are rejected. The config file, the command-line overrides and
+`gradcheck --seed` all go through `parse_value`, and the parsed config
+echoes back into the run directory so ablation grids stay diffable.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from .network import arch_specs
-from .optim import OPTIMIZER_KINDS, OptimizerConfig
+from .optim import OPTIMIZER_KINDS, THRESHOLD_KINDS, OptimizerConfig
 
 
 class ConfigError(ValueError):
     pass
 
 
+def _number(kind, at_least=None, above=None, below=None):
+    """A parser of a kind (int or float) number in the given bounds; a float must be finite."""
+
+    def parse(text: str):
+        value = kind(text)
+        if kind is float and not math.isfinite(value):
+            raise ValueError(f"value {value} is not a finite number")
+        if (at_least is not None and value < at_least) or (above is not None and value <= above):
+            raise ValueError(f"value {value} below allowed range")
+        if below is not None and value >= below:
+            raise ValueError(f"value {value} above allowed range")
+        return value
+
+    return parse
+
+
+def _choice(options: tuple[str, ...]):
+    """A parser that accepts exactly one of options."""
+
+    def parse(text: str) -> str:
+        if text not in options:
+            raise ValueError(f"expected one of {options}, got {text!r}")
+        return text
+
+    return parse
+
+
+def _directory(text: str) -> str:
+    if not text:
+        raise ValueError("must name a directory, got an empty value")
+    return text
+
+
+def _arch(text: str) -> str:
+    arch_specs(text)
+    return text
+
+
+def _bool(text: str) -> bool:
+    low = text.strip().lower()
+    if low in ("true", "1", "yes", "on"):
+        return True
+    if low in ("false", "0", "no", "off"):
+        return False
+    raise ValueError(f"expected a boolean, got {text!r}")
+
+
+def _schedule(text: str) -> list[tuple[int, float]]:
+    if not text.strip():
+        return []
+    out = []
+    for part in text.split(","):
+        try:
+            ep_s, lr_s = part.split(":")
+            ep, lr = int(ep_s), float(lr_s)
+        except ValueError:
+            raise ValueError(f"expected epoch:lr pairs, got {part!r}") from None
+        if ep < 0 or not 0 < lr < math.inf:
+            raise ValueError(f"epoch must be >= 0 and lr finite and > 0, got {part!r}")
+        out.append((ep, lr))
+    if sorted(e for e, _ in out) != [e for e, _ in out]:
+        raise ValueError("breakpoints must be in ascending epoch order")
+    return out
+
+
+def _key(default, parse):
+    """A RunConfig field: its default, and the parser of its config-file text."""
+    return field(default=default, metadata={"parse": parse})
+
+
+_POSITIVE = _number(float, above=0.0)
+_FRACTION = _number(float, at_least=0.0, below=1.0)
+
+
 @dataclass
 class RunConfig:
-    arch: str = ""
-    dataset: str = "idx"  # idx | csv
-    train_images: str = ""
-    train_labels: str = ""
-    test_images: str = ""
-    test_labels: str = ""
-    train_csv: str = ""
-    test_csv: str = ""
-    normalize_mean: float = 0.0
-    normalize_std: float = 1.0
-    batch_size: int = 64
-    epochs: int = 10
-    seed: int = 0
-    weight_opt: str = "sgd-momentum"
-    weight_lr: float = 0.1
-    weight_momentum: float = 0.9
-    weight_decay: float = 0.0
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
-    threshold_opt: str = "vanilla-sgd"
-    threshold_lr: float | None = None  # defaults to weight_lr
-    lr_schedule: list[tuple[int, float]] = field(default_factory=list)
-    init_frac: float = 0.1
-    grad_correctness: bool = True
-    out_dir: str = "runs/run"
-    pretrain_checkpoint: str = ""
+    arch: str = _key("", _arch)
+    dataset: str = _key("idx", _choice(("idx", "csv")))
+    train_images: str = _key("", str)
+    train_labels: str = _key("", str)
+    test_images: str = _key("", str)
+    test_labels: str = _key("", str)
+    train_csv: str = _key("", str)
+    test_csv: str = _key("", str)
+    normalize_mean: float = _key(0.0, _number(float))
+    normalize_std: float = _key(1.0, _POSITIVE)
+    batch_size: int = _key(64, _number(int, at_least=1))
+    epochs: int = _key(10, _number(int, at_least=0))
+    seed: int = _key(0, _number(int, at_least=0))
+    weight_opt: str = _key("sgd-momentum", _choice(OPTIMIZER_KINDS))
+    weight_lr: float = _key(0.1, _POSITIVE)
+    weight_momentum: float = _key(0.9, _FRACTION)
+    weight_decay: float = _key(0.0, _number(float, at_least=0.0))
+    adam_beta1: float = _key(0.9, _FRACTION)
+    adam_beta2: float = _key(0.999, _FRACTION)
+    adam_eps: float = _key(1e-8, _POSITIVE)
+    threshold_opt: str = _key("vanilla-sgd", _choice(THRESHOLD_KINDS))
+    threshold_lr: float | None = _key(None, _POSITIVE)  # defaults to weight_lr
+    lr_schedule: list[tuple[int, float]] = field(default_factory=list, metadata={"parse": _schedule})
+    init_frac: float = _key(0.1, _POSITIVE)
+    grad_correctness: bool = _key(True, _bool)
+    out_dir: str = _key("runs/run", _directory)
+    pretrain_checkpoint: str = _key("", str)
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -76,75 +152,15 @@ class RunConfig:
         )
 
 
-def _parse_bool(key: str, v: str) -> bool:
-    low = v.strip().lower()
-    if low in ("true", "1", "yes", "on"):
-        return True
-    if low in ("false", "0", "no", "off"):
-        return False
-    raise ConfigError(f"{key}: expected a boolean, got {v!r}")
+_PARSERS = {f.name: f.metadata["parse"] for f in fields(RunConfig)}
 
 
-def _parse_schedule(key: str, v: str) -> list[tuple[int, float]]:
-    if not v.strip():
-        return []
-    out = []
-    for part in v.split(","):
-        try:
-            ep_s, lr_s = part.split(":")
-            ep, lr = int(ep_s), float(lr_s)
-        except ValueError:
-            raise ConfigError(f"{key}: expected epoch:lr pairs, got {part!r}") from None
-        if ep < 0 or not 0 < lr < math.inf:
-            raise ConfigError(f"{key}: epoch must be >= 0 and lr finite and > 0, got {part!r}")
-        out.append((ep, lr))
-    if sorted(e for e, _ in out) != [e for e, _ in out]:
-        raise ConfigError(f"{key}: breakpoints must be in ascending epoch order")
-    return out
-
-
-def _in_range(key, value, lo=None, hi=None, lo_open=False, hi_open=False):
-    if lo is not None and (value <= lo if lo_open else value < lo):
-        raise ConfigError(f"{key}: value {value} below allowed range")
-    if hi is not None and (value >= hi if hi_open else value > hi):
-        raise ConfigError(f"{key}: value {value} above allowed range")
-    return value
-
-
-# Each float key's allowed range, as keyword arguments to _in_range.
-_FLOAT_RANGES = {
-    "normalize_mean": {},
-    "normalize_std": dict(lo=0.0, lo_open=True),
-    "weight_lr": dict(lo=0.0, lo_open=True),
-    "weight_momentum": dict(lo=0.0, hi=1.0, hi_open=True),
-    "weight_decay": dict(lo=0.0),
-    "adam_beta1": dict(lo=0.0, hi=1.0, hi_open=True),
-    "adam_beta2": dict(lo=0.0, hi=1.0, hi_open=True),
-    "adam_eps": dict(lo=0.0, lo_open=True),
-    "threshold_lr": dict(lo=0.0, lo_open=True),
-    "init_frac": dict(lo=0.0, lo_open=True),
-}
-
-
-# Each integer key's lowest allowed value.
-_INT_MINIMA = {"batch_size": 1, "epochs": 0, "seed": 0}
-
-
-def checked_int(key: str, value: int) -> int:
-    """value if it is at least the integer key's lowest allowed value; else a ConfigError."""
-    return _in_range(key, value, lo=_INT_MINIMA[key])
-
-
-_STR_KEYS = (
-    "train_images",
-    "train_labels",
-    "test_images",
-    "test_labels",
-    "train_csv",
-    "test_csv",
-    "out_dir",
-    "pretrain_checkpoint",
-)
+def parse_value(key: str, text: str):
+    """The value of config key `key` written as text; a ConfigError "<key>: ..." when it is not valid."""
+    try:
+        return _PARSERS[key](text)
+    except ValueError as e:
+        raise ConfigError(f"{key}: {e}") from e
 
 
 def parse_kv_text(text: str, source: str = "<config>") -> dict[str, str]:
@@ -164,50 +180,15 @@ def parse_kv_text(text: str, source: str = "<config>") -> dict[str, str]:
 
 
 def config_from_pairs(pairs: dict[str, str], source: str = "<config>") -> RunConfig:
-    cfg = RunConfig()
-    for key, value in pairs.items():
-        try:
-            if key == "arch":
-                arch_specs(value)
-                cfg.arch = value
-            elif key in _STR_KEYS:
-                if key == "out_dir" and not value:
-                    raise ConfigError("out_dir: must name a directory, got an empty value")
-                setattr(cfg, key, value)
-            elif key == "dataset":
-                if value not in ("idx", "csv"):
-                    raise ConfigError(f"dataset: expected idx or csv, got {value!r}")
-                cfg.dataset = value
-            elif key in _FLOAT_RANGES:
-                number = float(value)
-                if not math.isfinite(number):
-                    raise ConfigError(f"{key}: value {number} is not a finite number")
-                setattr(cfg, key, _in_range(key, number, **_FLOAT_RANGES[key]))
-            elif key in _INT_MINIMA:
-                setattr(cfg, key, checked_int(key, int(value)))
-            elif key == "weight_opt":
-                if value not in OPTIMIZER_KINDS:
-                    raise ConfigError(f"weight_opt: expected one of {OPTIMIZER_KINDS}, got {value!r}")
-                cfg.weight_opt = value
-            elif key == "threshold_opt":
-                if value not in ("vanilla-sgd", "adam"):
-                    raise ConfigError(
-                        f"threshold_opt: expected vanilla-sgd or adam, got {value!r}"
-                    )
-                cfg.threshold_opt = value
-            elif key == "lr_schedule":
-                cfg.lr_schedule = _parse_schedule(key, value)
-            elif key == "grad_correctness":
-                cfg.grad_correctness = _parse_bool(key, value)
-            else:
-                raise ConfigError(f"{source}: unknown config key {key!r}")
-        except ConfigError:
-            raise
-        except ValueError as e:
-            raise ConfigError(f"{key}: {e}") from e
-    if not cfg.arch:
+    """The config the pairs set; the first bad pair, in their order, is the ConfigError."""
+    values = {}
+    for key, text in pairs.items():
+        if key not in _PARSERS:
+            raise ConfigError(f"{source}: unknown config key {key!r}")
+        values[key] = parse_value(key, text)
+    if "arch" not in values:
         raise ConfigError(f"{source}: missing required key 'arch'")
-    return cfg
+    return RunConfig(**values)
 
 
 def parse_config(path, overrides: dict[str, str | None] | None = None) -> RunConfig:
@@ -215,7 +196,7 @@ def parse_config(path, overrides: dict[str, str | None] | None = None) -> RunCon
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"cannot read config {path}: {e}") from e
     pairs = parse_kv_text(text, str(path))
     pairs.update((key, value) for key, value in (overrides or {}).items() if value is not None)

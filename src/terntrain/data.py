@@ -1,13 +1,16 @@
 """Dataset ingestion: IDX image files, CSV feature files, synthetic fixtures.
 
 IDX files are the plain big-endian format: magic 0x00000803 for 3-D image
-files (N, H, W of unsigned bytes), 0x00000801 for label files. Pixels are
-scaled to [0, 1] and then normalized by the configured mean/std.
+files (N, H, W of unsigned bytes), 0x00000801 for label files. A header
+whose sizes claim more bytes than its file holds is rejected before any
+payload is read. Pixels are scaled to [0, 1] and then normalized by the
+configured mean/std.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -51,41 +54,53 @@ def _read_u32s(fh, count: int, path) -> tuple[int, ...]:
     return struct.unpack(f">{count}I", raw)
 
 
+# What one payload byte of each IDX file kind is, for error messages.
+_IDX_UNITS = {IDX_IMAGES_MAGIC: "pixel", IDX_LABELS_MAGIC: "label"}
+
+
+def _read_idx(path, magic: int, rank: int) -> np.ndarray:
+    """The uint8 array of a rank-D IDX file with this magic.
+
+    The payload its header claims is checked against the bytes left in the
+    file before any of it is read, so a corrupt header cannot ask for more
+    memory than the file holds.
+    """
+    unit = _IDX_UNITS[magic]
+    with open(path, "rb") as fh:
+        (found,) = _read_u32s(fh, 1, path)
+        if found != magic:
+            raise DataError(f"{path}: bad IDX magic {found:#010x}, expected {magic:#010x}")
+        dims = _read_u32s(fh, rank, path)
+        size = math.prod(dims)
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if size > left:
+            raise DataError(f"{path}: header dims {dims} claim {size} {unit} bytes, the file holds {left}")
+        return np.frombuffer(fh.read(size), dtype=np.uint8).reshape(dims)
+
+
 def load_idx(images_path, labels_path, mean: float = 0.0, std: float = 1.0) -> Dataset:
     """Load an IDX image/label pair as a normalized N x 1 x H x W dataset."""
     if std <= 0:
         raise DataError(f"std must be positive, got {std}")
-    with open(images_path, "rb") as fh:
-        (magic,) = _read_u32s(fh, 1, images_path)
-        if magic != IDX_IMAGES_MAGIC:
-            raise DataError(
-                f"{images_path}: bad IDX image magic {magic:#010x}, expected {IDX_IMAGES_MAGIC:#010x}"
-            )
-        n, h, w = _read_u32s(fh, 3, images_path)
-        raw = fh.read(n * h * w)
-        if len(raw) != n * h * w:
-            raise DataError(f"{images_path}: expected {n * h * w} pixel bytes, got {len(raw)}")
-        pixels = np.frombuffer(raw, dtype=np.uint8).reshape(n, 1, h, w)
-    with open(labels_path, "rb") as fh:
-        (magic,) = _read_u32s(fh, 1, labels_path)
-        if magic != IDX_LABELS_MAGIC:
-            raise DataError(
-                f"{labels_path}: bad IDX label magic {magic:#010x}, expected {IDX_LABELS_MAGIC:#010x}"
-            )
-        (n_labels,) = _read_u32s(fh, 1, labels_path)
-        raw = fh.read(n_labels)
-        if len(raw) != n_labels:
-            raise DataError(f"{labels_path}: expected {n_labels} label bytes, got {len(raw)}")
-        labels = np.frombuffer(raw, dtype=np.uint8)
-    if n != n_labels:
-        raise DataError(f"image count {n} does not match label count {n_labels}")
-    images = (pixels.astype(np.float64) / 255.0 - mean) / std
+    pixels = _read_idx(images_path, IDX_IMAGES_MAGIC, 3)
+    labels = _read_idx(labels_path, IDX_LABELS_MAGIC, 1)
+    if len(pixels) != len(labels):
+        raise DataError(f"image count {len(pixels)} does not match label count {len(labels)}")
+    images = (pixels[:, None].astype(np.float64) / 255.0 - mean) / std
     return Dataset(images, labels, mean, std)
 
 
+def _as_bytes(values, what: str) -> np.ndarray:
+    """values as uint8; a DataError when one lies outside 0..255 (or is NaN)."""
+    values = np.asarray(values)
+    if values.size and not (values.min() >= 0 and values.max() <= 255):
+        raise DataError(f"{what} must lie in 0..255, got values in [{values.min()}, {values.max()}]")
+    return values.astype(np.uint8)
+
+
 def save_idx_images(path, images: np.ndarray) -> None:
-    """Write N x H x W uint8 images in IDX format."""
-    images = np.asarray(images, dtype=np.uint8)
+    """Write N x H x W images of values in 0..255 in IDX format."""
+    images = _as_bytes(images, "images")
     if images.ndim != 3:
         raise DataError(f"expected N x H x W uint8 images, got shape {images.shape}")
     with open(path, "wb") as fh:
@@ -94,10 +109,11 @@ def save_idx_images(path, images: np.ndarray) -> None:
 
 
 def save_idx_labels(path, labels: np.ndarray) -> None:
-    labels = np.asarray(labels)
+    """Write labels in 0..255 in IDX format."""
+    labels = _as_bytes(labels, "labels")
     with open(path, "wb") as fh:
         fh.write(struct.pack(">II", IDX_LABELS_MAGIC, len(labels)))
-        fh.write(labels.astype(np.uint8).tobytes())
+        fh.write(labels.tobytes())
 
 
 def load_csv(path) -> Dataset:
@@ -105,9 +121,13 @@ def load_csv(path) -> Dataset:
     features: list[list[float]] = []
     labels: list[int] = []
     width = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
+    with open(path, "rb") as fh:
+        # bytes.splitlines breaks at \n, \r\n and \r, as reading in text mode does.
+        for lineno, raw in enumerate(fh.read().splitlines(), start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as e:
+                raise DataError(f"{path}: line {lineno}: not UTF-8 text: {e}") from e
             if not line:
                 continue
             parts = line.split(",")

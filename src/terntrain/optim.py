@@ -9,6 +9,7 @@ import numpy as np
 from .autograd import Tensor
 
 OPTIMIZER_KINDS = ("vanilla-sgd", "sgd-momentum", "adam")
+THRESHOLD_KINDS = ("vanilla-sgd", "adam")
 
 
 @dataclass
@@ -146,8 +147,8 @@ class ThresholdOptimizer:
     """
 
     def __init__(self, kind: str, lr: float, betas=(0.9, 0.999), eps: float = 1e-8):
-        if kind not in ("vanilla-sgd", "adam"):
-            raise ValueError(f"threshold optimizer must be vanilla-sgd or adam, got {kind!r}")
+        if kind not in THRESHOLD_KINDS:
+            raise ValueError(f"threshold optimizer must be one of {THRESHOLD_KINDS}, got {kind!r}")
         self.kind = kind
         self.lr = lr
         self.betas = betas

@@ -2,6 +2,7 @@ import json
 import os
 import re
 import shlex
+import struct
 import subprocess
 import sys
 import warnings
@@ -265,6 +266,9 @@ def test_usage_and_config_errors_exit_1(pretrained, tmp_path, capsys):
     assert main(["eval", "--config", str(cfg), "--checkpoint", str(tmp_path / "nope.ckpt")]) == 1
     assert main(["gradcheck", "--seed", "-1"]) == 1
     capsys.readouterr()
+    # gradcheck's seed goes through the seed key's parser.
+    assert main(["gradcheck", "--seed", "x"]) == 1
+    assert "config error: seed" in capsys.readouterr().err
     # eval trains nothing and draws nothing, so it takes no seed.
     assert main(["eval", "--config", str(cfg), "--checkpoint", str(ckpt), "--seed", "5"]) == 1
     assert "usage error" in capsys.readouterr().err
@@ -291,6 +295,15 @@ def _bad_input(case, root, cfg, ckpt, tmp_path):
         (tmp_path / "train.csv").write_text("0,0.1,0.2\n1,nan,0.5\n0,0.2,inf\n")
         text = text.replace("arch = mlp-784-16-10", "arch = mlp-2-4-2").replace("dataset = idx", "dataset = csv")
         return text + f"train_csv = {tmp_path / 'train.csv'}\n", ckpt, 1
+    if case == "non-utf8-config":
+        return text.encode() + b"# caf\xe9\n", ckpt, 1
+    if case == "non-utf8-csv":
+        (tmp_path / "train.csv").write_bytes(b"label,caf\xe9,x\n0,0.1,0.2\n")
+        text = text.replace("arch = mlp-784-16-10", "arch = mlp-2-4-2").replace("dataset = idx", "dataset = csv")
+        return text + f"train_csv = {tmp_path / 'train.csv'}\n", ckpt, 1
+    if case == "oversized-idx-header":
+        (tmp_path / "img.idx").write_bytes(struct.pack(">IIII", 0x00000803, 2**20, 2**12, 2**12) + bytes(64))
+        return text.replace(str(root / "train_img.idx"), str(tmp_path / "img.idx")), ckpt, 1
     blob = bytearray(ckpt.read_bytes())
     blob[50] ^= 0xFF
     (tmp_path / "corrupt.ckpt").write_bytes(bytes(blob))
@@ -304,10 +317,15 @@ def _bad_input(case, root, cfg, ckpt, tmp_path):
         ("pretrain", "label-out-of-range"),
         ("pretrain", "bad-arch"),
         ("pretrain", "non-finite-feature"),
+        ("pretrain", "non-utf8-config"),
+        ("pretrain", "non-utf8-csv"),
+        ("pretrain", "oversized-idx-header"),
         ("quantize", "missing-data"),
         ("quantize", "label-out-of-range"),
         ("quantize", "bad-arch"),
         ("quantize", "corrupt-checkpoint"),
+        ("quantize", "non-utf8-config"),
+        ("quantize", "oversized-idx-header"),
     ],
 )
 def test_bad_input_fails_before_the_run_directory_is_written(
@@ -316,7 +334,7 @@ def test_bad_input_fails_before_the_run_directory_is_written(
     root, cfg, ckpt = pretrained
     text, checkpoint, code = _bad_input(case, root, cfg, ckpt, tmp_path)
     bad_cfg = tmp_path / "bad.cfg"
-    bad_cfg.write_text(text)
+    bad_cfg.write_bytes(text if isinstance(text, bytes) else text.encode())
     out_dir = tmp_path / "out"
     argv = [command, "--config", str(bad_cfg), "--out-dir", str(out_dir)]
     if command == "quantize":
@@ -329,6 +347,12 @@ def test_bad_input_fails_before_the_run_directory_is_written(
         assert "config error: arch" in err
     if case == "non-finite-feature":
         assert "line 2: feature 'nan' is not a finite number" in err
+    if case == "non-utf8-config":
+        assert f"config error: cannot read config {bad_cfg}: " in err
+    if case == "non-utf8-csv":
+        assert "train.csv: line 1: not UTF-8 text" in err
+    if case == "oversized-idx-header":
+        assert f"config error: {tmp_path / 'img.idx'}: header dims" in err
     assert not out_dir.exists()
 
 

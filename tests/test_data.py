@@ -1,3 +1,4 @@
+import math
 import struct
 
 import numpy as np
@@ -67,6 +68,32 @@ def test_load_idx_truncated_pixels(tmp_path, idx_fixture):
         load_idx(bad, lbl_path)
 
 
+@pytest.mark.parametrize("dims", [(0xFFFFFFFF,) * 3, (2**20, 2**12, 2**12)], ids=["overflowing", "oversized"])
+def test_load_idx_header_claiming_more_than_the_file_holds(tmp_path, idx_fixture, dims):
+    _, lbl_path, _, _ = idx_fixture
+    bad = tmp_path / "big.idx"
+    bad.write_bytes(struct.pack(">IIII", 0x00000803, *dims) + b"\x00" * 64)
+    with pytest.raises(DataError, match=f"claim {math.prod(dims)} pixel bytes, the file holds 64"):
+        load_idx(bad, lbl_path)
+
+
+@pytest.mark.parametrize(
+    "save, values",
+    [
+        (save_idx_labels, [300, -1]),
+        (save_idx_labels, np.array([3.0, np.nan])),
+        (save_idx_images, np.full((1, 2, 2), 256)),
+        (save_idx_images, -np.ones((1, 2, 2), dtype=np.int64)),
+    ],
+    ids=["labels-above-and-below", "labels-nan", "images-above", "images-below"],
+)
+def test_save_idx_rejects_values_outside_a_byte(tmp_path, save, values):
+    path = tmp_path / "out.idx"
+    with pytest.raises(DataError, match="must lie in 0..255"):
+        save(path, values)
+    assert not path.exists()
+
+
 def test_load_csv_basic(tmp_path):
     p = tmp_path / "d.csv"
     p.write_text("1,0.5,0.5\n0,-1.0,2.0\n")
@@ -112,6 +139,13 @@ def test_load_csv_non_finite_feature_names_line(tmp_path, row, value):
     p = tmp_path / "d.csv"
     p.write_text(f"1,0.5,0.5\n{row}\n")
     with pytest.raises(DataError, match=f"line 2: feature '{value}' is not a finite number"):
+        load_csv(p)
+
+
+def test_load_csv_non_utf8_names_line(tmp_path):
+    p = tmp_path / "d.csv"
+    p.write_bytes(b"1,0.5,0.5\r\n0,0.2,0.1 \xff\r\n")
+    with pytest.raises(DataError, match="line 2: not UTF-8 text"):
         load_csv(p)
 
 
