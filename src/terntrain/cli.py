@@ -16,6 +16,7 @@ Exit codes: 0 success, 1 usage/config error, 2 runtime/training failure,
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import os
 import subprocess
@@ -58,6 +59,28 @@ def build_id() -> str:
     except OSError:
         pass
     return f"terntrain-{__version__}"
+
+
+def blas_threads() -> int | None:
+    """Thread count of the OpenBLAS that numpy loaded; None when it is not
+    OpenBLAS or cannot be asked. Reruns sum in the same order only at the
+    same count."""
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = sorted({ln.split()[-1] for ln in fh if "openblas" in ln.lower() and ".so" in ln})
+    except OSError:
+        return None
+    for path in libs:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for sym in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            fn = getattr(lib, sym, None)
+            if fn is not None:
+                fn.argtypes, fn.restype = [], ctypes.c_int
+                return int(fn())
+    return None
 
 
 def _open_checkpoint(path: str) -> Model:
@@ -149,6 +172,7 @@ def cmd_run(args) -> int:
         "command": args.command,
         "seed": cfg.seed,
         "build_id": build_id(),
+        "blas_threads": blas_threads(),
         "config": cfg.to_dict(),
     }
     with open(os.path.join(out, "run_info.json"), "w") as fh:

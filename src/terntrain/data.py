@@ -2,8 +2,8 @@
 
 IDX files are the plain big-endian format: magic 0x00000803 for 3-D image
 files (N, H, W of unsigned bytes), 0x00000801 for label files. A header
-whose sizes claim more bytes than its file holds is rejected before any
-payload is read. Pixels are scaled to [0, 1] and then normalized by the
+whose sizes claim other than the bytes its file holds is rejected before
+any payload is read. Pixels are scaled to [0, 1] and then normalized by the
 configured mean/std.
 """
 
@@ -61,9 +61,10 @@ _IDX_UNITS = {IDX_IMAGES_MAGIC: "pixel", IDX_LABELS_MAGIC: "label"}
 def _read_idx(path, magic: int, rank: int) -> np.ndarray:
     """The uint8 array of a rank-D IDX file with this magic.
 
-    The payload its header claims is checked against the bytes left in the
-    file before any of it is read, so a corrupt header cannot ask for more
-    memory than the file holds.
+    The payload its header claims must be exactly the bytes left in the
+    file. That is checked before any of it is read, so a corrupt header
+    cannot ask for more memory than the file holds, and a header that
+    undercounts cannot load a silent prefix of the file.
     """
     unit = _IDX_UNITS[magic]
     with open(path, "rb") as fh:
@@ -73,7 +74,7 @@ def _read_idx(path, magic: int, rank: int) -> np.ndarray:
         dims = _read_u32s(fh, rank, path)
         size = math.prod(dims)
         left = os.fstat(fh.fileno()).st_size - fh.tell()
-        if size > left:
+        if size != left:
             raise DataError(f"{path}: header dims {dims} claim {size} {unit} bytes, the file holds {left}")
         return np.frombuffer(fh.read(size), dtype=np.uint8).reshape(dims)
 
@@ -109,8 +110,10 @@ def save_idx_images(path, images: np.ndarray) -> None:
 
 
 def save_idx_labels(path, labels: np.ndarray) -> None:
-    """Write labels in 0..255 in IDX format."""
+    """Write N labels in 0..255 in IDX format."""
     labels = _as_bytes(labels, "labels")
+    if labels.ndim != 1:
+        raise DataError(f"expected N uint8 labels, got shape {labels.shape}")
     with open(path, "wb") as fh:
         fh.write(struct.pack(">II", IDX_LABELS_MAGIC, len(labels)))
         fh.write(labels.tobytes())

@@ -6,22 +6,29 @@ padded input's receptive fields are gathered into a column buffer and
 contracted with the kernel. The buffer is (C*kh*kw, Ho*Wo*N) with the batch
 as the innermost axis, so each conv op is one 2-D GEMM:
 - forward: the kernel as (F, C*kh*kw) times the columns;
-- input gradient: the kernel transposed times the output gradient as
-  (F, Ho*Wo*N), scattered back with kh*kw slice-adds;
+- input gradient: one GEMM over the stride phases (Dumoulin & Visin,
+  arXiv 1603.07285). Each of the s*s phases of the input gradient is a
+  stride-1 correlation of the output gradient with a flipped th x tw
+  sub-kernel, th = ceil(kh/s) and tw = ceil(kw/s). The phases' sub-kernels,
+  as (s*s*C, F*th*tw), multiply the columns of the padded output gradient,
+  gathered by the forward's window helper, and the product is interleaved
+  into the input gradient, with no scatter;
 - kernel gradient: the output gradient as (F, Ho*Wo*N) times the columns
   transposed, from the forward's columns when the caller kept them.
 
 Inputs and outputs are (N, C, H, W) arrays of any memory order. Outputs are
 batch-last, (C, H, W, N) in memory, seen through an (N, C, H, W) transpose;
 an input held that way is gathered in contiguous runs of N values. The
-column buffer holds N*C*kh*kw*Ho*Wo doubles: 1.6 MB and 3.2 MB for
-lenet-small's two convs at batch 64, 6.4 MB and 12.8 MB at batch 256.
+forward's column buffer holds N*C*kh*kw*Ho*Wo doubles: 1.6 MB and 3.2 MB for
+lenet-small's two convs at batch 64, 6.4 MB and 12.8 MB at batch 256. The
+input gradient's holds N*F*th*tw*(Ho+th-1)*(Wo+tw-1): 2.1 MB for conv1 at
+batch 64, 8.4 MB at batch 256.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 
 def backend() -> str:
@@ -50,18 +57,33 @@ def _check_grad(g: np.ndarray, out_shape: tuple) -> None:
         raise ValueError(f"conv2d output gradient shape {g.shape} does not match {out_shape}")
 
 
+def _pad(xt: np.ndarray, ph: int, pw: int) -> np.ndarray:
+    """xt[C,H,W,N] with ph zero rows above and below and pw zero columns either side."""
+    if not (ph or pw):
+        return xt
+    c, h, w, n = xt.shape
+    xp = np.zeros((c, h + 2 * ph, w + 2 * pw, n))
+    xp[:, ph : ph + h, pw : pw + w] = xt
+    return xp
+
+
+def _windows(xt: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
+    """The kh x kw receptive fields of xt[C,H,W,N] at this stride: a
+    read-only (C, kh, kw, Ho, Wo, N) view, batch innermost."""
+    c, h, w, n = xt.shape
+    sc, sh, sw, sn = xt.strides
+    shape = (c, kh, kw, (h - kh) // stride + 1, (w - kw) // stride + 1, n)
+    return as_strided(xt, shape, (sc, sh, sw, sh * stride, sw * stride, sn), writeable=False)
+
+
 def _columns(x: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> np.ndarray:
-    """im2col: x[N,C,H,W] -> (C*kh*kw, Ho*Wo*N) receptive fields, batch innermost."""
-    n, c, h, w = x.shape
+    """im2col: x[N,C,H,W] -> (C*kh*kw, Ho*Wo*N) receptive fields, batch innermost.
+
+    The reshape copies the window view into the buffer, moving N-long runs
+    when x is batch-last.
+    """
     xt = x.transpose(1, 2, 3, 0)  # a view, contiguous when x is batch-last
-    if padding:
-        xp = np.zeros((c, h + 2 * padding, w + 2 * padding, n))
-        xp[:, padding : padding + h, padding : padding + w] = xt
-        xt = xp
-    win = sliding_window_view(xt, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
-    # win is (C, Ho, Wo, N, kh, kw); the reshape copies it into the buffer,
-    # moving N-long runs when x is batch-last.
-    return win.transpose(0, 4, 5, 1, 2, 3).reshape(c * kh * kw, -1)
+    return _windows(_pad(xt, padding, padding), kh, kw, stride).reshape(x.shape[1] * kh * kw, -1)
 
 
 def conv2d_forward(
@@ -85,21 +107,34 @@ def conv2d_forward(
 
 
 def conv2d_backward_x(g: np.ndarray, x_shape: tuple, w: np.ndarray, stride: int, padding: int) -> np.ndarray:
-    """Gradient of the conv output w.r.t. its input, batch-last in memory."""
+    """Gradient of the conv output w.r.t. its input, batch-last in memory.
+
+    At stride s, tap (p, q) = (a + s*k, b + s*l) sends output (i, j) to
+    padded input row s*(i+k) + a, column s*(j+l) + b. So each stride phase
+    (a, b) of the padded input gradient is a stride-1 correlation of the
+    output gradient, zero-padded by th-1 and tw-1, with that phase's flipped
+    th x tw sub-kernel, th = ceil(kh/s) and tw = ceil(kw/s); the kernel is
+    zero-padded to s*th x s*tw. The s*s phases are the rows of one GEMM over
+    one set of gradient columns, interleaved into the padded input gradient,
+    which is then cropped.
+    """
     g = np.asarray(g, dtype=np.float64)
     w = np.ascontiguousarray(w, dtype=np.float64)
     n, c, h, w_in = x_shape
     f, _, kh, kw = w.shape
     ho, wo = conv_out_hw(h, w_in, kh, kw, stride, padding)
     _check_grad(g, (n, f, ho, wo))
-    # Gradient columns tap-major, (kh, kw, C, Ho, Wo, N): each tap's
-    # slice-add reads one contiguous block and runs over N-long rows.
-    wk = w.transpose(2, 3, 1, 0).reshape(kh * kw * c, f)
-    gcols = (wk @ g.transpose(1, 2, 3, 0).reshape(f, -1)).reshape(kh, kw, c, ho, wo, n)
-    gxp = np.zeros((c, h + 2 * padding, w_in + 2 * padding, n))
-    for p in range(kh):
-        for q in range(kw):
-            gxp[:, p : p + stride * ho : stride, q : q + stride * wo : stride] += gcols[p, q]
+    s = stride
+    th, tw = -(-kh // s), -(-kw // s)
+    rh, rw = ho + th - 1, wo + tw - 1  # phase extents; s*rh x s*rw covers the padded input
+    wz = np.zeros((f, c, s * th, s * tw))
+    wz[:, :, :kh, :kw] = w
+    # wz[f, c, s*k + a, s*l + b] -> row (a, b, c), column (f, th-1-k, tw-1-l).
+    wk = wz.reshape(f, c, th, s, tw, s)[:, :, ::-1, :, ::-1].transpose(3, 5, 1, 0, 2, 4).reshape(s * s * c, -1)
+    # One expression, so that the padded gradient and its columns are freed
+    # before the interleave copy.
+    phases = wk @ _windows(_pad(g.transpose(1, 2, 3, 0), th - 1, tw - 1), th, tw, 1).reshape(f * th * tw, -1)
+    gxp = phases.reshape(s, s, c, rh, rw, n).transpose(2, 3, 0, 4, 1, 5).reshape(c, s * rh, s * rw, n)
     return gxp[:, padding : padding + h, padding : padding + w_in].transpose(3, 0, 1, 2)
 
 

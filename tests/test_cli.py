@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import terntrain
-from terntrain.cli import build_id, build_parser, main
+from terntrain.cli import blas_threads, build_id, build_parser, main
 from terntrain.config import config_from_pairs, parse_kv_text
 from terntrain.data import make_synth_mnist, save_idx_images, save_idx_labels
 from terntrain.modelio import load_checkpoint
@@ -64,6 +64,15 @@ def test_pretrain_outputs(pretrained):
     assert info["seed"] == 3
     assert info["build_id"].startswith("terntrain-")
     assert info["config"]["arch"] == "mlp-784-16-10"
+
+
+def test_run_info_records_the_blas_thread_count(pretrained):
+    count = json.loads((pretrained[0] / "out" / "run_info.json").read_text())["blas_threads"]
+    assert count == blas_threads()
+    if "openblas" in np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]:
+        assert isinstance(count, int) and count >= 1
+    else:  # null when the BLAS does not report its count
+        assert count is None or count >= 1
 
 
 def _last_logged_accuracy(csv_path, split):
@@ -304,6 +313,9 @@ def _bad_input(case, root, cfg, ckpt, tmp_path):
     if case == "oversized-idx-header":
         (tmp_path / "img.idx").write_bytes(struct.pack(">IIII", 0x00000803, 2**20, 2**12, 2**12) + bytes(64))
         return text.replace(str(root / "train_img.idx"), str(tmp_path / "img.idx")), ckpt, 1
+    if case == "idx-trailing-bytes":
+        (tmp_path / "img.idx").write_bytes((root / "train_img.idx").read_bytes() + bytes(100))
+        return text.replace(str(root / "train_img.idx"), str(tmp_path / "img.idx")), ckpt, 1
     blob = bytearray(ckpt.read_bytes())
     blob[50] ^= 0xFF
     (tmp_path / "corrupt.ckpt").write_bytes(bytes(blob))
@@ -320,6 +332,7 @@ def _bad_input(case, root, cfg, ckpt, tmp_path):
         ("pretrain", "non-utf8-config"),
         ("pretrain", "non-utf8-csv"),
         ("pretrain", "oversized-idx-header"),
+        ("pretrain", "idx-trailing-bytes"),
         ("quantize", "missing-data"),
         ("quantize", "label-out-of-range"),
         ("quantize", "bad-arch"),
@@ -353,6 +366,8 @@ def test_bad_input_fails_before_the_run_directory_is_written(
         assert "train.csv: line 1: not UTF-8 text" in err
     if case == "oversized-idx-header":
         assert f"config error: {tmp_path / 'img.idx'}: header dims" in err
+    if case == "idx-trailing-bytes":
+        assert f"config error: {tmp_path / 'img.idx'}: header dims (192, 28, 28) claim 150528 pixel bytes" in err
     assert not out_dir.exists()
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 import struct
 
 import numpy as np
@@ -75,6 +76,23 @@ def test_load_idx_header_claiming_more_than_the_file_holds(tmp_path, idx_fixture
     bad.write_bytes(struct.pack(">IIII", 0x00000803, *dims) + b"\x00" * 64)
     with pytest.raises(DataError, match=f"claim {math.prod(dims)} pixel bytes, the file holds 64"):
         load_idx(bad, lbl_path)
+
+
+def test_load_idx_rejects_bytes_after_the_payload(tmp_path, idx_fixture):
+    # A header that undercounts its images would otherwise load a prefix.
+    _, lbl_path, _, _ = idx_fixture
+    bad = tmp_path / "long.idx"
+    bad.write_bytes(struct.pack(">IIII", 0x00000803, 3, 2, 2) + bytes(12) + bytes(100))
+    message = f"{bad}: header dims (3, 2, 2) claim 12 pixel bytes, the file holds 112"
+    with pytest.raises(DataError, match=re.escape(message)):
+        load_idx(bad, lbl_path)
+
+
+def test_save_idx_labels_rejects_labels_that_are_not_1d(tmp_path):
+    path = tmp_path / "lbl.idx"
+    with pytest.raises(DataError, match=r"expected N uint8 labels, got shape \(3, 2\)"):
+        save_idx_labels(path, [[1, 2], [3, 4], [5, 6]])
+    assert not path.exists()
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from terntrain import kernels
 
@@ -48,15 +50,14 @@ CASES = [
 ]
 
 
-def _check_against_direct_loops(case, hold):
+def _check_against_direct_loops(x_shape, w_shape, stride, padding, hold, seed):
     """Each kernel, and the kernel gradient from the forward's kept columns,
     against the direct loops, with x and g held in memory by hold."""
-    rng = np.random.default_rng(sum(case))
-    n, c, h, w, f, k, stride, padding = case
-    x = rng.normal(size=(n, c, h, w))
-    wt = rng.normal(size=(f, c, k, k))
-    ho, wo = kernels.conv_out_hw(h, w, k, k, stride, padding)
-    g = rng.normal(size=(n, f, ho, wo))
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=x_shape)
+    wt = rng.normal(size=w_shape)
+    ho, wo = kernels.conv_out_hw(*x_shape[2:], *w_shape[2:], stride, padding)
+    g = rng.normal(size=(x_shape[0], w_shape[0], ho, wo))
     expected = _reference(x, wt, g, stride, padding)
     x, g = hold(x), hold(g)
 
@@ -72,16 +73,42 @@ def _check_against_direct_loops(case, hold):
         assert np.allclose(a, b, rtol=1e-12, atol=1e-12)
 
 
+def _check_case(case, hold):
+    n, c, h, w, f, k, stride, padding = case
+    _check_against_direct_loops((n, c, h, w), (f, c, k, k), stride, padding, hold, seed=sum(case))
+
+
 @pytest.mark.parametrize("case", CASES)
 def test_kernels_match_direct_loops(case):
-    _check_against_direct_loops(case, np.ascontiguousarray)
+    _check_case(case, np.ascontiguousarray)
 
 
 @pytest.mark.parametrize("case", CASES)
 def test_kernels_match_direct_loops_batch_last(case):
     """x and g as a conv output and the gradient reaching it are held:
     (N, C, H, W) views of (C, H, W, N) arrays."""
-    _check_against_direct_loops(case, _batch_last)
+    _check_case(case, _batch_last)
+
+
+@st.composite
+def conv_configs(draw):
+    """Stride 1-3, each kernel side 1-5 (often not a multiple of the stride),
+    padding 0-2 and H != W, drawn through the output extents so that they
+    are integral."""
+    stride, padding = draw(st.integers(1, 3)), draw(st.integers(0, 2))
+    kh, kw = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    ho, wo = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    h, w = stride * (ho - 1) + kh - 2 * padding, stride * (wo - 1) + kw - 2 * padding
+    assume(h >= 1 and w >= 1 and h != w)
+    n, c, f = draw(st.integers(1, 2)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    return (n, c, h, w), (f, c, kh, kw), stride, padding
+
+
+@given(conv_configs(), st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_kernels_match_direct_loops_on_drawn_configs(config, seed):
+    for hold in (np.ascontiguousarray, _batch_last):
+        _check_against_direct_loops(*config, hold, seed)
 
 
 def test_all_ones_3x3_sums_to_nine():

@@ -55,3 +55,33 @@ def test_pretrain_opens_no_ternary_step_span():
     assert len(tr.select("trainer.pretrain")) == 1
     steps = tr.select("network.forward", "float", within="trainer.pretrain", outside="trainer.eval_loss_acc")
     assert len(steps) == 2 * 3  # two epochs of three batches
+
+
+def test_one_lenet_ternary_step_makes_four_two_and_two_traced_conv_calls():
+    # Each phase runs both convs forward. Only conv1 takes an input gradient
+    # (conv0's input is the batch), and only the weight phase takes kernel
+    # gradients. An input gradient routed through the traced conv2d_forward
+    # would add to the forward count.
+    rng = np.random.default_rng(0)
+    model = network.build_from_config("lenet-small", seed=0)
+    model.init_thresholds(0.1)
+    state = trainer.make_train_state(
+        model,
+        optim.OptimizerConfig(kind="vanilla-sgd", lr=0.01),
+        optim.OptimizerConfig(kind="vanilla-sgd", lr=0.0005, weight_decay=0.0),
+    )
+    batch = (rng.normal(size=(8, 1, 28, 28)), rng.integers(0, 10, size=8))
+    tracer = Tracer()
+    try:
+        pipeline.install(tracer, "lenet-small")
+        tracer.active = True
+        trainer.tern_train_step(state, batch)
+    finally:
+        tracer.active = False
+        tracer.unwrap_all()
+    tr = tracer.analyse()
+    calls = {
+        fn: len(tr.select(f"kernels.{fn}", within="trainer.tern_train_step"))
+        for fn in ("conv2d_forward", "conv2d_backward_x", "conv2d_backward_w")
+    }
+    assert calls == {"conv2d_forward": 4, "conv2d_backward_x": 2, "conv2d_backward_w": 2}
