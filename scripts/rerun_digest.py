@@ -6,7 +6,10 @@ float for one epoch, runs a 3-epoch alternating ternary train(), and
 digests both phases' metrics CSVs and TNCK checkpoints (as `terntrain
 pretrain` and `quantize` write them) and the TERN packed file. Running this script on
 two versions of the code and comparing the printed lines shows whether a
-change kept every output byte identical. Takes a few seconds on one core.
+change kept every output byte identical. The first line, `blas_threads <n>`,
+is the OpenBLAS thread count the run used (`None` when numpy's BLAS cannot
+be asked); digests compare only at the same count. Takes a few seconds on
+one core.
 
 Run from the repository root: PYTHONPATH=src python3 scripts/rerun_digest.py
 """
@@ -23,6 +26,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np  # noqa: E402  after the thread pinning
 
+from terntrain.cli import blas_threads
 from terntrain.data import Dataset, make_synth_mnist
 from terntrain.modelio import checkpoint_to_bytes, export_packed
 from terntrain.network import build_from_config
@@ -106,6 +110,7 @@ def run(arch: str, seed: int, out_dir: str) -> dict:
 
 
 def main():
+    print(f"blas_threads {blas_threads()}")
     with tempfile.TemporaryDirectory() as out_dir:
         for arch in ARCHS:
             for kind, digest in run(arch, SEED, out_dir).items():

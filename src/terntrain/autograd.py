@@ -133,10 +133,10 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
-    mask = x.data > 0
-
+    # The mask is built by the backward rule from the parent's data, so a
+    # forward that records nothing builds none.
     def rule(g):
-        return (g * mask,)
+        return (g * (x.data > 0),)
 
     return _node(np.maximum(x.data, 0.0), (x,), rule)
 

@@ -428,7 +428,7 @@ def _read_packed_layer(r: _Reader, shape: tuple) -> tuple:
     if not math.isfinite(scale):
         raise FormatError(f"layer scale {scale} is not finite")
     st = QuantizerState(0.0, scale=scale)
-    set_codes(st, unpack_codes(r.take((n + 3) // 4), n).reshape(shape).astype(np.float64))
+    set_codes(st, unpack_codes(r.take((n + 3) // 4), n).reshape(shape))
     st.source = st.codes
     return st.codes, r.f32_array(r.u32()), st
 

@@ -10,10 +10,11 @@ gradients through the staircase (ste_codes_node) with a 1/scale correction,
 so the composite derivative of the effective weight w.r.t. the float
 weight is exactly one.
 
-A layer's codes and the live columns that follow from them are written in
-one place, set_codes(): by refresh() for a trained layer, and by the TERN
-loader for a packed one. ste_codes_node() alone hands the live columns to
-the tape.
+Codes are built as int8 (tern(), the TERN loader) and stay one byte each
+until set_codes(), the one writer of a layer's codes and of the live columns
+that follow from them, widens them to the float64 arrays the tape reads: by
+refresh() for a trained layer, and by the TERN loader for a packed one.
+ste_codes_node() alone hands the live columns to the tape.
 """
 
 from __future__ import annotations
@@ -47,7 +48,8 @@ class QuantizerState:
     mu/sigma/delta_c/scale/codes are derived by refresh() from the weight
     array `source`, which refresh() marks read-only: the state is fresh
     exactly while the layer still holds that same array. codes are the
-    float64 codes Tern(source), read-only too.
+    float64 codes Tern(source), read-only too: tern() builds them as int8
+    and set_codes() widens them once for the tape.
 
     codes and live_columns are written by set_codes() alone, which derives
     the live columns from the codes: see there.
@@ -79,13 +81,15 @@ def layer_stats(w: np.ndarray) -> tuple[float, float]:
 
 
 def tern(w: np.ndarray, mu: float, delta_c: float) -> np.ndarray:
-    """Elementwise ternary codes; the band [mu-delta_c, mu+delta_c] is inclusive."""
+    """Elementwise int8 ternary codes; the band [mu-delta_c, mu+delta_c] is inclusive.
+
+    Each comparison's bool mask is reinterpreted as int8 (0 or 1), so the
+    codes are one subtraction of two one-byte arrays, with no float temporary.
+    """
     if delta_c < 0:
         raise ValueError(f"delta_c must be non-negative, got {delta_c}")
     w = np.asarray(w, dtype=np.float64)
-    codes = (w > mu + delta_c).astype(np.float64)
-    codes -= w < mu - delta_c
-    return codes
+    return (w > mu + delta_c).view(np.int8) - (w < mu - delta_c).view(np.int8)
 
 
 def refresh(state: QuantizerState, w: np.ndarray) -> QuantizerState:
@@ -97,8 +101,11 @@ def refresh(state: QuantizerState, w: np.ndarray) -> QuantizerState:
     recomputed when the weights or the clipped threshold changed. delta is
     left unchanged.
     Raises DegenerateLayerError when the weights have zero spread, since
-    no Gaussian fit exists then.
+    no Gaussian fit exists then, and ValueError when delta is not finite,
+    since clipping would silently map it onto 0 or 3 sigma.
     """
+    if not np.isfinite(state.delta):
+        raise ValueError(f"threshold delta must be finite, got {state.delta}")
     new_weights = not is_fresh(state, w)
     if new_weights:
         mu, sigma = layer_stats(w)
@@ -114,23 +121,27 @@ def refresh(state: QuantizerState, w: np.ndarray) -> QuantizerState:
     return state
 
 
-def set_codes(state: QuantizerState, codes: np.ndarray) -> None:
-    """Make the float64 codes the state's codes, read-only, with their live columns.
+def set_codes(state: QuantizerState, codes8: np.ndarray) -> None:
+    """Set the state's codes and live columns from int8 codes in {-1, 0, +1}.
 
-    For 2-D (dense, in x out) codes with at least one all-zero column,
-    live_columns is the indices of the columns holding a nonzero code
-    beside the codes on those columns as one contiguous read-only array.
-    It is None when every column is live, and for conv codes.
+    state.codes becomes a read-only float64 copy of codes8, the array the
+    tape and the export read. For 2-D (dense, in x out) codes with at least
+    one all-zero column, live_columns is the indices of the columns holding
+    a nonzero code beside the float64 codes on those columns as one
+    contiguous read-only array. It is None when every column is live, and
+    for conv codes. The live set and the live block are read off the
+    one-byte codes, so only the block itself is widened to float64.
     """
+    codes = codes8.astype(np.float64)
     codes.flags.writeable = False
     state.codes, state.live_columns = codes, None
-    if codes.ndim == 2:
-        live = (codes != 0).any(axis=0)
+    if codes8.ndim == 2:
+        live = codes8.any(axis=0)
         if not live.all():
             idx = np.flatnonzero(live)
             # np.take keeps the row-major layout that codes[:, idx] would not: a
             # batch-1 product then runs the same BLAS routine as on the full codes.
-            cols = np.take(codes, idx, axis=1)
+            cols = np.take(codes8, idx, axis=1).astype(np.float64)
             cols.flags.writeable = False
             state.live_columns = (idx, cols)
 

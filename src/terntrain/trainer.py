@@ -126,13 +126,21 @@ def float_train_step(state: TrainState, batch: Batch, batch_index: int | None = 
 
 
 def threshold_substep(state: TrainState, xb, yb, batch_index: int | None = None) -> float:
-    """Forward in threshold phase, back-propagate, update only the thresholds."""
+    """Forward in threshold phase, back-propagate, update only the thresholds.
+
+    An update that leaves a threshold non-finite raises a DivergenceError
+    and is not applied.
+    """
     model = state.model
     loss_value = _loss_backward(state, xb, yb, THRESHOLD_PHASE, "threshold", batch_index)
     for layer in model.quantized_layers():
         leaf = model.delta_leaves[layer.name]
         g = 0.0 if leaf.grad is None else float(leaf.grad)
-        layer.qstate.delta = state.threshold_opt.update(layer.name, layer.qstate.delta, g)
+        delta = state.threshold_opt.update(layer.name, layer.qstate.delta, g)
+        if not np.isfinite(delta):
+            context = {"phase": "threshold", "epoch": state.epoch, "batch": batch_index}
+            raise DivergenceError(f"non-finite threshold {delta!r} on {layer.name} at {context}", dump=context)
+        layer.qstate.delta = delta
     return loss_value
 
 
@@ -223,9 +231,9 @@ def train(
     and in ternary mode on a ternary one. Ternary rows also log each layer's
     threshold, clipped threshold, scale and sparsity. The rows accumulate in
     state.metrics across calls, so one call per epoch is the same run as one
-    call for all of them. A non-finite loss, or a quantizer refresh failing
-    on non-finite weights, raises a DivergenceError whose dump holds the
-    phase, epoch and batch index. Saving the model is the caller's step.
+    call for all of them. A non-finite loss or threshold, or a quantizer
+    refresh failing on non-finite weights, raises a DivergenceError whose
+    dump holds the phase, epoch and batch index. Saving the model is the caller's step.
     """
     model = state.model
     ternary = state.threshold_opt is not None

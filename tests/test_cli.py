@@ -406,6 +406,18 @@ def test_divergence_exits_2_and_dumps_its_context(pretrained, tmp_path, capsys, 
     assert str(context) in dump["error"]
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_a_non_finite_threshold_exits_2_and_dumps_its_context(pretrained, tmp_path, monkeypatch, capsys, bad):
+    root, cfg, ckpt = pretrained
+    monkeypatch.setattr(terntrain.optim.ThresholdOptimizer, "update", lambda self, name, delta, g: bad)
+    out_dir = tmp_path / "out"
+    assert main(["quantize", "--config", str(cfg), "--out-dir", str(out_dir), "--checkpoint", str(ckpt)]) == 2
+    assert capsys.readouterr().err.startswith("runtime error: non-finite threshold ")
+    dump = json.loads((out_dir / "divergence_dump.json").read_text())
+    assert dump["context"] == {"phase": "threshold", "epoch": 0, "batch": 0}
+    assert not (out_dir / "ternary.ckpt").exists()
+
+
 def test_eval_rejects_a_label_the_model_has_no_class_for(pretrained, tmp_path, capsys):
     root, cfg, ckpt = pretrained
     save_idx_labels(tmp_path / "lbl.idx", np.arange(64) % 12)

@@ -13,6 +13,8 @@ for that to pass through three layers and the loss.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from terntrain import autograd as ag
 from terntrain import network, ternarize
@@ -93,6 +95,42 @@ def test_live_columns_are_the_nonzero_columns_of_the_codes():
         with pytest.raises(ValueError, match="read-only"):
             cols[0, 0] = 1.0
     assert 40 in seen and len(seen) >= 4  # the plain case and several live sets
+
+
+@given(
+    st.integers(1, 12),
+    st.integers(1, 12),
+    st.floats(0.0, 1.0),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_set_codes_from_int8_matches_a_float_reference(rows, cols, dead_share, seed):
+    rng = np.random.default_rng(seed)
+    codes8 = rng.integers(-1, 2, size=(rows, cols)).astype(np.int8)
+    codes8[:, rng.random(cols) < dead_share] = 0
+    state = QuantizerState(0.0)
+    ternarize.set_codes(state, codes8)
+    ref = codes8.astype(np.float64)
+    assert state.codes.dtype == np.float64 and not state.codes.flags.writeable
+    assert np.array_equal(state.codes, ref)
+    live = np.flatnonzero((ref != 0).any(axis=0))
+    if live.size == cols:
+        assert state.live_columns is None
+        return
+    idx, block = state.live_columns
+    assert np.array_equal(idx, live)
+    assert block.dtype == np.float64 and block.flags.c_contiguous and not block.flags.writeable
+    assert np.array_equal(block, ref[:, live])
+
+
+def test_set_codes_keeps_no_live_set_for_conv_codes():
+    codes8 = np.zeros((4, 2, 3, 3), dtype=np.int8)
+    codes8[1, 0, 1, 1] = -1
+    state = QuantizerState(0.0)
+    ternarize.set_codes(state, codes8)
+    assert state.live_columns is None
+    assert state.codes.dtype == np.float64 and not state.codes.flags.writeable
+    assert np.array_equal(state.codes, codes8)
 
 
 def test_no_dead_column_keeps_the_plain_path():

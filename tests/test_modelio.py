@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from terntrain import kernels, modelio, network
 from terntrain.autograd import no_grad
+from terntrain.data import Dataset, make_synth_mnist
 from terntrain.modelio import (
     BadMagicError,
     CrcMismatchError,
@@ -31,7 +32,9 @@ from terntrain.modelio import (
     unpack_codes,
 )
 from terntrain.network import FLOAT_MODE, LayerSpec, Model, arch_specs, build_from_config
+from terntrain.optim import OptimizerConfig
 from terntrain.ternarize import THRESHOLD_PHASE, WEIGHT_PHASE, DegenerateLayerError, is_fresh
+from terntrain.trainer import make_train_state, pretrain, train
 
 
 def _trained_like_model(arch="mlp-16-8-4", seed=0, delta=0.2):
@@ -710,6 +713,35 @@ def test_packed_model_with_dead_columns_matches_the_full_codes(tmp_path):
         np.testing.assert_allclose(got, _reference_packed_forward(data, batch), rtol=1e-11, atol=1e-11)
         assert np.array_equal(load_packed_and_infer(path, batch), got)
     assert packed_to_bytes(packed) == data
+
+
+def test_packed_round_trip_of_a_trained_mlp_keeps_its_live_columns_bit_for_bit(tmp_path):
+    images, labels = make_synth_mnist(2048, seed=1)
+    ds = Dataset((images.reshape(2048, -1) / 255.0 - 0.2647) / 0.2075, labels, 0.2647, 0.2075)
+    model = build_from_config("mlp-784-300-100-10", seed=1)
+    pretrain(model, ds, OptimizerConfig(kind="vanilla-sgd", lr=0.1), epochs=3, seed=1)
+    model.init_thresholds(0.1)
+    state = make_train_state(
+        model,
+        OptimizerConfig(kind="sgd-momentum", lr=0.02, momentum=0.9),
+        OptimizerConfig(kind="vanilla-sgd", lr=0.0005, weight_decay=0.0),
+        seed=1,
+    )
+    train(state, ds, epochs=4)
+    path = tmp_path / "trained.tern"
+    export_packed(model, path)
+    packed = load_packed(path)
+    live = [l.qstate.live_columns for l in model.quantized_layers()]
+    assert live[0] is not None and live[1] is not None  # training left dead columns there
+    for layer, trained in zip(packed.quantized_layers(), live):
+        assert np.array_equal(layer.qstate.codes, layer.w.data)
+        if trained is None:
+            assert layer.qstate.live_columns is None
+            continue
+        idx, cols = layer.qstate.live_columns
+        assert np.array_equal(idx, trained[0]) and idx.dtype == trained[0].dtype
+        assert cols.dtype == np.float64 and cols.flags.c_contiguous and not cols.flags.writeable
+        assert cols.tobytes() == trained[1].tobytes()
 
 
 @pytest.mark.parametrize("make", [_trained_like_model, _trained_like_lenet])

@@ -90,6 +90,40 @@ def test_tern_codes_domain(w, mu, delta_c):
     assert np.isin(codes, (-1.0, 0.0, 1.0)).all()
 
 
+@given(
+    arrays(np.float64, st.integers(2, 40), elements=st.floats(-5, 5)),
+    st.floats(-1, 1),
+    st.floats(0, 2),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_tern_gives_int8_codes_equal_to_the_float_definition(w, mu, delta_c, seed):
+    # Some weights sit exactly on the band's two edges, which are inside it.
+    w = w.copy()
+    edges = np.random.default_rng(seed).integers(0, 3, size=w.size)
+    w[edges == 1] = mu + delta_c
+    w[edges == 2] = mu - delta_c
+    codes = tern(w, mu, delta_c)
+    assert codes.dtype == np.int8 and codes.shape == w.shape
+    want = np.where(w > mu + delta_c, 1.0, 0.0) - np.where(w < mu - delta_c, 1.0, 0.0)
+    assert np.array_equal(codes, want)
+    assert not codes[edges != 0].any()
+
+
+@pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf])
+def test_refresh_rejects_a_non_finite_threshold(delta):
+    # Clipping would map it onto 0 or 3 sigma and training would go on.
+    w = np.random.default_rng(3).normal(size=(6, 5))
+    with pytest.raises(ValueError, match="threshold delta must be finite"):
+        refresh(QuantizerState(delta), w)
+    state = refresh(QuantizerState(0.1), w)
+    delta_c, codes = state.delta_c, state.codes
+    state.delta = delta
+    with pytest.raises(ValueError, match="threshold delta must be finite"):
+        refresh(state, w)
+    assert state.delta_c == delta_c and state.codes is codes
+
+
 def test_refresh_gaussian_scale():
     rng = np.random.default_rng(11)
     w = rng.standard_normal(100_000)

@@ -214,6 +214,27 @@ def test_ternary_weights_that_overflow_are_a_divergence():
     assert dump["phase"] in ("threshold", "weight", "refresh") and isinstance(dump["batch"], int)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_a_non_finite_threshold_update_is_a_divergence(monkeypatch, bad):
+    state = _toy_state(seed=4)
+    real_update = state.threshold_opt.update
+    n_layers = len(state.model.quantized_layers())
+    calls = []
+
+    def update(name, delta, g):
+        calls.append(name)
+        # The second layer's threshold goes bad on batch 2.
+        return bad if len(calls) == 2 * n_layers + 2 else real_update(name, delta, g)
+
+    monkeypatch.setattr(state.threshold_opt, "update", update)
+    with pytest.raises(DivergenceError, match="non-finite threshold") as exc:
+        train(state, _toy_dataset(seed=4), epochs=1, batch_size=16)
+    assert exc.value.dump == {"phase": "threshold", "epoch": 0, "batch": 2}
+    # The bad value is not applied: every threshold is finite and refreshable.
+    assert all(np.isfinite(l.qstate.delta) for l in state.model.quantized_layers())
+    state.model.refresh_all()
+
+
 def test_evaluate_constant_predictor_on_balanced_data():
     model = build_from_config("mlp-4-10", seed=5)
     layer = model.param_layers()[-1]
