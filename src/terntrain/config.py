@@ -148,7 +148,6 @@ class RunConfig:
             lr=self.threshold_lr if self.threshold_lr is not None else self.weight_lr,
             betas=(self.adam_beta1, self.adam_beta2),
             eps=self.adam_eps,
-            weight_decay=0.0,
         )
 
 

@@ -164,11 +164,11 @@ def check_scale_derivative(n_points: int = 1000, seed: int = 0, margin: float = 
         sigma = rng.uniform(0.1, 2.0)
         delta_c = sigma * rng.uniform(margin, 3.0 - margin)
         analytic = d_truncated_mean_d_delta(TruncGaussParams(mu, sigma, delta_c))
-        h = FD_STEP
-        fp = truncated_upper_mean(TruncGaussParams(mu, sigma, delta_c + h))
-        fm = truncated_upper_mean(TruncGaussParams(mu, sigma, delta_c - h))
-        fd = (fp - fm) / (2.0 * h)
-        worst = max(worst, abs(analytic - fd) / max(abs(analytic), abs(fd), 1e-8))
+
+        def f(d):
+            return truncated_upper_mean(TruncGaussParams(mu, sigma, float(d)))
+
+        worst = max(worst, _fd_err(analytic, f, delta_c))
     return CheckResult("scale_derivative", worst, REL_TOL)
 
 

@@ -1,4 +1,9 @@
-"""SGD (vanilla and momentum) and Adam, functional cores plus thin stateful wrappers."""
+"""SGD (vanilla and momentum) and Adam, functional cores plus thin stateful wrappers.
+
+Every optimizer is built from its OptimizerConfig and keeps it as its base
+learning rate; `lr` is the current one, which a schedule may change. The
+weight optimizers and ThresholdOptimizer step through the same cores.
+"""
 
 from __future__ import annotations
 
@@ -90,11 +95,13 @@ def adam_update(p, g, state, lr, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.0)
 
 
 class SGD:
-    def __init__(self, params: list[Tensor], lr: float, momentum: float = 0.0, weight_decay: float = 0.0):
+    """SGD over params, built from its config: momentum 0 for vanilla-sgd."""
+
+    def __init__(self, params: list[Tensor], cfg: OptimizerConfig):
         self.params = list(params)
-        self.lr = lr
-        self.momentum = momentum
-        self.weight_decay = weight_decay
+        self.cfg = cfg
+        self.lr = cfg.lr
+        self.momentum = cfg.momentum if cfg.kind == "sgd-momentum" else 0.0
         self._velocity: list[np.ndarray | None] = [None] * len(self.params)
 
     def step(self) -> None:
@@ -102,12 +109,8 @@ class SGD:
             if p.grad is None:
                 continue
             p.data, self._velocity[i] = sgd_update(
-                p.data, p.grad, self.lr, self.momentum, self.weight_decay, self._velocity[i]
+                p.data, p.grad, self.lr, self.momentum, self.cfg.weight_decay, self._velocity[i]
             )
-
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.zero_grad()
 
 
 class Adam:
@@ -126,37 +129,30 @@ class Adam:
                 continue
             p.data = adam_update(p.data, p.grad, st, self.lr, cfg.betas, cfg.eps, cfg.weight_decay)
 
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.zero_grad()
-
 
 def make_optimizer(cfg: OptimizerConfig, params: list[Tensor]):
-    if cfg.kind == "vanilla-sgd":
-        return SGD(params, cfg.lr, momentum=0.0, weight_decay=cfg.weight_decay)
-    if cfg.kind == "sgd-momentum":
-        return SGD(params, cfg.lr, momentum=cfg.momentum, weight_decay=cfg.weight_decay)
-    return Adam(params, cfg)
+    return (Adam if cfg.kind == "adam" else SGD)(params, cfg)
 
 
 class ThresholdOptimizer:
     """Optimizer over the named per-layer threshold scalars.
 
-    Structurally decay-free: thresholds never belong to a weight-decay
-    parameter group, so there is no decay term to misconfigure.
+    It owns the threshold rules: its kind is one of THRESHOLD_KINDS, and a
+    threshold takes no weight decay.
     """
 
-    def __init__(self, kind: str, lr: float, betas=(0.9, 0.999), eps: float = 1e-8):
-        if kind not in THRESHOLD_KINDS:
-            raise ValueError(f"threshold optimizer must be one of {THRESHOLD_KINDS}, got {kind!r}")
-        self.kind = kind
-        self.lr = lr
-        self.betas = betas
-        self.eps = eps
+    def __init__(self, cfg: OptimizerConfig):
+        if cfg.kind not in THRESHOLD_KINDS:
+            raise ValueError(f"threshold optimizer must be one of {THRESHOLD_KINDS}, got {cfg.kind!r}")
+        if cfg.weight_decay != 0.0:
+            raise ValueError("weight decay on thresholds is forbidden; set it to 0")
+        self.cfg = cfg
+        self.lr = cfg.lr
         self._state: dict[str, dict] = {}
 
     def update(self, name: str, value: float, grad: float) -> float:
-        if self.kind == "vanilla-sgd":
-            return value - self.lr * grad
+        cfg = self.cfg
+        if cfg.kind == "vanilla-sgd":
+            return sgd_update(value, grad, self.lr)[0]
         st = self._state.setdefault(name, {"m": 0.0, "v": 0.0, "t": 0})
-        return float(adam_update(np.float64(value), np.float64(grad), st, self.lr, self.betas, self.eps))
+        return float(adam_update(np.float64(value), np.float64(grad), st, self.lr, cfg.betas, cfg.eps))

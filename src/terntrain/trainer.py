@@ -20,7 +20,7 @@ import numpy as np
 
 from .autograd import backward, no_grad, softmax_cross_entropy
 from .network import FLOAT_MODE, Model
-from .optim import OptimizerConfig, ThresholdOptimizer, make_optimizer
+from .optim import SGD, Adam, OptimizerConfig, ThresholdOptimizer, make_optimizer
 from .ternarize import THRESHOLD_PHASE, WEIGHT_PHASE, sparsity
 
 
@@ -37,15 +37,13 @@ class TrainState:
     """What train() advances; threshold_opt is None on a float state."""
 
     model: Model
-    weight_opt: object
+    weight_opt: SGD | Adam
     threshold_opt: ThresholdOptimizer | None
     rng: np.random.Generator
     schedule: list[tuple[int, float]] = field(default_factory=list)
     grad_correctness: bool = True
     epoch: int = 0
     metrics: list[dict] = field(default_factory=list)
-    _base_weight_lr: float = 0.0
-    _base_threshold_lr: float = 0.0
 
 
 def make_train_state(
@@ -57,33 +55,25 @@ def make_train_state(
     grad_correctness: bool = True,
 ) -> TrainState:
     """A ternary train state, or a float one when threshold_cfg is None."""
-    t_opt = None
-    if threshold_cfg is not None:
-        if threshold_cfg.weight_decay != 0.0:
-            raise ValueError("weight decay on thresholds is forbidden; set it to 0")
-        t_opt = ThresholdOptimizer(
-            threshold_cfg.kind, threshold_cfg.lr, threshold_cfg.betas, threshold_cfg.eps
-        )
     return TrainState(
         model=model,
         weight_opt=make_optimizer(weight_cfg, model.parameters()),
-        threshold_opt=t_opt,
+        threshold_opt=None if threshold_cfg is None else ThresholdOptimizer(threshold_cfg),
         rng=np.random.default_rng(seed),
         schedule=sorted(schedule or []),
         grad_correctness=grad_correctness,
-        _base_weight_lr=weight_cfg.lr,
-        _base_threshold_lr=t_opt.lr if t_opt is not None else 0.0,
     )
 
 
 def _apply_schedule(state: TrainState) -> None:
     """Learning-rate breakpoints: (epoch, lr) entries set the weight lr and
-    scale the threshold lr by the same factor."""
+    scale the threshold lr by the same factor, from each optimizer's base lr."""
+    w, t = state.weight_opt, state.threshold_opt
     for ep, lr in state.schedule:
         if state.epoch == ep:
-            state.weight_opt.lr = lr
-            if state.threshold_opt is not None:
-                state.threshold_opt.lr = state._base_threshold_lr * (lr / state._base_weight_lr)
+            w.lr = lr
+            if t is not None:
+                t.lr = t.cfg.lr * (lr / w.cfg.lr)
 
 
 def _batches(n: int, batch_size: int, rng: np.random.Generator):
@@ -93,6 +83,12 @@ def _batches(n: int, batch_size: int, rng: np.random.Generator):
 
 
 Batch = tuple[np.ndarray, np.ndarray]
+
+
+def _divergence(state: TrainState, phase: str, batch_index: int | None, what: str, detail: str = ""):
+    """The DivergenceError "<what> at <dump><detail>", whose dump holds the phase, epoch and batch."""
+    context = {"phase": phase, "epoch": state.epoch, "batch": batch_index}
+    return DivergenceError(f"{what} at {context}{detail}", dump=context)
 
 
 def _loss_backward(state: TrainState, xb, yb, mode: str, phase: str, batch_index: int | None) -> float:
@@ -105,8 +101,7 @@ def _loss_backward(state: TrainState, xb, yb, mode: str, phase: str, batch_index
     loss = softmax_cross_entropy(model.forward(xb, mode, state.grad_correctness), yb)
     loss_value = float(loss.data)
     if not np.isfinite(loss_value):
-        context = {"phase": phase, "epoch": state.epoch, "batch": batch_index}
-        raise DivergenceError(f"non-finite loss {loss_value!r} at {context}", dump=context)
+        raise _divergence(state, phase, batch_index, f"non-finite loss {loss_value!r}")
     backward(loss)
     return loss_value
 
@@ -138,8 +133,7 @@ def threshold_substep(state: TrainState, xb, yb, batch_index: int | None = None)
         g = 0.0 if leaf.grad is None else float(leaf.grad)
         delta = state.threshold_opt.update(layer.name, layer.qstate.delta, g)
         if not np.isfinite(delta):
-            context = {"phase": "threshold", "epoch": state.epoch, "batch": batch_index}
-            raise DivergenceError(f"non-finite threshold {delta!r} on {layer.name} at {context}", dump=context)
+            raise _divergence(state, "threshold", batch_index, f"non-finite threshold {delta!r} on {layer.name}")
         layer.qstate.delta = delta
     return loss_value
 
@@ -156,8 +150,7 @@ def _refresh(state: TrainState, batch_index: int | None) -> None:
     except ValueError as e:
         if all(np.isfinite(p.data).all() for p in state.model.parameters()):
             raise
-        context = {"phase": "refresh", "epoch": state.epoch, "batch": batch_index}
-        raise DivergenceError(f"non-finite weights at {context}: {e}", dump=context) from e
+        raise _divergence(state, "refresh", batch_index, "non-finite weights", f": {e}") from e
 
 
 def tern_train_step(state: TrainState, batch: Batch, batch_index: int | None = None) -> dict:

@@ -82,11 +82,10 @@ def test_optimizer_config_validation():
 def test_sgd_class_steps_params():
     t = Tensor(np.array([1.0, 2.0]), requires_grad=True)
     t.grad = np.array([0.5, 0.5])
-    opt = SGD([t], lr=0.1)
+    opt = SGD([t], OptimizerConfig(kind="vanilla-sgd", lr=0.1))
     opt.step()
     assert np.allclose(t.data, [0.95, 1.95])
-    opt.zero_grad()
-    assert t.grad is None
+    t.zero_grad()
     opt.step()  # no grads: params untouched
     assert np.allclose(t.data, [0.95, 1.95])
 
@@ -99,12 +98,12 @@ def test_make_optimizer_kinds():
 
 
 def test_threshold_optimizer_vanilla():
-    opt = ThresholdOptimizer("vanilla-sgd", lr=0.2)
+    opt = ThresholdOptimizer(OptimizerConfig(kind="vanilla-sgd", lr=0.2))
     assert opt.update("dense0", 1.0, 0.5) == pytest.approx(0.9)
 
 
 def test_threshold_optimizer_adam_tracks_per_name_state():
-    opt = ThresholdOptimizer("adam", lr=0.1)
+    opt = ThresholdOptimizer(OptimizerConfig(kind="adam", lr=0.1))
     a1 = opt.update("a", 0.0, 1.0)
     b1 = opt.update("b", 0.0, 1.0)
     assert a1 == pytest.approx(b1)  # independent states, same inputs
@@ -114,7 +113,13 @@ def test_threshold_optimizer_adam_tracks_per_name_state():
 
 def test_threshold_optimizer_rejects_other_kinds():
     with pytest.raises(ValueError):
-        ThresholdOptimizer("sgd-momentum", lr=0.1)
+        ThresholdOptimizer(OptimizerConfig(kind="sgd-momentum", lr=0.1))
+
+
+@pytest.mark.parametrize("kind", ["vanilla-sgd", "adam"])
+def test_threshold_optimizer_rejects_weight_decay(kind):
+    with pytest.raises(ValueError, match="weight decay on thresholds is forbidden"):
+        ThresholdOptimizer(OptimizerConfig(kind=kind, lr=0.1, weight_decay=0.01))
 
 
 # -- in-place optimizer state ------------------------------------------------
@@ -133,44 +138,74 @@ def _param_and_grads(seed=0, shape=(40, 30), steps=5):
     return t, grads
 
 
-@pytest.mark.parametrize("momentum,wd", [(0.0, 0.0), (0.0, 0.01), (MOMENTUM, 0.0), (MOMENTUM, 0.01)])
-def test_sgd_five_steps_match_the_formula_bit_for_bit(momentum, wd):
-    t, grads = _param_and_grads()
-    opt = SGD([t], lr=LR, momentum=momentum, weight_decay=wd)
+def _stepper(cfg, t, threshold):
+    """A function taking one step with a gradient and returning the new
+    value, and one returning the optimizer state of that value.
+
+    Weights: SGD or Adam steps Tensor t. A threshold: ThresholdOptimizer
+    updates t's value, a 0-d scalar, with floats, as the trainer does.
+    """
+    if not threshold:
+        opt = make_optimizer(cfg, [t])
+
+        def step(g):
+            t.grad = g
+            opt.step()
+            return t.data
+
+        return step, lambda: opt._state[0] if cfg.kind == "adam" else opt._velocity[0]
+    opt = ThresholdOptimizer(cfg)
+    value = float(t.data)
+
+    def step(g):
+        nonlocal value
+        value = opt.update("dense0", value, float(g))
+        return np.float64(value)
+
+    return step, lambda: opt._state["dense0"]
+
+
+@pytest.mark.parametrize(
+    "momentum,wd,threshold",
+    [(0.0, 0.0, False), (0.0, 0.01, False), (MOMENTUM, 0.0, False), (MOMENTUM, 0.01, False), (0.0, 0.0, True)],
+    ids=["0.0-0.0", "0.0-0.01", "0.9-0.0", "0.9-0.01", "threshold"],
+)
+def test_sgd_five_steps_match_the_formula_bit_for_bit(momentum, wd, threshold):
+    t, grads = _param_and_grads(shape=() if threshold else (40, 30))
+    kind = "sgd-momentum" if momentum else "vanilla-sgd"
+    step, opt_state = _stepper(OptimizerConfig(kind=kind, lr=LR, momentum=momentum, weight_decay=wd), t, threshold)
     p, v = t.data.copy(), None
     for g in grads:
-        t.grad = g
-        opt.step()
+        new = step(g)
         d = g + wd * p
         if momentum == 0.0:
             p = p - LR * d
         else:
             v = d if v is None else momentum * v + d
             p = p - LR * v
-        assert t.data.tobytes() == p.tobytes()
+        assert new.tobytes() == p.tobytes()
         if momentum:
-            assert opt._velocity[0].tobytes() == v.tobytes()
+            assert opt_state().tobytes() == v.tobytes()
 
 
-@pytest.mark.parametrize("wd", [0.0, 0.01])
-def test_adam_five_steps_match_the_formula_bit_for_bit(wd):
-    t, grads = _param_and_grads(seed=1)
+@pytest.mark.parametrize("wd,threshold", [(0.0, False), (0.01, False), (0.0, True)], ids=["0.0", "0.01", "threshold"])
+def test_adam_five_steps_match_the_formula_bit_for_bit(wd, threshold):
+    t, grads = _param_and_grads(seed=1, shape=() if threshold else (40, 30))
     cfg = OptimizerConfig(kind="adam", lr=LR, betas=BETAS, eps=EPS, weight_decay=wd)
-    opt = Adam([t], cfg)
+    take_step, opt_state = _stepper(cfg, t, threshold)
     b1, b2 = BETAS
     p, m, v = t.data.copy(), np.zeros_like(t.data), np.zeros_like(t.data)
     for step, g in enumerate(grads, start=1):
-        t.grad = g
-        opt.step()
+        new = take_step(g)
         g = g + wd * p
         m = b1 * m + (1 - b1) * g
         v = b2 * v + (1 - b2) * g * g
         m_hat = m / (1 - b1**step)
         v_hat = v / (1 - b2**step)
         p = p - LR * m_hat / (np.sqrt(v_hat) + EPS)
-        assert t.data.tobytes() == p.tobytes()
-        assert opt._state[0]["m"].tobytes() == m.tobytes()
-        assert opt._state[0]["v"].tobytes() == v.tobytes()
+        assert new.tobytes() == p.tobytes()
+        assert np.asarray(opt_state()["m"]).tobytes() == m.tobytes()
+        assert np.asarray(opt_state()["v"]).tobytes() == v.tobytes()
 
 
 @pytest.mark.parametrize("kind", ["sgd-momentum", "adam"])
@@ -211,7 +246,8 @@ def _second_step_peak(opt, t) -> float:
 @pytest.mark.parametrize("momentum", [0.0, MOMENTUM])
 def test_sgd_step_allocates_only_the_new_parameter(momentum):
     t = Tensor(np.ones((256, 1024)), requires_grad=True)
-    ratio = _second_step_peak(SGD([t], lr=LR, momentum=momentum), t)
+    cfg = OptimizerConfig(kind="sgd-momentum" if momentum else "vanilla-sgd", lr=LR, momentum=momentum)
+    ratio = _second_step_peak(SGD([t], cfg), t)
     assert ratio <= 1.25, f"SGD step (momentum {momentum}) peaked at {ratio:.2f}x the parameter's bytes"
 
 

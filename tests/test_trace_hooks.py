@@ -85,3 +85,33 @@ def test_one_lenet_ternary_step_makes_four_two_and_two_traced_conv_calls():
         for fn in ("conv2d_forward", "conv2d_backward_x", "conv2d_backward_w")
     }
     assert calls == {"conv2d_forward": 4, "conv2d_backward_x": 2, "conv2d_backward_w": 2}
+
+
+@pytest.mark.parametrize("kind", ["vanilla-sgd", "adam"])
+def test_one_ternary_step_opens_one_optimizer_span_per_update(kind):
+    # The benchmark's optim.* per-layer figures count these spans: a
+    # threshold update that ran through the traced weight step would be
+    # counted as a weight step too.
+    rng = np.random.default_rng(0)
+    model = network.build_from_config("mlp-6-5-3", seed=0)
+    model.init_thresholds(0.1)
+    state = trainer.make_train_state(
+        model, optim.OptimizerConfig(kind=kind, lr=0.01), optim.OptimizerConfig(kind=kind, lr=0.0005)
+    )
+    batch = (rng.normal(size=(16, 6)), rng.integers(0, 3, size=16))
+    tracer = Tracer()
+    try:
+        pipeline.install(tracer, "mlp-784-300-100-10")
+        tracer.active = True
+        trainer.tern_train_step(state, batch)
+    finally:
+        tracer.active = False
+        tracer.unwrap_all()
+    tr = tracer.analyse()
+    n_quantized = len(model.quantized_layers())
+    assert n_quantized > 0
+    assert len(tr.select("optim.threshold_update")) == n_quantized
+    assert len(tr.select("optim.threshold_update", within="trainer.threshold_substep")) == n_quantized
+    assert len(tr.select("optim.weight_step")) == 1
+    assert len(tr.select("optim.weight_step", within="trainer.weight_substep")) == 1
+    assert tr.select("optim.weight_step", within="optim.threshold_update") == []
