@@ -26,11 +26,12 @@ from dataclasses import fields
 import numpy as np
 
 from . import __version__
+from .autograd import no_grad
 from .config import ConfigError, RunConfig, parse_config, parse_value
 from .data import DataError, Dataset, load_csv, load_idx
 from .gradcheck import run_suite, suite_passed
 from .modelio import ModelIOError, export_packed, load_checkpoint, save_checkpoint
-from .network import Model, build_from_config
+from .network import FLOAT_MODE, Model, build_from_config
 from .ternarize import DegenerateLayerError, sparsity
 from .trainer import DivergenceError, TrainState, eval_loss_acc, make_train_state, train
 
@@ -90,7 +91,8 @@ def _open_checkpoint(path: str) -> Model:
 
 
 def _load_split(cfg: RunConfig, split: str, model: Model, required: bool = True) -> Dataset | None:
-    """A split's dataset (None for an unnamed optional split); each label must be a class of model."""
+    """A split's dataset (None for an unnamed optional split). Its samples must fit model,
+    as a float forward of the first one shows, and each label must be a class of model."""
     keys = [f"{split}_images", f"{split}_labels"] if cfg.dataset == "idx" else [f"{split}_csv"]
     paths = [getattr(cfg, key) for key in keys]
     if not all(paths):
@@ -101,6 +103,13 @@ def _load_split(cfg: RunConfig, split: str, model: Model, required: bool = True)
         ds = load_idx(*paths, cfg.normalize_mean, cfg.normalize_std)
     else:
         ds = load_csv(*paths)
+    try:
+        with no_grad():
+            model.forward(ds.images[:1], FLOAT_MODE)
+    except ValueError as e:
+        raise DataError(
+            f"{split} split: samples of shape {ds.images.shape[1:]} do not fit arch {model.arch!r}: {e}"
+        ) from e
     # The model's classes are the outputs of its last layer when that layer is dense.
     last = model.param_layers()[-1].spec if model.param_layers() else None
     top = int(ds.labels.max())

@@ -1,4 +1,4 @@
-"""Dataset ingestion: IDX image files, CSV feature files, synthetic fixtures.
+"""Dataset ingestion: IDX image files, CSV feature files, a synthetic MNIST-like fixture.
 
 IDX files are the plain big-endian format: magic 0x00000803 for 3-D image
 files (N, H, W of unsigned bytes), 0x00000801 for label files. A header
@@ -197,17 +197,3 @@ def make_synth_mnist(
         images[i] = np.clip(img, 0, 255).astype(np.uint8)
     return images, labels
 
-
-def make_two_moons(n: int, seed: int = 0, noise: float = 0.1) -> tuple[np.ndarray, np.ndarray]:
-    """Two interleaved half-circles in 2-D; labels 0/1."""
-    rng = np.random.default_rng(seed)
-    n0 = n // 2
-    n1 = n - n0
-    t0 = rng.uniform(0, np.pi, n0)
-    t1 = rng.uniform(0, np.pi, n1)
-    x0 = np.stack([np.cos(t0), np.sin(t0)], axis=1)
-    x1 = np.stack([1 - np.cos(t1), 0.5 - np.sin(t1)], axis=1)
-    x = np.concatenate([x0, x1]) + rng.normal(0, noise, size=(n, 2))
-    y = np.concatenate([np.zeros(n0, dtype=np.int64), np.ones(n1, dtype=np.int64)])
-    perm = rng.permutation(n)
-    return x[perm], y[perm]

@@ -1,9 +1,9 @@
-"""Standard-normal and upper-truncated Gaussian primitives.
+"""Upper-truncated Gaussian primitives and the threshold clip.
 
 Everything here is scalar 64-bit math. The truncated upper-tail mean is the
-per-layer scale of the ternarizer, and its derivative is what makes the
-threshold trainable, so both must stay finite, positive and monotone well
-past the clip range used in training.
+per-layer scale of the ternarizer, and its derivative in the threshold is
+what makes the threshold trainable, so both must stay finite, positive and
+monotone well past the clip range [0, 3*sigma] used in training.
 """
 
 from __future__ import annotations
@@ -46,19 +46,6 @@ def std_normal_pdf(x: float) -> float:
     return INV_SQRT_2PI * math.exp(-0.5 * x * x)
 
 
-def std_normal_cdf(x: float) -> float:
-    """Distribution function of N(0, 1).
-
-    Computed from the C library erfc, a rational approximation with
-    absolute error below 1e-15, comfortably inside the 1e-9 budget. The
-    branch on the sign keeps full relative accuracy in both tails instead
-    of cancelling against 1.
-    """
-    if x < 0.0:
-        return 0.5 * math.erfc(-x / _SQRT2)
-    return 1.0 - 0.5 * math.erfc(x / _SQRT2)
-
-
 def inverse_mills(alpha: float) -> float:
     """Hazard ratio m(alpha) = pdf(alpha) / (1 - cdf(alpha)) of N(0, 1).
 
@@ -94,33 +81,17 @@ def d_truncated_mean_d_delta(p: TruncGaussParams) -> float:
     return m * (m - alpha)
 
 
-def hardtanh(x: float, j: float, k: float) -> float:
-    """Clip x to [j, k]."""
-    if j > k:
-        raise ValueError(f"hardtanh bounds out of order: j={j} > k={k}")
-    return max(j, min(x, k))
-
-
-def hardtanh_grad(x: float, j: float, k: float) -> float:
-    """Sub-gradient of hardtanh: 1 strictly inside (j, k), else 0.
-
-    The boundary points themselves count as clipped.
-    """
-    if j > k:
-        raise ValueError(f"hardtanh bounds out of order: j={j} > k={k}")
-    return 1.0 if j < x < k else 0.0
-
-
 def clip_threshold(delta: float, sigma: float) -> float:
     """Clipped threshold hardtanh(|delta|, 0, 3*sigma)."""
     if not sigma > 0.0:
         raise ValueError(f"sigma must be positive, got {sigma}")
-    return hardtanh(abs(delta), 0.0, 3.0 * sigma)
+    return max(0.0, min(abs(delta), 3.0 * sigma))
 
 
 def clip_threshold_grad(delta: float, sigma: float) -> float:
-    """d clip_threshold / d delta: the hardtanh sub-gradient times sign(delta)."""
+    """d clip_threshold / d delta: sign(delta) where 0 < |delta| < 3*sigma, else 0.
+    The boundary points |delta| = 0 and |delta| = 3*sigma count as clipped."""
     if not sigma > 0.0:
         raise ValueError(f"sigma must be positive, got {sigma}")
-    g = hardtanh_grad(abs(delta), 0.0, 3.0 * sigma)
+    g = 1.0 if 0.0 < abs(delta) < 3.0 * sigma else 0.0
     return g * math.copysign(1.0, delta) if delta != 0.0 else 0.0

@@ -33,6 +33,7 @@ import json
 import math
 import struct
 import zlib
+from dataclasses import asdict
 
 import numpy as np
 
@@ -189,7 +190,7 @@ class _Reader:
 def _write_header(w: _Writer, magic: bytes, model: Model, meta: dict) -> None:
     """Magic, version, arch, metadata (plus a custom arch's specs) and layer count."""
     if model.arch == "custom":
-        meta = {**meta, "specs": [s.to_dict() for s in model.specs]}
+        meta = {**meta, "specs": [asdict(s) for s in model.specs]}
     w.raw(magic)
     w.u16(FORMAT_VERSION)
     w.str16(model.arch)
@@ -236,7 +237,7 @@ def _write_layer_head(w: _Writer, name: str, shape: tuple[int, ...]) -> None:
 def _specs_from(arch: str, metadata: dict) -> list[LayerSpec]:
     if arch == "custom":
         try:
-            return [LayerSpec.from_dict(d) for d in metadata["specs"]]
+            return [LayerSpec(**d) for d in metadata["specs"]]
         except (KeyError, TypeError) as e:
             raise FormatError(f"custom arch without usable specs in metadata: {e}") from e
     try:

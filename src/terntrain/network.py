@@ -50,21 +50,6 @@ class LayerSpec:
     padding: int = 0
     quantized: bool = False
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "in_dim": self.in_dim,
-            "out_dim": self.out_dim,
-            "kernel": self.kernel,
-            "stride": self.stride,
-            "padding": self.padding,
-            "quantized": self.quantized,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "LayerSpec":
-        return LayerSpec(**d)
-
 
 @dataclass
 class ParamLayer:

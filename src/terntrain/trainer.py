@@ -164,13 +164,14 @@ def tern_train_step(state: TrainState, batch: Batch, batch_index: int | None = N
 
 
 def eval_loss_acc(model: Model, dataset, mode: str, batch_size: int = 256) -> tuple[float, float]:
-    """Mean loss and top-1 accuracy over a dataset in "float" or "ternary" mode; records no graph."""
+    """Mean loss and top-1 accuracy over a dataset in "float" or "ternary" mode; records no graph.
+    Ternary mode refreshes first, except on a packed model, whose frozen codes are all it has."""
     if mode not in ("float", "ternary"):
         raise ValueError(f"unknown evaluation mode {mode!r}")
     if len(dataset) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
     fwd_mode = WEIGHT_PHASE if mode == "ternary" else FLOAT_MODE
-    if mode == "ternary":
+    if mode == "ternary" and not model.packed:
         model.refresh_all()
     total_loss = 0.0
     correct = 0

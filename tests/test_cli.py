@@ -290,9 +290,16 @@ def test_usage_and_config_errors_exit_1(pretrained, tmp_path, capsys):
         assert not (out_dir / "run_info.json").exists()
 
 
-def _bad_input(case, root, cfg, ckpt, tmp_path):
+def _bad_input(command, case, root, cfg, ckpt, tmp_path):
     """A config text and a quantize checkpoint holding one bad input, and its exit code."""
     text = cfg.read_text()
+    if case == "features-misfit":
+        # pretrain builds the config's mlp-2-4-2; quantize reads the
+        # mlp-784-16-10 checkpoint, which 2 features do not fit either.
+        rows = "0,0.1,0.2,0.3\n1,0.4,0.5,0.6\n" if command == "pretrain" else "0,0.1,0.2\n1,0.4,0.5\n"
+        (tmp_path / "train.csv").write_text(rows)
+        text = text.replace("arch = mlp-784-16-10", "arch = mlp-2-4-2").replace("dataset = idx", "dataset = csv")
+        return text + f"train_csv = {tmp_path / 'train.csv'}\n", ckpt, 1
     if case == "missing-data":
         return text.replace(str(root / "train_img.idx"), str(tmp_path / "nope.idx")), ckpt, 1
     if case == "label-out-of-range":
@@ -333,19 +340,21 @@ def _bad_input(case, root, cfg, ckpt, tmp_path):
         ("pretrain", "non-utf8-csv"),
         ("pretrain", "oversized-idx-header"),
         ("pretrain", "idx-trailing-bytes"),
+        ("pretrain", "features-misfit"),
         ("quantize", "missing-data"),
         ("quantize", "label-out-of-range"),
         ("quantize", "bad-arch"),
         ("quantize", "corrupt-checkpoint"),
         ("quantize", "non-utf8-config"),
         ("quantize", "oversized-idx-header"),
+        ("quantize", "features-misfit"),
     ],
 )
 def test_bad_input_fails_before_the_run_directory_is_written(
     pretrained, tmp_path, capsys, command, case
 ):
     root, cfg, ckpt = pretrained
-    text, checkpoint, code = _bad_input(case, root, cfg, ckpt, tmp_path)
+    text, checkpoint, code = _bad_input(command, case, root, cfg, ckpt, tmp_path)
     bad_cfg = tmp_path / "bad.cfg"
     bad_cfg.write_bytes(text if isinstance(text, bytes) else text.encode())
     out_dir = tmp_path / "out"
@@ -368,6 +377,13 @@ def test_bad_input_fails_before_the_run_directory_is_written(
         assert f"config error: {tmp_path / 'img.idx'}: header dims" in err
     if case == "idx-trailing-bytes":
         assert f"config error: {tmp_path / 'img.idx'}: header dims (192, 28, 28) claim 150528 pixel bytes" in err
+    if case == "features-misfit":
+        width = 3 if command == "pretrain" else 2
+        arch = "mlp-2-4-2" if command == "pretrain" else "mlp-784-16-10"
+        assert f"config error: train split: samples of shape ({width},) do not fit arch {arch!r}" in err
+        # eval checks the split it reads against its checkpoint the same way.
+        assert main(["eval", "--config", str(bad_cfg), "--checkpoint", str(ckpt), "--split", "train"]) == 1
+        assert "config error: train split: samples of shape" in capsys.readouterr().err
     assert not out_dir.exists()
 
 

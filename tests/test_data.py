@@ -11,7 +11,6 @@ from terntrain.data import (
     load_csv,
     load_idx,
     make_synth_mnist,
-    make_two_moons,
     save_idx_images,
     save_idx_labels,
 )
@@ -172,18 +171,6 @@ def test_load_csv_empty(tmp_path):
     p.write_text("label,f1\n")
     with pytest.raises(DataError, match="no data"):
         load_csv(p)
-
-
-def test_two_moons_roundtrip_through_csv(tmp_path):
-    x, y = make_two_moons(80, seed=1)
-    p = tmp_path / "moons.csv"
-    with open(p, "w") as fh:
-        fh.write("label,x1,x2\n")
-        for xi, yi in zip(x, y):
-            fh.write(f"{yi},{xi[0]},{xi[1]}\n")
-    ds = load_csv(p)
-    assert ds.images.shape == (80, 2)
-    assert set(np.unique(ds.labels)) == {0, 1}
 
 
 def test_dataset_validation():

@@ -10,10 +10,7 @@ from terntrain.gaussian import (
     clip_threshold,
     clip_threshold_grad,
     d_truncated_mean_d_delta,
-    hardtanh,
-    hardtanh_grad,
     inverse_mills,
-    std_normal_cdf,
     std_normal_pdf,
     truncated_upper_mean,
 )
@@ -21,7 +18,6 @@ from terntrain.gaussian import (
 # High-precision reference values, frozen from a 50-digit mpmath evaluation
 # of the defining formulas.
 PDF_AT_1 = 0.2419707245191433498
-CDF_AT_1 = 0.84134474606854294859
 MILLS_AT_0 = 0.79788456080286535588  # sqrt(2/pi)
 MILLS_AT_1 = 1.5251352761609812091
 DSCALE_AT_0 = 0.63661977236758134308  # 2/pi
@@ -40,34 +36,6 @@ def test_pdf_at_one():
 def test_pdf_symmetric_and_positive(x):
     assert std_normal_pdf(x) > 0
     assert std_normal_pdf(-x) == std_normal_pdf(x)
-
-
-def test_cdf_at_zero():
-    assert std_normal_cdf(0.0) == 0.5
-
-
-def test_cdf_at_one_against_quadrature():
-    # Independent oracle: trapezoid integration of the density over (-12, 1].
-    grid = np.linspace(-12.0, 1.0, 400_001)
-    density = np.exp(-0.5 * grid * grid) / math.sqrt(2 * math.pi)
-    integral = float(np.trapezoid(density, grid))
-    assert abs(integral - CDF_AT_1) < 1e-9  # the oracle agrees with the frozen value
-    assert std_normal_cdf(1.0) == pytest.approx(CDF_AT_1, abs=1e-9)
-
-
-def test_cdf_reflection_identity():
-    for x in np.linspace(-8, 8, 101):
-        assert std_normal_cdf(x) == pytest.approx(1.0 - std_normal_cdf(-x), abs=1e-15)
-
-
-def test_cdf_monotone_dense_grid():
-    grid = np.linspace(-10, 10, 5001)
-    vals = [std_normal_cdf(x) for x in grid]
-    assert all(a <= b for a, b in zip(vals, vals[1:]))
-    # Open interval holds throughout the stable [-8, 8] range; beyond that
-    # the upper tail saturates to 1.0 in 64-bit as it must.
-    for x in np.linspace(-8, 8, 1601):
-        assert 0.0 < std_normal_cdf(x) < 1.0
 
 
 def test_inverse_mills_at_zero():
@@ -187,41 +155,37 @@ def test_scale_derivative_in_unit_interval():
 
 
 def test_hardtanh_examples():
-    assert hardtanh(5, 0, 3) == 3
-    assert hardtanh(-1, 0, 3) == 0
-    assert hardtanh(1.2, 0, 3) == 1.2
-
-
-def test_hardtanh_rejects_bad_bounds():
-    with pytest.raises(ValueError):
-        hardtanh(0.0, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        hardtanh_grad(0.0, 1.0, 0.0)
-
-
-@given(st.floats(-100, 100), st.floats(-10, 10), st.floats(-10, 10))
-@settings(max_examples=200)
-def test_hardtanh_output_in_bounds(x, a, b):
-    j, k = min(a, b), max(a, b)
-    y = hardtanh(x, j, k)
-    assert j <= y <= k
-    if j < x < k:
-        assert y == x
+    # clip_threshold is hardtanh(|delta|, 0, 3*sigma): inside, above and at
+    # the lower end of the range.
+    assert clip_threshold(1.2, 1.0) == 1.2
+    assert clip_threshold(5.0, 1.0) == 3.0
+    assert clip_threshold(0.0, 1.0) == 0.0
 
 
 def test_hardtanh_subgradient():
-    assert hardtanh_grad(1.2, 0, 3) == 1.0
-    assert hardtanh_grad(-1, 0, 3) == 0.0
-    assert hardtanh_grad(5, 0, 3) == 0.0
-    # Exact boundary points count as clipped.
-    assert hardtanh_grad(0.0, 0, 3) == 0.0
-    assert hardtanh_grad(3.0, 0, 3) == 0.0
+    assert clip_threshold_grad(1.2, 1.0) == 1.0
+    assert clip_threshold_grad(5.0, 1.0) == 0.0
+    assert clip_threshold_grad(-5.0, 1.0) == 0.0
+    # Exact boundary points count as clipped, at both ends of [0, 3*sigma].
+    assert clip_threshold_grad(0.0, 1.0) == 0.0
+    assert clip_threshold_grad(3.0, 1.0) == 0.0
+    assert clip_threshold_grad(-3.0, 1.0) == 0.0
 
 
 def test_clip_threshold_examples():
     assert clip_threshold(-0.2, 1.0) == pytest.approx(0.2)
     assert clip_threshold(4.0, 1.0) == 3.0
+    assert clip_threshold(-5.0, 1.0) == 3.0
     assert clip_threshold(0.0, 1.0) == 0.0
+
+
+@given(st.floats(-100, 100), st.floats(1e-6, 10))
+@settings(max_examples=200)
+def test_clip_threshold_output_in_bounds(delta, sigma):
+    y = clip_threshold(delta, sigma)
+    assert 0.0 <= y <= 3.0 * sigma
+    if 0.0 < abs(delta) < 3.0 * sigma:
+        assert y == abs(delta)
 
 
 def test_clip_threshold_rejects_bad_sigma():
@@ -236,3 +200,8 @@ def test_clip_threshold_grad_composes_sign():
     assert clip_threshold_grad(0.2, 1.0) == 1.0
     assert clip_threshold_grad(4.0, 1.0) == 0.0  # clipped at the cap
     assert clip_threshold_grad(0.0, 1.0) == 0.0  # boundary of the abs kink
+    # The cap counts as clipped at both signs, for any sigma.
+    sigma = 0.37
+    assert clip_threshold_grad(3.0 * sigma, sigma) == 0.0
+    assert clip_threshold_grad(-3.0 * sigma, sigma) == 0.0
+    assert clip_threshold_grad(math.nextafter(3.0 * sigma, 0.0), sigma) == 1.0

@@ -34,7 +34,7 @@ from terntrain.modelio import (
 from terntrain.network import FLOAT_MODE, LayerSpec, Model, arch_specs, build_from_config
 from terntrain.optim import OptimizerConfig
 from terntrain.ternarize import THRESHOLD_PHASE, WEIGHT_PHASE, DegenerateLayerError, is_fresh
-from terntrain.trainer import make_train_state, pretrain, train
+from terntrain.trainer import eval_loss_acc, make_train_state, pretrain, train
 
 
 def _trained_like_model(arch="mlp-16-8-4", seed=0, delta=0.2):
@@ -198,7 +198,7 @@ def test_checkpoint_roundtrip_custom_specs():
     model.refresh_all()
     blob = checkpoint_to_bytes(model)
     restored = checkpoint_from_bytes(blob)
-    assert [s.to_dict() for s in restored.specs] == [s.to_dict() for s in specs]
+    assert restored.specs == specs
     assert restored.param_layers()[1].qstate is None
     assert restored.quantized_layers()[0].qstate.delta == 0.15
 
@@ -625,7 +625,7 @@ def _reference_packed_forward(data: bytes, x: np.ndarray) -> np.ndarray:
     records with the format's record reader, not through the loader."""
     r, arch, meta, nlayers = modelio._read_header(data, modelio.PACKED_MAGIC)
     t = np.asarray(x, dtype=np.float64)
-    specs = [LayerSpec.from_dict(d) for d in meta["specs"]] if arch == "custom" else arch_specs(arch)
+    specs = [LayerSpec(**d) for d in meta["specs"]] if arch == "custom" else arch_specs(arch)
     for spec in specs:
         if spec.kind == "relu":
             t = np.maximum(t, 0.0)
@@ -827,6 +827,29 @@ def test_packed_model_rejects_refresh_training_and_checkpoint(tmp_path):
             model.forward(np.zeros((1, 16)), mode)
     with pytest.raises(ValueError, match="packed"):
         checkpoint_to_bytes(model)
+
+
+def test_a_packed_model_evaluates_like_its_source_in_ternary_mode(tmp_path):
+    rng = np.random.default_rng(26)
+    labels = rng.integers(0, 3, size=300)
+    ds = Dataset(rng.normal(size=(300, 6)) + 1.5 * np.eye(3, 6)[labels], labels)
+    model = build_from_config("mlp-6-5-3", seed=26)
+    pretrain(model, ds, OptimizerConfig(kind="vanilla-sgd", lr=0.1), epochs=3, seed=26)
+    model.init_thresholds(0.1)
+    state = make_train_state(
+        model, OptimizerConfig(kind="vanilla-sgd", lr=0.05), OptimizerConfig(kind="vanilla-sgd", lr=0.001), seed=26
+    )
+    train(state, ds, epochs=2)
+    path = tmp_path / "m.tern"
+    export_packed(model, path)
+    packed = load_packed(path)
+    loss, acc = eval_loss_acc(packed, ds, "ternary")
+    want_loss, want_acc = eval_loss_acc(model, ds, "ternary")
+    assert acc == want_acc
+    # TERN stores each scale as float32; the loss moves by that rounding only.
+    assert loss == pytest.approx(want_loss, rel=1e-6)
+    with pytest.raises(ValueError, match="packed"):
+        eval_loss_acc(packed, ds, "float")
 
 
 def test_packed_forward_with_a_zero_scale(tmp_path):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -118,9 +120,7 @@ def test_bias_never_altered_by_ternarization():
 def test_quantized_flag_does_not_change_parameter_count():
     dims = "mlp-20-10-5"
     quantized = build_from_config(dims, seed=1)
-    plain_specs = [
-        LayerSpec(**{**s.to_dict(), "quantized": False}) for s in arch_specs(dims)
-    ]
+    plain_specs = [replace(s, quantized=False) for s in arch_specs(dims)]
     plain = Model(plain_specs, seed=1)
     assert quantized.num_params() == plain.num_params()
 
