@@ -1,21 +1,26 @@
 #!/usr/bin/env python3
-"""Print SHA-256 digests of a fixed-seed training run's output files.
+"""Print SHA-256 digests of the files a fixed-seed terntrain CLI run writes.
 
-On mlp-784-300-100-10 and lenet-small, builds a model, pretrains it in
-float for one epoch, runs a 3-epoch alternating ternary train(), and
-digests both phases' metrics CSVs and TNCK checkpoints (as `terntrain
-pretrain` and `quantize` write them) and the TERN packed file. Running this script on
-two versions of the code and comparing the printed lines shows whether a
-change kept every output byte identical. The first line, `blas_threads <n>`,
-is the OpenBLAS thread count the run used (`None` when numpy's BLAS cannot
-be asked); digests compare only at the same count. Takes a few seconds on
-one core.
+On mlp-784-300-100-10 and lenet-small, writes synthetic train and test
+splits as IDX files and a config per command, then runs `terntrain
+pretrain` (one float epoch), `terntrain quantize` (a 3-epoch alternating
+ternary run on the pretrain checkpoint) and `terntrain export` through
+`cli.main`. It digests the five files they write: both metrics CSVs, both
+TNCK checkpoints and the TERN packed file. Running this script on two
+versions of the code and comparing the printed lines shows whether a change
+kept every output byte identical. The first line, `blas_threads <n>`, is
+the OpenBLAS thread count the run used (`None` when numpy's BLAS cannot be
+asked); digests compare only at the same count. Takes a few seconds on one
+core.
 
 Run from the repository root: PYTHONPATH=src python3 scripts/rerun_digest.py
 """
 
+import contextlib
 import hashlib
+import io
 import os
+import sys
 import tempfile
 
 # The metrics CSV logs losses at full precision, and a multi-threaded BLAS
@@ -24,96 +29,63 @@ import tempfile
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
-import numpy as np  # noqa: E402  after the thread pinning
-
-from terntrain.cli import blas_threads
-from terntrain.data import Dataset, make_synth_mnist
-from terntrain.modelio import checkpoint_to_bytes, export_packed
-from terntrain.network import build_from_config
-from terntrain.optim import OptimizerConfig
-from terntrain.trainer import make_train_state, pretrain, train
+from terntrain import cli  # noqa: E402  after the thread pinning
+from terntrain.data import make_synth_mnist, save_idx_images, save_idx_labels  # noqa: E402
 
 ARCHS = ("mlp-784-300-100-10", "lenet-small")
-SEED = 3
-N_TRAIN, N_TEST = 512, 256
-NORM_MEAN, NORM_STD = 0.1307, 0.3081
+# Passed as --seed, which beats TERNTRAIN_SEED, so the caller's shell cannot move the digests.
+SEED = "3"
+SPLITS = {"train": (512, 3), "test": (256, 1003)}  # samples, make_synth_mnist seed
+DATA = "".join(f"{s}_{part} = {{root}}/{s}-{part}.idx\n" for s in SPLITS for part in ("images", "labels"))
+COMMON = "arch = {arch}\nout_dir = {out}\nnormalize_mean = 0.1307\nnormalize_std = 0.3081\n" + DATA
+SETTINGS = {
+    "pretrain": "epochs = 1\nweight_opt = vanilla-sgd\nweight_lr = 0.1\n",
+    "quantize": (
+        "epochs = 3\nweight_opt = sgd-momentum\nweight_lr = 0.02\nweight_momentum = 0.9\n"
+        "threshold_opt = vanilla-sgd\nthreshold_lr = 0.0005\ninit_frac = 0.1\n"
+        "pretrain_checkpoint = {out}/pretrain.ckpt\n"
+    ),
+}
+# Each digest's kind and the file of the run directory it hashes.
+OUTPUTS = {
+    "pretrain-csv": "pretrain_metrics.csv", "pretrain-tnck": "pretrain.ckpt",
+    "csv": "metrics.csv", "tnck": "ternary.ckpt", "tern": "model.tern",
+}
 
 
-def _dataset(n: int, seed: int) -> Dataset:
-    images, labels = make_synth_mnist(n, seed=seed)
-    x = (images.astype(np.float64) / 255.0 - NORM_MEAN) / NORM_STD
-    return Dataset(x.reshape(n, 1, 28, 28), labels, NORM_MEAN, NORM_STD)
-
-
-def _sha(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
-def _read(path) -> bytes:
+def _sha(path) -> str:
     with open(path, "rb") as fh:
-        return fh.read()
+        return hashlib.sha256(fh.read()).hexdigest()
 
 
-def run(arch: str, seed: int, out_dir: str) -> dict:
-    train_ds, test_ds = _dataset(N_TRAIN, seed), _dataset(N_TEST, seed + 1000)
-    model = build_from_config(arch, seed=seed)
-    pretrain_csv = os.path.join(out_dir, f"{arch}.pretrain.csv")
-    rows = pretrain(
-        model,
-        train_ds,
-        OptimizerConfig(kind="vanilla-sgd", lr=0.1),
-        epochs=1,
-        seed=seed,
-        test_dataset=test_ds,
-        csv_path=pretrain_csv,
-    )
-    # The metadata `terntrain pretrain` writes into pretrain.ckpt.
-    pretrain_ckpt = checkpoint_to_bytes(
-        model,
-        metadata={
-            "kind": "pretrain",
-            "epochs": 1,
-            "seed": seed,
-            "final_train_accuracy": rows[-2]["accuracy"],
-            "final_test_accuracy": rows[-1]["accuracy"],
-        },
-    )
-    model.init_thresholds(0.1)
-    state = make_train_state(
-        model,
-        OptimizerConfig(kind="sgd-momentum", lr=0.02, momentum=0.9),
-        OptimizerConfig(kind="vanilla-sgd", lr=0.0005, weight_decay=0.0),
-        seed=seed,
-    )
-    csv_path = os.path.join(out_dir, f"{arch}.csv")
-    metrics = train(state, train_ds, epochs=3, test_dataset=test_ds, csv_path=csv_path)
-    # The metadata `terntrain quantize` writes into ternary.ckpt.
-    ckpt = checkpoint_to_bytes(
-        model,
-        metadata={
-            "kind": "ternary",
-            "epochs": 3,
-            "seed": seed,
-            "grad_correctness": state.grad_correctness,
-            "final_test_accuracy": metrics[-1]["accuracy"],
-        },
-    )
-    tern_path = os.path.join(out_dir, f"{arch}.tern")
-    export_packed(model, tern_path)
-    return {
-        "pretrain-csv": _sha(_read(pretrain_csv)),
-        "pretrain-tnck": _sha(pretrain_ckpt),
-        "csv": _sha(_read(csv_path)),
-        "tnck": _sha(ckpt),
-        "tern": _sha(_read(tern_path)),
-    }
+def _terntrain(*argv: str) -> None:
+    """Run one CLI command with its stdout discarded; exit when it fails."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(list(argv))
+    if code != 0:
+        sys.exit(f"rerun_digest: terntrain {argv[0]} exited with code {code}")
+
+
+def run(arch: str, root: str) -> dict:
+    out = os.path.join(root, arch)
+    for command, settings in SETTINGS.items():
+        cfg = os.path.join(root, f"{arch}.{command}.cfg")
+        with open(cfg, "w") as fh:
+            fh.write((COMMON + settings).format(arch=arch, out=out, root=root))
+        _terntrain(command, "--config", cfg, "--seed", SEED)
+    _terntrain("export", "--checkpoint", os.path.join(out, "ternary.ckpt"), "--out", os.path.join(out, "model.tern"))
+    return {kind: _sha(os.path.join(out, name)) for kind, name in OUTPUTS.items()}
 
 
 def main():
-    print(f"blas_threads {blas_threads()}")
-    with tempfile.TemporaryDirectory() as out_dir:
+    print(f"blas_threads {cli.blas_threads()}")
+    with tempfile.TemporaryDirectory() as root:
+        for split, (n, seed) in SPLITS.items():
+            images, labels = make_synth_mnist(n, seed=seed)
+            save_idx_images(os.path.join(root, f"{split}-images.idx"), images)
+            save_idx_labels(os.path.join(root, f"{split}-labels.idx"), labels)
         for arch in ARCHS:
-            for kind, digest in run(arch, SEED, out_dir).items():
+            for kind, digest in run(arch, root).items():
                 print(f"{arch} {kind} {digest}")
 
 

@@ -119,10 +119,9 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     one will be taken: while recording, against a kernel that requires a
     gradient. A no_grad pass and a frozen kernel free it at once.
     """
-    if _recording and w.requires_grad:
-        out, cols = kernels.conv2d_forward(x.data, w.data, stride, padding, keep_columns=True)
-    else:
-        out, cols = kernels.conv2d_forward(x.data, w.data, stride, padding), None
+    out, cols = kernels.conv2d_forward(x.data, w.data, stride, padding)
+    if not (_recording and w.requires_grad):
+        cols = None
 
     def rule(g):
         gx = kernels.conv2d_backward_x(g, x.data.shape, w.data, stride, padding) if x.requires_grad else None

@@ -57,7 +57,7 @@ def build_id() -> str:
         )
         if proc.returncode == 0 and proc.stdout.strip():
             return f"terntrain-{__version__}+g{proc.stdout.strip()}"
-    except OSError:
+    except (OSError, subprocess.SubprocessError):
         pass
     return f"terntrain-{__version__}"
 
@@ -92,7 +92,7 @@ def _open_checkpoint(path: str) -> Model:
 
 def _load_split(cfg: RunConfig, split: str, model: Model, required: bool = True) -> Dataset | None:
     """A split's dataset (None for an unnamed optional split). Its samples must fit model,
-    as a float forward of the first one shows, and each label must be a class of model."""
+    as a float forward of the first one shows, and each label must index one of its logits."""
     keys = [f"{split}_images", f"{split}_labels"] if cfg.dataset == "idx" else [f"{split}_csv"]
     paths = [getattr(cfg, key) for key in keys]
     if not all(paths):
@@ -105,16 +105,14 @@ def _load_split(cfg: RunConfig, split: str, model: Model, required: bool = True)
         ds = load_csv(*paths)
     try:
         with no_grad():
-            model.forward(ds.images[:1], FLOAT_MODE)
+            classes = model.forward(ds.images[:1], FLOAT_MODE).shape[1]
     except ValueError as e:
         raise DataError(
             f"{split} split: samples of shape {ds.images.shape[1:]} do not fit arch {model.arch!r}: {e}"
         ) from e
-    # The model's classes are the outputs of its last layer when that layer is dense.
-    last = model.param_layers()[-1].spec if model.param_layers() else None
     top = int(ds.labels.max())
-    if last is not None and last.kind == "dense" and top >= last.out_dim:
-        raise DataError(f"{split} split: label {top} is not one of the model's {last.out_dim} classes")
+    if top >= classes:
+        raise DataError(f"{split} split: label {top} is not one of the model's {classes} classes")
     return ds
 
 

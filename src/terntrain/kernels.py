@@ -13,8 +13,8 @@ as the innermost axis, so each conv op is one 2-D GEMM:
   as (s*s*C, F*th*tw), multiply the columns of the padded output gradient,
   gathered by the forward's window helper, and the product is interleaved
   into the input gradient, with no scatter;
-- kernel gradient: the output gradient as (F, Ho*Wo*N) times the columns
-  transposed, from the forward's columns when the caller kept them.
+- kernel gradient: the output gradient as (F, Ho*Wo*N) times the
+  forward's columns transposed.
 
 Inputs and outputs are (N, C, H, W) arrays of any memory order. Outputs are
 batch-last, (C, H, W, N) in memory, seen through an (N, C, H, W) transpose;
@@ -86,13 +86,11 @@ def _columns(x: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> np.n
     return _windows(_pad(xt, padding, padding), kh, kw, stride).reshape(x.shape[1] * kh * kw, -1)
 
 
-def conv2d_forward(
-    x: np.ndarray, w: np.ndarray, stride: int, padding: int, keep_columns: bool = False
-) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+def conv2d_forward(x: np.ndarray, w: np.ndarray, stride: int, padding: int) -> tuple[np.ndarray, np.ndarray]:
     """Cross-correlate x[N,C,H,W] with w[F,C,kh,kw]; zero padding.
 
-    Returns the (N, F, Ho, Wo) output, batch-last in memory; with
-    keep_columns, the pair (output, columns) for conv2d_backward_w.
+    Returns the (N, F, Ho, Wo) output, batch-last in memory, and the
+    columns it was computed from, which conv2d_backward_w takes.
     """
     x = np.asarray(x, dtype=np.float64)
     w = np.ascontiguousarray(w, dtype=np.float64)
@@ -102,8 +100,7 @@ def conv2d_forward(
     f, _, kh, kw = w.shape
     ho, wo = conv_out_hw(x.shape[2], x.shape[3], kh, kw, stride, padding)
     cols = _columns(x, kh, kw, stride, padding)
-    out = (w.reshape(f, -1) @ cols).reshape(f, ho, wo, n).transpose(3, 0, 1, 2)
-    return (out, cols) if keep_columns else out
+    return (w.reshape(f, -1) @ cols).reshape(f, ho, wo, n).transpose(3, 0, 1, 2), cols
 
 
 def conv2d_backward_x(g: np.ndarray, x_shape: tuple, w: np.ndarray, stride: int, padding: int) -> np.ndarray:
@@ -139,15 +136,12 @@ def conv2d_backward_x(g: np.ndarray, x_shape: tuple, w: np.ndarray, stride: int,
 
 
 def conv2d_backward_w(
-    g: np.ndarray, x: np.ndarray, w_shape: tuple, stride: int, padding: int, cols: np.ndarray | None = None
+    g: np.ndarray, x: np.ndarray, w_shape: tuple, stride: int, padding: int, cols: np.ndarray
 ) -> np.ndarray:
-    """Gradient of the conv output w.r.t. the kernel; cols, when given, are
-    the columns conv2d_forward kept for this x."""
+    """Gradient of the conv output w.r.t. the kernel, from the columns
+    conv2d_forward returned for this x."""
     g = np.asarray(g, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
     n, _, h, w_in = x.shape
     f, _, kh, kw = w_shape
     _check_grad(g, (n, f) + conv_out_hw(h, w_in, kh, kw, stride, padding))
-    if cols is None:
-        cols = _columns(x, kh, kw, stride, padding)
     return (g.transpose(1, 2, 3, 0).reshape(f, -1) @ cols.T).reshape(w_shape)

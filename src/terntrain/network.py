@@ -282,15 +282,11 @@ def arch_specs(arch: str) -> list[LayerSpec]:
     raise ValueError(f"unknown architecture {arch!r}, known forms: {_KNOWN_ARCHS}")
 
 
-def build_from_config(cfg, seed: int = 0) -> Model:
-    """Build a model from an architecture string or an explicit spec list.
+def build_from_config(arch: str, seed: int = 0) -> Model:
+    """Build a model from an architecture string.
 
-    Strings: "mlp-<d0>-<d1>-...-<dk>" (dense stack with ReLU between) or
+    "mlp-<d0>-<d1>-...-<dk>" (dense stack with ReLU between) or
     "lenet-small". All parametric layers, including the first and the last,
     are quantized by default.
     """
-    if isinstance(cfg, (list, tuple)):
-        if not cfg:
-            raise ValueError("empty layer spec list")
-        return Model(list(cfg), arch="custom", seed=seed)
-    return Model(arch_specs(cfg), arch=cfg, seed=seed)
+    return Model(arch_specs(arch), arch=arch, seed=seed)

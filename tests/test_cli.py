@@ -66,6 +66,14 @@ def test_pretrain_outputs(pretrained):
     assert info["config"]["arch"] == "mlp-784-16-10"
 
 
+def test_build_id_falls_back_to_the_version_when_git_times_out(monkeypatch):
+    def timeout(cmd, **kwargs):
+        raise subprocess.TimeoutExpired(cmd, kwargs.get("timeout"))
+
+    monkeypatch.setattr(terntrain.cli.subprocess, "run", timeout)
+    assert build_id() == f"terntrain-{terntrain.__version__}"
+
+
 def test_run_info_records_the_blas_thread_count(pretrained):
     count = json.loads((pretrained[0] / "out" / "run_info.json").read_text())["blas_threads"]
     assert count == blas_threads()

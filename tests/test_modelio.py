@@ -640,7 +640,7 @@ def _reference_packed_forward(data: bytes, x: np.ndarray) -> np.ndarray:
         if spec.kind == "dense":
             z = t @ eff
         else:
-            z = kernels.conv2d_forward(t, eff, spec.stride, spec.padding)
+            z = kernels.conv2d_forward(t, eff, spec.stride, spec.padding)[0]
         if st is not None:
             z = z * float(st.scale)
         bias = bias.astype(np.float64)

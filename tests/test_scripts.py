@@ -1,15 +1,20 @@
-"""The scripts and the benchmark use only terntrain names that exist.
+"""The scripts and the benchmark use only terntrain names that exist, and
+the digest script reruns byte-identically.
 
-Neither runs in this suite, so a deleted or renamed name that one of them
-imports would otherwise go unnoticed. Each file is parsed with ast, not
-run: every `import terntrain...`, every `from terntrain... import name` and
-every attribute read off an imported terntrain module (`data.Dataset`,
-`terntrain.trainer.train`) must resolve.
+Of these files only `scripts/rerun_digest.py` runs in this suite, so a
+deleted or renamed name that another imports would otherwise go unnoticed.
+Each file is parsed with ast, not run: every `import terntrain...`, every
+`from terntrain... import name` and every attribute read off an imported
+terntrain module (`data.Dataset`, `terntrain.trainer.train`) must resolve.
 """
 
 import ast
 import importlib
+import os
 import pathlib
+import re
+import subprocess
+import sys
 import types
 
 import pytest
@@ -102,3 +107,27 @@ def test_the_checker_flags_a_missing_name():
         "terntrain.no_such_module.f",
     ]
     assert (6, "terntrain.trainer.train") in refs
+
+
+def test_the_digest_script_reruns_byte_identically_in_fresh_processes():
+    """Two runs, each in its own process with its own hash seed, print the
+    same BLAS thread line and the same ten digests."""
+    outputs = []
+    for hash_seed in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONHASHSEED": hash_seed}
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "rerun_digest.py")],
+            capture_output=True,
+            text=True,
+            cwd=ROOT,
+            env=env,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    lines = outputs[0].splitlines()
+    assert re.fullmatch(r"blas_threads (\d+|None)", lines[0])
+    assert len(lines) == 11
+    for line in lines[1:]:
+        assert re.fullmatch(r"(mlp-784-300-100-10|lenet-small) [a-z-]+ [0-9a-f]{64}", line), line
+    assert outputs[0] == outputs[1]

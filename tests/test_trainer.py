@@ -400,7 +400,7 @@ def test_eval_loss_acc_matches_taped_forward(mode, monkeypatch):
         LayerSpec("flatten"),
         LayerSpec("dense", in_dim=3 * 4 * 4, out_dim=4, quantized=True),
     ]
-    model = build_from_config(specs, seed=8)
+    model = Model(specs, seed=8)
     model.init_thresholds(0.1)
     model.refresh_all()
     rng = np.random.default_rng(8)
