@@ -82,6 +82,10 @@ def no_grad() -> Iterator[None]:
 
 
 def _node(data: np.ndarray, parents: Sequence[Tensor], backward_rule: BackwardRule) -> Tensor:
+    """The one node constructor of every op. backward_rule maps the output
+    gradient to one gradient (or None) per parent; backward() checks each
+    one's shape against its parent. Parents and rule are recorded only while
+    recording and when some parent requires a gradient."""
     out = Tensor(data)
     if _recording and any(p.requires_grad for p in parents):
         out.requires_grad = True
@@ -140,16 +144,6 @@ def relu(x: Tensor) -> Tensor:
     return _node(np.maximum(x.data, 0.0), (x,), rule)
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ValueError(f"add shape mismatch: {a.shape} vs {b.shape}")
-
-    def rule(g):
-        return g, g
-
-    return _node(a.data + b.data, (a, b), rule)
-
-
 def add_bias(x: Tensor, b: Tensor) -> Tensor:
     """Bias add: [N,D]+[D] for dense outputs, [N,F,H,W]+[F] for conv outputs."""
     if x.data.ndim == 2 and b.data.ndim == 1 and x.shape[1] == b.shape[0]:
@@ -191,13 +185,6 @@ def mean(x: Tensor) -> Tensor:
     return _node(np.asarray(np.mean(x.data)), (x,), rule)
 
 
-def tsum(x: Tensor) -> Tensor:
-    def rule(g):
-        return (float(g) * np.ones_like(x.data),)
-
-    return _node(np.asarray(np.sum(x.data)), (x,), rule)
-
-
 def flatten(x: Tensor) -> Tensor:
     """(N, ...) -> (N, features) in row-major feature order; a batch-last
     conv output is viewed, not copied, as a column-major matrix."""
@@ -236,36 +223,6 @@ def softmax_cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
         return (float(g) * p / n,)
 
     return _node(np.asarray(losses.mean()), (logits,), rule)
-
-
-def register_custom_grad(forward: Callable, backward: Callable) -> Callable[..., Tensor]:
-    """Wrap a non-differentiable forward with a hand-assigned backward rule.
-
-    forward maps the input arrays to one output array. backward receives
-    (output_grad, *input arrays) and must return one gradient array (or
-    None) per input; shapes are checked against the inputs when the tape
-    runs. The returned handle takes and returns Tensors like any other op.
-    """
-
-    def op(*inputs: Tensor) -> Tensor:
-        arrays = tuple(t.data for t in inputs)
-        out = np.asarray(forward(*arrays), dtype=np.float64)
-
-        def rule(g):
-            grads = backward(g, *arrays)
-            if not isinstance(grads, (tuple, list)):
-                grads = (grads,)
-            if len(grads) != len(inputs):
-                raise ValueError(
-                    f"custom backward returned {len(grads)} gradients for {len(inputs)} inputs"
-                )
-            return tuple(
-                None if gi is None else np.asarray(gi, dtype=np.float64) for gi in grads
-            )
-
-        return _node(out, inputs, rule)
-
-    return op
 
 
 def backward(loss: Tensor) -> None:

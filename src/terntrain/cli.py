@@ -7,7 +7,7 @@ RunConfig field name and is checked by that key's parser like a value in
 the file: the flag beats TERNTRAIN_SEED (for the seed), which beats the
 file. gradcheck's --seed goes through the seed key's parser too. The
 settings, the checkpoint and both data splits load before the run directory
-is written, so a bad input leaves no run_info.json behind.
+is written, so a bad input leaves no run record behind.
 
 Exit codes: 0 success, 1 usage/config error, 2 runtime/training failure,
 3 gradcheck failure.
@@ -91,13 +91,15 @@ def _open_checkpoint(path: str) -> Model:
 
 
 def _load_split(cfg: RunConfig, split: str, model: Model, required: bool = True) -> Dataset | None:
-    """A split's dataset (None for an unnamed optional split). Its samples must fit model,
-    as a float forward of the first one shows, and each label must index one of its logits."""
+    """A split's dataset (None for an unnamed optional split). A split named by only
+    some of its keys is a config error. Its samples must fit model, as a float
+    forward of the first one shows, and each label must index one of its logits."""
     keys = [f"{split}_images", f"{split}_labels"] if cfg.dataset == "idx" else [f"{split}_csv"]
     paths = [getattr(cfg, key) for key in keys]
-    if not all(paths):
-        if required:
-            raise ConfigError(f"config must name {' and '.join(keys)}")
+    missing = [key for key, path in zip(keys, paths) if not path]
+    if missing:
+        if required or len(missing) < len(keys):
+            raise ConfigError(f"config must name {' and '.join(keys)}; {' and '.join(missing)} is not set")
         return None
     if cfg.dataset == "idx":
         ds = load_idx(*paths, cfg.normalize_mean, cfg.normalize_std)
@@ -130,8 +132,11 @@ def _last_accuracy(metrics: list[dict], split: str) -> float | None:
     return None
 
 
-# Each training command's metrics CSV and checkpoint, in out_dir.
-_OUTPUTS = {"pretrain": ("pretrain_metrics.csv", "pretrain.ckpt"), "quantize": ("metrics.csv", "ternary.ckpt")}
+# Each training command's run record, metrics CSV and checkpoint, in out_dir.
+_OUTPUTS = {
+    "pretrain": ("pretrain_run_info.json", "pretrain_metrics.csv", "pretrain.ckpt"),
+    "quantize": ("run_info.json", "metrics.csv", "ternary.ckpt"),
+}
 
 
 def _train_state(cfg: RunConfig, command: str) -> TrainState:
@@ -174,6 +179,7 @@ def cmd_run(args) -> int:
     train_ds = _load_split(cfg, "train", state.model)
     test_ds = _load_split(cfg, "test", state.model, required=False)
     out = cfg.out_dir
+    info_name, csv_name, ckpt_name = _OUTPUTS[args.command]
     os.makedirs(out, exist_ok=True)
     info = {
         "command": args.command,
@@ -182,9 +188,8 @@ def cmd_run(args) -> int:
         "blas_threads": blas_threads(),
         "config": cfg.to_dict(),
     }
-    with open(os.path.join(out, "run_info.json"), "w") as fh:
+    with open(os.path.join(out, info_name), "w") as fh:
         json.dump(info, fh, indent=2, sort_keys=True)
-    csv_name, ckpt_name = _OUTPUTS[args.command]
     csv_path = _fresh_csv(os.path.join(out, csv_name))
     try:
         metrics = train(

@@ -83,8 +83,9 @@ def _schedule(text: str) -> list[tuple[int, float]]:
         if ep < 0 or not 0 < lr < math.inf:
             raise ValueError(f"epoch must be >= 0 and lr finite and > 0, got {part!r}")
         out.append((ep, lr))
-    if sorted(e for e, _ in out) != [e for e, _ in out]:
-        raise ValueError("breakpoints must be in ascending epoch order")
+    epochs = [ep for ep, _ in out]
+    if any(a >= b for a, b in zip(epochs, epochs[1:])):
+        raise ValueError("breakpoint epochs must be strictly ascending")
     return out
 
 

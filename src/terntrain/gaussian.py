@@ -3,7 +3,8 @@
 Everything here is scalar 64-bit math. The truncated upper-tail mean is the
 per-layer scale of the ternarizer, and its derivative in the threshold is
 what makes the threshold trainable, so both must stay finite, positive and
-monotone well past the clip range [0, 3*sigma] used in training.
+monotone on their domain: TruncGaussParams admits only delta_c in
+[0, 3*sigma], so every alpha = delta_c / sigma they evaluate lies in [0, 3].
 """
 
 from __future__ import annotations
@@ -14,9 +15,6 @@ from dataclasses import dataclass
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 _SQRT2 = math.sqrt(2.0)
-# The erfc-based hazard ratio is accurate until erfc underflows; switch to
-# the tail expansion well before that instead of dividing vanishing numbers.
-_MILLS_TAIL_CUTOFF = 30.0
 
 
 @dataclass(frozen=True)
@@ -49,14 +47,11 @@ def std_normal_pdf(x: float) -> float:
 def inverse_mills(alpha: float) -> float:
     """Hazard ratio m(alpha) = pdf(alpha) / (1 - cdf(alpha)) of N(0, 1).
 
-    Strictly positive, strictly increasing, and > alpha everywhere. The
-    survival probability is evaluated through erfc so the ratio is stable on
-    the whole training range; far in the upper tail the asymptotic expansion
-    alpha + 1/alpha - 2/alpha**3 takes over.
+    Strictly positive, strictly increasing, and > alpha. The survival
+    probability is evaluated through erfc, which keeps the ratio accurate far
+    beyond the alpha in [0, 3] that TruncGaussParams admits, until erfc
+    underflows near alpha = 38.
     """
-    if alpha > _MILLS_TAIL_CUTOFF:
-        inv = 1.0 / alpha
-        return alpha + inv - 2.0 * inv * inv * inv
     survival = 0.5 * math.erfc(alpha / _SQRT2)
     return std_normal_pdf(alpha) / survival
 

@@ -4,6 +4,8 @@ A layer's weights are mapped to codes in {-1, 0, +1} around their mean,
 scaled by the closed-form mean of the Gaussian tail beyond the threshold.
 Both training phases build one product, S * linop(Tern(w)), from the two
 tape nodes below; a phase only chooses which factor is a tape variable.
+Each node is built like every other tape op, by autograd._node with its own
+backward rule.
 The threshold phase differentiates the scale with respect to the threshold
 (threshold_scale_node) while the codes stay frozen. The weight phase routes
 gradients through the staircase (ste_codes_node) with a 1/scale correction,
@@ -23,7 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autograd import Tensor, register_custom_grad
+from . import autograd as ag
+from .autograd import Tensor
 from .gaussian import (
     TruncGaussParams,
     clip_threshold,
@@ -176,12 +179,11 @@ def ste_codes_node(w: Tensor, state: QuantizerState, grad_correctness: bool = Tr
     # 1/scale is taken only when a gradient is: a forward alone runs on any
     # scale, 0.0 included.
     scale = state.scale
-    codes = state.codes
-    op = register_custom_grad(
-        lambda arr: codes,
-        lambda g, arr: (g * (1.0 / scale if grad_correctness else 1.0),),
-    )
-    node = op(w)
+
+    def rule(g):
+        return (g * (1.0 / scale if grad_correctness else 1.0),)
+
+    node = ag._node(state.codes, (w,), rule)
     node.live_columns = state.live_columns
     return node
 
@@ -193,16 +195,14 @@ def threshold_scale_node(delta_leaf: Tensor, state: QuantizerState) -> Tensor:
     Backward: the incoming gradient times dS/d(delta_c), times the clip's
     derivative, in that order.
     """
-    mu, sigma = state.mu, state.sigma
+    sigma = state.sigma
+    delta = float(delta_leaf.data)
+    params = TruncGaussParams(state.mu, sigma, clip_threshold(delta, sigma))
 
-    def params(d) -> TruncGaussParams:
-        return TruncGaussParams(mu, sigma, clip_threshold(float(d), sigma))
+    def rule(g):
+        return (np.asarray((g * d_truncated_mean_d_delta(params)) * clip_threshold_grad(delta, sigma)),)
 
-    op = register_custom_grad(
-        lambda d: np.asarray(truncated_upper_mean(params(d))),
-        lambda g, d: ((g * d_truncated_mean_d_delta(params(d))) * clip_threshold_grad(float(d), sigma),),
-    )
-    return op(delta_leaf)
+    return ag._node(np.asarray(truncated_upper_mean(params)), (delta_leaf,), rule)
 
 
 def dead_outputs(codes: np.ndarray) -> int:

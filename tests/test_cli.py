@@ -60,7 +60,7 @@ def test_pretrain_outputs(pretrained):
     out = root / "out"
     assert ckpt.exists()
     assert (out / "pretrain_metrics.csv").exists()
-    info = json.loads((out / "run_info.json").read_text())
+    info = json.loads((out / "pretrain_run_info.json").read_text())
     assert info["seed"] == 3
     assert info["build_id"].startswith("terntrain-")
     assert info["config"]["arch"] == "mlp-784-16-10"
@@ -75,7 +75,7 @@ def test_build_id_falls_back_to_the_version_when_git_times_out(monkeypatch):
 
 
 def test_run_info_records_the_blas_thread_count(pretrained):
-    count = json.loads((pretrained[0] / "out" / "run_info.json").read_text())["blas_threads"]
+    count = json.loads((pretrained[0] / "out" / "pretrain_run_info.json").read_text())["blas_threads"]
     assert count == blas_threads()
     if "openblas" in np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]:
         assert isinstance(count, int) and count >= 1
@@ -112,6 +112,20 @@ def test_checkpoints_carry_the_run_metadata(pretrained, tmp_path):
     }
     # run_info.json records the checkpoint the run read.
     assert json.loads((out_dir / "run_info.json").read_text())["config"]["pretrain_checkpoint"] == str(ckpt)
+
+
+def test_pretrain_and_quantize_keep_their_own_run_records_in_one_directory(pretrained, tmp_path):
+    root, cfg, _ = pretrained
+    out_dir = tmp_path / "both"
+    assert main(["pretrain", "--config", str(cfg), "--epochs", "0", "--out-dir", str(out_dir)]) == 0
+    argv = ["quantize", "--config", str(cfg), "--checkpoint", str(out_dir / "pretrain.ckpt")]
+    assert main(argv + ["--epochs", "0", "--out-dir", str(out_dir)]) == 0
+    pretrain_info = json.loads((out_dir / "pretrain_run_info.json").read_text())
+    quantize_info = json.loads((out_dir / "run_info.json").read_text())
+    assert pretrain_info["command"] == "pretrain"
+    assert pretrain_info["config"]["pretrain_checkpoint"] == ""
+    assert quantize_info["command"] == "quantize"
+    assert quantize_info["config"]["pretrain_checkpoint"] == str(out_dir / "pretrain.ckpt")
 
 
 def test_eval_float_matches_final_pretrain_log(pretrained, capsys):
@@ -241,14 +255,14 @@ def test_env_seed_override(pretrained, tmp_path, monkeypatch, capsys):
     out_dir = tmp_path / "env"
     rc = main(["pretrain", "--config", str(cfg), "--epochs", "0", "--out-dir", str(out_dir)])
     assert rc == 0
-    assert json.loads((out_dir / "run_info.json").read_text())["seed"] == 99
+    assert json.loads((out_dir / "pretrain_run_info.json").read_text())["seed"] == 99
     # explicit flag beats the environment
     out_dir2 = tmp_path / "flag"
     rc = main(
         ["pretrain", "--config", str(cfg), "--epochs", "0", "--seed", "5", "--out-dir", str(out_dir2)]
     )
     assert rc == 0
-    assert json.loads((out_dir2 / "run_info.json").read_text())["seed"] == 5
+    assert json.loads((out_dir2 / "pretrain_run_info.json").read_text())["seed"] == 5
     monkeypatch.setenv("TERNTRAIN_SEED", "not-a-number")
     assert main(["pretrain", "--config", str(cfg), "--epochs", "0"]) == 1
     # A negative seed from the config, the flag or the environment is a
@@ -295,7 +309,7 @@ def test_usage_and_config_errors_exit_1(pretrained, tmp_path, capsys):
         argv = [command, "--config", str(cfg), "--epochs", "-3", "--out-dir", str(out_dir)]
         assert main(argv + extra) == 1
         assert "config error: epochs" in capsys.readouterr().err
-        assert not (out_dir / "run_info.json").exists()
+        assert not out_dir.exists()
 
 
 def _bad_input(command, case, root, cfg, ckpt, tmp_path):
@@ -331,6 +345,8 @@ def _bad_input(command, case, root, cfg, ckpt, tmp_path):
     if case == "idx-trailing-bytes":
         (tmp_path / "img.idx").write_bytes((root / "train_img.idx").read_bytes() + bytes(100))
         return text.replace(str(root / "train_img.idx"), str(tmp_path / "img.idx")), ckpt, 1
+    if case == "half-named-test-split":
+        return text.replace(f"test_labels = {root / 'test_lbl.idx'}\n", ""), ckpt, 1
     blob = bytearray(ckpt.read_bytes())
     blob[50] ^= 0xFF
     (tmp_path / "corrupt.ckpt").write_bytes(bytes(blob))
@@ -349,6 +365,7 @@ def _bad_input(command, case, root, cfg, ckpt, tmp_path):
         ("pretrain", "oversized-idx-header"),
         ("pretrain", "idx-trailing-bytes"),
         ("pretrain", "features-misfit"),
+        ("pretrain", "half-named-test-split"),
         ("quantize", "missing-data"),
         ("quantize", "label-out-of-range"),
         ("quantize", "bad-arch"),
@@ -356,6 +373,7 @@ def _bad_input(command, case, root, cfg, ckpt, tmp_path):
         ("quantize", "non-utf8-config"),
         ("quantize", "oversized-idx-header"),
         ("quantize", "features-misfit"),
+        ("quantize", "half-named-test-split"),
     ],
 )
 def test_bad_input_fails_before_the_run_directory_is_written(
@@ -375,6 +393,8 @@ def test_bad_input_fails_before_the_run_directory_is_written(
         assert "config error: train split: label 10" in err
     if case == "bad-arch":
         assert "config error: arch" in err
+    if case == "half-named-test-split":
+        assert "config error: config must name test_images and test_labels; test_labels is not set" in err
     if case == "non-finite-feature":
         assert "line 2: feature 'nan' is not a finite number" in err
     if case == "non-utf8-config":

@@ -136,6 +136,9 @@ def test_schedule_parsing():
     assert cfg.lr_schedule == [(10, 0.01), (20, 0.001)]
     with pytest.raises(ConfigError):
         _parse(MINIMAL + "lr_schedule = 20:0.01,10:0.001\n")
+    # A repeated epoch would leave which rate applies to the sort order.
+    with pytest.raises(ConfigError, match="strictly ascending"):
+        _parse(MINIMAL + "lr_schedule = 0:0.1,0:0.001\n")
     with pytest.raises(ConfigError):
         _parse(MINIMAL + "lr_schedule = 10=0.01\n")
     for rate in ("0", "nan", "inf"):

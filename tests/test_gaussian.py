@@ -59,14 +59,6 @@ def test_inverse_mills_increasing():
     assert all(a < b for a, b in zip(vals, vals[1:]))
 
 
-def test_inverse_mills_tail_expansion_continuous():
-    # The erfc branch and the asymptotic branch must agree where they meet;
-    # the two evaluation points straddle the cutoff but are equal to 1e-10.
-    below = inverse_mills(30.0 * (1 - 1e-12))
-    above = inverse_mills(30.0 * (1 + 1e-12))
-    assert abs(below - above) / above < 1e-7
-
-
 def test_truncated_mean_frozen_values():
     assert truncated_upper_mean(TruncGaussParams(0, 1, 0)) == pytest.approx(MILLS_AT_0, rel=1e-13)
     assert truncated_upper_mean(TruncGaussParams(0, 1, 1)) == pytest.approx(MILLS_AT_1, rel=1e-13)

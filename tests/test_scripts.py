@@ -1,11 +1,17 @@
-"""The scripts and the benchmark use only terntrain names that exist, and
-the digest script reruns byte-identically.
+"""The scripts and the benchmark use only terntrain names that exist, the
+package defines no public name that only tests read, and the digest script
+reruns byte-identically.
 
 Of these files only `scripts/rerun_digest.py` runs in this suite, so a
 deleted or renamed name that another imports would otherwise go unnoticed.
 Each file is parsed with ast, not run: every `import terntrain...`, every
 `from terntrain... import name` and every attribute read off an imported
 terntrain module (`data.Dataset`, `terntrain.trainer.train`) must resolve.
+
+The converse holds too: every public top-level function and class of a
+terntrain module is read, as a name, an attribute or an imported name,
+somewhere in src/, scripts/ or perfbench/, or is named by a console script
+in pyproject.toml. A name that only tests read is dead API.
 """
 
 import ast
@@ -22,6 +28,7 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 FILES = sorted([*ROOT.glob("scripts/*.py"), *ROOT.glob("perfbench/*.py")])
 PACKAGE = "terntrain"
+MODULES = sorted(ROOT.glob(f"src/{PACKAGE}/*.py"))
 
 
 def _dotted(node) -> str | None:
@@ -107,6 +114,55 @@ def test_the_checker_flags_a_missing_name():
         "terntrain.no_such_module.f",
     ]
     assert (6, "terntrain.trainer.train") in refs
+
+
+def public_definitions(source: str) -> set[str]:
+    """The public top-level functions and classes a module defines."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return {n.name for n in ast.parse(source).body if isinstance(n, defs) and not n.name.startswith("_")}
+
+
+def names_read(source: str) -> set[str]:
+    """Every name the source reads, every attribute it touches and every name it imports."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def unread_public_names(modules: dict[str, str], readers: list[str], entry_points: set[str]) -> list[str]:
+    """module.name of each public definition in modules that no reader reads
+    and no console script names. modules maps a module name to its source."""
+    read = set(entry_points).union(*(names_read(src) for src in readers))
+    return sorted(f"{mod}.{name}" for mod, src in modules.items() for name in public_definitions(src) - read)
+
+
+def console_script_targets() -> set[str]:
+    """The functions pyproject.toml's console scripts name, as in "terntrain.cli:entrypoint"."""
+    text = (ROOT / "pyproject.toml").read_text()
+    return set(re.findall(rf'"{PACKAGE}\.[\w.]+:(\w+)"', text))
+
+
+def test_every_public_terntrain_name_is_read_outside_the_tests():
+    modules = {p.stem: p.read_text() for p in MODULES}
+    readers = [*modules.values(), *(p.read_text() for p in FILES)]
+    unread = unread_public_names(modules, readers, console_script_targets())
+    assert unread == [], f"public names that only tests read: {unread}"
+
+
+def test_the_dead_api_check_flags_a_test_only_name():
+    modules = {
+        "core": "def used(): ...\nclass Used: ...\ndef planted_test_only(): ...\ndef _private(): ...\n",
+        "cli": "from .core import used\ndef entrypoint(): used()\n",
+    }
+    readers = [*modules.values(), "from terntrain import core\ncore.Used()\n"]
+    assert unread_public_names(modules, readers, {"entrypoint"}) == ["core.planted_test_only"]
+    assert unread_public_names(modules, readers, set()) == ["cli.entrypoint", "core.planted_test_only"]
 
 
 def test_the_digest_script_reruns_byte_identically_in_fresh_processes():

@@ -32,6 +32,11 @@ from terntrain.ternarize import (
 )
 
 
+def _sum(x):
+    """sum(x) as a tape node: np.sum forward, float(g) * ones backward."""
+    return ag._node(np.asarray(np.sum(x.data)), (x,), lambda g: (float(g) * np.ones_like(x.data),))
+
+
 def test_layer_stats_constant_then_downstream_error():
     mu, sigma = layer_stats(np.array([1.0, 1.0, 1.0, 1.0]))
     assert (mu, sigma) == (1.0, 0.0)
@@ -166,7 +171,7 @@ def test_weight_phase_ste_identity():
     w = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
     state = refresh(QuantizerState(0.4), w.data)
     out = ag.smul(Tensor(state.scale), ste_codes_node(w, state))
-    backward(ag.tsum(out))
+    backward(_sum(out))
     # d(sum(scale * Tern(w)))/dw = scale * (1/scale) = 1 for every weight.
     assert max_rel_err(w.grad, np.ones_like(w.data)) < 1e-6
 
@@ -176,7 +181,7 @@ def test_weight_phase_without_grad_correctness_scales_by_s():
     w = Tensor(rng.normal(size=(5, 5)), requires_grad=True)
     state = refresh(QuantizerState(0.4), w.data)
     out = ag.smul(Tensor(state.scale), ste_codes_node(w, state, grad_correctness=False))
-    backward(ag.tsum(out))
+    backward(_sum(out))
     assert max_rel_err(w.grad, np.full_like(w.data, state.scale)) < 1e-12
 
 
@@ -184,7 +189,7 @@ def test_tern_node_backward_reciprocal():
     w = Tensor(np.array([0.5, -0.5, 2.0, -2.0]), requires_grad=True)
     state = refresh(QuantizerState(0.0), w.data)
     state.scale = 2.0  # the state stays fresh for w; force the example scale
-    backward(ag.tsum(ste_codes_node(w, state)))
+    backward(_sum(ste_codes_node(w, state)))
     assert np.allclose(w.grad, np.full(4, 0.5))
 
 
@@ -217,7 +222,7 @@ def test_threshold_phase_gradient_value():
     model.refresh_all()
     state = layer.qstate
     codes = tern(layer.w.data, state.mu, state.delta_c)
-    backward(ag.tsum(model.forward(np.ones((1, 64)), THRESHOLD_PHASE)))
+    backward(_sum(model.forward(np.ones((1, 64)), THRESHOLD_PHASE)))
     leaf = model.delta_leaves[layer.name]
     # Finite difference of scale(delta) * sum(frozen codes).
     def f(d):
