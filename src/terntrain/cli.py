@@ -9,8 +9,8 @@ file. gradcheck's --seed goes through the seed key's parser too. The
 settings, the checkpoint and both data splits load before the run directory
 is written, so a bad input leaves no run record behind.
 
-Exit codes: 0 success, 1 usage/config error, 2 runtime/training failure,
-3 gradcheck failure.
+Exit codes: 0 success, 1 usage/config error, 2 runtime/training failure
+(an allocation that fails included), 3 gradcheck failure.
 """
 
 from __future__ import annotations
@@ -150,14 +150,17 @@ def _train_state(cfg: RunConfig, command: str) -> TrainState:
     if not model.quantized_layers():
         raise ConfigError(f"architecture {model.arch!r} has no quantized layers")
     model.init_thresholds(cfg.init_frac)
-    return make_train_state(
-        model,
-        cfg.weight_optimizer(),
-        cfg.threshold_optimizer(),
-        seed=cfg.seed,
-        schedule=cfg.lr_schedule,
-        grad_correctness=cfg.grad_correctness,
-    )
+    try:
+        return make_train_state(
+            model,
+            cfg.weight_optimizer(),
+            cfg.threshold_optimizer(),
+            seed=cfg.seed,
+            schedule=cfg.lr_schedule,
+            grad_correctness=cfg.grad_correctness,
+        )
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
 
 
 def _metadata(cfg: RunConfig, state: TrainState, metrics: list[dict]) -> dict:
@@ -342,7 +345,7 @@ def main(argv=None) -> int:
     except (ConfigError, DataError, FileNotFoundError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1
-    except (DivergenceError, ModelIOError, DegenerateLayerError, ValueError, OSError) as e:
+    except (DivergenceError, ModelIOError, DegenerateLayerError, ValueError, OSError, MemoryError) as e:
         print(f"runtime error: {e}", file=sys.stderr)
         return 2
 

@@ -4,7 +4,8 @@ IDX files are the plain big-endian format: magic 0x00000803 for 3-D image
 files (N, H, W of unsigned bytes), 0x00000801 for label files. A header
 whose sizes claim other than the bytes its file holds is rejected before
 any payload is read. Pixels are scaled to [0, 1] and then normalized by the
-configured mean/std.
+configured mean/std; a normalized pixel that is not finite is rejected.
+CSV labels must be whole numbers that a 64-bit integer holds.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import numpy as np
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
+_INT64 = np.iinfo(np.int64)
 
 
 class DataError(ValueError):
@@ -87,7 +89,10 @@ def load_idx(images_path, labels_path, mean: float = 0.0, std: float = 1.0) -> D
     labels = _read_idx(labels_path, IDX_LABELS_MAGIC, 1)
     if len(pixels) != len(labels):
         raise DataError(f"image count {len(pixels)} does not match label count {len(labels)}")
-    images = (pixels[:, None].astype(np.float64) / 255.0 - mean) / std
+    with np.errstate(over="ignore"):  # a tiny std overflows; the check below names it
+        images = (pixels[:, None].astype(np.float64) / 255.0 - mean) / std
+    if not np.isfinite(images).all():
+        raise DataError(f"{images_path}: mean {mean!r} and std {std!r} normalize pixels to non-finite values")
     return Dataset(images, labels, mean, std)
 
 
@@ -154,6 +159,8 @@ def load_csv(path) -> Dataset:
                 raise DataError(f"{path}: line {lineno}: {e}") from e
             if not label.is_integer():
                 raise DataError(f"{path}: line {lineno}: label {parts[0]!r} is not a whole number")
+            if not _INT64.min <= label <= _INT64.max:
+                raise DataError(f"{path}: line {lineno}: label {parts[0]!r} does not fit a 64-bit integer")
             bad = [p for p, v in zip(parts[1:], row) if not math.isfinite(v)]
             if bad:
                 raise DataError(f"{path}: line {lineno}: feature {bad[0]!r} is not a finite number")

@@ -21,8 +21,8 @@ from . import autograd as ag
 from . import kernels
 from .autograd import Tensor, backward
 from .gaussian import TruncGaussParams, d_truncated_mean_d_delta, truncated_upper_mean
-from .network import FLOAT_MODE, LayerSpec, Model
-from .ternarize import THRESHOLD_PHASE, WEIGHT_PHASE
+from .network import FLOAT_MODE, LayerSpec, Model, glorot
+from .ternarize import THRESHOLD_PHASE, WEIGHT_PHASE, QuantizerState
 
 FD_STEP = 1e-6
 REL_TOL = 1e-5
@@ -192,7 +192,7 @@ def ternary_fixture(seed: int = 0) -> tuple[Model, np.ndarray, np.ndarray]:
         LayerSpec("relu"),
         LayerSpec("dense", in_dim=5, out_dim=4, quantized=True),
     ]
-    model = Model(specs, seed=seed)
+    model = Model(specs, glorot(seed))
     for layer in model.param_layers():
         if layer.spec.kind == "dense":
             w = layer.w.data.copy()
@@ -214,8 +214,9 @@ def check_ste_identity(seed: int = 0) -> CheckResult:
     match the twin's float-mode gradient.
     """
     model, x, y = ternary_fixture(seed)
-    effective = iter((l.qstate.scale * l.qstate.codes, l.b.data) for l in model.param_layers())
-    twin = Model.from_params(model.specs, model.arch, lambda spec, name, shape: next(effective))
+    layers = model.param_layers()
+    effective = iter((l.qstate.scale * l.qstate.codes, l.b.data, QuantizerState(0.0)) for l in layers)
+    twin = Model(model.specs, lambda spec, name, shape: next(effective), model.arch)
     for m, mode in ((model, WEIGHT_PHASE), (twin, FLOAT_MODE)):
         m.zero_grad()
         backward(ag.softmax_cross_entropy(m.forward(x, mode), y))

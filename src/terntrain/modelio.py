@@ -17,14 +17,16 @@ bits each, first weight in the least-significant pair, 00=0, 01=+1, 10=-1,
 follow in float32 either way.
 
 Both formats load through one loader: it resolves the layer specs and
-builds the Model with no init drawn, reading each layer record as its layer
-is built. A record whose name, weight shape, bias length or quantized flag
-differs from its spec is rejected as it is read, before its layer is
-allocated. So is a non-finite quantizer number: a TERN scale that is NaN or
-infinite (its sign is not checked), or a TNCK delta that is. A TNCK record's
-mu and sigma must be both NaN (a state never refreshed, as in every
-pretrain checkpoint) or both finite with sigma > 0. A TERN file loads into
-a packed Model, which runs through Model.forward like any other.
+passes the Model constructor a params source that reads each layer record
+as its layer is built, so no init is drawn. A record whose name or weight
+shape differs from its spec is rejected before its payload is read; one
+whose bias length or quantized flag differs, by the constructor's check
+before its layer is built. A non-finite quantizer number is rejected as
+it is read: a TERN scale that is NaN or infinite (its sign is not
+checked), or a TNCK delta that is. A TNCK record's mu and sigma must be
+both NaN (a state never refreshed, as in every pretrain checkpoint) or
+both finite with sigma > 0. A TERN file loads into a packed Model, which
+runs through Model.forward like any other.
 """
 
 from __future__ import annotations
@@ -249,45 +251,38 @@ def _specs_from(arch: str, metadata: dict) -> list[LayerSpec]:
 def _load(data: bytes, magic: bytes, read_layer) -> Model:
     """The model of a file's bytes, built from its layer records with no init drawn.
 
-    Each record is read as Model.from_params asks for its layer: its name
-    and weight shape are checked against the spec before the payload is
-    read, its bias length and quantized flag once it is. A record that
-    differs, or a record too many or too few, is a FormatError.
-    read_layer(reader, shape) reads the rest of a record and returns the
-    float64 weights, the bias and the layer's quantizer state (None for a
-    layer stored unquantized).
+    The Model constructor asks for each layer in turn, and its record is
+    read then: the name and weight shape are checked against the spec
+    before the payload is read. read_layer(reader, shape) reads the rest
+    of a record and returns the float64 weights, the bias and the layer's
+    quantizer state (None for a layer stored unquantized), which the
+    constructor holds to the spec. A record that differs, or a record too
+    many or too few, is a FormatError.
     """
     r, arch, meta, nlayers = _read_header(data, magic)
     specs = _specs_from(arch, meta)
-    states = []
+    read = 0
 
-    def params(spec: LayerSpec, name: str, shape: tuple) -> tuple[np.ndarray, np.ndarray]:
-        if len(states) == nlayers:
+    def params(spec: LayerSpec, name: str, shape: tuple) -> tuple:
+        nonlocal read
+        if read == nlayers:
             raise FormatError(f"file has {nlayers} layer records, fewer than arch {arch!r} needs")
         head = (r.str16(), tuple(r.u32() for _ in range(r.u8())))
         if head != (name, shape):
             raise FormatError(
                 f"layer record (name, shape) {head} does not match the architecture's {(name, shape)}"
             )
+        read += 1
         weights, bias, state = read_layer(r, shape)
-        got, want = (bias.size, state is not None), (spec.out_dim, spec.quantized)
-        if got != want:
-            raise FormatError(
-                f"layer record {name!r} (bias length, quantized) {got} does not match "
-                f"the architecture's {want}"
-            )
-        states.append(state)
-        return weights, bias.astype(np.float64)
+        return weights, bias.astype(np.float64), state
 
     try:
-        model = Model.from_params(specs, arch, params)
+        model = Model(specs, params, arch)
     except (ValueError, TypeError) as e:
-        raise FormatError(f"unusable layer specs: {e}") from e
-    if len(states) != nlayers:
+        raise FormatError(f"layer specs or records unusable: {e}") from e
+    if read != nlayers:
         raise FormatError(f"file has {nlayers} layer records, more than arch {arch!r} has")
     r.expect_end()
-    for layer, state in zip(model.param_layers(), states):
-        layer.qstate = state
     model.meta = dict(meta)
     return model
 

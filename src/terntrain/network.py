@@ -6,12 +6,17 @@ S * linop(Tern(w)) through one expression: the linear op runs on the codes
 first and the scalar scale multiplies the accumulated result afterwards,
 never the other way around. A quantized dense layer whose codes have
 all-zero columns multiplies only its live columns.
+
+A Model has one constructor, one pass over its layer specs: each spec is
+checked against the one before it and each parametric layer takes its
+arrays from a params source, glorot(seed) for a fresh model or a file's
+records for a loaded one.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,43 +67,22 @@ class ParamLayer:
     qstate: QuantizerState | None = None
 
 
-def _glorot_uniform(rng: np.random.Generator, shape: tuple, fan_in: int, fan_out: int) -> np.ndarray:
-    bound = math.sqrt(6.0 / (fan_in + fan_out))
-    w = rng.uniform(-bound, bound, size=shape)
-    # Snap through float32 so checkpoint payloads round-trip bit-exactly.
-    return w.astype(np.float32).astype(np.float64)
-
-
 class Model:
     """Ordered layer specs plus per-parametric-layer weights and quantizer state."""
 
-    def __init__(self, specs: list[LayerSpec], arch: str = "custom", seed: int = 0):
-        """Glorot-uniform weights drawn from seed, zero biases."""
-        rng = np.random.default_rng(seed)
+    def __init__(self, specs: list[LayerSpec], params, arch: str = "custom"):
+        """A model of the chain specs whose arrays come from params, in one pass.
 
-        def glorot(spec: LayerSpec, name: str, shape: tuple) -> tuple[np.ndarray, np.ndarray]:
-            rf = spec.kernel * spec.kernel if spec.kind == "conv2d" else 1
-            w = _glorot_uniform(rng, shape, spec.in_dim * rf, spec.out_dim * rf)
-            return w, np.zeros(spec.out_dim)
-
-        self._build(specs, arch, glorot)
-
-    @classmethod
-    def from_params(cls, specs: list[LayerSpec], arch: str, params) -> "Model":
-        """A model whose weights and biases come from params, with no init drawn.
-
-        params(spec, name, weight_shape) -> (weights, bias) is called once
-        per parametric layer, in order, before that layer is built; it may
-        raise to reject the layer. Loaders build models this way.
+        Each spec is checked against the one before it, then a parametric
+        layer is named and shaped and params(spec, name, weight_shape) is
+        called for its (weights, bias, quantizer state or None). It may raise
+        to reject the layer. Every source is held to one contract, checked
+        before the layer is built: the weights have the layer's shape, the
+        bias length is out_dim, and a state is given exactly when the spec
+        is quantized. glorot(seed) draws a fresh model; loaders read a file.
         """
-        model = cls.__new__(cls)
-        model._build(specs, arch, params)
-        return model
-
-    def _build(self, specs: list[LayerSpec], arch: str, params) -> None:
         if not specs:
             raise ValueError("model needs at least one layer spec")
-        _validate_chain(specs)
         self.arch = arch
         self.specs = list(specs)
         self.meta: dict = {}
@@ -109,24 +93,38 @@ class Model:
         self._items: list[tuple[LayerSpec, ParamLayer | None]] = []
 
         idx = 0
+        feat = None  # feature count flowing through dense layers
+        chan = None  # channel count flowing through conv layers
         for spec in self.specs:
-            if spec.kind in ("relu", "flatten"):
-                self._items.append((spec, None))
-                continue
             if spec.kind == "dense":
+                if spec.in_dim <= 0 or spec.out_dim <= 0:
+                    raise ValueError(f"dense layer needs positive dims, got {spec}")
+                if feat is not None and feat != spec.in_dim:
+                    raise ValueError(f"dense in_dim {spec.in_dim} incompatible with previous width {feat}")
+                feat, chan = spec.out_dim, None
                 name, shape = f"dense{idx}", (spec.in_dim, spec.out_dim)
             elif spec.kind == "conv2d":
+                if spec.in_dim <= 0 or spec.out_dim <= 0 or spec.kernel <= 0:
+                    raise ValueError(f"conv layer needs positive dims, got {spec}")
+                if chan is not None and chan != spec.in_dim:
+                    raise ValueError(f"conv in_dim {spec.in_dim} incompatible with previous channels {chan}")
+                chan = spec.out_dim
                 name, shape = f"conv{idx}", (spec.out_dim, spec.in_dim, spec.kernel, spec.kernel)
+            elif spec.kind in ("relu", "flatten"):
+                if spec.kind == "flatten":
+                    feat = chan = None
+                self._items.append((spec, None))
+                continue
             else:
                 raise ValueError(f"unknown layer kind {spec.kind!r}")
-            w, b = params(spec, name, shape)
-            layer = ParamLayer(
-                spec,
-                name,
-                Tensor(w, requires_grad=True),
-                Tensor(b, requires_grad=True),
-                QuantizerState(0.0) if spec.quantized else None,
-            )
+            w, b, st = params(spec, name, shape)
+            got, want = (np.shape(w), np.shape(b), st is not None), (shape, (spec.out_dim,), spec.quantized)
+            if got != want:
+                raise ValueError(
+                    f"layer {name}: params give (weight shape, bias shape, quantized) {got}, "
+                    f"where its spec needs {want}"
+                )
+            layer = ParamLayer(spec, name, Tensor(w, requires_grad=True), Tensor(b, requires_grad=True), st)
             self._items.append((spec, layer))
             idx += 1
 
@@ -217,33 +215,6 @@ class Model:
         return ag.add_bias(z, layer.b)
 
 
-def _validate_chain(specs: list[LayerSpec]) -> None:
-    """Check the statically checkable shape compatibilities between specs."""
-    feat = None  # feature count flowing through dense layers
-    chan = None  # channel count flowing through conv layers
-    for spec in specs:
-        if spec.kind == "dense":
-            if spec.in_dim <= 0 or spec.out_dim <= 0:
-                raise ValueError(f"dense layer needs positive dims, got {spec}")
-            if feat is not None and feat != spec.in_dim:
-                raise ValueError(
-                    f"dense in_dim {spec.in_dim} incompatible with previous width {feat}"
-                )
-            feat = spec.out_dim
-            chan = None
-        elif spec.kind == "conv2d":
-            if spec.in_dim <= 0 or spec.out_dim <= 0 or spec.kernel <= 0:
-                raise ValueError(f"conv layer needs positive dims, got {spec}")
-            if chan is not None and chan != spec.in_dim:
-                raise ValueError(
-                    f"conv in_dim {spec.in_dim} incompatible with previous channels {chan}"
-                )
-            chan = spec.out_dim
-        elif spec.kind == "flatten":
-            feat = None
-            chan = None
-
-
 def mlp_specs(dims: list[int]) -> list[LayerSpec]:
     specs = [LayerSpec("flatten")]
     for i, (a, b) in enumerate(zip(dims[:-1], dims[1:])):
@@ -282,6 +253,25 @@ def arch_specs(arch: str) -> list[LayerSpec]:
     raise ValueError(f"unknown architecture {arch!r}, known forms: {_KNOWN_ARCHS}")
 
 
+def glorot(seed: int = 0):
+    """The params source of one fresh model, drawn from seed.
+
+    Glorot-uniform weights, snapped through float32 so checkpoint payloads
+    round-trip bit-exactly, zero biases and a zero threshold on each
+    quantized layer. The draws follow the layer order, so a source serves
+    one model.
+    """
+    rng = np.random.default_rng(seed)
+
+    def params(spec: LayerSpec, name: str, shape: tuple) -> tuple:
+        rf = spec.kernel * spec.kernel if spec.kind == "conv2d" else 1
+        bound = math.sqrt(6.0 / (spec.in_dim * rf + spec.out_dim * rf))
+        w = rng.uniform(-bound, bound, size=shape).astype(np.float32).astype(np.float64)
+        return w, np.zeros(spec.out_dim), QuantizerState(0.0) if spec.quantized else None
+
+    return params
+
+
 def build_from_config(arch: str, seed: int = 0) -> Model:
     """Build a model from an architecture string.
 
@@ -289,4 +279,4 @@ def build_from_config(arch: str, seed: int = 0) -> Model:
     "lenet-small". All parametric layers, including the first and the last,
     are quantized by default.
     """
-    return Model(arch_specs(arch), arch=arch, seed=seed)
+    return Model(arch_specs(arch), glorot(seed), arch)

@@ -54,7 +54,16 @@ def make_train_state(
     schedule: list[tuple[int, float]] | None = None,
     grad_correctness: bool = True,
 ) -> TrainState:
-    """A ternary train state, or a float one when threshold_cfg is None."""
+    """A ternary train state, or a float one when threshold_cfg is None.
+
+    A ternary state's schedule must scale its threshold lr to a positive
+    finite number at every breakpoint; a ValueError names the one that does not.
+    """
+    if threshold_cfg is not None:
+        for ep, lr in schedule or []:
+            t_lr = _threshold_lr(threshold_cfg.lr, lr, weight_cfg.lr)
+            if not 0 < t_lr < np.inf:
+                raise ValueError(f"lr_schedule breakpoint {ep}:{lr!r} scales the threshold lr to {t_lr!r}")
     return TrainState(
         model=model,
         weight_opt=make_optimizer(weight_cfg, model.parameters()),
@@ -65,6 +74,11 @@ def make_train_state(
     )
 
 
+def _threshold_lr(base: float, lr: float, weight_base: float) -> float:
+    """The threshold lr at a breakpoint that sets the weight lr to lr."""
+    return base * (lr / weight_base)
+
+
 def _apply_schedule(state: TrainState) -> None:
     """Learning-rate breakpoints: (epoch, lr) entries set the weight lr and
     scale the threshold lr by the same factor, from each optimizer's base lr."""
@@ -73,7 +87,7 @@ def _apply_schedule(state: TrainState) -> None:
         if state.epoch == ep:
             w.lr = lr
             if t is not None:
-                t.lr = t.cfg.lr * (lr / w.cfg.lr)
+                t.lr = _threshold_lr(t.cfg.lr, lr, w.cfg.lr)
 
 
 def _batches(n: int, batch_size: int, rng: np.random.Generator):
@@ -143,12 +157,16 @@ def weight_substep(state: TrainState, xb, yb, batch_index: int | None = None) ->
     return _weight_update(state, xb, yb, WEIGHT_PHASE, "weight", batch_index)
 
 
+def _finite(model: Model) -> bool:
+    return all(np.isfinite(p.data).all() for p in model.parameters())
+
+
 def _refresh(state: TrainState, batch_index: int | None) -> None:
     """Refresh every quantizer; a weight update that overflowed fails here first, as a divergence."""
     try:
         state.model.refresh_all()
     except ValueError as e:
-        if all(np.isfinite(p.data).all() for p in state.model.parameters()):
+        if _finite(state.model):
             raise
         raise _divergence(state, "refresh", batch_index, "non-finite weights", f": {e}") from e
 
@@ -225,9 +243,10 @@ def train(
     and in ternary mode on a ternary one. Ternary rows also log each layer's
     threshold, clipped threshold, scale and sparsity. The rows accumulate in
     state.metrics across calls, so one call per epoch is the same run as one
-    call for all of them. A non-finite loss or threshold, or a quantizer
-    refresh failing on non-finite weights, raises a DivergenceError whose
-    dump holds the phase, epoch and batch index. Saving the model is the caller's step.
+    call for all of them. A non-finite loss or threshold, a quantizer
+    refresh failing on non-finite weights, or a float state's non-finite
+    weights at the end of an epoch raises a DivergenceError whose dump holds
+    the phase, epoch and batch index. Saving the model is the caller's step.
     """
     model = state.model
     ternary = state.threshold_opt is not None
@@ -241,8 +260,11 @@ def train(
         _apply_schedule(state)
         for bi, idx in enumerate(_batches(len(dataset), batch_size, state.rng)):
             step(state, (dataset.images[idx], dataset.labels[idx]), bi)
+        # An update that overflowed on the epoch's last batch fails here, not in a saved model.
         if ternary:
             _refresh(state, bi)
+        elif not _finite(model):
+            raise _divergence(state, "pretrain", bi, "non-finite weights")
         rows = []
         for split, ds in (("train", dataset), ("test", test_dataset)):
             if ds is not None:

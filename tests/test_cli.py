@@ -347,6 +347,11 @@ def _bad_input(command, case, root, cfg, ckpt, tmp_path):
         return text.replace(str(root / "train_img.idx"), str(tmp_path / "img.idx")), ckpt, 1
     if case == "half-named-test-split":
         return text.replace(f"test_labels = {root / 'test_lbl.idx'}\n", ""), ckpt, 1
+    if case == "tiny-normalize-std":
+        return text + "normalize_std = 1e-320\n", ckpt, 1
+    if case == "schedule-overflows-threshold-lr":
+        # The breakpoint scales the threshold lr by 0.1 / 1e-320, which overflows.
+        return text.replace("weight_lr = 0.1", "weight_lr = 1e-320") + "lr_schedule = 0:0.1\n", ckpt, 1
     blob = bytearray(ckpt.read_bytes())
     blob[50] ^= 0xFF
     (tmp_path / "corrupt.ckpt").write_bytes(bytes(blob))
@@ -366,6 +371,7 @@ def _bad_input(command, case, root, cfg, ckpt, tmp_path):
         ("pretrain", "idx-trailing-bytes"),
         ("pretrain", "features-misfit"),
         ("pretrain", "half-named-test-split"),
+        ("pretrain", "tiny-normalize-std"),
         ("quantize", "missing-data"),
         ("quantize", "label-out-of-range"),
         ("quantize", "bad-arch"),
@@ -374,6 +380,8 @@ def _bad_input(command, case, root, cfg, ckpt, tmp_path):
         ("quantize", "oversized-idx-header"),
         ("quantize", "features-misfit"),
         ("quantize", "half-named-test-split"),
+        ("quantize", "tiny-normalize-std"),
+        ("quantize", "schedule-overflows-threshold-lr"),
     ],
 )
 def test_bad_input_fails_before_the_run_directory_is_written(
@@ -405,6 +413,10 @@ def test_bad_input_fails_before_the_run_directory_is_written(
         assert f"config error: {tmp_path / 'img.idx'}: header dims" in err
     if case == "idx-trailing-bytes":
         assert f"config error: {tmp_path / 'img.idx'}: header dims (192, 28, 28) claim 150528 pixel bytes" in err
+    if case == "tiny-normalize-std":
+        assert f"config error: {root / 'train_img.idx'}: mean 0.0 and std 1e-320 normalize pixels to non-finite" in err
+    if case == "schedule-overflows-threshold-lr":
+        assert "config error: lr_schedule breakpoint 0:0.1 scales the threshold lr to inf" in err
     if case == "features-misfit":
         width = 3 if command == "pretrain" else 2
         arch = "mlp-2-4-2" if command == "pretrain" else "mlp-784-16-10"
@@ -412,6 +424,33 @@ def test_bad_input_fails_before_the_run_directory_is_written(
         # eval checks the split it reads against its checkpoint the same way.
         assert main(["eval", "--config", str(bad_cfg), "--checkpoint", str(ckpt), "--split", "train"]) == 1
         assert "config error: train split: samples of shape" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("label", ["9223372036854775808", "18446744073709551616", "1e30", "-1e30"])
+def test_a_csv_label_int64_cannot_hold_is_a_config_error(pretrained, tmp_path, capsys, label):
+    root, cfg, _ = pretrained
+    (tmp_path / "train.csv").write_text(f"0,0.1,0.2\n{label},0.4,0.5\n")
+    text = cfg.read_text().replace("arch = mlp-784-16-10", "arch = mlp-2-4-2").replace("dataset = idx", "dataset = csv")
+    bad_cfg = tmp_path / "bad.cfg"
+    bad_cfg.write_text(text + f"train_csv = {tmp_path / 'train.csv'}\n")
+    out_dir = tmp_path / "out"
+    assert main(["pretrain", "--config", str(bad_cfg), "--out-dir", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert f"config error: {tmp_path / 'train.csv'}: line 2: label {label!r} does not fit a 64-bit integer" in err
+    assert not out_dir.exists()
+
+
+def test_a_failed_model_allocation_is_a_runtime_error(pretrained, tmp_path, monkeypatch, capsys):
+    root, cfg, _ = pretrained
+
+    def no_memory(arch, seed=0):
+        raise MemoryError(f"cannot allocate arch {arch}")
+
+    monkeypatch.setattr(terntrain.cli, "build_from_config", no_memory)
+    out_dir = tmp_path / "out"
+    assert main(["pretrain", "--config", str(cfg), "--out-dir", str(out_dir)]) == 2
+    assert capsys.readouterr().err == "runtime error: cannot allocate arch mlp-784-16-10\n"
     assert not out_dir.exists()
 
 
@@ -448,6 +487,21 @@ def test_divergence_exits_2_and_dumps_its_context(pretrained, tmp_path, capsys, 
     assert context["phase"] in (("pretrain",) if command == "pretrain" else ("threshold", "weight", "refresh"))
     assert context["epoch"] == 0 and context["batch"] >= 1
     assert str(context) in dump["error"]
+
+
+def test_a_float_run_that_overflows_on_its_last_step_saves_no_checkpoint(pretrained, tmp_path, capsys):
+    root, cfg, _ = pretrained
+    bad_cfg = tmp_path / "overflow.cfg"
+    text = cfg.read_text().replace("weight_lr = 0.1", "weight_lr = 1e308").replace("batch_size = 32", "batch_size = 256")
+    bad_cfg.write_text(text.replace("arch = mlp-784-16-10", "arch = mlp-784-4-10"))
+    out_dir = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert main(["pretrain", "--config", str(bad_cfg), "--epochs", "1", "--out-dir", str(out_dir)]) == 2
+    assert capsys.readouterr().err.startswith("runtime error: non-finite weights ")
+    dump = json.loads((out_dir / "divergence_dump.json").read_text())
+    assert dump["context"] == {"phase": "pretrain", "epoch": 0, "batch": 0}
+    assert not (out_dir / "pretrain.ckpt").exists()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])

@@ -20,7 +20,7 @@ from terntrain import autograd as ag
 from terntrain import network, ternarize
 from terntrain.data import Dataset
 from terntrain.gradcheck import ternary_fixture
-from terntrain.network import LayerSpec, Model, build_from_config
+from terntrain.network import LayerSpec, Model, build_from_config, glorot
 from terntrain.optim import OptimizerConfig
 from terntrain.ternarize import THRESHOLD_PHASE, WEIGHT_PHASE, QuantizerState, refresh, sparsity, tern
 from terntrain.trainer import eval_loss_acc, make_train_state, tern_train_step
@@ -181,7 +181,7 @@ def _all_dead_model():
         LayerSpec("relu"),
         LayerSpec("dense", in_dim=3, out_dim=2, quantized=True),
     ]
-    model = Model(specs, seed=9)
+    model = Model(specs, glorot(9))
     rng = np.random.default_rng(9)
     for layer in model.param_layers():
         layer.b.data = rng.normal(size=layer.b.size)

@@ -31,9 +31,9 @@ from terntrain.modelio import (
     save_checkpoint,
     unpack_codes,
 )
-from terntrain.network import FLOAT_MODE, LayerSpec, Model, arch_specs, build_from_config
+from terntrain.network import FLOAT_MODE, LayerSpec, Model, arch_specs, build_from_config, glorot
 from terntrain.optim import OptimizerConfig
-from terntrain.ternarize import THRESHOLD_PHASE, WEIGHT_PHASE, DegenerateLayerError, is_fresh
+from terntrain.ternarize import THRESHOLD_PHASE, WEIGHT_PHASE, DegenerateLayerError, QuantizerState, is_fresh
 from terntrain.trainer import eval_loss_acc, make_train_state, pretrain, train
 
 
@@ -193,7 +193,7 @@ def test_checkpoint_roundtrip_custom_specs():
         LayerSpec("relu"),
         LayerSpec("dense", in_dim=4, out_dim=2, quantized=False),
     ]
-    model = Model(specs, seed=3)
+    model = Model(specs, glorot(3))
     model.quantized_layers()[0].qstate.delta = 0.15
     model.refresh_all()
     blob = checkpoint_to_bytes(model)
@@ -259,7 +259,7 @@ def test_trailing_garbage_rejected():
 def test_export_report_overhead_dominated_layer(tmp_path):
     # 4 weights pack into 1 byte; with the 4-byte scale the ratio is 16/5.
     specs = [LayerSpec("dense", in_dim=2, out_dim=2, quantized=True)]
-    model = Model(specs, seed=4)
+    model = Model(specs, glorot(4))
     model.quantized_layers()[0].qstate.delta = 0.05
     model.refresh_all()
     report = export_packed(model, tmp_path / "tiny.tern")
@@ -277,7 +277,7 @@ def test_export_report_counts_dead_outputs(tmp_path):
         ([LayerSpec("dense", in_dim=4, out_dim=5, quantized=True)], dense_w, 2),
         ([LayerSpec("conv2d", in_dim=1, out_dim=3, kernel=2, quantized=True)], conv_w, 1),
     ):
-        model = Model.from_params(specs, "custom", lambda spec, name, shape: (w.copy(), np.zeros(spec.out_dim)))
+        model = Model(specs, lambda spec, name, shape: (w.copy(), np.zeros(spec.out_dim), QuantizerState(0.0)))
         model.quantized_layers()[0].qstate.delta = 0.5
         model.refresh_all()
         before = packed_to_bytes(model)
@@ -288,7 +288,7 @@ def test_export_report_counts_dead_outputs(tmp_path):
 
 def test_export_report_large_layer_near_16x(tmp_path):
     specs = [LayerSpec("dense", in_dim=1000, out_dim=1000, quantized=True)]
-    model = Model(specs, seed=5)
+    model = Model(specs, glorot(5))
     model.quantized_layers()[0].qstate.delta = 0.1
     model.refresh_all()
     report = export_packed(model, tmp_path / "big.tern")
@@ -304,7 +304,7 @@ def test_export_flags_non_quantized_layers(tmp_path):
         LayerSpec("relu"),
         LayerSpec("dense", in_dim=4, out_dim=2, quantized=False),
     ]
-    model = Model(specs, seed=6)
+    model = Model(specs, glorot(6))
     model.quantized_layers()[0].qstate.delta = 0.1
     model.refresh_all()
     report = export_packed(model, tmp_path / "mixed.tern")
@@ -469,9 +469,9 @@ def _tnck_mlp_8_4(arch="mlp-8-4", meta="{}", name="dense0", shape=(8, 4), bias_l
 
 def _hand_set_mlp_8_4():
     def params(spec, name, shape):
-        return _tnck_weights(32).reshape(shape), np.arange(4.0)
+        return _tnck_weights(32).reshape(shape), np.arange(4.0), QuantizerState(0.0)
 
-    model = Model.from_params(arch_specs("mlp-8-4"), "mlp-8-4", params)
+    model = Model(arch_specs("mlp-8-4"), params, "mlp-8-4")
     st = model.quantized_layers()[0].qstate
     st.delta, st.mu, st.sigma = TNCK_QUANT
     return model
@@ -503,9 +503,9 @@ def test_tern_layout_is_pinned():
     # Weights equal to the codes have mean 0 and sigma sqrt(12/32), so a
     # threshold of 0.5 ternarizes them back into the codes.
     def params(spec, name, shape):
-        return TERN_CODES.copy(), np.arange(4.0)
+        return TERN_CODES.copy(), np.arange(4.0), QuantizerState(0.0)
 
-    model = Model.from_params(arch_specs("mlp-8-4"), "mlp-8-4", params)
+    model = Model(arch_specs("mlp-8-4"), params, "mlp-8-4")
     st = model.quantized_layers()[0].qstate
     st.delta = 0.5
     model.refresh_all()
@@ -606,11 +606,14 @@ def test_loading_draws_no_random_init(tmp_path, monkeypatch):
     save_checkpoint(model, tmp_path / "m.ckpt")
     export_packed(model, tmp_path / "m.tern")
 
+    x = np.random.default_rng(2).normal(size=(3, 16))
+
     def no_init(*args, **kwargs):
         raise AssertionError("a loader drew a random init")
 
-    monkeypatch.setattr(network, "_glorot_uniform", no_init)
-    x = np.random.default_rng(2).normal(size=(3, 16))
+    # Every init source draws through a fresh generator; a loader makes none.
+    monkeypatch.setattr(network, "glorot", no_init)
+    monkeypatch.setattr(np.random, "default_rng", no_init)
     assert np.array_equal(load_checkpoint(tmp_path / "m.ckpt").forward(x, WEIGHT_PHASE).data,
                           model.forward(x, WEIGHT_PHASE).data)
     load_packed(tmp_path / "m.tern")
@@ -761,7 +764,7 @@ def test_packed_mixed_layers_roundtrip(tmp_path):
         LayerSpec("relu"),
         LayerSpec("dense", in_dim=4, out_dim=2, quantized=False),
     ]
-    model = Model(specs, seed=6)
+    model = Model(specs, glorot(6))
     model.quantized_layers()[0].qstate.delta = 0.1
     model.refresh_all()
     path = tmp_path / "mixed.tern"

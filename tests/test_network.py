@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from terntrain.modelio import checkpoint_from_bytes, checkpoint_to_bytes
-from terntrain.network import LayerSpec, Model, arch_specs, build_from_config, mlp_specs
-from terntrain.ternarize import THRESHOLD_PHASE, WEIGHT_PHASE, refresh, tern
+from terntrain.network import LayerSpec, Model, arch_specs, build_from_config, glorot, mlp_specs
+from terntrain.ternarize import THRESHOLD_PHASE, WEIGHT_PHASE, QuantizerState, refresh, tern
 
 
 def test_mlp_parameter_count():
@@ -37,7 +37,8 @@ def test_incompatible_dense_chain_rejected():
                 LayerSpec("dense", in_dim=4, out_dim=8),
                 LayerSpec("relu"),
                 LayerSpec("dense", in_dim=9, out_dim=2),
-            ]
+            ],
+            glorot(0),
         )
 
 
@@ -47,31 +48,82 @@ def test_from_params_takes_each_layers_arrays_in_order():
 
     def params(spec, name, shape):
         seen.append((spec.kind, name, shape))
-        given.append((np.full(shape, len(given) + 1.0), np.arange(spec.out_dim, dtype=np.float64)))
+        given.append((np.full(shape, len(given) + 1.0), np.arange(spec.out_dim, dtype=np.float64),
+                      QuantizerState(0.0)))
         return given[-1]
 
-    model = Model.from_params(specs, "lenet-small", params)
+    model = Model(specs, params, "lenet-small")
     assert seen == [("conv2d", "conv0", (8, 1, 4, 4)), ("conv2d", "conv1", (16, 8, 4, 4)),
                     ("dense", "dense2", (784, 10))]
     assert model.arch == "lenet-small" and model.specs == specs and not model.packed
-    for layer, (w, b) in zip(model.param_layers(), given):
-        assert layer.w.data is w and layer.b.data is b and layer.qstate is not None
+    for layer, (w, b, st) in zip(model.param_layers(), given):
+        assert layer.w.data is w and layer.b.data is b and layer.qstate is st
     # seed keeps meaning a Glorot draw: the same seed, the same weights.
     a, b = build_from_config("lenet-small", seed=4), build_from_config("lenet-small", seed=4)
     for la, lb in zip(a.param_layers(), b.param_layers()):
         assert np.array_equal(la.w.data, lb.w.data) and la.w.data.std() > 0
 
 
+@pytest.mark.parametrize(
+    "broken",
+    ["weight shape", "bias length", "state missing", "state on an unquantized layer"],
+)
+def test_constructor_holds_every_params_source_to_the_spec(broken):
+    specs = [LayerSpec("conv2d", in_dim=1, out_dim=2, kernel=3, quantized=True), LayerSpec("flatten"),
+             LayerSpec("dense", in_dim=8, out_dim=3, quantized=broken != "state on an unquantized layer")]
+    fresh = glorot(0)
+
+    def params(spec, name, shape):
+        w, b, st = fresh(spec, name, shape)
+        if name != "dense1":
+            return w, b, st
+        if broken == "weight shape":
+            return w.T, b, st
+        if broken == "bias length":
+            return w, b[:-1], st
+        return w, b, None if broken == "state missing" else QuantizerState(0.0)
+
+    with pytest.raises(ValueError, match=r"^layer dense1: params give \(weight shape, bias shape, quantized\)"):
+        Model(specs, params)
+
+
+def test_incompatible_chain_is_rejected_before_its_layer_asks_for_params():
+    asked = []
+
+    def params(spec, name, shape):
+        asked.append(name)
+        return np.zeros(shape), np.zeros(spec.out_dim), None
+
+    chain = [LayerSpec("dense", in_dim=4, out_dim=8), LayerSpec("relu"), LayerSpec("dense", in_dim=9, out_dim=2)]
+    with pytest.raises(ValueError, match="dense in_dim 9 incompatible with previous width 8"):
+        Model(chain, params)
+    assert asked == ["dense0"]
+    chain = [LayerSpec("conv2d", in_dim=1, out_dim=4, kernel=3), LayerSpec("conv2d", in_dim=2, out_dim=4, kernel=3)]
+    with pytest.raises(ValueError, match="conv in_dim 2 incompatible with previous channels 4"):
+        Model(chain, params)
+    assert asked == ["dense0", "conv0"]
+
+
+def test_glorot_draws_each_layer_from_one_stream_in_order():
+    model = build_from_config("lenet-small", seed=5)
+    rng = np.random.default_rng(5)
+    for layer, fans in zip(model.param_layers(), [(16, 128), (128, 256), (784, 10)]):
+        bound = np.sqrt(6.0 / sum(fans))
+        want = rng.uniform(-bound, bound, size=layer.w.shape).astype(np.float32).astype(np.float64)
+        assert np.array_equal(layer.w.data, want)
+        assert np.array_equal(layer.b.data, np.zeros(layer.spec.out_dim)) and layer.qstate.delta == 0.0
+
+
 def test_conv_non_integral_output_errors_at_forward():
     specs = [LayerSpec("conv2d", in_dim=1, out_dim=2, kernel=5, stride=2, padding=2)]
-    model = Model(specs)
+    model = Model(specs, glorot(0))
     with pytest.raises(ValueError, match="non-integral"):
         model.forward(np.zeros((1, 1, 28, 28)))
 
 
 def test_all_plus_one_codes_sum():
     # dense 2->1 with codes forced to +1, scale 1, bias 0: output is the sum.
-    model = Model([LayerSpec("dense", in_dim=2, out_dim=1, quantized=True)], seed=3)
+    model = Model([LayerSpec("dense", in_dim=2, out_dim=1, quantized=True)], glorot(3))
     layer = model.param_layers()[0]
     layer.w.data = np.array([[0.5], [-0.5]])
     refresh(layer.qstate, layer.w.data)
@@ -121,7 +173,7 @@ def test_quantized_flag_does_not_change_parameter_count():
     dims = "mlp-20-10-5"
     quantized = build_from_config(dims, seed=1)
     plain_specs = [replace(s, quantized=False) for s in arch_specs(dims)]
-    plain = Model(plain_specs, seed=1)
+    plain = Model(plain_specs, glorot(1))
     assert quantized.num_params() == plain.num_params()
 
 

@@ -16,7 +16,7 @@ from terntrain.gaussian import (
     truncated_upper_mean,
 )
 from terntrain.gradcheck import check_threshold_phase_grad, fd_grad, max_rel_err, ternary_fixture
-from terntrain.network import LayerSpec, Model, build_from_config
+from terntrain.network import LayerSpec, Model, build_from_config, glorot
 from terntrain.ternarize import (
     THRESHOLD_PHASE,
     WEIGHT_PHASE,
@@ -215,7 +215,7 @@ def test_threshold_phase_gradient_value():
     # dense 64->1 on an all-ones input with zero bias: the logit is
     # scale(delta) * sum(codes), through Model.forward's threshold phase.
     rng = np.random.default_rng(18)
-    model = Model([LayerSpec("dense", in_dim=64, out_dim=1, quantized=True)])
+    model = Model([LayerSpec("dense", in_dim=64, out_dim=1, quantized=True)], glorot(0))
     layer = model.param_layers()[0]
     layer.w.data = rng.normal(scale=0.6, size=(64, 1))
     layer.qstate.delta = 0.25

@@ -16,7 +16,7 @@ from terntrain.gaussian import (
 from terntrain.modelio import checkpoint_to_bytes
 from terntrain import network, ternarize, trainer
 from terntrain.autograd import softmax_cross_entropy
-from terntrain.network import FLOAT_MODE, LayerSpec, Model, build_from_config
+from terntrain.network import FLOAT_MODE, LayerSpec, Model, build_from_config, glorot
 from terntrain.optim import OptimizerConfig
 from terntrain.ternarize import WEIGHT_PHASE, tern
 from terntrain.trainer import (
@@ -93,7 +93,7 @@ def test_zero_weight_lr_freezes_weights_deltas_descend():
 def test_single_step_matches_hand_computation():
     # One dense layer, two weights, one sample: both phases recomputed with
     # plain numpy formulas outside the trainer/autograd stack.
-    model = Model([LayerSpec("dense", in_dim=1, out_dim=2, quantized=True)], seed=0)
+    model = Model([LayerSpec("dense", in_dim=1, out_dim=2, quantized=True)], glorot(0))
     layer = model.param_layers()[0]
     layer.w.data = np.array([[0.8, -0.4]])
     layer.b.data = np.array([0.1, -0.2])
@@ -302,7 +302,7 @@ def test_float_state_needs_no_quantizer(monkeypatch):
 
     monkeypatch.setattr(Model, "refresh_all", refuse)
     cfg = OptimizerConfig(kind="vanilla-sgd", lr=0.1)
-    unquantized = Model([LayerSpec("dense", in_dim=6, out_dim=3, quantized=False)], seed=15)
+    unquantized = Model([LayerSpec("dense", in_dim=6, out_dim=3, quantized=False)], glorot(15))
     for model in (unquantized, build_from_config("mlp-6-5-3", seed=15)):
         state = make_train_state(model, cfg, seed=15)
         assert state.threshold_opt is None
@@ -318,6 +318,26 @@ def test_train_zero_epochs_refreshes_once():
         assert np.array_equal(p.data, before)
     for layer in state.model.quantized_layers():
         assert np.isfinite(layer.qstate.scale)
+
+
+def test_float_weights_that_overflow_on_the_last_batch_are_a_divergence():
+    model = build_from_config("mlp-6-5-3", seed=4)
+    state = make_train_state(model, OptimizerConfig(kind="vanilla-sgd", lr=1e308), seed=4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(DivergenceError, match="non-finite weights") as exc:
+            train(state, _toy_dataset(seed=4), epochs=1, batch_size=64)
+    assert exc.value.dump == {"phase": "pretrain", "epoch": 0, "batch": 0}
+    assert state.metrics == []
+
+
+@pytest.mark.parametrize("w_lr, t_lr, lr", [(1e-320, 0.1, 0.1), (1.0, 1e-320, 1e-10)], ids=["inf", "zero"])
+def test_a_schedule_that_scales_the_threshold_lr_off_the_positive_floats_is_rejected(w_lr, t_lr, lr):
+    model = build_from_config("mlp-6-5-3", seed=0)
+    w_cfg, t_cfg = OptimizerConfig(kind="vanilla-sgd", lr=w_lr), OptimizerConfig(kind="vanilla-sgd", lr=t_lr)
+    with pytest.raises(ValueError, match=f"lr_schedule breakpoint 2:{lr!r} scales the threshold lr to"):
+        make_train_state(model, w_cfg, t_cfg, schedule=[(2, lr)])
+    make_train_state(model, w_cfg, schedule=[(2, lr)])  # a float state has no threshold lr
 
 
 def test_schedule_breakpoints_apply():
@@ -371,7 +391,7 @@ def test_adam_on_thresholds_ablation_path():
 
 def test_train_requires_quantized_layers():
     specs = [LayerSpec("dense", in_dim=6, out_dim=3, quantized=False)]
-    model = Model(specs, seed=15)
+    model = Model(specs, glorot(15))
     state = make_train_state(
         model,
         OptimizerConfig(kind="vanilla-sgd", lr=0.1),
@@ -400,7 +420,7 @@ def test_eval_loss_acc_matches_taped_forward(mode, monkeypatch):
         LayerSpec("flatten"),
         LayerSpec("dense", in_dim=3 * 4 * 4, out_dim=4, quantized=True),
     ]
-    model = Model(specs, seed=8)
+    model = Model(specs, glorot(8))
     model.init_thresholds(0.1)
     model.refresh_all()
     rng = np.random.default_rng(8)
