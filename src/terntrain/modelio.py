@@ -5,28 +5,28 @@ type between: checkpoint_to_bytes / checkpoint_from_bytes and
 packed_to_bytes / packed_from_bytes. Both are little-endian and CRC-32
 trailed, so corruption and truncation are rejected before any parsing.
 
-TNCK checkpoints: magic "TNCK", version u16, arch string, JSON metadata,
-then per parametric layer the name, weight shape, float32 weight payload,
+Both formats are one container over two layer codecs. One writer,
+_to_bytes, writes the header (magic, version u16, arch string, JSON
+metadata, layer count), then per parametric layer its name and weight
+shape followed by the format's layer body, then the CRC-32. One loader,
+_load, reads it back. A TNCK body is the float32 weight payload, the
 float32 bias payload and an optional quantizer record (delta, mu, sigma as
-float64).
+float64). A TERN body is either a float32 scale plus codes packed four per
+byte (2 bits each, first weight in the least-significant pair, 00=0,
+01=+1, 10=-1, 11 reserved) or, for non-quantized layers, the raw float32
+weights; the float32 biases follow either way.
 
-TERN packed models: magic "TERN", version u16, arch string, JSON metadata,
-then per layer either a float32 scale plus codes packed four per byte (2
-bits each, first weight in the least-significant pair, 00=0, 01=+1, 10=-1,
-11 reserved) or, for non-quantized layers, the raw float32 weights; biases
-follow in float32 either way.
-
-Both formats load through one loader: it resolves the layer specs and
-passes the Model constructor a params source that reads each layer record
-as its layer is built, so no init is drawn. A record whose name or weight
-shape differs from its spec is rejected before its payload is read; one
-whose bias length or quantized flag differs, by the constructor's check
-before its layer is built. A non-finite quantizer number is rejected as
-it is read: a TERN scale that is NaN or infinite (its sign is not
-checked), or a TNCK delta that is. A TNCK record's mu and sigma must be
-both NaN (a state never refreshed, as in every pretrain checkpoint) or
-both finite with sigma > 0. A TERN file loads into a packed Model, which
-runs through Model.forward like any other.
+The loader resolves the layer specs and passes the Model constructor a
+params source that reads each layer record as its layer is built, so no
+init is drawn. A record whose name or weight shape differs from its spec
+is rejected before its payload is read; one whose bias length or quantized
+flag differs, by the constructor's check before its layer is built. Every
+float32 payload (weights, biases, a TERN scale) must be finite: a NaN or
+infinite value is rejected as it is read, and the writers refuse to write
+one. A TNCK delta must be finite too, and its mu and sigma both NaN (a
+state never refreshed, as in every pretrain checkpoint) or both finite
+with sigma > 0. A TERN file loads into a packed Model, which runs through
+Model.forward like any other.
 """
 
 from __future__ import annotations
@@ -90,44 +90,18 @@ class FormatError(ModelIOError):
 # --- byte-level helpers -----------------------------------------------------
 
 
-class _Writer:
-    def __init__(self):
-        self.buf = bytearray()
+def _text_bytes(width: str, s: str) -> bytes:
+    """A UTF-8 string behind its byte length, packed as struct format `width`."""
+    b = s.encode("utf-8")
+    return struct.pack("<" + width, len(b)) + b
 
-    def u8(self, v):
-        self.buf += struct.pack("<B", v)
 
-    def u16(self, v):
-        self.buf += struct.pack("<H", v)
-
-    def u32(self, v):
-        self.buf += struct.pack("<I", v)
-
-    def f32(self, v):
-        self.buf += struct.pack("<f", v)
-
-    def f64(self, v):
-        self.buf += struct.pack("<d", v)
-
-    def raw(self, b: bytes):
-        self.buf += b
-
-    def str16(self, s: str):
-        b = s.encode("utf-8")
-        self.u16(len(b))
-        self.raw(b)
-
-    def str32(self, s: str):
-        b = s.encode("utf-8")
-        self.u32(len(b))
-        self.raw(b)
-
-    def f32_array(self, a: np.ndarray):
-        self.buf += np.ascontiguousarray(a, dtype="<f4").data
-
-    def finish(self) -> bytes:
-        self.u32(zlib.crc32(self.buf) & 0xFFFFFFFF)
-        return bytes(self.buf)
+def _f32_bytes(a) -> bytes:
+    """A float32 payload; a value that is not finite in float32 is refused."""
+    a = np.ascontiguousarray(a, dtype="<f4")
+    if not np.isfinite(a).all():
+        raise ValueError(f"float32 payload holds a non-finite value: {a[~np.isfinite(a)][0]}")
+    return a.tobytes()
 
 
 class _Reader:
@@ -144,60 +118,55 @@ class _Reader:
         self.pos += n
         return out
 
-    def u8(self):
-        return struct.unpack("<B", self.take(1))[0]
+    def unpack(self, fmt: str) -> tuple:
+        fmt = "<" + fmt
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
-    def u16(self):
-        return struct.unpack("<H", self.take(2))[0]
-
-    def u32(self):
-        return struct.unpack("<I", self.take(4))[0]
-
-    def f32(self):
-        return struct.unpack("<f", self.take(4))[0]
-
-    def f64(self):
-        return struct.unpack("<d", self.take(8))[0]
-
-    def str16(self) -> str:
-        return self._text(self.u16())
-
-    def str32(self) -> str:
-        return self._text(self.u32())
-
-    def _text(self, n: int) -> str:
-        raw = self.take(n)
+    def text(self, width: str) -> str:
+        raw = self.take(self.unpack(width)[0])
         try:
             return raw.decode("utf-8")
         except UnicodeDecodeError as e:
             raise FormatError(f"string before offset {self.pos} is not UTF-8: {e}") from e
 
     def flag(self) -> bool:
-        v = self.u8()
+        (v,) = self.unpack("B")
         if v > 1:
             raise FormatError(f"flag byte {v} before offset {self.pos} is neither 0 nor 1")
         return bool(v)
 
     def f32_array(self, n: int) -> np.ndarray:
-        return np.frombuffer(self.take(4 * n), dtype="<f4").copy()
+        start = self.pos
+        a = np.frombuffer(self.take(4 * n), dtype="<f4")
+        bad = np.flatnonzero(~np.isfinite(a))
+        if bad.size:
+            raise FormatError(f"float32 value {a[bad[0]]} at offset {start + 4 * int(bad[0])} is not finite")
+        return a.copy()
 
     def expect_end(self) -> None:
         if self.pos != len(self.data):
             raise FormatError(f"{len(self.data) - self.pos} trailing bytes after the last layer")
 
 
-# --- container layout and loader shared by both formats ----------------------
+# --- container layout, writer and loader shared by both formats ---------------
 
 
-def _write_header(w: _Writer, magic: bytes, model: Model, meta: dict) -> None:
-    """Magic, version, arch, metadata (plus a custom arch's specs) and layer count."""
+def _to_bytes(magic: bytes, model: Model, meta: dict, write_layer) -> bytes:
+    """The file of a model: the header (magic, version, arch, metadata plus a
+    custom arch's specs, layer count), then per parametric layer its name,
+    its weight shape and the bytes write_layer(layer) returns, then the CRC-32."""
     if model.arch == "custom":
         meta = {**meta, "specs": [asdict(s) for s in model.specs]}
-    w.raw(magic)
-    w.u16(FORMAT_VERSION)
-    w.str16(model.arch)
-    w.str32(json.dumps(meta, sort_keys=True))
-    w.u16(len(model.param_layers()))
+    layers = model.param_layers()
+    buf = bytearray(magic + struct.pack("<H", FORMAT_VERSION))
+    buf += _text_bytes("H", model.arch) + _text_bytes("I", json.dumps(meta, sort_keys=True))
+    buf += struct.pack("<H", len(layers))
+    for layer in layers:
+        shape = layer.w.shape
+        buf += _text_bytes("H", layer.name) + struct.pack(f"<B{len(shape)}I", len(shape), *shape)
+        buf += write_layer(layer)
+    buf += struct.pack("<I", zlib.crc32(buf))
+    return bytes(buf)
 
 
 def _read_header(data: bytes, magic: bytes) -> tuple[_Reader, str, dict, int]:
@@ -207,17 +176,17 @@ def _read_header(data: bytes, magic: bytes) -> tuple[_Reader, str, dict, int]:
         raise TruncatedFileError(f"file of {len(data)} bytes is shorter than any valid model file")
     if data[:4] != magic:
         raise BadMagicError(f"expected magic {magic!r}, found {data[:4]!r}")
-    stored = struct.unpack("<I", data[-4:])[0]
-    actual = zlib.crc32(data[:-4]) & 0xFFFFFFFF
+    (stored,) = struct.unpack("<I", data[-4:])
+    actual = zlib.crc32(data[:-4])
     if stored != actual:
         raise CrcMismatchError(f"CRC mismatch: stored {stored:#010x}, computed {actual:#010x}")
     r = _Reader(data[:-4])
     r.take(4)  # magic
-    version = r.u16()
+    (version,) = r.unpack("H")
     if version != FORMAT_VERSION:
         raise UnsupportedVersionError(f"unsupported format version {version}")
-    arch = r.str16()
-    text = r.str32()
+    arch = r.text("H")
+    text = r.text("I")
     try:
         meta = json.loads(text)
     # ValueError covers malformed JSON and over-long integer literals;
@@ -226,14 +195,7 @@ def _read_header(data: bytes, magic: bytes) -> tuple[_Reader, str, dict, int]:
         raise FormatError(f"bad metadata JSON: {e}") from e
     if not isinstance(meta, dict):
         raise FormatError(f"metadata is a JSON {type(meta).__name__}, not an object")
-    return r, arch, meta, r.u16()
-
-
-def _write_layer_head(w: _Writer, name: str, shape: tuple[int, ...]) -> None:
-    w.str16(name)
-    w.u8(len(shape))
-    for e in shape:
-        w.u32(e)
+    return r, arch, meta, r.unpack("H")[0]
 
 
 def _specs_from(arch: str, metadata: dict) -> list[LayerSpec]:
@@ -267,7 +229,7 @@ def _load(data: bytes, magic: bytes, read_layer) -> Model:
         nonlocal read
         if read == nlayers:
             raise FormatError(f"file has {nlayers} layer records, fewer than arch {arch!r} needs")
-        head = (r.str16(), tuple(r.u32() for _ in range(r.u8())))
+        head = (r.text("H"), r.unpack(f"{r.unpack('B')[0]}I"))
         if head != (name, shape):
             raise FormatError(
                 f"layer record (name, shape) {head} does not match the architecture's {(name, shape)}"
@@ -290,30 +252,24 @@ def _load(data: bytes, magic: bytes, read_layer) -> Model:
 # --- checkpoint format ------------------------------------------------------
 
 
+def _write_checkpoint_layer(layer) -> bytes:
+    st = layer.qstate
+    quant = struct.pack("<B", 0) if st is None else struct.pack("<B3d", 1, st.delta, st.mu, st.sigma)
+    return _f32_bytes(layer.w.data) + struct.pack("<I", layer.b.size) + _f32_bytes(layer.b.data) + quant
+
+
 def checkpoint_to_bytes(model: Model, metadata: dict | None = None) -> bytes:
     if model.packed:
         raise ValueError("a packed model holds codes, not float weights; it has no checkpoint")
-    w = _Writer()
-    _write_header(w, CHECKPOINT_MAGIC, model, metadata or {})
-    for layer in model.param_layers():
-        _write_layer_head(w, layer.name, layer.w.shape)
-        w.f32_array(layer.w.data)
-        w.u32(layer.b.size)
-        w.f32_array(layer.b.data)
-        st = layer.qstate
-        w.u8(st is not None)
-        if st is not None:
-            for v in (st.delta, st.mu, st.sigma):
-                w.f64(v)
-    return w.finish()
+    return _to_bytes(CHECKPOINT_MAGIC, model, metadata or {}, _write_checkpoint_layer)
 
 
 def _read_checkpoint_layer(r: _Reader, shape: tuple) -> tuple:
     weights = r.f32_array(math.prod(shape)).astype(np.float64).reshape(shape)
-    bias = r.f32_array(r.u32())
+    bias = r.f32_array(r.unpack("I")[0])
     if not r.flag():
         return weights, bias, None
-    delta, mu, sigma = r.f64(), r.f64(), r.f64()
+    delta, mu, sigma = r.unpack("3d")
     # mu and sigma are both NaN in a state never refreshed, else a Gaussian fit.
     fitted = math.isfinite(mu) and math.isfinite(sigma) and sigma > 0
     if not math.isfinite(delta) or not (fitted or (math.isnan(mu) and math.isnan(sigma))):
@@ -395,38 +351,29 @@ def unpack_codes(data: bytes, n: int) -> np.ndarray:
 # --- packed model format ----------------------------------------------------
 
 
+def _write_packed_layer(layer) -> bytes:
+    st = layer.qstate
+    if st is None:
+        body = struct.pack("<B", 0) + _f32_bytes(layer.w.data)
+    elif not is_fresh(st, layer.w.data):
+        raise ValueError(f"stale quantizer state on layer {layer.name}; refresh before exporting")
+    else:
+        body = struct.pack("<B", 1) + _f32_bytes([st.scale]) + pack_codes(st.codes)
+    return body + struct.pack("<I", layer.b.size) + _f32_bytes(layer.b.data)
+
+
 def packed_to_bytes(model: Model) -> bytes:
-    w = _Writer()
-    _write_header(w, PACKED_MAGIC, model, {})
-    for layer in model.param_layers():
-        _write_layer_head(w, layer.name, layer.w.shape)
-        if layer.qstate is not None:
-            if not is_fresh(layer.qstate, layer.w.data):
-                raise ValueError(
-                    f"stale quantizer state on layer {layer.name}; refresh before exporting"
-                )
-            w.u8(1)
-            w.f32(layer.qstate.scale)
-            w.raw(pack_codes(layer.qstate.codes))
-        else:
-            w.u8(0)
-            w.f32_array(layer.w.data)
-        w.u32(layer.b.size)
-        w.f32_array(layer.b.data)
-    return w.finish()
+    return _to_bytes(PACKED_MAGIC, model, {}, _write_packed_layer)
 
 
 def _read_packed_layer(r: _Reader, shape: tuple) -> tuple:
     n = math.prod(shape)
     if not r.flag():
-        return r.f32_array(n).astype(np.float64).reshape(shape), r.f32_array(r.u32()), None
-    scale = r.f32()
-    if not math.isfinite(scale):
-        raise FormatError(f"layer scale {scale} is not finite")
-    st = QuantizerState(0.0, scale=scale)
+        return r.f32_array(n).astype(np.float64).reshape(shape), r.f32_array(r.unpack("I")[0]), None
+    st = QuantizerState(0.0, scale=float(r.f32_array(1)[0]))
     set_codes(st, unpack_codes(r.take((n + 3) // 4), n).reshape(shape))
     st.source = st.codes
-    return st.codes, r.f32_array(r.u32()), st
+    return st.codes, r.f32_array(r.unpack("I")[0]), st
 
 
 def packed_from_bytes(data: bytes) -> Model:

@@ -1,3 +1,4 @@
+import json
 import math
 import struct
 import zlib
@@ -20,7 +21,6 @@ from terntrain.modelio import (
     UnsupportedVersionError,
     checkpoint_from_bytes,
     checkpoint_to_bytes,
-    _Writer,
     export_packed,
     load_checkpoint,
     load_packed,
@@ -404,34 +404,38 @@ def test_wrong_magic_across_formats(tmp_path):
 # --- one loader for both formats ----------------------------------------------
 
 
+def _hand_file(magic: bytes, arch: str, meta: str, records: int, record: bytes) -> bytes:
+    """A model file assembled with struct alone: the header, `records`
+    copies of one layer record, then the CRC-32 of all of it."""
+    a, m = arch.encode("utf-8"), meta.encode("utf-8")
+    body = magic + struct.pack(f"<HH{len(a)}sI{len(m)}sH", 1, len(a), a, len(m), m, records)
+    body += record * records
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+def _record_head(name: str, shape: tuple) -> bytes:
+    raw = name.encode("utf-8", "surrogateescape")
+    return struct.pack(f"<H{len(raw)}sB{len(shape)}I", len(raw), raw, len(shape), *shape)
+
+
+def _f32_payload(values) -> bytes:
+    return struct.pack(f"<{len(values)}f", *values)
+
+
 def _tern_mlp_8_4(arch="mlp-8-4", meta="{}", name="dense0", shape=(8, 4), bias_len=4, quantized=1, records=1,
-                  codes=None, scale=0.5):
+                  codes=None, scale=0.5, weights=None, bias=None):
     """A TERN file written field by field: `records` copies of one dense
     layer record holding the packed `codes` (all zero by default) and
-    `scale`."""
-    w = _Writer()
-    w.raw(b"TERN")
-    w.u16(1)
-    w.str16(arch)
-    w.str32(meta)
-    w.u16(records)  # layer count
-    for _ in range(records):
-        raw_name = name.encode("utf-8", "surrogateescape")
-        w.u16(len(raw_name))
-        w.raw(raw_name)
-        w.u8(len(shape))
-        for e in shape:
-            w.u32(e)
-        w.u8(quantized)
-        n = int(np.prod(shape))
-        if quantized:
-            w.raw(struct.pack("<f", scale))
-            w.raw(bytes((n + 3) // 4) if codes is None else codes)
-        else:
-            w.f32_array(np.zeros(n))
-        w.u32(bias_len)
-        w.f32_array(np.arange(bias_len, dtype=np.float64))
-    return w.finish()
+    `scale`, or, unquantized, `weights` (all zero by default), then `bias`
+    (0, 1, ... by default)."""
+    n = math.prod(shape)
+    if quantized:
+        body = struct.pack("<f", scale) + (bytes((n + 3) // 4) if codes is None else codes)
+    else:
+        body = _f32_payload([0.0] * n if weights is None else weights)
+    bias = range(bias_len) if bias is None else bias
+    record = _record_head(name, shape) + struct.pack("<B", quantized) + body
+    return _hand_file(b"TERN", arch, meta, records, record + struct.pack("<I", len(bias)) + _f32_payload(bias))
 
 
 TNCK_QUANT = (0.25, -0.0625, 1.15)  # delta, mu, sigma of the hand-built record
@@ -442,29 +446,15 @@ def _tnck_weights(n):
 
 
 def _tnck_mlp_8_4(arch="mlp-8-4", meta="{}", name="dense0", shape=(8, 4), bias_len=4, quantized=1, records=1,
-                  quant=TNCK_QUANT):
+                  quant=TNCK_QUANT, weights=None, bias=None):
     """A TNCK file written field by field: `records` copies of one dense
-    layer record, weights from _tnck_weights and the quantizer `quant`
-    (delta, mu, sigma)."""
-    w = _Writer()
-    w.raw(b"TNCK")
-    w.u16(1)
-    w.str16(arch)
-    w.str32(meta)
-    w.u16(records)  # layer count
-    for _ in range(records):
-        w.str16(name)
-        w.u8(len(shape))
-        for e in shape:
-            w.u32(e)
-        w.f32_array(_tnck_weights(int(np.prod(shape))))
-        w.u32(bias_len)
-        w.f32_array(np.arange(bias_len, dtype=np.float64))
-        w.u8(quantized)
-        if quantized:
-            for v in quant:
-                w.f64(v)
-    return w.finish()
+    layer record, `weights` (from _tnck_weights by default), `bias` (0, 1,
+    ... by default) and the quantizer `quant` (delta, mu, sigma)."""
+    weights = _tnck_weights(math.prod(shape)) if weights is None else weights
+    bias = range(bias_len) if bias is None else bias
+    record = _record_head(name, shape) + _f32_payload(weights) + struct.pack("<I", len(bias)) + _f32_payload(bias)
+    record += struct.pack("<B", quantized) + (struct.pack("<3d", *quant) if quantized else b"")
+    return _hand_file(b"TNCK", arch, meta, records, record)
 
 
 def _hand_set_mlp_8_4():
@@ -518,6 +508,10 @@ def test_tern_layout_is_pinned():
     assert np.array_equal(layer.qstate.live_columns[0], [0, 1, 2])
 
 
+# mlp-8-4's one dense layer, unquantized, as a custom arch's specs.
+UNQUANTIZED_8_4 = '{"specs": [{"kind": "dense", "in_dim": 8, "out_dim": 4, "quantized": false}]}'
+
+
 def test_hand_built_tern_file_loads():
     model = packed_from_bytes(_tern_mlp_8_4())
     with no_grad():
@@ -546,10 +540,13 @@ def test_hand_built_tern_file_loads():
         {"scale": math.nan},  # would serve NaN logits
         {"scale": math.inf},
         {"scale": -math.inf},
+        {"bias": [0.0, math.nan, 2.0, 3.0]},  # every float32 payload is finite
+        {"arch": "custom", "meta": UNQUANTIZED_8_4, "quantized": 0, "weights": [math.inf] + [0.0] * 31},
     ],
     ids=["bias-length", "name", "transposed", "other-arch", "missing-layer", "quantized-flag",
          "flag-byte", "metadata-type", "name-encoding", "metadata-long-int", "metadata-nesting",
-         "custom-huge-spec", "extra-layer", "scale-nan", "scale-inf", "scale-minus-inf"],
+         "custom-huge-spec", "extra-layer", "scale-nan", "scale-inf", "scale-minus-inf", "bias-nan",
+         "weight-inf"],
 )
 def test_tern_record_not_matching_its_spec_rejected_at_load(tmp_path, fields):
     data = _tern_mlp_8_4(**fields)
@@ -586,10 +583,13 @@ def test_tern_record_not_matching_its_spec_rejected_at_load(tmp_path, fields):
         {"quant": (0.25, -0.0625, math.inf)},
         {"quant": (0.25, -0.0625, 0.0)},
         {"quant": (0.25, -0.0625, -1.15)},
+        # Every float32 payload is finite.
+        {"weights": [math.inf, *_tnck_weights(32)[1:]]},
+        {"bias": [0.0, math.nan, 2.0, 3.0]},
     ],
     ids=["bias-length", "name", "transposed", "other-arch", "missing-layer", "extra-layer",
          "quantized-flag", "flag-byte", "custom-huge-spec", "delta-nan", "delta-inf", "mu-nan-alone",
-         "sigma-nan-alone", "mu-inf", "sigma-inf", "sigma-zero", "sigma-negative"],
+         "sigma-nan-alone", "mu-inf", "sigma-inf", "sigma-zero", "sigma-negative", "weight-inf", "bias-nan"],
 )
 def test_tnck_record_not_matching_its_spec_rejected_at_load(tmp_path, fields):
     data = _tnck_mlp_8_4(**fields)
@@ -599,6 +599,22 @@ def test_tnck_record_not_matching_its_spec_rejected_at_load(tmp_path, fields):
     path.write_bytes(data)
     with pytest.raises(FormatError):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("poke", ["weight-inf", "bias-nan"])
+def test_writers_refuse_non_finite_payloads(poke):
+    """No writer makes a file that the loader rejects: a NaN or infinite
+    weight or bias is a ValueError in both formats."""
+    unquantized = [LayerSpec("flatten"), LayerSpec("dense", in_dim=6, out_dim=3)]
+    for model, write in [(build_from_config("mlp-6-3"), checkpoint_to_bytes),
+                         (Model(unquantized, glorot(0)), packed_to_bytes)]:
+        layer = model.param_layers()[0]
+        if poke == "weight-inf":
+            layer.w.data[0, 0] = math.inf
+        else:
+            layer.b.data[1] = math.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            write(model)
 
 
 def test_loading_draws_no_random_init(tmp_path, monkeypatch):
@@ -623,10 +639,23 @@ def test_loading_draws_no_random_init(tmp_path, monkeypatch):
 
 
 def _reference_packed_forward(data: bytes, x: np.ndarray) -> np.ndarray:
-    """A second, independent interpreter of a TERN file: per layer, the linear
-    op on the codes, times the float32 scale, plus the bias. It reads the
-    records with the format's record reader, not through the loader."""
-    r, arch, meta, nlayers = modelio._read_header(data, modelio.PACKED_MAGIC)
+    """A second, independent interpreter of a TERN file: it parses the bytes
+    with struct and decodes the codes with _unpack_by_bit_loop, then per
+    layer applies the linear op on the codes, times the float32 scale, plus
+    the bias. No modelio code reads the file."""
+    assert struct.unpack("<I", data[-4:])[0] == zlib.crc32(data[:-4])
+    pos = 0
+
+    def take(fmt: str) -> tuple:
+        nonlocal pos
+        out = struct.unpack_from("<" + fmt, data, pos)
+        pos += struct.calcsize("<" + fmt)
+        return out
+
+    assert take("4sH") == (b"TERN", 1)
+    arch = take(f"{take('H')[0]}s")[0].decode("utf-8")
+    meta = json.loads(take(f"{take('I')[0]}s")[0])
+    (nlayers,) = take("H")
     t = np.asarray(x, dtype=np.float64)
     specs = [LayerSpec(**d) for d in meta["specs"]] if arch == "custom" else arch_specs(arch)
     for spec in specs:
@@ -637,19 +666,23 @@ def _reference_packed_forward(data: bytes, x: np.ndarray) -> np.ndarray:
             t = t.reshape(t.shape[0], -1)
             continue
         nlayers -= 1
-        r.str16()  # name
-        shape = tuple(r.u32() for _ in range(r.u8()))
-        eff, bias, st = modelio._read_packed_layer(r, shape)
+        take(f"{take('H')[0]}s")  # name
+        shape = take(f"{take('B')[0]}I")
+        n = math.prod(shape)
+        if take("B")[0]:
+            (scale,) = take("f")
+            eff = _unpack_by_bit_loop(take(f"{(n + 3) // 4}s")[0], n).astype(np.float64).reshape(shape)
+        else:
+            scale, eff = None, np.array(take(f"{n}f")).reshape(shape)
+        bias = np.array(take(f"{take('I')[0]}f"))
         if spec.kind == "dense":
             z = t @ eff
         else:
             z = kernels.conv2d_forward(t, eff, spec.stride, spec.padding)[0]
-        if st is not None:
-            z = z * float(st.scale)
-        bias = bias.astype(np.float64)
+        if scale is not None:
+            z = z * scale
         t = z + (bias if spec.kind == "dense" else bias[None, :, None, None])
-    assert nlayers == 0
-    r.expect_end()
+    assert nlayers == 0 and pos == len(data) - 4
     return t
 
 
@@ -864,6 +897,72 @@ def test_packed_forward_with_a_zero_scale(tmp_path):
     assert np.array_equal(out, np.arange(4.0)[None])
 
 
+@st.composite
+def _drawn_chains(draw):
+    """A custom chain and an input batch for it: 0-2 convs (kernel 1-4,
+    stride 1-2, padding 0-2, integral extents, 1-3 channels), flatten, then
+    1-2 dense layers, each parametric layer quantized or not, with a drawn
+    threshold per quantized layer."""
+    chan, hw = draw(st.integers(1, 3)), draw(st.integers(1, 6))
+    x_shape = (3, chan, hw, hw)
+    specs = []
+
+    def quantized(size):  # one weight has no spread, so it cannot be ternarized
+        return draw(st.booleans()) and size > 1
+
+    for _ in range(draw(st.integers(0, 2))):
+        k = draw(st.integers(1, 4))
+        p = draw(st.integers(max(0, (k - hw + 1) // 2), 2))
+        s = draw(st.sampled_from([1, 2] if (hw + 2 * p - k) % 2 == 0 else [1]))
+        out = draw(st.integers(1, 3))
+        specs += [LayerSpec("conv2d", chan, out, k, s, p, quantized(out * chan * k * k)), LayerSpec("relu")]
+        chan, hw = out, (hw + 2 * p - k) // s + 1
+    specs.append(LayerSpec("flatten"))
+    feat = chan * hw * hw
+    for i in range(draw(st.integers(1, 2))):
+        out = draw(st.integers(1, 4))
+        specs += [LayerSpec("relu")] * (i > 0) + [LayerSpec("dense", feat, out, quantized=quantized(feat * out))]
+        feat = out
+    fracs = [draw(st.floats(0.0, 1.0)) for s in specs if s.quantized]
+    return specs, fracs, x_shape, draw(st.integers(0, 2**16))
+
+
+@given(case=_drawn_chains())
+@settings(max_examples=40, deadline=None)
+def test_drawn_chains_round_trip_through_both_formats(case):
+    specs, fracs, x_shape, seed = case
+    model = Model(specs, glorot(seed))
+    rng = np.random.default_rng(seed)
+    for layer in model.param_layers():
+        layer.b.data = rng.normal(scale=0.1, size=layer.b.data.shape).astype(np.float32).astype(np.float64)
+    for layer, frac in zip(model.quantized_layers(), fracs):
+        layer.qstate.delta = frac * float(np.max(np.abs(layer.w.data)))
+    model.refresh_all()
+
+    loaded = checkpoint_from_bytes(checkpoint_to_bytes(model))
+    assert loaded.specs == model.specs
+    for got, want in zip(loaded.param_layers(), model.param_layers(), strict=True):
+        assert got.w.data.tobytes() == want.w.data.tobytes() and got.b.data.tobytes() == want.b.data.tobytes()
+        assert (got.qstate is None) == (want.qstate is None)
+        if want.qstate is not None:
+            assert (got.qstate.delta, got.qstate.mu, got.qstate.sigma) == (
+                want.qstate.delta, want.qstate.mu, want.qstate.sigma)
+            assert is_fresh(got.qstate, got.w.data)
+
+    data = packed_to_bytes(model)
+    packed = packed_from_bytes(data)
+    assert packed_to_bytes(packed) == data
+    # The file rounds each scale to float32, and that is all it changes: with
+    # the source's scales so rounded, the packed logits match bit for bit.
+    # (A relative bound on the unrounded logits fails where a bias cancels
+    # the product, as README says.)
+    for layer in model.quantized_layers():
+        layer.qstate.scale = float(np.float32(layer.qstate.scale))
+    x = rng.normal(size=x_shape)
+    with no_grad():
+        assert np.array_equal(packed.forward(x, WEIGHT_PHASE).data, model.forward(x, WEIGHT_PHASE).data)
+
+
 FUZZ_SEED = 4711  # pinned before the first run
 
 
@@ -871,23 +970,21 @@ FUZZ_SEED = 4711  # pinned before the first run
 @pytest.mark.parametrize("fmt", ["tnck", "tern"])
 def test_single_byte_mutations_behind_a_valid_crc(arch, fmt):
     """Each mutated file either raises ModelIOError or loads a model whose
-    forward answers with logits of the right shape; nothing else escapes."""
+    parameters are all finite and whose forward answers with logits of the
+    right shape; nothing else escapes."""
     model = _trained_like_lenet(seed=25) if arch == "lenet-small" else _trained_like_model(seed=25)
     x = np.random.default_rng(26).normal(size=(1, 1, 28, 28) if arch == "lenet-small" else (1, 16))
     if fmt == "tnck":
-        blob = checkpoint_to_bytes(model)
-
-        def load_and_run(data):
-            return checkpoint_from_bytes(data).forward(x).data
-
+        blob, load, mode = checkpoint_to_bytes(model), checkpoint_from_bytes, FLOAT_MODE
     else:
-        blob = packed_to_bytes(model)
+        blob, load, mode = packed_to_bytes(model), packed_from_bytes, WEIGHT_PHASE
 
-        def load_and_run(data):
-            with no_grad():
-                return packed_from_bytes(data).forward(x, WEIGHT_PHASE).data
+    def load_and_run(data):
+        loaded = load(data)
+        with no_grad():
+            return loaded, loaded.forward(x, mode).data
 
-    expected_shape = load_and_run(blob).shape
+    expected_shape = load_and_run(blob)[1].shape
     rng = np.random.default_rng(FUZZ_SEED)
     outcomes = {"rejected": 0, "loaded": 0}
     with np.errstate(all="ignore"):
@@ -897,10 +994,11 @@ def test_single_byte_mutations_behind_a_valid_crc(arch, fmt):
             body[pos] ^= int(rng.integers(1, 256))
             data = bytes(body) + struct.pack("<I", zlib.crc32(bytes(body)) & 0xFFFFFFFF)
             try:
-                out = load_and_run(data)
+                loaded, out = load_and_run(data)
             except ModelIOError:
                 outcomes["rejected"] += 1
                 continue
             assert out.shape == expected_shape, f"byte {pos}: logits of shape {out.shape}"
+            assert all(np.isfinite(p.data).all() for p in loaded.parameters()), f"byte {pos}: non-finite parameters"
             outcomes["loaded"] += 1
     assert outcomes["rejected"] > 0 and outcomes["loaded"] > 0
