@@ -1,5 +1,9 @@
 #!/usr/bin/env python3
-"""Generate the synthetic MNIST-shaped IDX fixtures used by the desk-scale runs."""
+"""Generate the synthetic MNIST-shaped IDX fixtures used by the desk-scale runs.
+
+The default seeds, 111 and 211, give the splits of desk seed 11: the desk
+draws seed s's train and test splits from seeds 100 + s and 200 + s.
+"""
 
 import argparse
 import os
@@ -13,7 +17,7 @@ def main():
     parser.add_argument("--train", type=int, default=5000)
     parser.add_argument("--test", type=int, default=1000)
     parser.add_argument("--train-seed", type=int, default=111)
-    parser.add_argument("--test-seed", type=int, default=222)
+    parser.add_argument("--test-seed", type=int, default=211)
     args = parser.parse_args()
 
     os.makedirs(args.out_dir, exist_ok=True)

@@ -1,9 +1,12 @@
 import math
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from terntrain.data import (
     DataError,
@@ -199,3 +202,82 @@ def test_make_synth_mnist_idx_roundtrip(tmp_path):
     ds = load_idx(tmp_path / "img.idx", tmp_path / "lbl.idx")
     assert ds.images.shape == (16, 1, 28, 28)
     assert np.array_equal(ds.labels, labels)
+
+
+def reference_synth_mnist(n, seed=0, proto_seed=7, noise=50.0, max_shift=4, gain_lo=0.55):
+    """make_synth_mnist as one np.roll, one scale and one clip per image:
+    the bytes the blocked generator must reproduce."""
+    rng = np.random.default_rng(seed)
+    protos = np.kron(np.random.default_rng(proto_seed).normal(size=(10, 7, 7)), np.ones((4, 4)))
+    lo = protos.min(axis=(1, 2), keepdims=True)
+    hi = protos.max(axis=(1, 2), keepdims=True)
+    protos = (protos - lo) / (hi - lo)  # each prototype in [0, 1]
+
+    labels = rng.integers(0, 10, size=n)
+    images = np.empty((n, 28, 28), dtype=np.uint8)
+    shifts = rng.integers(-max_shift, max_shift + 1, size=(n, 2))
+    gains = rng.uniform(gain_lo, 1.0, size=n)
+    pixel_noise = rng.normal(0.0, noise, size=(n, 28, 28))
+    for i in range(n):
+        img = np.roll(protos[labels[i]], tuple(shifts[i]), axis=(0, 1))
+        img = img * gains[i] * 170.0 + pixel_noise[i]
+        images[i] = np.clip(img, 0, 255).astype(np.uint8)
+    return images, labels
+
+
+def assert_same_split(got, want):
+    (images, labels), (ref_images, ref_labels) = got, want
+    assert images.dtype == ref_images.dtype and images.shape == ref_images.shape
+    assert images.tobytes() == ref_images.tobytes()
+    assert labels.dtype == ref_labels.dtype and np.array_equal(labels, ref_labels)
+
+
+# The block edges, and the benchmark's test split at the default difficulty.
+@example(n=0, seed=0, proto_seed=7, noise=50.0, max_shift=4, gain_lo=0.55)
+@example(n=255, seed=1, proto_seed=7, noise=50.0, max_shift=4, gain_lo=0.55)
+@example(n=256, seed=2, proto_seed=7, noise=50.0, max_shift=4, gain_lo=0.55)
+@example(n=257, seed=3, proto_seed=7, noise=50.0, max_shift=4, gain_lo=0.55)
+@example(n=4096, seed=10001, proto_seed=7, noise=50.0, max_shift=4, gain_lo=0.55)
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(0, 600),
+    seed=st.integers(0, 2**32 - 1),
+    proto_seed=st.integers(0, 2**32 - 1),
+    noise=st.floats(0.0, 80.0),
+    max_shift=st.integers(0, 40),
+    gain_lo=st.floats(0.0, 1.0),
+)
+def test_make_synth_mnist_matches_the_per_sample_loop(n, seed, proto_seed, noise, max_shift, gain_lo):
+    kwargs = dict(seed=seed, proto_seed=proto_seed, noise=noise, max_shift=max_shift, gain_lo=gain_lo)
+    assert_same_split(make_synth_mnist(n, **kwargs), reference_synth_mnist(n, **kwargs))
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(n=0, noise=-1.0),
+        dict(n=300, noise=-1.0),
+        dict(n=3, max_shift=-1),
+        dict(n=3, gain_lo=1.5),
+        dict(n=0, gain_lo=1.5),
+        dict(n=-1),
+    ],
+    ids=["noise-below-0-n0", "noise-below-0", "shift-below-0", "gain-lo-above-1", "gain-lo-above-1-n0", "n-below-0"],
+)
+def test_make_synth_mnist_rejects_what_the_per_sample_loop_rejects(kwargs):
+    with pytest.raises(Exception) as want:
+        reference_synth_mnist(**kwargs)
+    with pytest.raises(want.type, match=re.escape(str(want.value))):
+        make_synth_mnist(**kwargs)
+
+
+def test_make_synth_mnist_memory_is_bounded_by_a_block():
+    """Beyond its output, the generator holds about one block of float64
+    pixels and noise, not an N x 28 x 28 float64 array (25.7 MB at N = 4096)."""
+    tracemalloc.start()
+    try:
+        images, labels = make_synth_mnist(4096, seed=10001)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (peak - images.nbytes - labels.nbytes) / 1e6 < 8.0

@@ -1,9 +1,10 @@
 """The scripts and the benchmark use only terntrain names that exist, the
-package defines no public name that only tests read, and the digest script
-reruns byte-identically.
+package defines no public name that only tests read, the digest script
+reruns byte-identically, and the fixture script writes the desk's splits.
 
-Of these files only `scripts/rerun_digest.py` runs in this suite, so a
-deleted or renamed name that another imports would otherwise go unnoticed.
+Of these files only `scripts/rerun_digest.py` and `scripts/make_synth_mnist.py`
+run in this suite, so a deleted or renamed name that another imports would
+otherwise go unnoticed.
 Each file is parsed with ast, not run: every `import terntrain...`, every
 `from terntrain... import name` and every attribute read off an imported
 terntrain module (`data.Dataset`, `terntrain.trainer.train`) must resolve.
@@ -23,7 +24,10 @@ import subprocess
 import sys
 import types
 
+import numpy as np
 import pytest
+
+from terntrain.data import load_idx, make_synth_mnist
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 FILES = sorted([*ROOT.glob("scripts/*.py"), *ROOT.glob("perfbench/*.py")])
@@ -187,3 +191,23 @@ def test_the_digest_script_reruns_byte_identically_in_fresh_processes():
     for line in lines[1:]:
         assert re.fullmatch(r"(mlp-784-300-100-10|lenet-small) [a-z-]+ [0-9a-f]{64}", line), line
     assert outputs[0] == outputs[1]
+
+
+def test_the_fixture_script_writes_desk_seed_11s_splits(tmp_path):
+    """With its default seeds the script writes what make_synth_mnist gives
+    for seeds 111 and 211, the splits the desk runs draw for seed 11."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    script = ROOT / "scripts" / "make_synth_mnist.py"
+    proc = subprocess.run(
+        [sys.executable, str(script), "--out-dir", str(tmp_path), "--train", "40", "--test", "24"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    for split, n, seed in (("train", 40, 111), ("test", 24, 211)):
+        ds = load_idx(tmp_path / f"{split}-images.idx", tmp_path / f"{split}-labels.idx")
+        images, labels = make_synth_mnist(n, seed=seed)
+        assert np.array_equal(ds.images[:, 0], images / 255.0), split
+        assert np.array_equal(ds.labels, labels), split
