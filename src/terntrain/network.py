@@ -73,13 +73,15 @@ class Model:
     def __init__(self, specs: list[LayerSpec], params, arch: str = "custom"):
         """A model of the chain specs whose arrays come from params, in one pass.
 
-        Each spec is checked against the one before it, then a parametric
-        layer is named and shaped and params(spec, name, weight_shape) is
-        called for its (weights, bias, quantizer state or None). It may raise
-        to reject the layer. Every source is held to one contract, checked
-        before the layer is built: the weights have the layer's shape, the
-        bias length is out_dim, and a state is given exactly when the spec
-        is quantized. glorot(seed) draws a fresh model; loaders read a file.
+        Each spec is checked against the one before it: a conv reads a 4-D
+        tensor with an int stride >= 1 and an int padding >= 0, a dense layer
+        a 2-D one. Then a parametric layer is named and shaped and
+        params(spec, name, weight_shape) is called for its (weights, bias,
+        quantizer state or None). It may raise to reject the layer. Every
+        source is held to one contract, checked before the layer is built:
+        the weights have the layer's shape, the bias length is out_dim, and a
+        state is given exactly when the spec is quantized. glorot(seed) draws
+        a fresh model; loaders read a file.
         """
         if not specs:
             raise ValueError("model needs at least one layer spec")
@@ -95,24 +97,32 @@ class Model:
         idx = 0
         feat = None  # feature count flowing through dense layers
         chan = None  # channel count flowing through conv layers
+        rank = None  # 2 or 4, the flowing tensor's rank; None before the first dense, conv or flatten
         for spec in self.specs:
             if spec.kind == "dense":
                 if spec.in_dim <= 0 or spec.out_dim <= 0:
                     raise ValueError(f"dense layer needs positive dims, got {spec}")
+                if rank == 4:
+                    raise ValueError(f"dense layer reads a 4-D conv output with no flatten between them: {spec}")
                 if feat is not None and feat != spec.in_dim:
                     raise ValueError(f"dense in_dim {spec.in_dim} incompatible with previous width {feat}")
-                feat, chan = spec.out_dim, None
+                feat, rank = spec.out_dim, 2
                 name, shape = f"dense{idx}", (spec.in_dim, spec.out_dim)
             elif spec.kind == "conv2d":
                 if spec.in_dim <= 0 or spec.out_dim <= 0 or spec.kernel <= 0:
                     raise ValueError(f"conv layer needs positive dims, got {spec}")
+                if not (isinstance(spec.stride, int) and spec.stride >= 1
+                        and isinstance(spec.padding, int) and spec.padding >= 0):
+                    raise ValueError(f"conv layer needs an int stride >= 1 and an int padding >= 0, got {spec}")
+                if rank == 2:
+                    raise ValueError(f"conv layer reads a 2-D flattened or dense output: {spec}")
                 if chan is not None and chan != spec.in_dim:
                     raise ValueError(f"conv in_dim {spec.in_dim} incompatible with previous channels {chan}")
-                chan = spec.out_dim
+                chan, rank = spec.out_dim, 4
                 name, shape = f"conv{idx}", (spec.out_dim, spec.in_dim, spec.kernel, spec.kernel)
             elif spec.kind in ("relu", "flatten"):
                 if spec.kind == "flatten":
-                    feat = chan = None
+                    feat, rank = None, 2
                 self._items.append((spec, None))
                 continue
             else:
@@ -150,10 +160,18 @@ class Model:
         for p in self.parameters():
             p.zero_grad()
 
-    def snap_params_f32(self) -> None:
-        """Round parameters onto the float32 grid used by checkpoint payloads."""
+    def snap_params_f32(self) -> bool:
+        """Round parameters onto the float32 grid used by checkpoint payloads.
+
+        Returns whether every rounded value is finite: False after an update
+        that left a value inf, NaN or beyond float32's range.
+        """
+        finite = True
         for p in self.parameters():
-            p.data = p.data.astype(np.float32).astype(np.float64)
+            snapped = p.data.astype(np.float32)
+            finite = finite and bool(np.isfinite(snapped).all())
+            p.data = snapped.astype(np.float64)
+        return finite
 
     # -- quantizer plumbing --------------------------------------------------
 

@@ -25,7 +25,7 @@ from .ternarize import THRESHOLD_PHASE, WEIGHT_PHASE, sparsity
 
 
 class DivergenceError(RuntimeError):
-    """Raised when a training loss or weight stops being finite."""
+    """Raised when a training loss, threshold or weight stops being finite."""
 
     def __init__(self, message: str, dump: dict | None = None):
         super().__init__(message)
@@ -99,10 +99,10 @@ def _batches(n: int, batch_size: int, rng: np.random.Generator):
 Batch = tuple[np.ndarray, np.ndarray]
 
 
-def _divergence(state: TrainState, phase: str, batch_index: int | None, what: str, detail: str = ""):
-    """The DivergenceError "<what> at <dump><detail>", whose dump holds the phase, epoch and batch."""
+def _divergence(state: TrainState, phase: str, batch_index: int | None, what: str):
+    """The DivergenceError "<what> at <dump>", whose dump holds the phase, epoch and batch."""
     context = {"phase": phase, "epoch": state.epoch, "batch": batch_index}
-    return DivergenceError(f"{what} at {context}{detail}", dump=context)
+    return DivergenceError(f"{what} at {context}", dump=context)
 
 
 def _loss_backward(state: TrainState, xb, yb, mode: str, phase: str, batch_index: int | None) -> float:
@@ -121,10 +121,15 @@ def _loss_backward(state: TrainState, xb, yb, mode: str, phase: str, batch_index
 
 
 def _weight_update(state: TrainState, xb, yb, mode: str, phase: str, batch_index: int | None) -> float:
-    """Back-propagate the loss in mode, step the weight optimizer and snap the parameters."""
+    """Back-propagate the loss in mode, step the weight optimizer and snap the parameters.
+
+    An update that leaves any parameter non-finite on the float32 grid
+    raises a DivergenceError at this phase and batch.
+    """
     loss_value = _loss_backward(state, xb, yb, mode, phase, batch_index)
     state.weight_opt.step()
-    state.model.snap_params_f32()
+    if not state.model.snap_params_f32():
+        raise _divergence(state, phase, batch_index, "non-finite weights")
     return loss_value
 
 
@@ -157,26 +162,12 @@ def weight_substep(state: TrainState, xb, yb, batch_index: int | None = None) ->
     return _weight_update(state, xb, yb, WEIGHT_PHASE, "weight", batch_index)
 
 
-def _finite(model: Model) -> bool:
-    return all(np.isfinite(p.data).all() for p in model.parameters())
-
-
-def _refresh(state: TrainState, batch_index: int | None) -> None:
-    """Refresh every quantizer; a weight update that overflowed fails here first, as a divergence."""
-    try:
-        state.model.refresh_all()
-    except ValueError as e:
-        if _finite(state.model):
-            raise
-        raise _divergence(state, "refresh", batch_index, "non-finite weights", f": {e}") from e
-
-
 def tern_train_step(state: TrainState, batch: Batch, batch_index: int | None = None) -> dict:
     """One alternating update on one batch; both phases see the identical batch."""
     xb, yb = batch
-    _refresh(state, batch_index)
+    state.model.refresh_all()
     t_loss = threshold_substep(state, xb, yb, batch_index)
-    _refresh(state, batch_index)
+    state.model.refresh_all()
     w_loss = weight_substep(state, xb, yb, batch_index)
     return {"threshold_loss": t_loss, "weight_loss": w_loss}
 
@@ -243,10 +234,11 @@ def train(
     and in ternary mode on a ternary one. Ternary rows also log each layer's
     threshold, clipped threshold, scale and sparsity. The rows accumulate in
     state.metrics across calls, so one call per epoch is the same run as one
-    call for all of them. A non-finite loss or threshold, a quantizer
-    refresh failing on non-finite weights, or a float state's non-finite
-    weights at the end of an epoch raises a DivergenceError whose dump holds
-    the phase, epoch and batch index. Saving the model is the caller's step.
+    call for all of them. A non-finite loss, a threshold update that leaves
+    a threshold non-finite, or a weight update that leaves a parameter
+    non-finite on the float32 grid raises a DivergenceError at that batch,
+    whose dump holds the phase, epoch and batch index. Saving the model is
+    the caller's step.
     """
     model = state.model
     ternary = state.threshold_opt is not None
@@ -260,11 +252,6 @@ def train(
         _apply_schedule(state)
         for bi, idx in enumerate(_batches(len(dataset), batch_size, state.rng)):
             step(state, (dataset.images[idx], dataset.labels[idx]), bi)
-        # An update that overflowed on the epoch's last batch fails here, not in a saved model.
-        if ternary:
-            _refresh(state, bi)
-        elif not _finite(model):
-            raise _divergence(state, "pretrain", bi, "non-finite weights")
         rows = []
         for split, ds in (("train", dataset), ("test", test_dataset)):
             if ds is not None:

@@ -483,8 +483,8 @@ def test_divergence_exits_2_and_dumps_its_context(pretrained, tmp_path, capsys, 
     dump = json.loads((out_dir / "divergence_dump.json").read_text())
     context = dump["context"]
     assert list(context) == ["phase", "epoch", "batch"]
-    # A quantize step's overflowed weights fail the next quantizer refresh, before its loss.
-    assert context["phase"] in (("pretrain",) if command == "pretrain" else ("threshold", "weight", "refresh"))
+    # Overflowed weights fail the snap onto the float32 grid in the update that made them.
+    assert context["phase"] in (("pretrain",) if command == "pretrain" else ("threshold", "weight"))
     assert context["epoch"] == 0 and context["batch"] >= 1
     assert str(context) in dump["error"]
 

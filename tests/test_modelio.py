@@ -404,12 +404,12 @@ def test_wrong_magic_across_formats(tmp_path):
 # --- one loader for both formats ----------------------------------------------
 
 
-def _hand_file(magic: bytes, arch: str, meta: str, records: int, record: bytes) -> bytes:
-    """A model file assembled with struct alone: the header, `records`
-    copies of one layer record, then the CRC-32 of all of it."""
+def _hand_file(magic: bytes, arch: str, meta: str, records: list[bytes]) -> bytes:
+    """A model file assembled with struct alone: the header, the layer
+    records, then the CRC-32 of all of it."""
     a, m = arch.encode("utf-8"), meta.encode("utf-8")
-    body = magic + struct.pack(f"<HH{len(a)}sI{len(m)}sH", 1, len(a), a, len(m), m, records)
-    body += record * records
+    body = magic + struct.pack(f"<HH{len(a)}sI{len(m)}sH", 1, len(a), a, len(m), m, len(records))
+    body += b"".join(records)
     return body + struct.pack("<I", zlib.crc32(body))
 
 
@@ -423,19 +423,23 @@ def _f32_payload(values) -> bytes:
 
 
 def _tern_mlp_8_4(arch="mlp-8-4", meta="{}", name="dense0", shape=(8, 4), bias_len=4, quantized=1, records=1,
-                  codes=None, scale=0.5, weights=None, bias=None):
+                  codes=None, scale=0.5, weights=None, bias=None, layers=None):
     """A TERN file written field by field: `records` copies of one dense
-    layer record holding the packed `codes` (all zero by default) and
-    `scale`, or, unquantized, `weights` (all zero by default), then `bias`
-    (0, 1, ... by default)."""
-    n = math.prod(shape)
-    if quantized:
-        body = struct.pack("<f", scale) + (bytes((n + 3) // 4) if codes is None else codes)
-    else:
-        body = _f32_payload([0.0] * n if weights is None else weights)
+    layer record, or one record per (name, shape) in `layers`, each holding
+    the packed `codes` (all zero by default) and `scale`, or, unquantized,
+    `weights` (all zero by default), then `bias` (0, 1, ... by default)."""
     bias = range(bias_len) if bias is None else bias
-    record = _record_head(name, shape) + struct.pack("<B", quantized) + body
-    return _hand_file(b"TERN", arch, meta, records, record + struct.pack("<I", len(bias)) + _f32_payload(bias))
+
+    def record(name, shape):
+        n = math.prod(shape)
+        if quantized:
+            body = struct.pack("<f", scale) + (bytes((n + 3) // 4) if codes is None else codes)
+        else:
+            body = _f32_payload([0.0] * n if weights is None else weights)
+        head = _record_head(name, shape) + struct.pack("<B", quantized)
+        return head + body + struct.pack("<I", len(bias)) + _f32_payload(bias)
+
+    return _hand_file(b"TERN", arch, meta, [record(*layer) for layer in layers or [(name, shape)] * records])
 
 
 TNCK_QUANT = (0.25, -0.0625, 1.15)  # delta, mu, sigma of the hand-built record
@@ -446,15 +450,19 @@ def _tnck_weights(n):
 
 
 def _tnck_mlp_8_4(arch="mlp-8-4", meta="{}", name="dense0", shape=(8, 4), bias_len=4, quantized=1, records=1,
-                  quant=TNCK_QUANT, weights=None, bias=None):
+                  quant=TNCK_QUANT, weights=None, bias=None, layers=None):
     """A TNCK file written field by field: `records` copies of one dense
-    layer record, `weights` (from _tnck_weights by default), `bias` (0, 1,
-    ... by default) and the quantizer `quant` (delta, mu, sigma)."""
-    weights = _tnck_weights(math.prod(shape)) if weights is None else weights
+    layer record, or one record per (name, shape) in `layers`, each holding
+    `weights` (from _tnck_weights by default), `bias` (0, 1, ... by
+    default) and the quantizer `quant` (delta, mu, sigma)."""
     bias = range(bias_len) if bias is None else bias
-    record = _record_head(name, shape) + _f32_payload(weights) + struct.pack("<I", len(bias)) + _f32_payload(bias)
-    record += struct.pack("<B", quantized) + (struct.pack("<3d", *quant) if quantized else b"")
-    return _hand_file(b"TNCK", arch, meta, records, record)
+
+    def record(name, shape):
+        w = _tnck_weights(math.prod(shape)) if weights is None else weights
+        body = _record_head(name, shape) + _f32_payload(w) + struct.pack("<I", len(bias)) + _f32_payload(bias)
+        return body + struct.pack("<B", quantized) + (struct.pack("<3d", *quant) if quantized else b"")
+
+    return _hand_file(b"TNCK", arch, meta, [record(*layer) for layer in layers or [(name, shape)] * records])
 
 
 def _hand_set_mlp_8_4():
@@ -512,6 +520,32 @@ def test_tern_layout_is_pinned():
 UNQUANTIZED_8_4 = '{"specs": [{"kind": "dense", "in_dim": 8, "out_dim": 4, "quantized": false}]}'
 
 
+def _custom(*specs):
+    """Helper fields for a custom arch of the spec dicts specs, with one
+    record per parametric spec, named and shaped as the spec needs."""
+    layers = []
+    for d in specs:
+        if d["kind"] == "conv2d":
+            layers.append((f"conv{len(layers)}", (d["out_dim"], d["in_dim"], d["kernel"], d["kernel"])))
+        elif d["kind"] == "dense":
+            layers.append((f"dense{len(layers)}", (d["in_dim"], d["out_dim"])))
+    return {"arch": "custom", "meta": json.dumps({"specs": specs}), "layers": layers}
+
+
+CONV_2_4 = {"kind": "conv2d", "in_dim": 2, "out_dim": 4, "kernel": 2, "quantized": True}
+DENSE_8_4 = {"kind": "dense", "in_dim": 8, "out_dim": 4, "quantized": True}
+# Custom chains whose records all match their specs, but that no input can
+# run: each is rejected at load, not at the first forward.
+NO_INPUT_RUNS = {
+    "conv-stride-zero": _custom({**CONV_2_4, "stride": 0}),
+    "conv-stride-float": _custom({**CONV_2_4, "stride": 1.5}),
+    "conv-padding-negative": _custom({**CONV_2_4, "padding": -1}),
+    "dense-reads-conv": _custom(CONV_2_4, DENSE_8_4),
+    "conv-reads-dense": _custom(DENSE_8_4, {**CONV_2_4, "in_dim": 4}),
+    "conv-reads-flatten": _custom({"kind": "flatten"}, CONV_2_4),
+}
+
+
 def test_hand_built_tern_file_loads():
     model = packed_from_bytes(_tern_mlp_8_4())
     with no_grad():
@@ -542,11 +576,12 @@ def test_hand_built_tern_file_loads():
         {"scale": -math.inf},
         {"bias": [0.0, math.nan, 2.0, 3.0]},  # every float32 payload is finite
         {"arch": "custom", "meta": UNQUANTIZED_8_4, "quantized": 0, "weights": [math.inf] + [0.0] * 31},
+        *NO_INPUT_RUNS.values(),
     ],
     ids=["bias-length", "name", "transposed", "other-arch", "missing-layer", "quantized-flag",
          "flag-byte", "metadata-type", "name-encoding", "metadata-long-int", "metadata-nesting",
          "custom-huge-spec", "extra-layer", "scale-nan", "scale-inf", "scale-minus-inf", "bias-nan",
-         "weight-inf"],
+         "weight-inf", *NO_INPUT_RUNS],
 )
 def test_tern_record_not_matching_its_spec_rejected_at_load(tmp_path, fields):
     data = _tern_mlp_8_4(**fields)
@@ -586,10 +621,12 @@ def test_tern_record_not_matching_its_spec_rejected_at_load(tmp_path, fields):
         # Every float32 payload is finite.
         {"weights": [math.inf, *_tnck_weights(32)[1:]]},
         {"bias": [0.0, math.nan, 2.0, 3.0]},
+        *NO_INPUT_RUNS.values(),
     ],
     ids=["bias-length", "name", "transposed", "other-arch", "missing-layer", "extra-layer",
          "quantized-flag", "flag-byte", "custom-huge-spec", "delta-nan", "delta-inf", "mu-nan-alone",
-         "sigma-nan-alone", "mu-inf", "sigma-inf", "sigma-zero", "sigma-negative", "weight-inf", "bias-nan"],
+         "sigma-nan-alone", "mu-inf", "sigma-inf", "sigma-zero", "sigma-negative", "weight-inf", "bias-nan",
+         *NO_INPUT_RUNS],
 )
 def test_tnck_record_not_matching_its_spec_rejected_at_load(tmp_path, fields):
     data = _tnck_mlp_8_4(**fields)

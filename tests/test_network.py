@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -102,6 +103,27 @@ def test_incompatible_chain_is_rejected_before_its_layer_asks_for_params():
     with pytest.raises(ValueError, match="conv in_dim 2 incompatible with previous channels 4"):
         Model(chain, params)
     assert asked == ["dense0", "conv0"]
+
+
+CONV_1_2 = LayerSpec("conv2d", in_dim=1, out_dim=2, kernel=3)
+
+
+@pytest.mark.parametrize(
+    "chain, match",
+    [
+        ([replace(CONV_1_2, stride=0)], "int stride >= 1"),
+        ([replace(CONV_1_2, stride=1.5)], "int stride >= 1"),
+        ([replace(CONV_1_2, padding=-1)], "int padding >= 0"),
+        ([CONV_1_2, LayerSpec("relu"), LayerSpec("dense", in_dim=2, out_dim=3)], "no flatten between them"),
+        ([LayerSpec("dense", in_dim=4, out_dim=1), CONV_1_2], "2-D flattened or dense output"),
+        ([LayerSpec("flatten"), CONV_1_2], "2-D flattened or dense output"),
+    ],
+    ids=["stride-zero", "stride-float", "padding-negative", "dense-reads-conv", "conv-reads-dense",
+         "conv-reads-flatten"],
+)
+def test_chain_that_no_input_can_run_is_rejected_at_construction(chain, match):
+    with pytest.raises(ValueError, match=match):
+        Model(chain, glorot(0))
 
 
 def test_glorot_draws_each_layer_from_one_stream_in_order():
@@ -238,3 +260,22 @@ def test_weights_are_float32_representable_at_init():
     model = build_from_config("mlp-30-10", seed=17)
     for p in model.parameters():
         assert np.array_equal(p.data, p.data.astype(np.float32).astype(np.float64))
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan, 1e39], ids=["inf", "nan", "past-float32"])
+def test_snap_params_f32_rounds_as_a_double_cast_and_reports_non_finite_values(bad):
+    model = build_from_config("mlp-30-10", seed=17)
+    rng = np.random.default_rng(17)
+    for p in model.parameters():
+        p.data = p.data + rng.normal(scale=1e-3, size=p.shape)  # off the float32 grid, as after an update
+    rounded = [p.data.astype(np.float32).astype(np.float64) for p in model.parameters()]
+    assert model.snap_params_f32() is True
+    for p, want in zip(model.parameters(), rounded):
+        assert p.data.tobytes() == want.tobytes()
+    model.param_layers()[0].b.data[2] = bad  # 1e39 is finite in float64, inf in float32
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        rounded = [p.data.astype(np.float32).astype(np.float64) for p in model.parameters()]
+        assert model.snap_params_f32() is False
+    for p, want in zip(model.parameters(), rounded):
+        assert p.data.tobytes() == want.tobytes()

@@ -211,7 +211,43 @@ def test_ternary_weights_that_overflow_are_a_divergence():
             train(state, _toy_dataset(seed=4), epochs=3, batch_size=16)
     dump = exc.value.dump
     assert list(dump) == ["phase", "epoch", "batch"]
-    assert dump["phase"] in ("threshold", "weight", "refresh") and isinstance(dump["batch"], int)
+    assert dump["phase"] in ("threshold", "weight") and isinstance(dump["batch"], int)
+
+
+@pytest.mark.parametrize("ternary, phase", [(False, "pretrain"), (True, "weight")])
+def test_weights_that_overflow_are_caught_at_the_update_that_makes_them(ternary, phase):
+    # At weight lr 1e30 the weights of mlp-6-5-3 leave float32's range in batch 1's update.
+    state = _toy_state(seed=4, w_lr=1e30)
+    if not ternary:
+        state = make_train_state(state.model, OptimizerConfig(kind="vanilla-sgd", lr=1e30), seed=4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(DivergenceError, match="^non-finite weights at ") as exc:
+            train(state, _toy_dataset(seed=4), epochs=3, batch_size=16)
+    assert exc.value.dump == {"phase": phase, "epoch": 0, "batch": 1}
+
+
+def test_an_unquantized_layer_that_overflows_is_caught_at_its_update():
+    specs = [LayerSpec("dense", in_dim=6, out_dim=5, quantized=True), LayerSpec("relu"),
+             LayerSpec("dense", in_dim=5, out_dim=3, quantized=False)]
+    model = Model(specs, glorot(4))
+    model.init_thresholds(0.1)
+    state = make_train_state(model, OptimizerConfig(kind="vanilla-sgd", lr=0.05),
+                             OptimizerConfig(kind="vanilla-sgd", lr=0.05), seed=4)
+    real_step, steps = state.weight_opt.step, []
+
+    def step():
+        real_step()
+        steps.append(None)
+        if len(steps) == 3:  # batch 2's update: finite in float64, beyond float32's range
+            model.param_layers()[1].w.data[0, 0] = 1e39
+
+    state.weight_opt.step = step
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(DivergenceError, match="^non-finite weights at ") as exc:
+            train(state, _toy_dataset(seed=4), epochs=1, batch_size=16)
+    assert exc.value.dump == {"phase": "weight", "epoch": 0, "batch": 2}
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
