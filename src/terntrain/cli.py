@@ -1,13 +1,15 @@
 """Operator surface: pretrain, quantize, eval, export, gradcheck, inspect.
 
-pretrain and quantize share one run path and one fit, trainer.train():
-pretrain trains a float train state on a fresh model, quantize a ternary one
-on the pretrain checkpoint. Each of their flags stores its text under a
-RunConfig field name and is checked by that key's parser like a value in
-the file: the flag beats TERNTRAIN_SEED (for the seed), which beats the
-file. gradcheck's --seed goes through the seed key's parser too. The
-settings, the checkpoint and both data splits load before the run directory
-is written, so a bad input leaves no run record behind.
+pretrain and quantize share one run path and one fit, trainer.train(), one
+epoch per call: pretrain trains a float train state on a fresh model,
+quantize a ternary one on the pretrain checkpoint. This module writes every
+file of a run directory; the trainer opens none. Each of their flags stores
+its text under a RunConfig field name and is checked by that key's parser
+like a value in the file: the flag beats TERNTRAIN_SEED (for the seed),
+which beats the file. gradcheck's --seed goes through the seed key's parser
+too. The settings, the checkpoint (whose arch must be the config's) and both
+data splits load before the run directory is written, so a bad input leaves
+no run record behind.
 
 Exit codes: 0 success, 1 usage/config error, 2 runtime/training failure
 (an allocation that fails included), 3 gradcheck failure.
@@ -16,6 +18,7 @@ Exit codes: 0 success, 1 usage/config error, 2 runtime/training failure
 from __future__ import annotations
 
 import argparse
+import csv
 import ctypes
 import json
 import os
@@ -84,10 +87,14 @@ def blas_threads() -> int | None:
     return None
 
 
-def _open_checkpoint(path: str) -> Model:
+def _open_checkpoint(path: str, arch: str | None = None) -> Model:
+    """The checkpoint's model; given a config's arch, a checkpoint of another arch is a config error."""
     if not os.path.exists(path):
         raise ConfigError(f"checkpoint not found: {path}")
-    return load_checkpoint(path)
+    model = load_checkpoint(path)
+    if arch is not None and model.arch != arch:
+        raise ConfigError(f"config arch {arch!r} is not the arch {model.arch!r} of checkpoint {path}")
+    return model
 
 
 def _load_split(cfg: RunConfig, split: str, model: Model, required: bool = True) -> Dataset | None:
@@ -118,12 +125,6 @@ def _load_split(cfg: RunConfig, split: str, model: Model, required: bool = True)
     return ds
 
 
-def _fresh_csv(path: str) -> str:
-    if os.path.exists(path):
-        os.remove(path)
-    return path
-
-
 def _last_accuracy(metrics: list[dict], split: str) -> float | None:
     """The accuracy of a split's last metric row; None when it has no row."""
     for row in reversed(metrics):
@@ -132,24 +133,37 @@ def _last_accuracy(metrics: list[dict], split: str) -> float | None:
     return None
 
 
-# Each training command's run record, metrics CSV and checkpoint, in out_dir.
+# Every file a training command writes in out_dir: its run record, metrics
+# CSV, checkpoint and divergence dump.
 _OUTPUTS = {
-    "pretrain": ("pretrain_run_info.json", "pretrain_metrics.csv", "pretrain.ckpt"),
-    "quantize": ("run_info.json", "metrics.csv", "ternary.ckpt"),
+    "pretrain": ("pretrain_run_info.json", "pretrain_metrics.csv", "pretrain.ckpt", "divergence_dump.json"),
+    "quantize": ("run_info.json", "metrics.csv", "ternary.ckpt", "divergence_dump.json"),
 }
 
 
+def _append_csv(path, rows: list[dict]) -> None:
+    """Append one epoch's rows to the CSV at path, below a header when the file is new."""
+    exists = os.path.exists(path)
+    with open(path, "a", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        if not exists:
+            writer.writeheader()
+        writer.writerows(rows)
+
+
 def _train_state(cfg: RunConfig, command: str) -> TrainState:
-    """pretrain: a float state on a fresh model. quantize: a ternary state on the pretrain checkpoint."""
+    """pretrain: a float state on a fresh model. quantize: a ternary state on the pretrain
+    checkpoint, refreshed at its initial thresholds, so a degenerate layer fails here."""
     if command == "pretrain":
         model = build_from_config(cfg.arch, seed=cfg.seed)
         return make_train_state(model, cfg.weight_optimizer(), seed=cfg.seed)
     if not cfg.pretrain_checkpoint:
         raise ConfigError("quantize needs a pretrain checkpoint (--checkpoint or config)")
-    model = _open_checkpoint(cfg.pretrain_checkpoint)
+    model = _open_checkpoint(cfg.pretrain_checkpoint, cfg.arch)
     if not model.quantized_layers():
         raise ConfigError(f"architecture {model.arch!r} has no quantized layers")
     model.init_thresholds(cfg.init_frac)
+    model.refresh_all()
     try:
         return make_train_state(
             model,
@@ -163,11 +177,11 @@ def _train_state(cfg: RunConfig, command: str) -> TrainState:
         raise ConfigError(str(e)) from e
 
 
-def _metadata(cfg: RunConfig, state: TrainState, metrics: list[dict]) -> dict:
+def _metadata(cfg: RunConfig, state: TrainState) -> dict:
     """The checkpoint's run record; a float run adds its last train accuracy, a ternary one grad_correctness."""
-    meta = {"epochs": cfg.epochs, "seed": cfg.seed, "final_test_accuracy": _last_accuracy(metrics, "test")}
+    meta = {"epochs": cfg.epochs, "seed": cfg.seed, "final_test_accuracy": _last_accuracy(state.metrics, "test")}
     if state.threshold_opt is None:
-        return {"kind": "pretrain", **meta, "final_train_accuracy": _last_accuracy(metrics, "train")}
+        return {"kind": "pretrain", **meta, "final_train_accuracy": _last_accuracy(state.metrics, "train")}
     return {"kind": "ternary", **meta, "grad_correctness": cfg.grad_correctness}
 
 
@@ -175,15 +189,21 @@ def cmd_run(args) -> int:
     """The one path of pretrain and quantize: a float or a ternary train state through one fit.
 
     Settings, train state and both data splits load before anything is
-    written, so a bad input leaves no run directory behind.
+    written, so a bad input leaves no run directory behind. The run then
+    removes a stale metrics CSV and divergence dump, but keeps an old
+    checkpoint until it saves its own, so a rerun that diverges leaves the
+    last good model. Each epoch's rows reach the CSV as the epoch ends.
     """
     cfg = parse_config(args.config, {f.name: getattr(args, f.name, None) for f in fields(RunConfig)})
     state = _train_state(cfg, args.command)
     train_ds = _load_split(cfg, "train", state.model)
     test_ds = _load_split(cfg, "test", state.model, required=False)
     out = cfg.out_dir
-    info_name, csv_name, ckpt_name = _OUTPUTS[args.command]
+    info_path, csv_path, ckpt_path, dump_path = (os.path.join(out, name) for name in _OUTPUTS[args.command])
     os.makedirs(out, exist_ok=True)
+    for stale in (csv_path, dump_path):
+        if os.path.exists(stale):
+            os.remove(stale)
     info = {
         "command": args.command,
         "seed": cfg.seed,
@@ -191,22 +211,21 @@ def cmd_run(args) -> int:
         "blas_threads": blas_threads(),
         "config": cfg.to_dict(),
     }
-    with open(os.path.join(out, info_name), "w") as fh:
+    with open(info_path, "w") as fh:
         json.dump(info, fh, indent=2, sort_keys=True)
-    csv_path = _fresh_csv(os.path.join(out, csv_name))
     try:
-        metrics = train(
-            state, train_ds, cfg.epochs, batch_size=cfg.batch_size, test_dataset=test_ds, csv_path=csv_path
-        )
+        for _ in range(cfg.epochs):
+            logged = len(state.metrics)
+            train(state, train_ds, 1, batch_size=cfg.batch_size, test_dataset=test_ds)
+            _append_csv(csv_path, state.metrics[logged:])
     except DivergenceError as e:
         try:
-            with open(os.path.join(out, "divergence_dump.json"), "w") as fh:
+            with open(dump_path, "w") as fh:
                 json.dump({"error": str(e), "context": e.dump}, fh, indent=2)
         except OSError:
             pass
         raise
-    meta = _metadata(cfg, state, metrics)
-    ckpt_path = os.path.join(out, ckpt_name)
+    meta = _metadata(cfg, state)
     save_checkpoint(state.model, ckpt_path, meta)
     print(f"{args.command} done: checkpoint={ckpt_path}")
     split = "test" if meta["final_test_accuracy"] is not None else "train"
@@ -217,7 +236,7 @@ def cmd_run(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = parse_config(args.config)
-    model = _open_checkpoint(args.checkpoint)
+    model = _open_checkpoint(args.checkpoint, cfg.arch)
     ds = _load_split(cfg, args.split, model)
     acc = eval_loss_acc(model, ds, args.mode)[1]
     print(f"mode={args.mode} split={args.split} accuracy={acc:.6f}")

@@ -7,13 +7,12 @@ batch: refresh every quantizer, update only the thresholds through the scale
 path, refresh again to re-synchronize the codes, then update only the
 weights through the straight-through path. The second refresh is what keeps
 the weight phase consistent with the threshold it just moved. Its epochs are
-evaluated in ternary mode and log each layer's quantizer.
+evaluated in ternary mode and log each layer's quantizer. The module opens
+no file; the CLI writes every file of a run.
 """
 
 from __future__ import annotations
 
-import csv
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -207,25 +206,12 @@ def _quantizer_columns(model: Model) -> dict:
     return cols
 
 
-def _append_csv(path, rows: list[dict]) -> None:
-    if path is None or not rows:
-        return
-    fieldnames = list(rows[0].keys())
-    exists = os.path.exists(path)
-    with open(path, "a", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
-        if not exists:
-            writer.writeheader()
-        writer.writerows(rows)
-
-
 def train(
     state: TrainState,
     dataset,
     epochs: int,
     batch_size: int = 64,
     test_dataset=None,
-    csv_path=None,
 ) -> list[dict]:
     """Train state.model in place for another epochs epochs; returns state.metrics.
 
@@ -234,11 +220,12 @@ def train(
     and in ternary mode on a ternary one. Ternary rows also log each layer's
     threshold, clipped threshold, scale and sparsity. The rows accumulate in
     state.metrics across calls, so one call per epoch is the same run as one
-    call for all of them. A non-finite loss, a threshold update that leaves
-    a threshold non-finite, or a weight update that leaves a parameter
-    non-finite on the float32 grid raises a DivergenceError at that batch,
-    whose dump holds the phase, epoch and batch index. Saving the model is
-    the caller's step.
+    call for all of them: a caller that logs each epoch's rows as it ends
+    calls it once per epoch. A non-finite loss, a threshold update that
+    leaves a threshold non-finite, or a weight update that leaves a
+    parameter non-finite on the float32 grid raises a DivergenceError at
+    that batch, whose dump holds the phase, epoch and batch index. It opens
+    no file: writing the rows and saving the model are the caller's steps.
     """
     model = state.model
     ternary = state.threshold_opt is not None
@@ -252,14 +239,11 @@ def train(
         _apply_schedule(state)
         for bi, idx in enumerate(_batches(len(dataset), batch_size, state.rng)):
             step(state, (dataset.images[idx], dataset.labels[idx]), bi)
-        rows = []
         for split, ds in (("train", dataset), ("test", test_dataset)):
             if ds is not None:
                 loss, acc = eval_loss_acc(model, ds, "ternary" if ternary else "float")
                 row = {"epoch": state.epoch, "split": split, "loss": loss, "accuracy": acc}
-                rows.append({**row, **_quantizer_columns(model)} if ternary else row)
-        state.metrics.extend(rows)
-        _append_csv(csv_path, rows)
+                state.metrics.append({**row, **_quantizer_columns(model)} if ternary else row)
         state.epoch += 1
     return state.metrics
 
@@ -272,12 +256,11 @@ def pretrain(
     batch_size: int = 64,
     seed: int = 0,
     test_dataset=None,
-    csv_path=None,
 ) -> list[dict]:
     """Train the full-precision model in place; returns its metric rows.
 
     train() on a fresh float state: zero epochs leave the initialization
-    unchanged.
+    unchanged. Like train(), it writes no file.
     """
     state = make_train_state(model, cfg, seed=seed)
-    return train(state, dataset, epochs, batch_size=batch_size, test_dataset=test_dataset, csv_path=csv_path)
+    return train(state, dataset, epochs, batch_size=batch_size, test_dataset=test_dataset)

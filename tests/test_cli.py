@@ -14,7 +14,8 @@ import terntrain
 from terntrain.cli import blas_threads, build_id, build_parser, main
 from terntrain.config import config_from_pairs, parse_kv_text
 from terntrain.data import make_synth_mnist, save_idx_images, save_idx_labels
-from terntrain.modelio import load_checkpoint
+from terntrain.modelio import load_checkpoint, save_checkpoint
+from terntrain.ternarize import is_fresh
 
 
 @pytest.fixture(scope="module")
@@ -317,11 +318,12 @@ def _bad_input(command, case, root, cfg, ckpt, tmp_path):
     text = cfg.read_text()
     if case == "features-misfit":
         # pretrain builds the config's mlp-2-4-2; quantize reads the
-        # mlp-784-16-10 checkpoint, which 2 features do not fit either.
+        # config's mlp-784-16-10 checkpoint, which 2 features do not fit either.
         rows = "0,0.1,0.2,0.3\n1,0.4,0.5,0.6\n" if command == "pretrain" else "0,0.1,0.2\n1,0.4,0.5\n"
         (tmp_path / "train.csv").write_text(rows)
-        text = text.replace("arch = mlp-784-16-10", "arch = mlp-2-4-2").replace("dataset = idx", "dataset = csv")
-        return text + f"train_csv = {tmp_path / 'train.csv'}\n", ckpt, 1
+        if command == "pretrain":
+            text = text.replace("arch = mlp-784-16-10", "arch = mlp-2-4-2")
+        return text.replace("dataset = idx", "dataset = csv") + f"train_csv = {tmp_path / 'train.csv'}\n", ckpt, 1
     if case == "missing-data":
         return text.replace(str(root / "train_img.idx"), str(tmp_path / "nope.idx")), ckpt, 1
     if case == "label-out-of-range":
@@ -421,9 +423,36 @@ def test_bad_input_fails_before_the_run_directory_is_written(
         width = 3 if command == "pretrain" else 2
         arch = "mlp-2-4-2" if command == "pretrain" else "mlp-784-16-10"
         assert f"config error: train split: samples of shape ({width},) do not fit arch {arch!r}" in err
+    if case == "features-misfit" and command == "quantize":
         # eval checks the split it reads against its checkpoint the same way.
         assert main(["eval", "--config", str(bad_cfg), "--checkpoint", str(ckpt), "--split", "train"]) == 1
         assert "config error: train split: samples of shape" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command", ["quantize", "eval"])
+def test_a_config_arch_that_is_not_the_checkpoints_is_a_config_error(pretrained, tmp_path, capsys, command):
+    root, cfg, ckpt = pretrained
+    other_cfg = tmp_path / "other.cfg"
+    other_cfg.write_text(cfg.read_text().replace("arch = mlp-784-16-10", "arch = lenet-small"))
+    out_dir = tmp_path / "out"
+    argv = [command, "--config", str(other_cfg), "--checkpoint", str(ckpt)]
+    assert main(argv + (["--out-dir", str(out_dir)] if command == "quantize" else [])) == 1
+    err = capsys.readouterr().err
+    assert err == f"config error: config arch 'lenet-small' is not the arch 'mlp-784-16-10' of checkpoint {ckpt}\n"
+    assert not out_dir.exists()
+
+
+def test_a_degenerate_checkpoint_leaves_no_run_directory(pretrained, tmp_path, capsys):
+    root, cfg, ckpt = pretrained
+    model = load_checkpoint(ckpt)
+    dense1 = model.param_layers()[1]
+    dense1.w.data = np.full_like(dense1.w.data, 0.25)
+    save_checkpoint(model, tmp_path / "pretrain.ckpt", model.meta)
+    out_dir = tmp_path / "out"
+    argv = ["quantize", "--config", str(cfg), "--checkpoint", str(tmp_path / "pretrain.ckpt")]
+    assert main(argv + ["--out-dir", str(out_dir)]) == 2
+    assert "runtime error: all weights equal" in capsys.readouterr().err
     assert not out_dir.exists()
 
 
@@ -502,6 +531,54 @@ def test_a_float_run_that_overflows_on_its_last_step_saves_no_checkpoint(pretrai
     dump = json.loads((out_dir / "divergence_dump.json").read_text())
     assert dump["context"] == {"phase": "pretrain", "epoch": 0, "batch": 0}
     assert not (out_dir / "pretrain.ckpt").exists()
+
+
+def test_a_rerun_removes_a_stale_dump_and_keeps_the_last_good_checkpoint(pretrained, tmp_path, capsys):
+    root, cfg, _ = pretrained
+    bad_cfg = tmp_path / "diverge.cfg"
+    bad_cfg.write_text(cfg.read_text().replace("weight_lr = 0.1", "weight_lr = 1e30"))
+    out_dir = tmp_path / "out"
+    argv = ["pretrain", "--epochs", "1", "--out-dir", str(out_dir), "--config"]
+    assert main(argv + [str(cfg)]) == 0
+    good = (out_dir / "pretrain.ckpt").read_bytes()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert main(argv + [str(bad_cfg)]) == 2
+    assert (out_dir / "divergence_dump.json").exists()
+    assert (out_dir / "pretrain.ckpt").read_bytes() == good
+    assert main(argv + [str(cfg)]) == 0
+    assert sorted(os.listdir(out_dir)) == ["pretrain.ckpt", "pretrain_metrics.csv", "pretrain_run_info.json"]
+
+
+def test_a_quantize_that_diverges_in_epoch_1_keeps_epoch_0s_rows(pretrained, tmp_path, monkeypatch, capsys):
+    root, cfg, ckpt = pretrained
+    argv = ["quantize", "--config", str(cfg), "--checkpoint", str(ckpt)]
+    assert main(argv + ["--epochs", "1", "--out-dir", str(tmp_path / "one")]) == 0
+    step = terntrain.trainer.tern_train_step
+
+    def nan_thresholds_from_epoch_1(state, batch, batch_index=None):
+        if state.epoch == 1:
+            monkeypatch.setattr(terntrain.optim.ThresholdOptimizer, "update", lambda self, name, delta, g: np.nan)
+        return step(state, batch, batch_index)
+
+    monkeypatch.setattr(terntrain.trainer, "tern_train_step", nan_thresholds_from_epoch_1)
+    out_dir = tmp_path / "out"
+    assert main(argv + ["--epochs", "3", "--out-dir", str(out_dir)]) == 2
+    dump = json.loads((out_dir / "divergence_dump.json").read_text())
+    assert dump["context"] == {"phase": "threshold", "epoch": 1, "batch": 0}
+    assert (out_dir / "metrics.csv").read_bytes() == (tmp_path / "one" / "metrics.csv").read_bytes()
+    assert not (out_dir / "ternary.ckpt").exists()
+
+
+def test_a_zero_epoch_quantize_saves_a_model_that_loads_fresh(pretrained, tmp_path):
+    root, cfg, ckpt = pretrained
+    out_dir = tmp_path / "q"
+    argv = ["quantize", "--config", str(cfg), "--checkpoint", str(ckpt), "--epochs", "0", "--out-dir", str(out_dir)]
+    assert main(argv) == 0
+    model = load_checkpoint(out_dir / "ternary.ckpt")
+    assert [layer.name for layer in model.quantized_layers()] == ["dense0", "dense1"]
+    for layer in model.quantized_layers():
+        assert is_fresh(layer.qstate, layer.w.data)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])

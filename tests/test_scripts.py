@@ -1,6 +1,7 @@
 """The scripts and the benchmark use only terntrain names that exist, the
-package defines no public name that only tests read, the digest script
-reruns byte-identically, and the fixture script writes the desk's splits.
+package defines no public name that only tests read, the trainer does no file
+I/O, the digest script reruns byte-identically, and the fixture script
+writes the desk's splits.
 
 Of these files only `scripts/rerun_digest.py` and `scripts/make_synth_mnist.py`
 run in this suite, so a deleted or renamed name that another imports would
@@ -167,6 +168,29 @@ def test_the_dead_api_check_flags_a_test_only_name():
     readers = [*modules.values(), "from terntrain import core\ncore.Used()\n"]
     assert unread_public_names(modules, readers, {"entrypoint"}) == ["core.planted_test_only"]
     assert unread_public_names(modules, readers, set()) == ["cli.entrypoint", "core.planted_test_only"]
+
+
+def file_io(source: str) -> list[str]:
+    """"<line>: <what>" for each `open` call and each import of csv or os in the source."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and "open" in (getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+            found.append((node.lineno, "open()"))
+        elif isinstance(node, ast.Import):
+            found += [(node.lineno, f"import {a.name}") for a in node.names if a.name.split(".")[0] in ("csv", "os")]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] in ("csv", "os"):
+            found.append((node.lineno, f"from {node.module} import"))
+    return [f"{line}: {what}" for line, what in sorted(found)]
+
+
+def test_the_trainer_does_no_file_io():
+    """The CLI writes every file of a run; the trainer computes and returns rows."""
+    assert file_io((ROOT / "src" / PACKAGE / "trainer.py").read_text()) == []
+
+
+def test_the_file_io_check_flags_open_and_csv_and_os():
+    source = "import csv\nfrom os import path\nimport os.path as p\nopen('a')\nio.open('b')\nnp.load('c')\nimport io\n"
+    assert file_io(source) == ["1: import csv", "2: from os import", "3: import os.path", "4: open()", "5: open()"]
 
 
 def test_the_digest_script_reruns_byte_identically_in_fresh_processes():

@@ -13,8 +13,8 @@ from terntrain.gaussian import (
     d_truncated_mean_d_delta,
     truncated_upper_mean,
 )
-from terntrain.modelio import checkpoint_to_bytes
-from terntrain import network, ternarize, trainer
+from terntrain.modelio import checkpoint_to_bytes, load_checkpoint, save_checkpoint
+from terntrain import cli, network, ternarize, trainer
 from terntrain.autograd import softmax_cross_entropy
 from terntrain.network import FLOAT_MODE, LayerSpec, Model, build_from_config, glorot
 from terntrain.optim import OptimizerConfig
@@ -315,18 +315,18 @@ def test_pretrain_deterministic_checkpoint_bytes():
     assert run() == run()
 
 
-def test_float_train_one_epoch_per_call_is_one_multi_epoch_call(tmp_path):
+def test_float_train_one_epoch_per_call_is_one_multi_epoch_call():
     ds, test = _toy_dataset(seed=17), _toy_dataset(seed=18)
     cfg = OptimizerConfig(kind="sgd-momentum", lr=0.05, momentum=0.9)
 
-    def run(calls, epochs, name):
+    def run(calls, epochs):
         state = make_train_state(build_from_config("mlp-6-5-3", seed=17), cfg, seed=17)
         for _ in range(calls):
-            train(state, ds, epochs, batch_size=16, test_dataset=test, csv_path=tmp_path / name)
-        return state.metrics, checkpoint_to_bytes(state.model), (tmp_path / name).read_bytes()
+            train(state, ds, epochs, batch_size=16, test_dataset=test)
+        return state.metrics, checkpoint_to_bytes(state.model)
 
-    per_epoch = run(3, 1, "a.csv")
-    assert per_epoch == run(1, 3, "b.csv")
+    per_epoch = run(3, 1)
+    assert per_epoch == run(1, 3)
     rows = per_epoch[0]
     assert [(r["epoch"], r["split"]) for r in rows] == [(e, s) for e in range(3) for s in ("train", "test")]
     assert all(list(r) == ["epoch", "split", "loss", "accuracy"] for r in rows)  # no quantizer columns
@@ -384,18 +384,29 @@ def test_schedule_breakpoints_apply():
     assert state.threshold_opt.lr == pytest.approx(0.02)
 
 
+def _write_csv_split(path, ds):
+    path.write_text("".join(f"{y}," + ",".join(map(repr, x)) + "\n" for x, y in zip(ds.images.tolist(), ds.labels)))
+
+
 def test_metrics_csv_layout(tmp_path):
-    path = tmp_path / "metrics.csv"
-    state = _toy_state(seed=12)
-    ds = _toy_dataset(seed=12)
-    train(state, ds, epochs=2, batch_size=32, test_dataset=_toy_dataset(seed=13), csv_path=path)
-    with open(path) as fh:
+    # train() writes no file: the metrics CSV is the one `terntrain quantize` writes.
+    save_checkpoint(build_from_config("mlp-6-5-3", seed=12), tmp_path / "pretrain.ckpt")
+    _write_csv_split(tmp_path / "train.csv", _toy_dataset(seed=12))
+    _write_csv_split(tmp_path / "test.csv", _toy_dataset(seed=13))
+    (tmp_path / "run.cfg").write_text(
+        f"arch = mlp-6-5-3\ndataset = csv\ntrain_csv = {tmp_path / 'train.csv'}\ntest_csv = {tmp_path / 'test.csv'}\n"
+        "epochs = 2\nbatch_size = 32\nseed = 12\nweight_opt = vanilla-sgd\nweight_lr = 0.05\n"
+        f"threshold_lr = 0.05\ninit_frac = 0.1\npretrain_checkpoint = {tmp_path / 'pretrain.ckpt'}\n"
+        f"out_dir = {tmp_path / 'run'}\n"
+    )
+    assert cli.main(["quantize", "--config", str(tmp_path / "run.cfg")]) == 0
+    with open(tmp_path / "run" / "metrics.csv") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 4  # train + test per epoch
     assert rows[0]["split"] == "train" and rows[1]["split"] == "test"
     for col in ("epoch", "split", "loss", "accuracy"):
         assert col in rows[0]
-    for layer in state.model.quantized_layers():
+    for layer in load_checkpoint(tmp_path / "run" / "ternary.ckpt").quantized_layers():
         for suffix in ("delta", "delta_c", "scale", "sparsity"):
             assert f"{layer.name}_{suffix}" in rows[0]
 
