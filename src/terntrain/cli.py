@@ -134,9 +134,10 @@ def _last_accuracy(metrics: list[dict], split: str) -> float | None:
 
 
 # Every file a training command writes in out_dir: its run record, metrics
-# CSV, checkpoint and divergence dump.
+# CSV, checkpoint and divergence dump. No two commands share a name, so a run
+# removes no file of the other command's run in the same directory.
 _OUTPUTS = {
-    "pretrain": ("pretrain_run_info.json", "pretrain_metrics.csv", "pretrain.ckpt", "divergence_dump.json"),
+    "pretrain": ("pretrain_run_info.json", "pretrain_metrics.csv", "pretrain.ckpt", "pretrain_divergence_dump.json"),
     "quantize": ("run_info.json", "metrics.csv", "ternary.ckpt", "divergence_dump.json"),
 }
 

@@ -44,8 +44,8 @@ from .network import LayerSpec, Model, arch_specs
 from .ternarize import (
     WEIGHT_PHASE,
     QuantizerState,
+    check_fresh,
     dead_outputs,
-    is_fresh,
     layer_stats,
     refresh,
     set_codes,
@@ -355,9 +355,8 @@ def _write_packed_layer(layer) -> bytes:
     st = layer.qstate
     if st is None:
         body = struct.pack("<B", 0) + _f32_bytes(layer.w.data)
-    elif not is_fresh(st, layer.w.data):
-        raise ValueError(f"stale quantizer state on layer {layer.name}; refresh before exporting")
     else:
+        check_fresh(st, layer.w.data, layer.name)
         body = struct.pack("<B", 1) + _f32_bytes([st.scale]) + pack_codes(st.codes)
     return body + struct.pack("<I", layer.b.size) + _f32_bytes(layer.b.data)
 
@@ -388,12 +387,6 @@ def packed_from_bytes(data: bytes) -> Model:
     model = _load(data, PACKED_MAGIC, _read_packed_layer)
     model.packed = True
     return model
-
-
-def load_packed(path) -> Model:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    return packed_from_bytes(data)
 
 
 def export_packed(model: Model, path) -> dict:

@@ -26,7 +26,7 @@ from .ternarize import (
     THRESHOLD_PHASE,
     WEIGHT_PHASE,
     QuantizerState,
-    assert_fresh,
+    check_fresh,
     refresh,
     ste_codes_node,
     tern,  # noqa: F401  re-exported: tracing tools wrap network.tern by name
@@ -222,7 +222,7 @@ class Model:
             # S * linop(Tern(w)): the threshold phase differentiates S through
             # the threshold with the codes a constant, the weight phase the codes
             # through the straight-through rule with S a constant.
-            assert_fresh(st, layer.w.data)
+            check_fresh(st, layer.w.data, layer.name)
             if mode == THRESHOLD_PHASE:
                 leaf = Tensor(np.float64(st.delta), requires_grad=True)
                 self.delta_leaves[layer.name] = leaf

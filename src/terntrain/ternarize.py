@@ -159,11 +159,14 @@ def is_fresh(state: QuantizerState, w: np.ndarray) -> bool:
     return w is state.source and not w.flags.writeable
 
 
-def assert_fresh(state: QuantizerState, w: np.ndarray) -> None:
-    assert is_fresh(state, w), (
-        "stale quantizer state: the weights were replaced since the last "
-        "refresh(); call refresh() after any weight update"
-    )
+def check_fresh(state: QuantizerState, w: np.ndarray, name: str) -> None:
+    """Raise ValueError unless the state is fresh for w. A forward and an export
+    call it, so the check holds under python -O, which strips an assert."""
+    if not is_fresh(state, w):
+        raise ValueError(
+            f"stale quantizer state on layer {name}: the weights were replaced "
+            "since the last refresh(); call refresh() after any weight update"
+        )
 
 
 def ste_codes_node(w: Tensor, state: QuantizerState, grad_correctness: bool = True) -> Tensor:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import terntrain
-from terntrain.cli import blas_threads, build_id, build_parser, main
+from terntrain.cli import _OUTPUTS, blas_threads, build_id, build_parser, main
 from terntrain.config import config_from_pairs, parse_kv_text
 from terntrain.data import make_synth_mnist, save_idx_images, save_idx_labels
 from terntrain.modelio import load_checkpoint, save_checkpoint
@@ -496,6 +496,9 @@ def test_empty_out_dir_is_a_config_error(pretrained, tmp_path, monkeypatch, caps
     assert os.listdir(tmp_path) == ["bad.cfg"]
 
 
+DUMPS = {"pretrain": "pretrain_divergence_dump.json", "quantize": "divergence_dump.json"}
+
+
 @pytest.mark.parametrize("command", ["pretrain", "quantize"])
 def test_divergence_exits_2_and_dumps_its_context(pretrained, tmp_path, capsys, command):
     root, cfg, ckpt = pretrained
@@ -509,7 +512,7 @@ def test_divergence_exits_2_and_dumps_its_context(pretrained, tmp_path, capsys, 
         warnings.simplefilter("ignore", RuntimeWarning)
         assert main(argv) == 2
     assert capsys.readouterr().err.startswith("runtime error: non-finite ")
-    dump = json.loads((out_dir / "divergence_dump.json").read_text())
+    dump = json.loads((out_dir / DUMPS[command]).read_text())
     context = dump["context"]
     assert list(context) == ["phase", "epoch", "batch"]
     # Overflowed weights fail the snap onto the float32 grid in the update that made them.
@@ -528,7 +531,7 @@ def test_a_float_run_that_overflows_on_its_last_step_saves_no_checkpoint(pretrai
         warnings.simplefilter("ignore", RuntimeWarning)
         assert main(["pretrain", "--config", str(bad_cfg), "--epochs", "1", "--out-dir", str(out_dir)]) == 2
     assert capsys.readouterr().err.startswith("runtime error: non-finite weights ")
-    dump = json.loads((out_dir / "divergence_dump.json").read_text())
+    dump = json.loads((out_dir / "pretrain_divergence_dump.json").read_text())
     assert dump["context"] == {"phase": "pretrain", "epoch": 0, "batch": 0}
     assert not (out_dir / "pretrain.ckpt").exists()
 
@@ -544,10 +547,30 @@ def test_a_rerun_removes_a_stale_dump_and_keeps_the_last_good_checkpoint(pretrai
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         assert main(argv + [str(bad_cfg)]) == 2
-    assert (out_dir / "divergence_dump.json").exists()
+    assert (out_dir / "pretrain_divergence_dump.json").exists()
     assert (out_dir / "pretrain.ckpt").read_bytes() == good
     assert main(argv + [str(cfg)]) == 0
     assert sorted(os.listdir(out_dir)) == ["pretrain.ckpt", "pretrain_metrics.csv", "pretrain_run_info.json"]
+
+
+def test_a_good_quantize_keeps_the_dump_of_a_diverged_pretrain_in_its_directory(pretrained, tmp_path, capsys):
+    root, cfg, ckpt = pretrained
+    bad_cfg = tmp_path / "diverge.cfg"
+    bad_cfg.write_text(cfg.read_text().replace("weight_lr = 0.1", "weight_lr = 1e30"))
+    out_dir = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert main(["pretrain", "--config", str(bad_cfg), "--epochs", "1", "--out-dir", str(out_dir)]) == 2
+    dump = (out_dir / "pretrain_divergence_dump.json").read_bytes()
+    argv = ["quantize", "--config", str(cfg), "--checkpoint", str(ckpt), "--epochs", "1", "--out-dir", str(out_dir)]
+    assert main(argv) == 0
+    assert (out_dir / "pretrain_divergence_dump.json").read_bytes() == dump
+    assert (out_dir / "pretrain_run_info.json").exists() and not (out_dir / "pretrain.ckpt").exists()
+
+
+def test_no_two_commands_share_an_output_name():
+    names = [name for outputs in _OUTPUTS.values() for name in outputs]
+    assert len(set(names)) == len(names)
 
 
 def test_a_quantize_that_diverges_in_epoch_1_keeps_epoch_0s_rows(pretrained, tmp_path, monkeypatch, capsys):

@@ -28,17 +28,20 @@ from terntrain.trainer import eval_loss_acc, make_train_state, tern_train_step
 RTOL = ATOL = 1e-11
 
 
-def _mlp_with_dead_columns(seed=0):
-    """mlp-784-300-100-10 with 60%, 20% and 30% of its layers' columns
-    shrunk into the threshold band, as training leaves dense0 and dense1."""
+def mlp_with_dead_columns(seed=0, shares=(0.6, 0.2, 0.3), f32_biases=False):
+    """mlp-784-300-100-10 with each share of its three layers' columns shrunk
+    into the threshold band: dead columns planted, as a threshold that runs to
+    the 3-sigma clip leaves them in dense0 and dense1. With f32_biases the
+    biases lie on the float32 grid, as a TERN file stores them."""
     rng = np.random.default_rng(seed)
     model = build_from_config("mlp-784-300-100-10", seed=seed)
-    for layer, share in zip(model.quantized_layers(), (0.6, 0.2, 0.3)):
+    for layer, share in zip(model.quantized_layers(), shares):
         w = layer.w.data.copy()
         dead = rng.permutation(w.shape[1])[: int(share * w.shape[1])]
         w[:, dead] *= 0.01
         layer.w.data = w
-        layer.b.data = rng.normal(scale=0.1, size=layer.b.size)
+        b = rng.normal(scale=0.1, size=layer.b.size)
+        layer.b.data = b.astype(np.float32).astype(np.float64) if f32_biases else b
     model.init_thresholds(0.4)
     model.refresh_all()
     return model
@@ -151,7 +154,7 @@ def test_no_dead_column_keeps_the_plain_path():
 
 @pytest.mark.parametrize("mode", [THRESHOLD_PHASE, WEIGHT_PHASE])
 def test_both_phases_and_all_gradients_match_the_full_codes(mode):
-    model = _mlp_with_dead_columns(seed=3)
+    model = mlp_with_dead_columns(seed=3)
     live = [l.qstate.live_columns[0].size for l in model.quantized_layers()]
     assert all(n <= most for n, most in zip(live, (120, 80, 7)))
     rng = np.random.default_rng(4)
@@ -164,7 +167,7 @@ def test_both_phases_and_all_gradients_match_the_full_codes(mode):
 
 
 def test_ternary_eval_logits_match_the_full_codes():
-    model = _mlp_with_dead_columns(seed=5)
+    model = mlp_with_dead_columns(seed=5)
     x = np.random.default_rng(6).normal(size=(256, 784))
     with ag.no_grad():
         got = model.forward(x, WEIGHT_PHASE).data
@@ -262,7 +265,7 @@ def _lenet_small(seed=0):
 
 @pytest.mark.parametrize(
     "make, shape",
-    [(_mlp_with_dead_columns, (32, 784)), (_lenet_small, (32, 1, 28, 28))],
+    [(mlp_with_dead_columns, (32, 784)), (_lenet_small, (32, 1, 28, 28))],
     ids=["mlp-784-300-100-10-dead-columns", "lenet-small"],
 )
 def test_both_phases_give_bit_identical_logits_at_one_state(make, shape):

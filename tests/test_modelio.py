@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from terntrain import kernels, modelio, network
 from terntrain.autograd import no_grad
-from terntrain.data import Dataset, make_synth_mnist
+from terntrain.data import Dataset
 from terntrain.modelio import (
     BadMagicError,
     CrcMismatchError,
@@ -23,7 +23,6 @@ from terntrain.modelio import (
     checkpoint_to_bytes,
     export_packed,
     load_checkpoint,
-    load_packed,
     load_packed_and_infer,
     pack_codes,
     packed_from_bytes,
@@ -35,6 +34,8 @@ from terntrain.network import FLOAT_MODE, LayerSpec, Model, arch_specs, build_fr
 from terntrain.optim import OptimizerConfig
 from terntrain.ternarize import THRESHOLD_PHASE, WEIGHT_PHASE, DegenerateLayerError, QuantizerState, is_fresh
 from terntrain.trainer import eval_loss_acc, make_train_state, pretrain, train
+
+from test_live_columns import mlp_with_dead_columns
 
 
 def _trained_like_model(arch="mlp-16-8-4", seed=0, delta=0.2):
@@ -166,7 +167,7 @@ def test_checkpoint_saved_before_refresh_loads_stale(tmp_path):
     assert (r.qstate.mu, r.qstate.sigma) == saved
     assert not is_fresh(r.qstate, r.w.data)
     x = np.random.default_rng(4).normal(size=(3, 16))
-    with pytest.raises(AssertionError, match="stale"):
+    with pytest.raises(ValueError, match="stale"):
         restored.forward(x, WEIGHT_PHASE)
     with pytest.raises(ValueError, match="stale"):
         export_packed(restored, tmp_path / "stale.tern")
@@ -329,7 +330,7 @@ def test_rebinding_equal_weights_trips_forward_and_export(tmp_path):
     with pytest.raises(ValueError, match="read-only"):
         layer.w.data[0, 0] = 0.0
     layer.w.data = layer.w.data.copy()
-    with pytest.raises(AssertionError, match="stale"):
+    with pytest.raises(ValueError, match="stale"):
         model.forward(np.zeros((1, 16)), WEIGHT_PHASE)
     with pytest.raises(ValueError, match="stale"):
         export_packed(model, tmp_path / "stale.tern")
@@ -590,8 +591,6 @@ def test_tern_record_not_matching_its_spec_rejected_at_load(tmp_path, fields):
     path = tmp_path / "bad.tern"
     path.write_bytes(data)
     with pytest.raises(FormatError):
-        load_packed(path)
-    with pytest.raises(FormatError):
         load_packed_and_infer(path, np.zeros((1, 8)))
 
 
@@ -669,7 +668,7 @@ def test_loading_draws_no_random_init(tmp_path, monkeypatch):
     monkeypatch.setattr(np.random, "default_rng", no_init)
     assert np.array_equal(load_checkpoint(tmp_path / "m.ckpt").forward(x, WEIGHT_PHASE).data,
                           model.forward(x, WEIGHT_PHASE).data)
-    load_packed(tmp_path / "m.tern")
+    packed_from_bytes((tmp_path / "m.tern").read_bytes())
 
 
 # --- packed models --------------------------------------------------------------
@@ -745,38 +744,25 @@ def test_packed_inference_matches_reference_interpreter_bit_for_bit(tmp_path, ar
         assert np.allclose(got, in_memory, rtol=1e-6, atol=1e-9)
 
 
-def _mlp_with_dead_columns(seed):
-    rng = np.random.default_rng(seed)
-    model = build_from_config("mlp-784-300-100-10", seed=seed)
-    for layer, share in zip(model.quantized_layers(), (0.7, 0.2, 0.0)):
-        w = layer.w.data.copy()
-        w[:, rng.permutation(w.shape[1])[: int(share * w.shape[1])]] *= 0.01
-        layer.w.data = w
-        layer.b.data = rng.normal(scale=0.1, size=layer.b.size).astype(np.float32).astype(np.float64)
-    model.init_thresholds(0.4)
-    model.refresh_all()
-    return model
-
-
 def test_packed_model_with_dead_columns_matches_the_full_codes(tmp_path):
-    model = _mlp_with_dead_columns(seed=24)
+    model = mlp_with_dead_columns(seed=24, shares=(0.7, 0.2, 0.0), f32_biases=True)
     path = tmp_path / "dead.tern"
     export_packed(model, path)
     data = path.read_bytes()
-    packed = load_packed(path)
-    for layer, source in zip(packed.quantized_layers(), model.quantized_layers()):
-        codes = source.qstate.codes
-        live = np.flatnonzero(codes.any(axis=0))
-        if live.size == codes.shape[1]:
+    packed = packed_from_bytes(data)
+    live = [l.qstate.live_columns for l in model.quantized_layers()]
+    assert live[0] is not None and live[1] is not None and live[2] is None
+    for layer, source in zip(packed.quantized_layers(), live):
+        assert np.array_equal(layer.qstate.codes, layer.w.data)
+        if source is None:
             assert layer.qstate.live_columns is None
             continue
         idx, cols = layer.qstate.live_columns
-        assert np.array_equal(idx, live)
-        assert cols.dtype == np.float64 and not cols.flags.writeable
-        assert np.array_equal(cols, codes[:, idx])
-    dense0_live = packed.quantized_layers()[0].qstate.live_columns[0]
-    assert dense0_live.size < 100
-    assert np.array_equal(dense0_live, model.quantized_layers()[0].qstate.live_columns[0])
+        assert np.array_equal(idx, source[0]) and idx.dtype == source[0].dtype
+        assert np.array_equal(idx, np.flatnonzero(layer.qstate.codes.any(axis=0)))
+        assert cols.dtype == np.float64 and cols.flags.c_contiguous and not cols.flags.writeable
+        assert cols.tobytes() == source[1].tobytes()
+    assert live[0][0].size < 100
     # A GEMM over fewer columns may sum in another order: within float64
     # rounding of the 784-term sums (see tests/test_live_columns.py).
     x = np.random.default_rng(25).normal(size=(64, 784))
@@ -788,40 +774,11 @@ def test_packed_model_with_dead_columns_matches_the_full_codes(tmp_path):
     assert packed_to_bytes(packed) == data
 
 
-def test_packed_round_trip_of_a_trained_mlp_keeps_its_live_columns_bit_for_bit(tmp_path):
-    images, labels = make_synth_mnist(2048, seed=1)
-    ds = Dataset((images.reshape(2048, -1) / 255.0 - 0.2647) / 0.2075, labels, 0.2647, 0.2075)
-    model = build_from_config("mlp-784-300-100-10", seed=1)
-    pretrain(model, ds, OptimizerConfig(kind="vanilla-sgd", lr=0.1), epochs=3, seed=1)
-    model.init_thresholds(0.1)
-    state = make_train_state(
-        model,
-        OptimizerConfig(kind="sgd-momentum", lr=0.02, momentum=0.9),
-        OptimizerConfig(kind="vanilla-sgd", lr=0.0005, weight_decay=0.0),
-        seed=1,
-    )
-    train(state, ds, epochs=4)
-    path = tmp_path / "trained.tern"
-    export_packed(model, path)
-    packed = load_packed(path)
-    live = [l.qstate.live_columns for l in model.quantized_layers()]
-    assert live[0] is not None and live[1] is not None  # training left dead columns there
-    for layer, trained in zip(packed.quantized_layers(), live):
-        assert np.array_equal(layer.qstate.codes, layer.w.data)
-        if trained is None:
-            assert layer.qstate.live_columns is None
-            continue
-        idx, cols = layer.qstate.live_columns
-        assert np.array_equal(idx, trained[0]) and idx.dtype == trained[0].dtype
-        assert cols.dtype == np.float64 and cols.flags.c_contiguous and not cols.flags.writeable
-        assert cols.tobytes() == trained[1].tobytes()
-
-
 @pytest.mark.parametrize("make", [_trained_like_model, _trained_like_lenet])
 def test_export_load_packed_export_is_byte_identical(tmp_path, make):
     path = tmp_path / "m.tern"
     export_packed(make(), path)
-    loaded = load_packed(path)
+    loaded = packed_from_bytes(path.read_bytes())
     assert packed_to_bytes(loaded) == path.read_bytes()
     assert loaded.packed and all(is_fresh(l.qstate, l.w.data) for l in loaded.quantized_layers())
     export_packed(loaded, tmp_path / "again.tern")
@@ -840,7 +797,7 @@ def test_packed_mixed_layers_roundtrip(tmp_path):
     path = tmp_path / "mixed.tern"
     export_packed(model, path)
     x = np.random.default_rng(5).normal(size=(3, 6))
-    loaded = load_packed(path)
+    loaded = packed_from_bytes(path.read_bytes())
     assert packed_to_bytes(loaded) == path.read_bytes()
     assert np.array_equal(load_packed_and_infer(path, x), _reference_packed_forward(path.read_bytes(), x))
 
@@ -886,7 +843,7 @@ def test_bit_flip_after_a_served_request_still_rejected(tmp_path):
 def test_packed_model_rejects_refresh_training_and_checkpoint(tmp_path):
     path = tmp_path / "m.tern"
     export_packed(_trained_like_model(seed=24), path)
-    model = load_packed(path)
+    model = packed_from_bytes(path.read_bytes())
     before = [l.w.data.copy() for l in model.param_layers()]
     with pytest.raises(ValueError, match="cannot be refreshed"):
         model.refresh_all()
@@ -915,7 +872,7 @@ def test_a_packed_model_evaluates_like_its_source_in_ternary_mode(tmp_path):
     train(state, ds, epochs=2)
     path = tmp_path / "m.tern"
     export_packed(model, path)
-    packed = load_packed(path)
+    packed = packed_from_bytes(path.read_bytes())
     loss, acc = eval_loss_acc(packed, ds, "ternary")
     want_loss, want_acc = eval_loss_acc(model, ds, "ternary")
     assert acc == want_acc

@@ -1,7 +1,7 @@
 """The scripts and the benchmark use only terntrain names that exist, the
 package defines no public name that only tests read, the trainer does no file
-I/O, the digest script reruns byte-identically, and the fixture script
-writes the desk's splits.
+I/O, no script trains a model itself, the digest script reruns
+byte-identically, and the fixture script writes the desk's splits.
 
 Of these files only `scripts/rerun_digest.py` and `scripts/make_synth_mnist.py`
 run in this suite, so a deleted or renamed name that another imports would
@@ -191,6 +191,38 @@ def test_the_trainer_does_no_file_io():
 def test_the_file_io_check_flags_open_and_csv_and_os():
     source = "import csv\nfrom os import path\nimport os.path as p\nopen('a')\nio.open('b')\nnp.load('c')\nimport io\n"
     assert file_io(source) == ["1: import csv", "2: from os import", "3: import os.path", "4: open()", "5: open()"]
+
+
+TRAINING_NAMES = {f"{PACKAGE}.trainer.{name}" for name in ("pretrain", "train", "make_train_state")}
+SCRIPTS = sorted(ROOT.glob("scripts/*.py"))
+
+
+def training_calls(source: str) -> list[str]:
+    """"<line>: <name>" for each trainer entry point the source imports or reads."""
+    return [f"{line}: {ref}" for line, ref in sorted(references(source)) if ref in TRAINING_NAMES]
+
+
+@pytest.mark.parametrize("path", SCRIPTS, ids=[str(p.relative_to(ROOT)) for p in SCRIPTS])
+def test_no_script_trains_a_model_itself(path):
+    """A script drives cli.main, so it trains with the settings a user's run
+    would, not with a copy of them."""
+    assert training_calls(path.read_text()) == []
+
+
+def test_the_training_check_flags_trainer_entry_points():
+    source = (
+        "from terntrain.trainer import eval_loss_acc, train\n"
+        "from terntrain import trainer as tr\n"
+        "import terntrain.trainer\n"
+        "tr.make_train_state(m)\n"
+        "terntrain.trainer.pretrain(m, ds)\n"
+        "tr.tern_train_step\n"
+    )
+    assert training_calls(source) == [
+        "1: terntrain.trainer.train",
+        "4: terntrain.trainer.make_train_state",
+        "5: terntrain.trainer.pretrain",
+    ]
 
 
 def test_the_digest_script_reruns_byte_identically_in_fresh_processes():

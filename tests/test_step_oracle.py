@@ -1,0 +1,195 @@
+"""The alternating ternary step against a plain numpy oracle, over drawn MLPs.
+
+The oracle derives tern_train_step from its definition. Per quantized layer
+it fits the Gaussian, clips the threshold and builds the codes and the
+scale. It runs the threshold phase's forward and backward, updates the
+thresholds, refits the codes and scale at the new thresholds, and runs the
+weight phase's forward and backward through the straight-through rule. Then
+it steps every weight and bias by momentum SGD and snaps them onto the
+float32 grid. Of the library it calls only the scalar Gaussian functions
+and tern(). trainer, network, autograd and optim only build and step the
+model under test.
+
+The two agree bit for bit over four steps. One op of the oracle has to
+follow the library's order to get there: a product against codes with an
+all-zero column multiplies only the live columns, taken as one row-major
+block, as set_codes and autograd.matmul do. BLAS may sum a narrower or
+differently laid-out matrix's products in another order: the full product
+changed the last bit of a loss on 1 draw in 2000, and a column-major live
+block on about 1 in 30. Every other formula is written plainly. For one, a
+quantized layer's weight gradient under gradient correctness is a^T g here,
+where the library computes (a^T (g * S)) * (1/S); the float32 snap has
+absorbed that last-bit difference on every draw tried (12000).
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from terntrain.gaussian import (
+    TruncGaussParams,
+    clip_threshold,
+    clip_threshold_grad,
+    d_truncated_mean_d_delta,
+    truncated_upper_mean,
+)
+from terntrain.network import LayerSpec, Model, glorot
+from terntrain.optim import OptimizerConfig
+from terntrain.ternarize import tern
+from terntrain.trainer import make_train_state, tern_train_step
+
+STEPS = 4
+WEIGHT_LR, MOMENTUM = 0.1, 0.9
+
+
+class Layer:
+    """One dense layer of the oracle: weights, bias, and for a quantized
+    layer its threshold and the fit derived from the weights."""
+
+    def __init__(self, w, b, delta):
+        self.w, self.b, self.delta = w.copy(), b.copy(), delta
+        self.vw = self.vb = None
+
+    def fit(self):
+        """The refresh: the Gaussian fit of w, the clipped threshold, the codes and the scale."""
+        if self.delta is None:
+            return
+        w = self.w
+        self.mu = float(w.mean())
+        self.sigma = float(np.sqrt(np.square(w - self.mu).sum() / w.size))
+        self.dc = clip_threshold(self.delta, self.sigma)
+        self.codes = tern(w, self.mu, self.dc).astype(np.float64)
+        self.scale = truncated_upper_mean(TruncGaussParams(self.mu, self.sigma, self.dc))
+
+
+def _codes_product(a, codes):
+    """a @ codes, multiplying only the live columns when a column is all zero."""
+    live = np.flatnonzero(codes.any(axis=0))
+    if live.size == codes.shape[1]:
+        return a @ codes
+    out = np.zeros((a.shape[0], codes.shape[1]))
+    out[:, live] = a @ np.take(codes, live, axis=1)
+    return out
+
+
+def _forward(layers, x):
+    """Per layer its input, its product and its pre-activation; then the logits."""
+    cache, a = [], x
+    for i, layer in enumerate(layers):
+        if layer.delta is None:
+            prod = a @ layer.w
+            z = prod + layer.b
+        else:
+            prod = _codes_product(a, layer.codes)
+            z = layer.scale * prod + layer.b
+        cache.append((a, prod, z))
+        a = np.maximum(z, 0.0) if i < len(layers) - 1 else z
+    return cache, a
+
+
+def _loss_and_grad(logits, y):
+    """Mean softmax cross-entropy and its gradient in the logits."""
+    n = len(y)
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    lse = np.log(np.exp(shifted).sum(axis=1))
+    loss = float((lse - shifted[np.arange(n), y]).mean())
+    p = np.exp(shifted - lse[:, None])
+    p[np.arange(n), y] -= 1.0
+    return loss, p / n
+
+
+def _backward(layers, cache, g, gc):
+    """Per layer (dL/dS or None, dL/dw, dL/db), walking back from the logits' gradient g."""
+    grads = [None] * len(layers)
+    for i in reversed(range(len(layers))):
+        layer, (a, prod, _) = layers[i], cache[i]
+        if layer.delta is None:
+            grads[i] = (None, a.T @ g, g.sum(axis=0))
+            g = g @ layer.w.T
+        else:
+            # The straight-through rule: d(S * codes)/dw is 1 under gradient correctness, else S.
+            gw = a.T @ g if gc else layer.scale * (a.T @ g)
+            grads[i] = (float(np.sum(g * prod)), gw, g.sum(axis=0))
+            g = (g * layer.scale) @ layer.codes.T
+        if i > 0:
+            g = g * (cache[i - 1][2] > 0)
+    return grads
+
+
+def oracle_step(layers, x, y, threshold_lr, gc):
+    """One alternating step on the oracle's layers; returns both phases' losses."""
+    for layer in layers:
+        layer.fit()
+    cache, logits = _forward(layers, x)
+    t_loss, g = _loss_and_grad(logits, y)
+    for layer, (g_s, _, _) in zip(layers, _backward(layers, cache, g, gc)):
+        if layer.delta is not None:
+            params = TruncGaussParams(layer.mu, layer.sigma, layer.dc)
+            g_delta = (g_s * d_truncated_mean_d_delta(params)) * clip_threshold_grad(layer.delta, layer.sigma)
+            layer.delta = layer.delta - threshold_lr * g_delta
+    for layer in layers:
+        layer.fit()
+    cache, logits = _forward(layers, x)
+    w_loss, g = _loss_and_grad(logits, y)
+    for layer, (_, gw, gb) in zip(layers, _backward(layers, cache, g, gc)):
+        layer.vw = gw.copy() if layer.vw is None else layer.vw * MOMENTUM + gw
+        layer.vb = gb.copy() if layer.vb is None else layer.vb * MOMENTUM + gb
+        layer.w = (layer.w - WEIGHT_LR * layer.vw).astype(np.float32).astype(np.float64)
+        layer.b = (layer.b - WEIGHT_LR * layer.vb).astype(np.float32).astype(np.float64)
+    return t_loss, w_loss
+
+
+@st.composite
+def drawn_runs(draw):
+    widths = draw(st.lists(st.integers(3, 39), min_size=2, max_size=4))
+    quantized = [True] + [draw(st.booleans()) for _ in widths[2:]]
+    return {
+        "widths": widths,
+        "quantized": quantized,
+        "batch": draw(st.integers(1, 32)),
+        "gc": draw(st.booleans()),
+        "init_frac": draw(st.floats(0.02, 0.6)),
+        "threshold_lr": draw(st.sampled_from([0.001, 0.01, 0.1])),
+        "seed": draw(st.integers(0, 2**32 - 1)),
+    }
+
+
+def _model(run):
+    specs = []
+    for i, (n_in, n_out, q) in enumerate(zip(run["widths"], run["widths"][1:], run["quantized"])):
+        if i:
+            specs.append(LayerSpec("relu"))
+        specs.append(LayerSpec("dense", in_dim=n_in, out_dim=n_out, quantized=q))
+    model = Model(specs, glorot(run["seed"]))
+    rng = np.random.default_rng(run["seed"])
+    for layer in model.param_layers():
+        layer.b.data = rng.normal(scale=0.1, size=layer.b.size).astype(np.float32).astype(np.float64)
+    model.init_thresholds(run["init_frac"])
+    return model, rng
+
+
+@given(run=drawn_runs())
+@settings(max_examples=100, deadline=None)
+def test_four_ternary_steps_match_the_numpy_oracle_bit_for_bit(run):
+    model, rng = _model(run)
+    state = make_train_state(
+        model,
+        OptimizerConfig(kind="sgd-momentum", lr=WEIGHT_LR, momentum=MOMENTUM),
+        OptimizerConfig(kind="vanilla-sgd", lr=run["threshold_lr"]),
+        seed=0,
+        grad_correctness=run["gc"],
+    )
+    layers = [
+        Layer(l.w.data, l.b.data, None if l.qstate is None else l.qstate.delta) for l in model.param_layers()
+    ]
+    for step in range(STEPS):
+        x = rng.normal(size=(run["batch"], run["widths"][0]))
+        y = rng.integers(0, run["widths"][-1], size=run["batch"])
+        got = tern_train_step(state, (x, y))
+        want = oracle_step(layers, x, y, run["threshold_lr"], run["gc"])
+        assert (got["threshold_loss"], got["weight_loss"]) == want, step
+        for layer, oracle in zip(model.param_layers(), layers):
+            assert layer.w.data.tobytes() == oracle.w.tobytes(), (step, layer.name)
+            assert layer.b.data.tobytes() == oracle.b.tobytes(), (step, layer.name)
+            if oracle.delta is not None:
+                assert layer.qstate.delta == oracle.delta, (step, layer.name)

@@ -1,4 +1,8 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -246,8 +250,31 @@ def test_stale_state_detected_in_debug():
     for m, layer, inputs in cases:
         layer.w.data = layer.w.data + 1.0  # shift the mean without refreshing
         for mode in (WEIGHT_PHASE, THRESHOLD_PHASE):
-            with pytest.raises(AssertionError, match="stale"):
+            with pytest.raises(ValueError, match="stale"):
                 m.forward(inputs, mode)
+
+
+def test_stale_state_detected_under_python_O():
+    """python -O strips every assert; the freshness check is not one."""
+    code = (
+        "import numpy as np\n"
+        "from terntrain.network import build_from_config\n"
+        "from terntrain.ternarize import WEIGHT_PHASE\n"
+        "model = build_from_config('mlp-6-5-3', seed=0)\n"
+        "model.init_thresholds(0.1)\n"
+        "model.refresh_all()\n"
+        "layer = model.quantized_layers()[0]\n"
+        "layer.w.data = layer.w.data * 2.0\n"
+        "try:\n"
+        "    model.forward(np.zeros((1, 6)), WEIGHT_PHASE)\n"
+        "except ValueError as e:\n"
+        "    print(e)\n"
+    )
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("stale quantizer state on layer dense0")
 
 
 def test_sparsity_examples():
