@@ -25,7 +25,9 @@ float32 payload (weights, biases, a TERN scale) must be finite: a NaN or
 infinite value is rejected as it is read, and the writers refuse to write
 one. A TNCK delta must be finite too, and its mu and sigma both NaN (a
 state never refreshed, as in every pretrain checkpoint) or both finite
-with sigma > 0. A TERN file loads into a packed Model, which runs through
+with sigma > 0. Loading only decodes: a TNCK quantizer record loads as
+saved and stale, and model.refresh_all() readies the model to run. A TERN
+file loads into a packed Model, ready as loaded, which runs through
 Model.forward like any other.
 """
 
@@ -46,8 +48,6 @@ from .ternarize import (
     QuantizerState,
     check_fresh,
     dead_outputs,
-    layer_stats,
-    refresh,
     set_codes,
     sparsity,
 )
@@ -274,17 +274,12 @@ def _read_checkpoint_layer(r: _Reader, shape: tuple) -> tuple:
     fitted = math.isfinite(mu) and math.isfinite(sigma) and sigma > 0
     if not math.isfinite(delta) or not (fitted or (math.isnan(mu) and math.isnan(sigma))):
         raise FormatError(f"quantizer record (delta, mu, sigma) {(delta, mu, sigma)} is not usable")
-    st = QuantizerState(delta, mu, sigma)
-    # A state refreshed from these very weights is derived again, so the
-    # loaded model is ready to run. Any other record (never refreshed, or
-    # saved after a weight update without a refresh) loads stale, as saved:
-    # the forward and the export reject it until refresh_all().
-    if fitted and layer_stats(weights) == (mu, sigma):
-        refresh(st, weights)
-    return weights, bias, st
+    return weights, bias, QuantizerState(delta, mu, sigma)
 
 
 def checkpoint_from_bytes(data: bytes) -> Model:
+    """Decode a TNCK checkpoint; each quantizer record is the saved (delta, mu, sigma),
+    stale until model.refresh_all()."""
     return _load(data, CHECKPOINT_MAGIC, _read_checkpoint_layer)
 
 

@@ -183,8 +183,10 @@ class Model:
             layer.qstate.delta = frac * float(np.max(np.abs(layer.w.data)))
 
     def refresh_all(self) -> None:
+        """Ready the model to run: refresh() every quantizer from its layer's weights.
+        A packed model is ready as loaded, its codes and scales the file's, and stays so."""
         if self.packed:
-            raise ValueError("a packed model holds frozen codes, not weights; it cannot be refreshed")
+            return
         for layer in self.quantized_layers():
             refresh(layer.qstate, layer.w.data)
 

@@ -164,8 +164,8 @@ def check_fresh(state: QuantizerState, w: np.ndarray, name: str) -> None:
     call it, so the check holds under python -O, which strips an assert."""
     if not is_fresh(state, w):
         raise ValueError(
-            f"stale quantizer state on layer {name}: the weights were replaced "
-            "since the last refresh(); call refresh() after any weight update"
+            f"stale quantizer state on layer {name}: it was not derived from the layer's current "
+            "weights; call model.refresh_all() after building, loading or updating the model"
         )
 
 

@@ -142,14 +142,16 @@ def threshold_substep(state: TrainState, xb, yb, batch_index: int | None = None)
     """Forward in threshold phase, back-propagate, update only the thresholds.
 
     An update that leaves a threshold non-finite raises a DivergenceError
-    and is not applied.
+    and is not applied. Every quantized layer's scale reaches the loss, so a
+    threshold that got no gradient is a broken forward: a RuntimeError.
     """
     model = state.model
     loss_value = _loss_backward(state, xb, yb, THRESHOLD_PHASE, "threshold", batch_index)
     for layer in model.quantized_layers():
         leaf = model.delta_leaves[layer.name]
-        g = 0.0 if leaf.grad is None else float(leaf.grad)
-        delta = state.threshold_opt.update(layer.name, layer.qstate.delta, g)
+        if leaf.grad is None:
+            raise RuntimeError(f"the threshold of {layer.name} got no gradient: its scale did not reach the loss")
+        delta = state.threshold_opt.update(layer.name, layer.qstate.delta, float(leaf.grad))
         if not np.isfinite(delta):
             raise _divergence(state, "threshold", batch_index, f"non-finite threshold {delta!r} on {layer.name}")
         layer.qstate.delta = delta
@@ -173,13 +175,13 @@ def tern_train_step(state: TrainState, batch: Batch, batch_index: int | None = N
 
 def eval_loss_acc(model: Model, dataset, mode: str, batch_size: int = 256) -> tuple[float, float]:
     """Mean loss and top-1 accuracy over a dataset in "float" or "ternary" mode; records no graph.
-    Ternary mode refreshes first, except on a packed model, whose frozen codes are all it has."""
+    Ternary mode calls model.refresh_all() first, as any forward of a built or loaded model needs."""
     if mode not in ("float", "ternary"):
         raise ValueError(f"unknown evaluation mode {mode!r}")
     if len(dataset) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
     fwd_mode = WEIGHT_PHASE if mode == "ternary" else FLOAT_MODE
-    if mode == "ternary" and not model.packed:
+    if mode == "ternary":
         model.refresh_all()
     total_loss = 0.0
     correct = 0

@@ -15,7 +15,7 @@ from terntrain.cli import _OUTPUTS, blas_threads, build_id, build_parser, main
 from terntrain.config import config_from_pairs, parse_kv_text
 from terntrain.data import make_synth_mnist, save_idx_images, save_idx_labels
 from terntrain.modelio import load_checkpoint, save_checkpoint
-from terntrain.ternarize import is_fresh
+from terntrain.ternarize import is_fresh, layer_stats
 
 
 @pytest.fixture(scope="module")
@@ -593,13 +593,21 @@ def test_a_quantize_that_diverges_in_epoch_1_keeps_epoch_0s_rows(pretrained, tmp
     assert not (out_dir / "ternary.ckpt").exists()
 
 
-def test_a_zero_epoch_quantize_saves_a_model_that_loads_fresh(pretrained, tmp_path):
+def test_a_zero_epoch_quantize_saves_its_initial_quantizer_record(pretrained, tmp_path):
+    """The record is the one the run started from: its initial thresholds and
+    the Gaussian fit of the pretrained weights, refreshed before the first epoch."""
     root, cfg, ckpt = pretrained
     out_dir = tmp_path / "q"
-    argv = ["quantize", "--config", str(cfg), "--checkpoint", str(ckpt), "--epochs", "0", "--out-dir", str(out_dir)]
+    argv = ["quantize", "--config", str(cfg), "--checkpoint", str(ckpt), "--epochs", "0",
+            "--init-frac", "0.25", "--out-dir", str(out_dir)]
     assert main(argv) == 0
     model = load_checkpoint(out_dir / "ternary.ckpt")
     assert [layer.name for layer in model.quantized_layers()] == ["dense0", "dense1"]
+    for layer in model.quantized_layers():
+        w = layer.w.data
+        assert layer.qstate.delta == 0.25 * float(np.max(np.abs(w)))
+        assert (layer.qstate.mu, layer.qstate.sigma) == layer_stats(w)
+    model.refresh_all()
     for layer in model.quantized_layers():
         assert is_fresh(layer.qstate, layer.w.data)
 

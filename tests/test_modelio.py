@@ -144,15 +144,19 @@ def test_checkpoint_roundtrip_bit_identical(tmp_path):
     assert restored.meta["note"] == "fixture"
 
 
-def test_refreshed_checkpoint_loads_fresh_with_the_saved_state():
+def test_refreshed_checkpoint_loads_as_saved_and_refreshes_to_the_saved_state():
+    """Loading only decodes: each record is the saved (delta, mu, sigma), stale
+    until refresh_all(), which derives the saved model's quantizer again."""
     model = _trained_like_model(seed=3)
     x = np.random.default_rng(4).normal(size=(3, 16))
     expected = model.forward(x, WEIGHT_PHASE).data
     restored = checkpoint_from_bytes(checkpoint_to_bytes(model))
-    fields = ("delta", "mu", "sigma", "delta_c", "scale")
     for a, b in zip(model.quantized_layers(), restored.quantized_layers()):
-        assert [getattr(a.qstate, f) for f in fields] == [getattr(b.qstate, f) for f in fields]
-        assert is_fresh(b.qstate, b.w.data)
+        assert (b.qstate.delta, b.qstate.mu, b.qstate.sigma) == (a.qstate.delta, a.qstate.mu, a.qstate.sigma)
+        assert not is_fresh(b.qstate, b.w.data)
+    restored.refresh_all()
+    for a, b in zip(model.quantized_layers(), restored.quantized_layers()):
+        assert (b.qstate.delta_c, b.qstate.scale) == (a.qstate.delta_c, a.qstate.scale)
     assert np.array_equal(restored.forward(x, WEIGHT_PHASE).data, expected)
 
 
@@ -666,8 +670,9 @@ def test_loading_draws_no_random_init(tmp_path, monkeypatch):
     # Every init source draws through a fresh generator; a loader makes none.
     monkeypatch.setattr(network, "glorot", no_init)
     monkeypatch.setattr(np.random, "default_rng", no_init)
-    assert np.array_equal(load_checkpoint(tmp_path / "m.ckpt").forward(x, WEIGHT_PHASE).data,
-                          model.forward(x, WEIGHT_PHASE).data)
+    loaded = load_checkpoint(tmp_path / "m.ckpt")
+    loaded.refresh_all()  # refresh() derives the quantizer and draws nothing
+    assert np.array_equal(loaded.forward(x, WEIGHT_PHASE).data, model.forward(x, WEIGHT_PHASE).data)
     packed_from_bytes((tmp_path / "m.tern").read_bytes())
 
 
@@ -840,21 +845,28 @@ def test_bit_flip_after_a_served_request_still_rejected(tmp_path):
             load_packed_and_infer(path, np.zeros((1, 16)))
 
 
-def test_packed_model_rejects_refresh_training_and_checkpoint(tmp_path):
+def test_packed_model_is_frozen_and_rejects_training_and_checkpoint(tmp_path):
+    """refresh_all() leaves a packed model as loaded; the forward's mode check
+    and the checkpoint writer, not the refresh, keep it out of training."""
     path = tmp_path / "m.tern"
     export_packed(_trained_like_model(seed=24), path)
     model = packed_from_bytes(path.read_bytes())
-    before = [l.w.data.copy() for l in model.param_layers()]
-    with pytest.raises(ValueError, match="cannot be refreshed"):
-        model.refresh_all()
-    for layer, codes in zip(model.quantized_layers(), before):
-        assert np.array_equal(layer.w.data, codes)
+    before = [(l.qstate.codes, l.qstate.scale, l.qstate.live_columns) for l in model.quantized_layers()]
+    model.refresh_all()
+    for layer, (codes, scale, live) in zip(model.quantized_layers(), before, strict=True):
+        assert layer.qstate.codes is codes and layer.qstate.scale == scale and layer.qstate.live_columns is live
         assert layer.qstate.codes is layer.w.data and not layer.w.data.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         model.param_layers()[0].w.data[0, 0] = 1.0
     for mode in (FLOAT_MODE, THRESHOLD_PHASE):
         with pytest.raises(ValueError, match="packed"):
             model.forward(np.zeros((1, 16)), mode)
+    ds = Dataset(np.zeros((4, 16)), np.zeros(4, dtype=np.int64))
+    sgd = OptimizerConfig(kind="vanilla-sgd", lr=0.1)
+    with pytest.raises(ValueError, match="packed"):
+        train(make_train_state(model, sgd, sgd), ds, epochs=1)
+    with pytest.raises(ValueError, match="packed"):
+        pretrain(model, ds, sgd, epochs=1)
     with pytest.raises(ValueError, match="packed"):
         checkpoint_to_bytes(model)
 
@@ -941,7 +953,11 @@ def test_drawn_chains_round_trip_through_both_formats(case):
         if want.qstate is not None:
             assert (got.qstate.delta, got.qstate.mu, got.qstate.sigma) == (
                 want.qstate.delta, want.qstate.mu, want.qstate.sigma)
-            assert is_fresh(got.qstate, got.w.data)
+            assert not is_fresh(got.qstate, got.w.data)
+    loaded.refresh_all()
+    for got, want in zip(loaded.quantized_layers(), model.quantized_layers(), strict=True):
+        assert (got.qstate.delta_c, got.qstate.scale) == (want.qstate.delta_c, want.qstate.scale)
+        assert np.array_equal(got.qstate.codes, want.qstate.codes)
 
     data = packed_to_bytes(model)
     packed = packed_from_bytes(data)

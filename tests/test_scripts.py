@@ -1,7 +1,8 @@
 """The scripts and the benchmark use only terntrain names that exist, the
 package defines no public name that only tests read, the trainer does no file
-I/O, no script trains a model itself, the digest script reruns
-byte-identically, and the fixture script writes the desk's splits.
+I/O, the model loader derives no quantizer state and the trainer never asks
+whether a model is packed, no script trains a model itself, the digest script
+reruns byte-identically, and the fixture script writes the desk's splits.
 
 Of these files only `scripts/rerun_digest.py` and `scripts/make_synth_mnist.py`
 run in this suite, so a deleted or renamed name that another imports would
@@ -191,6 +192,50 @@ def test_the_trainer_does_no_file_io():
 def test_the_file_io_check_flags_open_and_csv_and_os():
     source = "import csv\nfrom os import path\nimport os.path as p\nopen('a')\nio.open('b')\nnp.load('c')\nimport io\n"
     assert file_io(source) == ["1: import csv", "2: from os import", "3: import os.path", "4: open()", "5: open()"]
+
+
+QUANTIZER_WRITERS = ("refresh", "layer_stats")
+
+
+def quantizer_writers_imported(source: str) -> list[str]:
+    """"<line>: <name>" for each quantizer writer the source imports from the ternarize
+    module, by a relative or a terntrain import, or reads off that module."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "ternarize":
+            found += [(node.lineno, a.name) for a in node.names if a.name in QUANTIZER_WRITERS]
+        elif isinstance(node, ast.Attribute) and node.attr in QUANTIZER_WRITERS:
+            if (_dotted(node) or "").split(".")[-2:-1] == ["ternarize"]:
+                found.append((node.lineno, node.attr))
+    return [f"{line}: {name}" for line, name in sorted(found)]
+
+
+def attributes_named(source: str, attr: str) -> list[int]:
+    """The lines on which the source reads or writes an attribute named attr."""
+    return sorted(n.lineno for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Attribute) and n.attr == attr)
+
+
+def test_a_model_file_only_decodes_and_the_trainer_never_asks_if_a_model_is_packed():
+    """Model.refresh_all() alone readies a model to run: the loaders derive no
+    quantizer state, and the trainer treats a packed model like any other."""
+    assert quantizer_writers_imported((ROOT / "src" / PACKAGE / "modelio.py").read_text()) == []
+    assert attributes_named((ROOT / "src" / PACKAGE / "trainer.py").read_text(), "packed") == []
+
+
+def test_the_readiness_check_flags_quantizer_writers_and_packed_reads():
+    source = (
+        "from .ternarize import QuantizerState, refresh\n"
+        "from terntrain.ternarize import layer_stats as stats\n"
+        "from . import ternarize\n"
+        "ternarize.refresh(st, w)\n"
+        "terntrain.ternarize.layer_stats(w)\n"
+        "from .network import refresh\n"
+        "model.refresh_all()\n"
+        "if model.packed and not packed:\n"
+        "    model.packed = False\n"
+    )
+    assert quantizer_writers_imported(source) == ["1: refresh", "2: layer_stats", "4: refresh", "5: layer_stats"]
+    assert attributes_named(source, "packed") == [8, 9]
 
 
 TRAINING_NAMES = {f"{PACKAGE}.trainer.{name}" for name in ("pretrain", "train", "make_train_state")}

@@ -3,20 +3,24 @@
 The oracle derives tern_train_step from its definition. Per quantized layer
 it fits the Gaussian, clips the threshold and builds the codes and the
 scale. It runs the threshold phase's forward and backward, updates the
-thresholds, refits the codes and scale at the new thresholds, and runs the
-weight phase's forward and backward through the straight-through rule. Then
-it steps every weight and bias by momentum SGD and snaps them onto the
-float32 grid. Of the library it calls only the scalar Gaussian functions
-and tern(). trainer, network, autograd and optim only build and step the
-model under test.
+thresholds by vanilla SGD or Adam, refits the codes and scale at the new
+thresholds, and runs the weight phase's forward and backward through the
+straight-through rule. Then it steps every weight and bias by momentum SGD
+or Adam, each with a drawn weight decay, and snaps them onto the float32
+grid. Of the library it calls only the scalar Gaussian functions and
+tern(). trainer, network, autograd and optim only build and step the model
+under test.
 
-The two agree bit for bit over four steps. One op of the oracle has to
-follow the library's order to get there: a product against codes with an
+The two agree bit for bit over four steps. Two ops of the oracle have to
+follow the library's order to get there. A product against codes with an
 all-zero column multiplies only the live columns, taken as one row-major
 block, as set_codes and autograd.matmul do. BLAS may sum a narrower or
 differently laid-out matrix's products in another order: the full product
 changed the last bit of a loss on 1 draw in 2000, and a column-major live
-block on about 1 in 30. Every other formula is written plainly. For one, a
+block on about 1 in 30. And the Adam update is optim.adam_update's: the
+bias-corrected m and v, eps added to the root, lr applied before the
+division. The thresholds are not snapped onto float32, so another order
+shows in them. Every other formula is written plainly. For one, a
 quantized layer's weight gradient under gradient correctness is a^T g here,
 where the library computes (a^T (g * S)) * (1/S); the float32 snap has
 absorbed that last-bit difference on every draw tried (12000).
@@ -40,6 +44,7 @@ from terntrain.trainer import make_train_state, tern_train_step
 
 STEPS = 4
 WEIGHT_LR, MOMENTUM = 0.1, 0.9
+ADAM_LR, BETAS, EPS = 0.01, (0.9, 0.999), 1e-8
 
 
 class Layer:
@@ -48,7 +53,7 @@ class Layer:
 
     def __init__(self, w, b, delta):
         self.w, self.b, self.delta = w.copy(), b.copy(), delta
-        self.vw = self.vb = None
+        self.slots = {}  # per parameter name, its velocity or its Adam moments [m, v]
 
     def fit(self):
         """The refresh: the Gaussian fit of w, the clipped threshold, the codes and the scale."""
@@ -60,6 +65,28 @@ class Layer:
         self.dc = clip_threshold(self.delta, self.sigma)
         self.codes = tern(w, self.mu, self.dc).astype(np.float64)
         self.scale = truncated_upper_mean(TruncGaussParams(self.mu, self.sigma, self.dc))
+
+
+def adam_step(p, g, moments, t, lr):
+    """Adam's step t >= 1 on p: updates the moments [m, v] and returns the new p."""
+    b1, b2 = BETAS
+    m = b1 * moments[0] + (1 - b1) * g
+    v = b2 * moments[1] + (1 - b2) * g * g
+    moments[:] = m, v
+    return p - lr * (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + EPS)
+
+
+def weight_step(layer, name, g, t, run):
+    """Step the parameter layer.<name> by the run's weight optimizer, then snap it onto float32."""
+    p = getattr(layer, name)
+    if run["weight_decay"]:
+        g = g + run["weight_decay"] * p
+    if run["weight_opt"] == "adam":
+        p = adam_step(p, g, layer.slots.setdefault(name, [0.0, 0.0]), t, ADAM_LR)
+    else:
+        v = layer.slots[name] = g.copy() if name not in layer.slots else layer.slots[name] * MOMENTUM + g
+        p = p - WEIGHT_LR * v
+    setattr(layer, name, p.astype(np.float32).astype(np.float64))
 
 
 def _codes_product(a, codes):
@@ -116,8 +143,9 @@ def _backward(layers, cache, g, gc):
     return grads
 
 
-def oracle_step(layers, x, y, threshold_lr, gc):
-    """One alternating step on the oracle's layers; returns both phases' losses."""
+def oracle_step(layers, x, y, t, run):
+    """Step t >= 1 of the alternating iteration on the oracle's layers; returns both phases' losses."""
+    gc, threshold_lr = run["gc"], run["threshold_lr"]
     for layer in layers:
         layer.fit()
     cache, logits = _forward(layers, x)
@@ -126,16 +154,18 @@ def oracle_step(layers, x, y, threshold_lr, gc):
         if layer.delta is not None:
             params = TruncGaussParams(layer.mu, layer.sigma, layer.dc)
             g_delta = (g_s * d_truncated_mean_d_delta(params)) * clip_threshold_grad(layer.delta, layer.sigma)
-            layer.delta = layer.delta - threshold_lr * g_delta
+            if run["threshold_opt"] == "adam":
+                layer.delta = adam_step(layer.delta, g_delta, layer.slots.setdefault("delta", [0.0, 0.0]), t,
+                                        threshold_lr)
+            else:
+                layer.delta = layer.delta - threshold_lr * g_delta
     for layer in layers:
         layer.fit()
     cache, logits = _forward(layers, x)
     w_loss, g = _loss_and_grad(logits, y)
     for layer, (_, gw, gb) in zip(layers, _backward(layers, cache, g, gc)):
-        layer.vw = gw.copy() if layer.vw is None else layer.vw * MOMENTUM + gw
-        layer.vb = gb.copy() if layer.vb is None else layer.vb * MOMENTUM + gb
-        layer.w = (layer.w - WEIGHT_LR * layer.vw).astype(np.float32).astype(np.float64)
-        layer.b = (layer.b - WEIGHT_LR * layer.vb).astype(np.float32).astype(np.float64)
+        weight_step(layer, "w", gw, t, run)
+        weight_step(layer, "b", gb, t, run)
     return t_loss, w_loss
 
 
@@ -150,6 +180,9 @@ def drawn_runs(draw):
         "gc": draw(st.booleans()),
         "init_frac": draw(st.floats(0.02, 0.6)),
         "threshold_lr": draw(st.sampled_from([0.001, 0.01, 0.1])),
+        "weight_opt": draw(st.sampled_from(["sgd-momentum", "adam"])),
+        "threshold_opt": draw(st.sampled_from(["vanilla-sgd", "adam"])),
+        "weight_decay": draw(st.sampled_from([0.0, 1e-4, 1e-2])),
         "seed": draw(st.integers(0, 2**32 - 1)),
     }
 
@@ -172,13 +205,13 @@ def _model(run):
 @settings(max_examples=100, deadline=None)
 def test_four_ternary_steps_match_the_numpy_oracle_bit_for_bit(run):
     model, rng = _model(run)
-    state = make_train_state(
-        model,
-        OptimizerConfig(kind="sgd-momentum", lr=WEIGHT_LR, momentum=MOMENTUM),
-        OptimizerConfig(kind="vanilla-sgd", lr=run["threshold_lr"]),
-        seed=0,
-        grad_correctness=run["gc"],
-    )
+    wd = run["weight_decay"]
+    if run["weight_opt"] == "adam":
+        weight_cfg = OptimizerConfig(kind="adam", lr=ADAM_LR, betas=BETAS, eps=EPS, weight_decay=wd)
+    else:
+        weight_cfg = OptimizerConfig(kind="sgd-momentum", lr=WEIGHT_LR, momentum=MOMENTUM, weight_decay=wd)
+    threshold_cfg = OptimizerConfig(kind=run["threshold_opt"], lr=run["threshold_lr"], betas=BETAS, eps=EPS)
+    state = make_train_state(model, weight_cfg, threshold_cfg, seed=0, grad_correctness=run["gc"])
     layers = [
         Layer(l.w.data, l.b.data, None if l.qstate is None else l.qstate.delta) for l in model.param_layers()
     ]
@@ -186,7 +219,7 @@ def test_four_ternary_steps_match_the_numpy_oracle_bit_for_bit(run):
         x = rng.normal(size=(run["batch"], run["widths"][0]))
         y = rng.integers(0, run["widths"][-1], size=run["batch"])
         got = tern_train_step(state, (x, y))
-        want = oracle_step(layers, x, y, run["threshold_lr"], run["gc"])
+        want = oracle_step(layers, x, y, step + 1, run)
         assert (got["threshold_loss"], got["weight_loss"]) == want, step
         for layer, oracle in zip(model.param_layers(), layers):
             assert layer.w.data.tobytes() == oracle.w.tobytes(), (step, layer.name)

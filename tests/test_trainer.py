@@ -15,7 +15,7 @@ from terntrain.gaussian import (
 )
 from terntrain.modelio import checkpoint_to_bytes, load_checkpoint, save_checkpoint
 from terntrain import cli, network, ternarize, trainer
-from terntrain.autograd import softmax_cross_entropy
+from terntrain.autograd import Tensor, softmax_cross_entropy
 from terntrain.network import FLOAT_MODE, LayerSpec, Model, build_from_config, glorot
 from terntrain.optim import OptimizerConfig
 from terntrain.ternarize import WEIGHT_PHASE, tern
@@ -269,6 +269,15 @@ def test_a_non_finite_threshold_update_is_a_divergence(monkeypatch, bad):
     # The bad value is not applied: every threshold is finite and refreshable.
     assert all(np.isfinite(l.qstate.delta) for l in state.model.quantized_layers())
     state.model.refresh_all()
+
+
+def test_a_threshold_without_a_gradient_is_an_error_not_a_zero_step(monkeypatch):
+    """A scale node cut off from its threshold leaf would freeze the threshold without a word."""
+    state = _toy_state(seed=4)
+    ds = _toy_dataset(seed=4)
+    monkeypatch.setattr(network, "threshold_scale_node", lambda leaf, st: Tensor(st.scale))
+    with pytest.raises(RuntimeError, match="dense0"):
+        tern_train_step(state, (ds.images[:16], ds.labels[:16]))
 
 
 def test_evaluate_constant_predictor_on_balanced_data():
