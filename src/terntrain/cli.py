@@ -5,11 +5,11 @@ epoch per call: pretrain trains a float train state on a fresh model,
 quantize a ternary one on the pretrain checkpoint. This module writes every
 file of a run directory; the trainer opens none. Each of their flags stores
 its text under a RunConfig field name and is checked by that key's parser
-like a value in the file: the flag beats TERNTRAIN_SEED (for the seed),
-which beats the file. gradcheck's --seed goes through the seed key's parser
-too. The settings, the checkpoint (whose arch must be the config's) and both
-data splits load before the run directory is written, so a bad input leaves
-no run record behind.
+like a value in the file, and beats the file. gradcheck's --seed goes
+through the seed key's parser too. The settings, the checkpoint (whose arch
+must be the config's) and both data splits load before the run directory is
+written, so a bad input leaves no run record behind. A split's keys pick its
+format, CSV or IDX. export prints its report.
 
 Exit codes: 0 success, 1 usage/config error, 2 runtime/training failure
 (an allocation that fails included), 3 gradcheck failure.
@@ -35,7 +35,7 @@ from .data import DataError, Dataset, load_csv, load_idx
 from .gradcheck import run_suite, suite_passed
 from .modelio import ModelIOError, export_packed, load_checkpoint, save_checkpoint
 from .network import FLOAT_MODE, Model, build_from_config
-from .ternarize import DegenerateLayerError, sparsity
+from .ternarize import sparsity
 from .trainer import DivergenceError, TrainState, eval_loss_acc, make_train_state, train
 
 
@@ -98,20 +98,25 @@ def _open_checkpoint(path: str, arch: str | None = None) -> Model:
 
 
 def _load_split(cfg: RunConfig, split: str, model: Model, required: bool = True) -> Dataset | None:
-    """A split's dataset (None for an unnamed optional split). A split named by only
-    some of its keys is a config error. Its samples must fit model, as a float
-    forward of the first one shows, and each label must index one of its logits."""
-    keys = [f"{split}_images", f"{split}_labels"] if cfg.dataset == "idx" else [f"{split}_csv"]
-    paths = [getattr(cfg, key) for key in keys]
-    missing = [key for key, path in zip(keys, paths) if not path]
-    if missing:
-        if required or len(missing) < len(keys):
-            raise ConfigError(f"config must name {' and '.join(keys)}; {' and '.join(missing)} is not set")
-        return None
-    if cfg.dataset == "idx":
-        ds = load_idx(*paths, cfg.normalize_mean, cfg.normalize_std)
+    """A split's dataset (None for an unnamed optional split). Its keys pick its
+    format: {split}_csv a CSV file, {split}_images and {split}_labels an IDX
+    pair. Naming both kinds, or one key of the pair, is a config error. Its
+    samples must fit model, as a float forward of the first one shows, and each
+    label must index one of its logits."""
+    table, images, labels = (getattr(cfg, f"{split}_{kind}") for kind in ("csv", "images", "labels"))
+    if table and (images or labels):
+        raise ConfigError(f"config names {split}_csv beside an IDX key of the {split} split; name one kind")
+    if table:
+        ds = load_csv(table)
+    elif images and labels:
+        ds = load_idx(images, labels, cfg.normalize_mean, cfg.normalize_std)
+    elif images or labels:
+        missing = f"{split}_labels" if images else f"{split}_images"
+        raise ConfigError(f"config must name {split}_images and {split}_labels; {missing} is not set")
+    elif required:
+        raise ConfigError(f"config must name {split}_csv, or {split}_images and {split}_labels")
     else:
-        ds = load_csv(*paths)
+        return None
     try:
         with no_grad():
             classes = model.forward(ds.images[:1], FLOAT_MODE).shape[1]
@@ -248,11 +253,7 @@ def cmd_export(args) -> int:
     model = _open_checkpoint(args.checkpoint)
     model.refresh_all()
     report = export_packed(model, args.out)
-    text = json.dumps(report, indent=2, sort_keys=True)
-    if args.report:
-        with open(args.report, "w") as fh:
-            fh.write(text + "\n")
-    print(text)
+    print(json.dumps(report, indent=2, sort_keys=True))
     return 0
 
 
@@ -312,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     def run_parser(name: str, help_text: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="key=value run config file")
-        p.add_argument("--seed", default=os.environ.get("TERNTRAIN_SEED"), help="override the config seed")
+        p.add_argument("--seed", help="override the config seed")
         p.add_argument("--epochs")
         p.add_argument("--out-dir")
         p.set_defaults(func=cmd_run)
@@ -337,10 +338,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", choices=("train", "test"), default="test")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("export", help="write the 2-bit packed model and its report")
+    p = sub.add_parser("export", help="write the 2-bit packed model and print its report")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out", required=True, help="packed model output path")
-    p.add_argument("--report", default=None, help="also write the JSON report here")
     p.set_defaults(func=cmd_export)
 
     p = sub.add_parser("gradcheck", help="finite-difference verification suite")
@@ -365,7 +365,7 @@ def main(argv=None) -> int:
     except (ConfigError, DataError, FileNotFoundError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1
-    except (DivergenceError, ModelIOError, DegenerateLayerError, ValueError, OSError, MemoryError) as e:
+    except (DivergenceError, ModelIOError, ValueError, OSError, MemoryError) as e:
         print(f"runtime error: {e}", file=sys.stderr)
         return 2
 

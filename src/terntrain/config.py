@@ -5,9 +5,11 @@ Zero-dependency text format: one "key = value" per line, blank lines and
 default, so the field list is the key list: the parser checks the value's
 type and range (a float must also be finite), `arch` must name a buildable
 network, and `parse_value` prefixes any rejection with "<key>: ". Unknown
-keys are rejected. The config file, the command-line overrides and
-`gradcheck --seed` all go through `parse_value`, and the parsed config
-echoes back into the run directory so ablation grids stay diffable.
+keys are rejected. A data split's keys pick its format: `{split}_csv` names
+a CSV file, `{split}_images` and `{split}_labels` an IDX pair. The config
+file, the command-line overrides and `gradcheck --seed` all go through
+`parse_value`, and the parsed config echoes back into the run directory so
+ablation grids stay diffable.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ class ConfigError(ValueError):
     pass
 
 
-def _number(kind, at_least=None, above=None, below=None):
+def _number(kind, at_least=None, above=None, below=None, at_most=None):
     """A parser of a kind (int or float) number in the given bounds; a float must be finite."""
 
     def parse(text: str):
@@ -32,7 +34,7 @@ def _number(kind, at_least=None, above=None, below=None):
             raise ValueError(f"value {value} is not a finite number")
         if (at_least is not None and value < at_least) or (above is not None and value <= above):
             raise ValueError(f"value {value} below allowed range")
-        if below is not None and value >= below:
+        if (below is not None and value >= below) or (at_most is not None and value > at_most):
             raise ValueError(f"value {value} above allowed range")
         return value
 
@@ -101,14 +103,13 @@ _FRACTION = _number(float, at_least=0.0, below=1.0)
 @dataclass
 class RunConfig:
     arch: str = _key("", _arch)
-    dataset: str = _key("idx", _choice(("idx", "csv")))
     train_images: str = _key("", str)
     train_labels: str = _key("", str)
     test_images: str = _key("", str)
     test_labels: str = _key("", str)
     train_csv: str = _key("", str)
     test_csv: str = _key("", str)
-    normalize_mean: float = _key(0.0, _number(float))
+    normalize_mean: float = _key(0.0, _number(float, at_least=0.0, at_most=1.0))  # of pixels scaled to [0, 1]
     normalize_std: float = _key(1.0, _POSITIVE)
     batch_size: int = _key(64, _number(int, at_least=1))
     epochs: int = _key(10, _number(int, at_least=0))

@@ -1,11 +1,14 @@
 """Dataset ingestion: IDX image files, CSV feature files, a synthetic MNIST-like fixture.
 
-IDX files are the plain big-endian format: magic 0x00000803 for 3-D image
-files (N, H, W of unsigned bytes), 0x00000801 for label files. A header
-whose sizes claim other than the bytes its file holds is rejected before
-any payload is read. Pixels are scaled to [0, 1] and then normalized by the
-configured mean/std; a normalized pixel that is not finite is rejected.
-CSV labels must be whole numbers that a 64-bit integer holds.
+A run's config names each split as one CSV file or one IDX image/label
+pair, and its keys pick the loader. IDX files are the plain big-endian
+format: magic 0x00000803 for 3-D image files (N, H, W of unsigned bytes),
+0x00000801 for label files. A header whose sizes claim other than the bytes
+its file holds is rejected before any payload is read. Pixels are scaled to
+[0, 1] and then normalized by the configured mean (which the config holds
+to [0, 1]) and std; a normalized pixel that is not finite is rejected. CSV
+features are read as they are; CSV labels must be whole numbers that a
+64-bit integer holds.
 """
 
 from __future__ import annotations

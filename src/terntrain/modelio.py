@@ -4,6 +4,8 @@ Both formats turn a Model into bytes and bytes into a Model, with no record
 type between: checkpoint_to_bytes / checkpoint_from_bytes and
 packed_to_bytes / packed_from_bytes. Both are little-endian and CRC-32
 trailed, so corruption and truncation are rejected before any parsing.
+Every rejection of a file is a ModelIOError whose message names the check
+that failed; a writer refuses a model it cannot write with a ValueError.
 
 Both formats are one container over two layer codecs. One writer,
 _to_bytes, writes the header (magic, version u16, arch string, JSON
@@ -60,31 +62,7 @@ _MIN_FILE = 4 + 2 + 4  # magic + version + crc
 
 
 class ModelIOError(Exception):
-    """Base class for every model file rejection."""
-
-
-class BadMagicError(ModelIOError):
-    pass
-
-
-class UnsupportedVersionError(ModelIOError):
-    pass
-
-
-class CrcMismatchError(ModelIOError):
-    pass
-
-
-class TruncatedFileError(ModelIOError):
-    pass
-
-
-class InvalidCodeError(ModelIOError):
-    """A code outside {-1, 0, +1} or the reserved 11 bit pair."""
-
-
-class FormatError(ModelIOError):
-    """Structurally malformed content behind a valid CRC."""
+    """A model file rejected: its message names the check that failed."""
 
 
 # --- byte-level helpers -----------------------------------------------------
@@ -111,9 +89,7 @@ class _Reader:
 
     def take(self, n: int) -> bytes:
         if self.pos + n > len(self.data):
-            raise TruncatedFileError(
-                f"needed {n} bytes at offset {self.pos}, only {len(self.data) - self.pos} left"
-            )
+            raise ModelIOError(f"needed {n} bytes at offset {self.pos}, only {len(self.data) - self.pos} left")
         out = self.data[self.pos : self.pos + n]
         self.pos += n
         return out
@@ -127,12 +103,12 @@ class _Reader:
         try:
             return raw.decode("utf-8")
         except UnicodeDecodeError as e:
-            raise FormatError(f"string before offset {self.pos} is not UTF-8: {e}") from e
+            raise ModelIOError(f"string before offset {self.pos} is not UTF-8: {e}") from e
 
     def flag(self) -> bool:
         (v,) = self.unpack("B")
         if v > 1:
-            raise FormatError(f"flag byte {v} before offset {self.pos} is neither 0 nor 1")
+            raise ModelIOError(f"flag byte {v} before offset {self.pos} is neither 0 nor 1")
         return bool(v)
 
     def f32_array(self, n: int) -> np.ndarray:
@@ -140,12 +116,12 @@ class _Reader:
         a = np.frombuffer(self.take(4 * n), dtype="<f4")
         bad = np.flatnonzero(~np.isfinite(a))
         if bad.size:
-            raise FormatError(f"float32 value {a[bad[0]]} at offset {start + 4 * int(bad[0])} is not finite")
+            raise ModelIOError(f"float32 value {a[bad[0]]} at offset {start + 4 * int(bad[0])} is not finite")
         return a.copy()
 
     def expect_end(self) -> None:
         if self.pos != len(self.data):
-            raise FormatError(f"{len(self.data) - self.pos} trailing bytes after the last layer")
+            raise ModelIOError(f"{len(self.data) - self.pos} trailing bytes after the last layer")
 
 
 # --- container layout, writer and loader shared by both formats ---------------
@@ -173,18 +149,18 @@ def _read_header(data: bytes, magic: bytes) -> tuple[_Reader, str, dict, int]:
     """Validate length, magic, CRC and version; return a reader at the first
     layer record, the arch string, the metadata and the layer count."""
     if len(data) < _MIN_FILE:
-        raise TruncatedFileError(f"file of {len(data)} bytes is shorter than any valid model file")
+        raise ModelIOError(f"file of {len(data)} bytes is shorter than any valid model file")
     if data[:4] != magic:
-        raise BadMagicError(f"expected magic {magic!r}, found {data[:4]!r}")
+        raise ModelIOError(f"expected magic {magic!r}, found {data[:4]!r}")
     (stored,) = struct.unpack("<I", data[-4:])
     actual = zlib.crc32(data[:-4])
     if stored != actual:
-        raise CrcMismatchError(f"CRC mismatch: stored {stored:#010x}, computed {actual:#010x}")
+        raise ModelIOError(f"CRC mismatch: stored {stored:#010x}, computed {actual:#010x}")
     r = _Reader(data[:-4])
     r.take(4)  # magic
     (version,) = r.unpack("H")
     if version != FORMAT_VERSION:
-        raise UnsupportedVersionError(f"unsupported format version {version}")
+        raise ModelIOError(f"unsupported format version {version}")
     arch = r.text("H")
     text = r.text("I")
     try:
@@ -192,9 +168,9 @@ def _read_header(data: bytes, magic: bytes) -> tuple[_Reader, str, dict, int]:
     # ValueError covers malformed JSON and over-long integer literals;
     # RecursionError, deeply nested arrays.
     except (ValueError, RecursionError) as e:
-        raise FormatError(f"bad metadata JSON: {e}") from e
+        raise ModelIOError(f"bad metadata JSON: {e}") from e
     if not isinstance(meta, dict):
-        raise FormatError(f"metadata is a JSON {type(meta).__name__}, not an object")
+        raise ModelIOError(f"metadata is a JSON {type(meta).__name__}, not an object")
     return r, arch, meta, r.unpack("H")[0]
 
 
@@ -203,11 +179,11 @@ def _specs_from(arch: str, metadata: dict) -> list[LayerSpec]:
         try:
             return [LayerSpec(**d) for d in metadata["specs"]]
         except (KeyError, TypeError) as e:
-            raise FormatError(f"custom arch without usable specs in metadata: {e}") from e
+            raise ModelIOError(f"custom arch without usable specs in metadata: {e}") from e
     try:
         return arch_specs(arch)
     except ValueError as e:
-        raise FormatError(str(e)) from e
+        raise ModelIOError(str(e)) from e
 
 
 def _load(data: bytes, magic: bytes, read_layer) -> Model:
@@ -219,7 +195,7 @@ def _load(data: bytes, magic: bytes, read_layer) -> Model:
     of a record and returns the float64 weights, the bias and the layer's
     quantizer state (None for a layer stored unquantized), which the
     constructor holds to the spec. A record that differs, or a record too
-    many or too few, is a FormatError.
+    many or too few, is a ModelIOError.
     """
     r, arch, meta, nlayers = _read_header(data, magic)
     specs = _specs_from(arch, meta)
@@ -228,10 +204,10 @@ def _load(data: bytes, magic: bytes, read_layer) -> Model:
     def params(spec: LayerSpec, name: str, shape: tuple) -> tuple:
         nonlocal read
         if read == nlayers:
-            raise FormatError(f"file has {nlayers} layer records, fewer than arch {arch!r} needs")
+            raise ModelIOError(f"file has {nlayers} layer records, fewer than arch {arch!r} needs")
         head = (r.text("H"), r.unpack(f"{r.unpack('B')[0]}I"))
         if head != (name, shape):
-            raise FormatError(
+            raise ModelIOError(
                 f"layer record (name, shape) {head} does not match the architecture's {(name, shape)}"
             )
         read += 1
@@ -241,9 +217,9 @@ def _load(data: bytes, magic: bytes, read_layer) -> Model:
     try:
         model = Model(specs, params, arch)
     except (ValueError, TypeError) as e:
-        raise FormatError(f"layer specs or records unusable: {e}") from e
+        raise ModelIOError(f"layer specs or records unusable: {e}") from e
     if read != nlayers:
-        raise FormatError(f"file has {nlayers} layer records, more than arch {arch!r} has")
+        raise ModelIOError(f"file has {nlayers} layer records, more than arch {arch!r} has")
     r.expect_end()
     model.meta = dict(meta)
     return model
@@ -273,7 +249,7 @@ def _read_checkpoint_layer(r: _Reader, shape: tuple) -> tuple:
     # mu and sigma are both NaN in a state never refreshed, else a Gaussian fit.
     fitted = math.isfinite(mu) and math.isfinite(sigma) and sigma > 0
     if not math.isfinite(delta) or not (fitted or (math.isnan(mu) and math.isnan(sigma))):
-        raise FormatError(f"quantizer record (delta, mu, sigma) {(delta, mu, sigma)} is not usable")
+        raise ModelIOError(f"quantizer record (delta, mu, sigma) {(delta, mu, sigma)} is not usable")
     return weights, bias, QuantizerState(delta, mu, sigma)
 
 
@@ -299,11 +275,11 @@ def load_checkpoint(path) -> Model:
 
 
 def pack_codes(codes) -> bytes:
-    """Pack codes in {-1, 0, +1} four per byte, first code in bits 1:0."""
+    """Pack codes in {-1, 0, +1} four per byte, first code in bits 1:0; any other code is a ValueError."""
     flat = np.asarray(codes).reshape(-1)
     if flat.size and not np.isin(flat, (-1, 0, 1)).all():
         bad = flat[~np.isin(flat, (-1, 0, 1))][0]
-        raise InvalidCodeError(f"code {bad!r} outside {{-1, 0, +1}}")
+        raise ValueError(f"code {bad} outside {{-1, 0, +1}}")
     u = np.zeros(flat.size, dtype=np.uint8)
     u[flat == 1] = 1
     u[flat == -1] = 2
@@ -329,17 +305,17 @@ def unpack_codes(data: bytes, n: int) -> np.ndarray:
     """
     expected = (n + 3) // 4
     if len(data) != expected:
-        raise FormatError(f"packed payload of {len(data)} bytes cannot hold {n} codes")
+        raise ModelIOError(f"packed payload of {len(data)} bytes cannot hold {n} codes")
     if n == 0:
         return np.zeros(0, dtype=np.int8)
     b = np.frombuffer(data, dtype=np.uint8)
     # A pair is 11 when its high bit, shifted onto its low bit, meets a set low bit.
     if (b & (b >> 1) & 0x55).any():
-        raise InvalidCodeError("reserved 11 bit pair in packed codes")
+        raise ModelIOError("reserved 11 bit pair in packed codes")
     # np.take, not fancy indexing: it gathers whole table rows several times faster.
     codes = np.take(_BYTE_CODES, b, axis=0).reshape(-1)
     if codes[n:].any():
-        raise FormatError("non-zero padding bit pairs in final byte")
+        raise ModelIOError("non-zero padding bit pairs in final byte")
     return codes[:n]
 
 

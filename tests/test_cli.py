@@ -32,7 +32,6 @@ def workspace(tmp_path_factory):
     cfg.write_text(
         f"""
 arch = mlp-784-16-10
-dataset = idx
 train_images = {root / 'train_img.idx'}
 train_labels = {root / 'train_lbl.idx'}
 test_images = {root / 'test_img.idx'}
@@ -167,25 +166,12 @@ def test_quantize_export_inspect_roundtrip(pretrained, tmp_path, capsys):
     capsys.readouterr()
 
     packed = tmp_path / "model.tern"
-    report_path = tmp_path / "report.json"
-    rc = main(
-        [
-            "export",
-            "--checkpoint",
-            str(tern_ckpt),
-            "--out",
-            str(packed),
-            "--report",
-            str(report_path),
-        ]
-    )
+    rc = main(["export", "--checkpoint", str(tern_ckpt), "--out", str(packed)])
     assert rc == 0
-    report = json.loads(report_path.read_text())
+    report = json.loads(capsys.readouterr().out)
+    assert report["file"] == str(packed) and report["file_bytes"] == packed.stat().st_size
     assert report["totals"]["compression_ratio"] > 10
     assert all(type(e["dead_outputs"]) is int and e["dead_outputs"] >= 0 for e in report["layers"] if e["quantized"])
-    stdout_report = json.loads(capsys.readouterr().out)
-    assert stdout_report["totals"] == report["totals"]
-    assert packed.exists()
 
     rc = main(["inspect", "--checkpoint", str(tern_ckpt)])
     assert rc == 0
@@ -250,14 +236,14 @@ def test_no_grad_correctness_flag_changes_training(pretrained, tmp_path):
     assert info["config"]["grad_correctness"] is False
 
 
-def test_env_seed_override(pretrained, tmp_path, monkeypatch, capsys):
+def test_the_seed_comes_from_the_flag_or_else_the_config(pretrained, tmp_path, monkeypatch, capsys):
     root, cfg, ckpt = pretrained
+    # A TERNTRAIN_SEED left in the shell is not read.
     monkeypatch.setenv("TERNTRAIN_SEED", "99")
-    out_dir = tmp_path / "env"
+    out_dir = tmp_path / "config"
     rc = main(["pretrain", "--config", str(cfg), "--epochs", "0", "--out-dir", str(out_dir)])
     assert rc == 0
-    assert json.loads((out_dir / "pretrain_run_info.json").read_text())["seed"] == 99
-    # explicit flag beats the environment
+    assert json.loads((out_dir / "pretrain_run_info.json").read_text())["seed"] == 3
     out_dir2 = tmp_path / "flag"
     rc = main(
         ["pretrain", "--config", str(cfg), "--epochs", "0", "--seed", "5", "--out-dir", str(out_dir2)]
@@ -265,19 +251,12 @@ def test_env_seed_override(pretrained, tmp_path, monkeypatch, capsys):
     assert rc == 0
     assert json.loads((out_dir2 / "pretrain_run_info.json").read_text())["seed"] == 5
     monkeypatch.setenv("TERNTRAIN_SEED", "not-a-number")
-    assert main(["pretrain", "--config", str(cfg), "--epochs", "0"]) == 1
-    # A negative seed from the config, the flag or the environment is a
-    # config error, raised before the run directory is written.
+    assert main(["pretrain", "--config", str(cfg), "--epochs", "0", "--out-dir", str(tmp_path / "nan")]) == 0
+    # A negative seed from the config or the flag is a config error,
+    # raised before the run directory is written.
     neg_cfg = tmp_path / "neg.cfg"
     neg_cfg.write_text(cfg.read_text().replace("seed = 3", "seed = -2"))
-    monkeypatch.delenv("TERNTRAIN_SEED")
-    for env, config, flags in (
-        (None, neg_cfg, []),
-        (None, cfg, ["--seed", "-1"]),
-        ("-5", cfg, []),
-    ):
-        if env is not None:
-            monkeypatch.setenv("TERNTRAIN_SEED", env)
+    for config, flags in ((neg_cfg, []), (cfg, ["--seed", "-1"])):
         for command, extra in (("pretrain", []), ("quantize", ["--checkpoint", str(ckpt)])):
             out_dir = tmp_path / "neg" / command
             argv = [command, "--config", str(config), "--epochs", "0", "--out-dir", str(out_dir)]
@@ -313,6 +292,13 @@ def test_usage_and_config_errors_exit_1(pretrained, tmp_path, capsys):
         assert not out_dir.exists()
 
 
+def _csv_split(text, root, path, split="train"):
+    """The config text with the split's IDX keys replaced by {split}_csv = path."""
+    for key, name in (("images", "img"), ("labels", "lbl")):
+        text = text.replace(f"{split}_{key} = {root / f'{split}_{name}.idx'}\n", "")
+    return text + f"{split}_csv = {path}\n"
+
+
 def _bad_input(command, case, root, cfg, ckpt, tmp_path):
     """A config text and a quantize checkpoint holding one bad input, and its exit code."""
     text = cfg.read_text()
@@ -323,7 +309,7 @@ def _bad_input(command, case, root, cfg, ckpt, tmp_path):
         (tmp_path / "train.csv").write_text(rows)
         if command == "pretrain":
             text = text.replace("arch = mlp-784-16-10", "arch = mlp-2-4-2")
-        return text.replace("dataset = idx", "dataset = csv") + f"train_csv = {tmp_path / 'train.csv'}\n", ckpt, 1
+        return _csv_split(text, root, tmp_path / "train.csv"), ckpt, 1
     if case == "missing-data":
         return text.replace(str(root / "train_img.idx"), str(tmp_path / "nope.idx")), ckpt, 1
     if case == "label-out-of-range":
@@ -333,14 +319,14 @@ def _bad_input(command, case, root, cfg, ckpt, tmp_path):
         return text.replace("arch = mlp-784-16-10", "arch = mlp-784-x-10"), ckpt, 1
     if case == "non-finite-feature":
         (tmp_path / "train.csv").write_text("0,0.1,0.2\n1,nan,0.5\n0,0.2,inf\n")
-        text = text.replace("arch = mlp-784-16-10", "arch = mlp-2-4-2").replace("dataset = idx", "dataset = csv")
-        return text + f"train_csv = {tmp_path / 'train.csv'}\n", ckpt, 1
+        text = text.replace("arch = mlp-784-16-10", "arch = mlp-2-4-2")
+        return _csv_split(text, root, tmp_path / "train.csv"), ckpt, 1
     if case == "non-utf8-config":
         return text.encode() + b"# caf\xe9\n", ckpt, 1
     if case == "non-utf8-csv":
         (tmp_path / "train.csv").write_bytes(b"label,caf\xe9,x\n0,0.1,0.2\n")
-        text = text.replace("arch = mlp-784-16-10", "arch = mlp-2-4-2").replace("dataset = idx", "dataset = csv")
-        return text + f"train_csv = {tmp_path / 'train.csv'}\n", ckpt, 1
+        text = text.replace("arch = mlp-784-16-10", "arch = mlp-2-4-2")
+        return _csv_split(text, root, tmp_path / "train.csv"), ckpt, 1
     if case == "oversized-idx-header":
         (tmp_path / "img.idx").write_bytes(struct.pack(">IIII", 0x00000803, 2**20, 2**12, 2**12) + bytes(64))
         return text.replace(str(root / "train_img.idx"), str(tmp_path / "img.idx")), ckpt, 1
@@ -351,6 +337,14 @@ def _bad_input(command, case, root, cfg, ckpt, tmp_path):
         return text.replace(f"test_labels = {root / 'test_lbl.idx'}\n", ""), ckpt, 1
     if case == "tiny-normalize-std":
         return text + "normalize_std = 1e-320\n", ckpt, 1
+    if case in ("huge-normalize-mean", "negative-huge-normalize-mean"):
+        # No mean of pixels scaled to [0, 1].
+        return text + f"normalize_mean = {'-' if case.startswith('negative') else ''}1e308\n", ckpt, 1
+    if case == "test-split-in-both-formats":
+        (tmp_path / "test.csv").write_text("0," + ",".join(["0.5"] * 784) + "\n")
+        return text + f"test_csv = {tmp_path / 'test.csv'}\n", ckpt, 1
+    if case == "dataset-key":
+        return text + "dataset = idx\n", ckpt, 1
     if case == "schedule-overflows-threshold-lr":
         # The breakpoint scales the threshold lr by 0.1 / 1e-320, which overflows.
         return text.replace("weight_lr = 0.1", "weight_lr = 1e-320") + "lr_schedule = 0:0.1\n", ckpt, 1
@@ -374,6 +368,10 @@ def _bad_input(command, case, root, cfg, ckpt, tmp_path):
         ("pretrain", "features-misfit"),
         ("pretrain", "half-named-test-split"),
         ("pretrain", "tiny-normalize-std"),
+        ("pretrain", "huge-normalize-mean"),
+        ("pretrain", "negative-huge-normalize-mean"),
+        ("pretrain", "test-split-in-both-formats"),
+        ("pretrain", "dataset-key"),
         ("quantize", "missing-data"),
         ("quantize", "label-out-of-range"),
         ("quantize", "bad-arch"),
@@ -383,6 +381,10 @@ def _bad_input(command, case, root, cfg, ckpt, tmp_path):
         ("quantize", "features-misfit"),
         ("quantize", "half-named-test-split"),
         ("quantize", "tiny-normalize-std"),
+        ("quantize", "huge-normalize-mean"),
+        ("quantize", "negative-huge-normalize-mean"),
+        ("quantize", "test-split-in-both-formats"),
+        ("quantize", "dataset-key"),
         ("quantize", "schedule-overflows-threshold-lr"),
     ],
 )
@@ -417,6 +419,14 @@ def test_bad_input_fails_before_the_run_directory_is_written(
         assert f"config error: {tmp_path / 'img.idx'}: header dims (192, 28, 28) claim 150528 pixel bytes" in err
     if case == "tiny-normalize-std":
         assert f"config error: {root / 'train_img.idx'}: mean 0.0 and std 1e-320 normalize pixels to non-finite" in err
+    if case == "huge-normalize-mean":
+        assert "config error: normalize_mean: value 1e+308 above allowed range" in err
+    if case == "negative-huge-normalize-mean":
+        assert "config error: normalize_mean: value -1e+308 below allowed range" in err
+    if case == "test-split-in-both-formats":
+        assert "config error: config names test_csv beside an IDX key of the test split" in err
+    if case == "dataset-key":
+        assert "config error: " in err and "unknown config key 'dataset'" in err
     if case == "schedule-overflows-threshold-lr":
         assert "config error: lr_schedule breakpoint 0:0.1 scales the threshold lr to inf" in err
     if case == "features-misfit":
@@ -428,6 +438,35 @@ def test_bad_input_fails_before_the_run_directory_is_written(
         assert main(["eval", "--config", str(bad_cfg), "--checkpoint", str(ckpt), "--split", "train"]) == 1
         assert "config error: train split: samples of shape" in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+def test_a_csv_test_split_beside_an_idx_train_split_logs_test_rows(pretrained, tmp_path, capsys):
+    """Each split's keys pick its own format."""
+    root, cfg, ckpt = pretrained
+    images, labels = make_synth_mnist(64, seed=2, noise=20.0, max_shift=2, gain_lo=0.8)
+    rows = (f"{y}," + ",".join(map(repr, x)) for x, y in zip((images.reshape(64, -1) / 255.0).tolist(), labels))
+    (tmp_path / "test.csv").write_text("\n".join(rows) + "\n")
+    run_cfg = tmp_path / "run.cfg"
+    run_cfg.write_text(_csv_split(cfg.read_text(), root, tmp_path / "test.csv", "test"))
+    out_dir = tmp_path / "out"
+    assert main(["pretrain", "--config", str(run_cfg), "--epochs", "1", "--out-dir", str(out_dir)]) == 0
+    with open(out_dir / "pretrain_metrics.csv") as fh:
+        assert [line.split(",")[:2] for line in fh.read().splitlines()[1:]] == [["0", "train"], ["0", "test"]]
+    # The CSV holds the IDX test split's pixels, so eval reads it as the same split.
+    capsys.readouterr()
+    assert main(["eval", "--config", str(run_cfg), "--checkpoint", str(ckpt), "--mode", "float"]) == 0
+    from_csv = capsys.readouterr().out
+    assert main(["eval", "--config", str(cfg), "--checkpoint", str(ckpt), "--mode", "float"]) == 0
+    assert from_csv == capsys.readouterr().out
+
+
+def test_export_takes_no_report_path(pretrained, tmp_path, capsys):
+    """export prints its report; there is no second copy to write."""
+    root, cfg, ckpt = pretrained
+    argv = ["export", "--checkpoint", str(ckpt), "--out", str(tmp_path / "m.tern"), "--report", str(tmp_path / "r")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("usage error: unrecognized arguments: --report")
+    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize("command", ["quantize", "eval"])
@@ -460,9 +499,9 @@ def test_a_degenerate_checkpoint_leaves_no_run_directory(pretrained, tmp_path, c
 def test_a_csv_label_int64_cannot_hold_is_a_config_error(pretrained, tmp_path, capsys, label):
     root, cfg, _ = pretrained
     (tmp_path / "train.csv").write_text(f"0,0.1,0.2\n{label},0.4,0.5\n")
-    text = cfg.read_text().replace("arch = mlp-784-16-10", "arch = mlp-2-4-2").replace("dataset = idx", "dataset = csv")
+    text = cfg.read_text().replace("arch = mlp-784-16-10", "arch = mlp-2-4-2")
     bad_cfg = tmp_path / "bad.cfg"
-    bad_cfg.write_text(text + f"train_csv = {tmp_path / 'train.csv'}\n")
+    bad_cfg.write_text(_csv_split(text, root, tmp_path / "train.csv"))
     out_dir = tmp_path / "out"
     assert main(["pretrain", "--config", str(bad_cfg), "--out-dir", str(out_dir)]) == 1
     err = capsys.readouterr().err
@@ -639,16 +678,14 @@ def test_eval_rejects_a_label_the_model_has_no_class_for(pretrained, tmp_path, c
         ("pretrain", "--epochs", "epochs", "-3"),
         ("pretrain", "--epochs", "epochs", "2.5"),
         ("pretrain", "--seed", "seed", "-1"),
-        ("pretrain", "TERNTRAIN_SEED", "seed", "x"),
         ("quantize", "--seed", "seed", "seven"),
-        ("quantize", "TERNTRAIN_SEED", "seed", "-5"),
         ("quantize", "--init-frac", "init_frac", "nan"),
         ("quantize", "--init-frac", "init_frac", "0"),
         ("quantize", "--init-frac", "init_frac", "tenth"),
     ],
 )
 def test_bad_override_fails_like_the_same_value_in_the_config(
-    pretrained, tmp_path, monkeypatch, capsys, command, override, key, value
+    pretrained, tmp_path, capsys, command, override, key, value
 ):
     root, cfg, ckpt = pretrained
     rest = "".join(line for line in cfg.read_text().splitlines(True) if not line.startswith(f"{key} ="))
@@ -659,12 +696,7 @@ def test_bad_override_fails_like_the_same_value_in_the_config(
         argv += ["--checkpoint", str(ckpt)]
 
     run_cfg.write_text(rest)
-    if override.startswith("--"):
-        assert main(argv + [override, value]) == 1
-    else:
-        monkeypatch.setenv(override, value)
-        assert main(argv) == 1
-        monkeypatch.delenv(override)
+    assert main(argv + [override, value]) == 1
     from_override = capsys.readouterr().err
 
     run_cfg.write_text(rest + f"{key} = {value}\n")

@@ -30,6 +30,25 @@ def test_unknown_key_rejected():
         _parse(MINIMAL + "learning_rate = 0.1\n")
 
 
+@pytest.mark.parametrize("value", ["idx", "csv"])
+def test_the_removed_dataset_key_is_unknown(value):
+    """A split's keys pick its format, so no key names it."""
+    with pytest.raises(ConfigError, match="unknown config key 'dataset'"):
+        _parse(MINIMAL + f"dataset = {value}\n")
+
+
+@pytest.mark.parametrize("value", ["-1e308", "-0.01", "1.01", "1e308"])
+def test_a_normalize_mean_outside_the_pixel_range_rejected(value):
+    """Pixels are scaled to [0, 1] before normalization, so their mean lies there too."""
+    with pytest.raises(ConfigError, match="^normalize_mean: value .* (below|above) allowed range"):
+        _parse(MINIMAL + f"normalize_mean = {value}\n")
+
+
+@pytest.mark.parametrize("value", ["0", "0.1307", "1"])
+def test_a_normalize_mean_in_the_pixel_range_accepted(value):
+    assert _parse(MINIMAL + f"normalize_mean = {value}\n").normalize_mean == float(value)
+
+
 def test_duplicate_key_rejected():
     with pytest.raises(ConfigError, match="duplicate"):
         parse_kv_text("arch = a\narch = b\n")
@@ -114,8 +133,6 @@ def test_non_finite_float_rejected(key, value):
 
 
 def test_enum_values():
-    with pytest.raises(ConfigError):
-        _parse(MINIMAL + "dataset = parquet\n")
     with pytest.raises(ConfigError):
         _parse(MINIMAL + "weight_opt = adagrad\n")
     with pytest.raises(ConfigError):

@@ -12,13 +12,7 @@ from terntrain import kernels, modelio, network
 from terntrain.autograd import no_grad
 from terntrain.data import Dataset
 from terntrain.modelio import (
-    BadMagicError,
-    CrcMismatchError,
-    FormatError,
-    InvalidCodeError,
     ModelIOError,
-    TruncatedFileError,
-    UnsupportedVersionError,
     checkpoint_from_bytes,
     checkpoint_to_bytes,
     export_packed,
@@ -81,25 +75,27 @@ def test_pack_unpack_large_roundtrip():
 
 
 def test_pack_rejects_bad_code():
-    with pytest.raises(InvalidCodeError):
+    with pytest.raises(ValueError, match="code 2 outside"):
         pack_codes(np.array([0, 2]))
-    with pytest.raises(InvalidCodeError):
+    with pytest.raises(ValueError, match="code 0.5 outside"):
         pack_codes(np.array([0.5]))
+    with pytest.raises(ValueError, match="code 2 outside"):
+        pack_codes([2])
 
 
 def test_unpack_rejects_reserved_pair():
-    with pytest.raises(InvalidCodeError):
+    with pytest.raises(ModelIOError, match="reserved 11 bit pair"):
         unpack_codes(bytes([0b00000011]), 4)
 
 
 def test_unpack_rejects_wrong_length():
-    with pytest.raises(FormatError):
+    with pytest.raises(ModelIOError, match="packed payload of 2 bytes cannot hold 3 codes"):
         unpack_codes(b"\x00\x00", 3)
 
 
 def test_unpack_rejects_dirty_padding():
     # Two codes packed in one byte; a non-zero pair in the padding region.
-    with pytest.raises(FormatError):
+    with pytest.raises(ModelIOError, match="non-zero padding bit pairs"):
         unpack_codes(bytes([0b01_00_00_01]), 2)
 
 
@@ -107,9 +103,9 @@ def _unpack_by_bit_loop(data: bytes, n: int) -> np.ndarray:
     """Reference decoder: one bit pair at a time, first code in bits 1:0."""
     pairs = [(byte >> (2 * j)) & 3 for byte in data for j in range(4)]
     if 3 in pairs:
-        raise InvalidCodeError("reserved pair")
+        raise ModelIOError("reserved 11 bit pair")
     if any(pairs[n:]):
-        raise FormatError("dirty padding")
+        raise ModelIOError("non-zero padding bit pairs")
     return np.array([{0: 0, 1: 1, 2: -1}[p] for p in pairs[:n]], dtype=np.int8)
 
 
@@ -121,7 +117,7 @@ def test_unpack_matches_bit_loop_on_every_byte(rem):
         try:
             expected = _unpack_by_bit_loop(data, n)
         except ModelIOError as e:
-            with pytest.raises(type(e)):
+            with pytest.raises(ModelIOError, match=str(e)):
                 unpack_codes(data, n)
             continue
         got = unpack_codes(data, n)
@@ -221,23 +217,27 @@ def test_checkpoint_before_any_refresh_roundtrips():
 
 def test_truncated_file_rejected():
     blob = checkpoint_to_bytes(_trained_like_model())
-    with pytest.raises(ModelIOError):
+    with pytest.raises(ModelIOError, match="CRC mismatch"):
         checkpoint_from_bytes(blob[: len(blob) // 2])
-    with pytest.raises(TruncatedFileError):
+    with pytest.raises(ModelIOError, match="shorter than any valid model file"):
         checkpoint_from_bytes(blob[:6])
+    # A truncated body behind a valid CRC runs out of bytes as it is read.
+    body = blob[: len(blob) // 2]
+    with pytest.raises(ModelIOError, match=r"needed \d+ bytes at offset \d+, only \d+ left"):
+        checkpoint_from_bytes(body + struct.pack("<I", zlib.crc32(body)))
 
 
 def test_bit_flip_rejected():
     blob = bytearray(checkpoint_to_bytes(_trained_like_model()))
     blob[100] ^= 0x10
-    with pytest.raises(CrcMismatchError):
+    with pytest.raises(ModelIOError, match="CRC mismatch"):
         checkpoint_from_bytes(bytes(blob))
 
 
 def test_flipped_magic_rejected():
     blob = bytearray(checkpoint_to_bytes(_trained_like_model()))
     blob[0] ^= 0xFF
-    with pytest.raises(BadMagicError):
+    with pytest.raises(ModelIOError, match="expected magic b'TNCK'"):
         checkpoint_from_bytes(bytes(blob))
 
 
@@ -246,7 +246,7 @@ def test_unsupported_version_rejected():
     struct.pack_into("<H", blob, 4, 999)
     # Re-seal the CRC so only the version check can fire.
     struct.pack_into("<I", blob, len(blob) - 4, zlib.crc32(bytes(blob[:-4])) & 0xFFFFFFFF)
-    with pytest.raises(UnsupportedVersionError):
+    with pytest.raises(ModelIOError, match="unsupported format version 999"):
         checkpoint_from_bytes(bytes(blob))
 
 
@@ -254,7 +254,7 @@ def test_trailing_garbage_rejected():
     blob = bytearray(checkpoint_to_bytes(_trained_like_model()))
     body = blob[:-4] + b"\x00\x00"
     sealed = body + struct.pack("<I", zlib.crc32(bytes(body)) & 0xFFFFFFFF)
-    with pytest.raises(FormatError):
+    with pytest.raises(ModelIOError, match="2 trailing bytes after the last layer"):
         checkpoint_from_bytes(bytes(sealed))
 
 
@@ -394,7 +394,7 @@ def test_packed_bit_flip_rejected_before_inference(tmp_path):
     blob = bytearray(path.read_bytes())
     blob[40] ^= 0x01  # somewhere in the scale/codes region
     path.write_bytes(bytes(blob))
-    with pytest.raises(CrcMismatchError):
+    with pytest.raises(ModelIOError, match="CRC mismatch"):
         load_packed_and_infer(path, np.zeros((1, 16)))
 
 
@@ -402,7 +402,7 @@ def test_wrong_magic_across_formats(tmp_path):
     model = _trained_like_model(seed=15)
     path = tmp_path / "m.ckpt"
     save_checkpoint(model, path)
-    with pytest.raises(BadMagicError):
+    with pytest.raises(ModelIOError, match="expected magic b'TERN', found b'TNCK'"):
         load_packed_and_infer(path, np.zeros((1, 16)))
 
 
@@ -590,11 +590,11 @@ def test_hand_built_tern_file_loads():
 )
 def test_tern_record_not_matching_its_spec_rejected_at_load(tmp_path, fields):
     data = _tern_mlp_8_4(**fields)
-    with pytest.raises(FormatError):
+    with pytest.raises(ModelIOError):
         packed_from_bytes(data)
     path = tmp_path / "bad.tern"
     path.write_bytes(data)
-    with pytest.raises(FormatError):
+    with pytest.raises(ModelIOError):
         load_packed_and_infer(path, np.zeros((1, 8)))
 
 
@@ -633,11 +633,11 @@ def test_tern_record_not_matching_its_spec_rejected_at_load(tmp_path, fields):
 )
 def test_tnck_record_not_matching_its_spec_rejected_at_load(tmp_path, fields):
     data = _tnck_mlp_8_4(**fields)
-    with pytest.raises(FormatError):
+    with pytest.raises(ModelIOError):
         checkpoint_from_bytes(data)
     path = tmp_path / "bad.ckpt"
     path.write_bytes(data)
-    with pytest.raises(FormatError):
+    with pytest.raises(ModelIOError):
         load_checkpoint(path)
 
 
@@ -841,7 +841,7 @@ def test_bit_flip_after_a_served_request_still_rejected(tmp_path):
     blob[40] ^= 0x01
     path.write_bytes(bytes(blob))
     for _ in range(2):
-        with pytest.raises(CrcMismatchError):
+        with pytest.raises(ModelIOError, match="CRC mismatch"):
             load_packed_and_infer(path, np.zeros((1, 16)))
 
 

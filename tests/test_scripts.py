@@ -1,7 +1,8 @@
 """The scripts and the benchmark use only terntrain names that exist, the
 package defines no public name that only tests read, the trainer does no file
 I/O, the model loader derives no quantizer state and the trainer never asks
-whether a model is packed, no script trains a model itself, the digest script
+whether a model is packed, modelio defines one error type and the CLI reads no
+environment variable, no script trains a model itself, the digest script
 reruns byte-identically, and the fixture script writes the desk's splits.
 
 Of these files only `scripts/rerun_digest.py` and `scripts/make_synth_mnist.py`
@@ -18,6 +19,7 @@ in pyproject.toml. A name that only tests read is dead API.
 """
 
 import ast
+import builtins
 import importlib
 import os
 import pathlib
@@ -236,6 +238,58 @@ def test_the_readiness_check_flags_quantizer_writers_and_packed_reads():
     )
     assert quantizer_writers_imported(source) == ["1: refresh", "2: layer_stats", "4: refresh", "5: layer_stats"]
     assert attributes_named(source, "packed") == [8, 9]
+
+
+def exception_classes(source: str) -> list[str]:
+    """The top-level classes of the source that derive from a built-in
+    exception, directly or through a class defined before them."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ClassDef):
+            for base in map(_dotted, node.bases):
+                builtin = getattr(builtins, base or "", None)
+                if base in found or (isinstance(builtin, type) and issubclass(builtin, BaseException)):
+                    found.append(node.name)
+                    break
+    return found
+
+
+ENVIRONMENT_READERS = ("environ", "environb", "getenv", "getenvb")
+
+
+def environment_reads(source: str) -> list[int]:
+    """The lines on which the source reads or imports os.environ or os.getenv."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT_READERS:
+            lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and any(a.name in ENVIRONMENT_READERS for a in node.names):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_modelio_has_one_error_type_and_the_cli_reads_no_environment():
+    """Every model file rejection is a ModelIOError, and a run's settings come
+    from its config file and flags alone."""
+    assert exception_classes((ROOT / "src" / PACKAGE / "modelio.py").read_text()) == ["ModelIOError"]
+    assert environment_reads((ROOT / "src" / PACKAGE / "cli.py").read_text()) == []
+
+
+def test_the_surface_check_flags_error_classes_and_environment_reads():
+    source = (
+        "import os\n"
+        "from os import getenv, path\n"
+        "class A(Exception): ...\n"
+        "class B(A): ...\n"
+        "class C(Mixin, ValueError): ...\n"
+        "class D: ...\n"
+        "class E(D, abc.ABC): ...\n"
+        "seed = os.environ.get('SEED')\n"
+        "os.getenv('X')\n"
+        "os.path.exists('y')\n"
+    )
+    assert exception_classes(source) == ["A", "B", "C"]
+    assert environment_reads(source) == [2, 8, 9]
 
 
 TRAINING_NAMES = {f"{PACKAGE}.trainer.{name}" for name in ("pretrain", "train", "make_train_state")}

@@ -11,10 +11,14 @@ grid. Of the library it calls only the scalar Gaussian functions and
 tern(). trainer, network, autograd and optim only build and step the model
 under test.
 
-The two agree bit for bit over four steps. Two ops of the oracle have to
-follow the library's order to get there. A product against codes with an
-all-zero column multiplies only the live columns, taken as one row-major
-block, as set_codes and autograd.matmul do. BLAS may sum a narrower or
+The library runs four epochs of trainer.train(), one batch each, with a
+drawn lr_schedule breakpoint at epoch 1, 2 or 3 that sets a drawn weight lr
+and scales the threshold lr by the same factor. The oracle takes train()'s
+batch order (one permutation per epoch from the state's seed) and those
+rates, and computes each epoch's train row. The two agree bit for bit over
+the four steps. Two ops of the oracle have to follow the library's order to
+get there. A product against codes with an all-zero column multiplies only
+the live columns, taken as one row-major block, as set_codes and autograd.matmul do. BLAS may sum a narrower or
 differently laid-out matrix's products in another order: the full product
 changed the last bit of a loss on 1 draw in 2000, and a column-major live
 block on about 1 in 30. And the Adam update is optim.adam_update's: the
@@ -37,10 +41,11 @@ from terntrain.gaussian import (
     d_truncated_mean_d_delta,
     truncated_upper_mean,
 )
+from terntrain.data import Dataset
 from terntrain.network import LayerSpec, Model, glorot
 from terntrain.optim import OptimizerConfig
 from terntrain.ternarize import tern
-from terntrain.trainer import make_train_state, tern_train_step
+from terntrain.trainer import make_train_state, train
 
 STEPS = 4
 WEIGHT_LR, MOMENTUM = 0.1, 0.9
@@ -76,16 +81,16 @@ def adam_step(p, g, moments, t, lr):
     return p - lr * (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + EPS)
 
 
-def weight_step(layer, name, g, t, run):
-    """Step the parameter layer.<name> by the run's weight optimizer, then snap it onto float32."""
+def weight_step(layer, name, g, t, run, lr):
+    """Step the parameter layer.<name> by the run's weight optimizer at lr, then snap it onto float32."""
     p = getattr(layer, name)
     if run["weight_decay"]:
         g = g + run["weight_decay"] * p
     if run["weight_opt"] == "adam":
-        p = adam_step(p, g, layer.slots.setdefault(name, [0.0, 0.0]), t, ADAM_LR)
+        p = adam_step(p, g, layer.slots.setdefault(name, [0.0, 0.0]), t, lr)
     else:
         v = layer.slots[name] = g.copy() if name not in layer.slots else layer.slots[name] * MOMENTUM + g
-        p = p - WEIGHT_LR * v
+        p = p - lr * v
     setattr(layer, name, p.astype(np.float32).astype(np.float64))
 
 
@@ -143,13 +148,13 @@ def _backward(layers, cache, g, gc):
     return grads
 
 
-def oracle_step(layers, x, y, t, run):
-    """Step t >= 1 of the alternating iteration on the oracle's layers; returns both phases' losses."""
-    gc, threshold_lr = run["gc"], run["threshold_lr"]
+def oracle_step(layers, x, y, t, run, weight_lr, threshold_lr):
+    """Step t >= 1 of the alternating iteration on the oracle's layers, at these learning rates."""
+    gc = run["gc"]
     for layer in layers:
         layer.fit()
     cache, logits = _forward(layers, x)
-    t_loss, g = _loss_and_grad(logits, y)
+    g = _loss_and_grad(logits, y)[1]
     for layer, (g_s, _, _) in zip(layers, _backward(layers, cache, g, gc)):
         if layer.delta is not None:
             params = TruncGaussParams(layer.mu, layer.sigma, layer.dc)
@@ -162,11 +167,20 @@ def oracle_step(layers, x, y, t, run):
     for layer in layers:
         layer.fit()
     cache, logits = _forward(layers, x)
-    w_loss, g = _loss_and_grad(logits, y)
+    g = _loss_and_grad(logits, y)[1]
     for layer, (_, gw, gb) in zip(layers, _backward(layers, cache, g, gc)):
-        weight_step(layer, "w", gw, t, run)
-        weight_step(layer, "b", gb, t, run)
-    return t_loss, w_loss
+        weight_step(layer, "w", gw, t, run, weight_lr)
+        weight_step(layer, "b", gb, t, run, weight_lr)
+
+
+def oracle_eval(layers, x, y):
+    """The loss and accuracy of train()'s end-of-epoch row: the refitted layers
+    on the samples in their stored order, the loss summed back over them."""
+    for layer in layers:
+        layer.fit()
+    logits = _forward(layers, x)[1]
+    n = len(y)
+    return _loss_and_grad(logits, y)[0] * n / n, int(np.sum(np.argmax(logits, axis=1) == y)) / n
 
 
 @st.composite
@@ -183,6 +197,8 @@ def drawn_runs(draw):
         "weight_opt": draw(st.sampled_from(["sgd-momentum", "adam"])),
         "threshold_opt": draw(st.sampled_from(["vanilla-sgd", "adam"])),
         "weight_decay": draw(st.sampled_from([0.0, 1e-4, 1e-2])),
+        "breakpoint": draw(st.integers(1, STEPS - 1)),
+        "rate": draw(st.floats(1e-3, 0.3)),
         "seed": draw(st.integers(0, 2**32 - 1)),
     }
 
@@ -204,6 +220,7 @@ def _model(run):
 @given(run=drawn_runs())
 @settings(max_examples=100, deadline=None)
 def test_four_ternary_steps_match_the_numpy_oracle_bit_for_bit(run):
+    """Four epochs of train(), one batch each, across a learning-rate breakpoint."""
     model, rng = _model(run)
     wd = run["weight_decay"]
     if run["weight_opt"] == "adam":
@@ -211,16 +228,23 @@ def test_four_ternary_steps_match_the_numpy_oracle_bit_for_bit(run):
     else:
         weight_cfg = OptimizerConfig(kind="sgd-momentum", lr=WEIGHT_LR, momentum=MOMENTUM, weight_decay=wd)
     threshold_cfg = OptimizerConfig(kind=run["threshold_opt"], lr=run["threshold_lr"], betas=BETAS, eps=EPS)
-    state = make_train_state(model, weight_cfg, threshold_cfg, seed=0, grad_correctness=run["gc"])
+    schedule = [(run["breakpoint"], run["rate"])]
+    state = make_train_state(model, weight_cfg, threshold_cfg, seed=0, schedule=schedule, grad_correctness=run["gc"])
     layers = [
         Layer(l.w.data, l.b.data, None if l.qstate is None else l.qstate.delta) for l in model.param_layers()
     ]
+    order = np.random.default_rng(0)  # train()'s: one permutation per epoch from the state's seed
     for step in range(STEPS):
         x = rng.normal(size=(run["batch"], run["widths"][0]))
         y = rng.integers(0, run["widths"][-1], size=run["batch"])
-        got = tern_train_step(state, (x, y))
-        want = oracle_step(layers, x, y, step + 1, run)
-        assert (got["threshold_loss"], got["weight_loss"]) == want, step
+        # One batch per epoch, so the breakpoint falls between two steps.
+        row = train(state, Dataset(x, y), 1, batch_size=run["batch"])[-1]
+        lrs = (weight_cfg.lr, threshold_cfg.lr)
+        if step >= run["breakpoint"]:  # trainer._apply_schedule's rates
+            lrs = (run["rate"], threshold_cfg.lr * (run["rate"] / weight_cfg.lr))
+        perm = order.permutation(run["batch"])
+        oracle_step(layers, x[perm], y[perm], step + 1, run, *lrs)
+        assert (row["loss"], row["accuracy"]) == oracle_eval(layers, x, y), step
         for layer, oracle in zip(model.param_layers(), layers):
             assert layer.w.data.tobytes() == oracle.w.tobytes(), (step, layer.name)
             assert layer.b.data.tobytes() == oracle.b.tobytes(), (step, layer.name)

@@ -403,7 +403,7 @@ def test_metrics_csv_layout(tmp_path):
     _write_csv_split(tmp_path / "train.csv", _toy_dataset(seed=12))
     _write_csv_split(tmp_path / "test.csv", _toy_dataset(seed=13))
     (tmp_path / "run.cfg").write_text(
-        f"arch = mlp-6-5-3\ndataset = csv\ntrain_csv = {tmp_path / 'train.csv'}\ntest_csv = {tmp_path / 'test.csv'}\n"
+        f"arch = mlp-6-5-3\ntrain_csv = {tmp_path / 'train.csv'}\ntest_csv = {tmp_path / 'test.csv'}\n"
         "epochs = 2\nbatch_size = 32\nseed = 12\nweight_opt = vanilla-sgd\nweight_lr = 0.05\n"
         f"threshold_lr = 0.05\ninit_frac = 0.1\npretrain_checkpoint = {tmp_path / 'pretrain.ckpt'}\n"
         f"out_dir = {tmp_path / 'run'}\n"
