@@ -36,7 +36,9 @@ class Tensor:
     live_columns, when set on a 2-D tensor, is (indices, data[:, indices]
     as one contiguous array) and promises that every other column of data
     is zero; matmul then multiplies only those columns.
-    ternarize.ste_codes_node sets it on a ternary layer's codes.
+    ternarize.ste_codes_node sets it on a ternary layer's codes, whose
+    node builds its data on the first read: a product reads data, and
+    matmul and backward() read only such a node's shape.
     """
 
     # Class-level defaults: a node sets only what differs from them.
@@ -63,7 +65,7 @@ class Tensor:
         self.grad = None
 
     def __repr__(self) -> str:
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
+        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
 _recording = True
@@ -81,12 +83,14 @@ def no_grad() -> Iterator[None]:
         _recording = before
 
 
-def _node(data: np.ndarray, parents: Sequence[Tensor], backward_rule: BackwardRule) -> Tensor:
-    """The one node constructor of every op. backward_rule maps the output
-    gradient to one gradient (or None) per parent; backward() checks each
-    one's shape against its parent. Parents and rule are recorded only while
-    recording and when some parent requires a gradient."""
-    out = Tensor(data)
+def _node(data, parents: Sequence[Tensor], backward_rule: BackwardRule, tensor: type[Tensor] = Tensor) -> Tensor:
+    """The one node constructor of every op. The node is tensor(data): a
+    Tensor holding data, or a Tensor subclass that builds its data from the
+    argument on the first read. backward_rule maps the output gradient to
+    one gradient (or None) per parent; backward() checks each one's shape
+    against its parent. Parents and rule are recorded only while recording
+    and when some parent requires a gradient."""
+    out = tensor(data)
     if _recording and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
@@ -99,8 +103,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     scattered into zeros. Each output sums the same terms either way, but
     the BLAS kernel that sums a column can depend on the matrix width, so
     the two may differ in the last bits. The backward rule uses the full b."""
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ValueError(f"matmul shape mismatch: {a.shape} x {b.shape}")
+    # b's shape, not b.data: a codes node builds its data only when a product reads it.
+    b_shape = b.shape
+    if a.data.ndim != 2 or len(b_shape) != 2 or a.shape[1] != b_shape[0]:
+        raise ValueError(f"matmul shape mismatch: {a.shape} x {b_shape}")
 
     def rule(g):
         ga = g @ b.data.T if a.requires_grad else None
@@ -111,7 +117,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         out = a.data @ b.data
     else:
         idx, cols = b.live_columns
-        out = np.zeros((a.shape[0], b.shape[1]))
+        out = np.zeros((a.shape[0], b_shape[1]))
         out[:, idx] = a.data @ cols
     return _node(out, (a, b), rule)
 
@@ -150,13 +156,13 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
         data = x.data + b.data
 
         def rule(g):
-            return g, g.sum(axis=0)
+            return g, (g.sum(axis=0) if b.requires_grad else None)
 
     elif x.data.ndim == 4 and b.data.ndim == 1 and x.shape[1] == b.shape[0]:
         data = x.data + b.data[None, :, None, None]
 
         def rule(g):
-            return g, g.sum(axis=(0, 2, 3))
+            return g, (g.sum(axis=(0, 2, 3)) if b.requires_grad else None)
 
     else:
         raise ValueError(f"add_bias shape mismatch: {x.shape} + {b.shape}")
@@ -265,10 +271,10 @@ def backward(loss: Tensor) -> None:
         for p, pg in zip(node._parents, parent_grads):
             if pg is None or not p.requires_grad:
                 continue
-            if pg.shape != p.data.shape:
+            if pg.shape != p.shape:
                 raise ValueError(
                     f"backward rule produced gradient of shape {pg.shape} "
-                    f"for input of shape {p.data.shape}"
+                    f"for input of shape {p.shape}"
                 )
             if id(p) in grads:
                 grads[id(p)] = grads[id(p)] + pg

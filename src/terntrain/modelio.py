@@ -277,12 +277,13 @@ def load_checkpoint(path) -> Model:
 def pack_codes(codes) -> bytes:
     """Pack codes in {-1, 0, +1} four per byte, first code in bits 1:0; any other code is a ValueError."""
     flat = np.asarray(codes).reshape(-1)
-    if flat.size and not np.isin(flat, (-1, 0, 1)).all():
-        bad = flat[~np.isin(flat, (-1, 0, 1))][0]
-        raise ValueError(f"code {bad} outside {{-1, 0, +1}}")
-    u = np.zeros(flat.size, dtype=np.uint8)
-    u[flat == 1] = 1
-    u[flat == -1] = 2
+    valid = (flat == 0) | (flat == 1) | (flat == -1)
+    if not valid.all():
+        raise ValueError(f"code {flat[~valid][0]} outside {{-1, 0, +1}}")
+    # A code's int8 byte masked to its low pair reads 01 for +1 and 11 for -1;
+    # folding the pair's high bit onto its low bit turns 11 into 10.
+    u = flat.astype(np.int8).view(np.uint8) & 3
+    u ^= u >> 1
     pad = (-u.size) % 4
     if pad:
         u = np.concatenate([u, np.zeros(pad, dtype=np.uint8)])
@@ -342,16 +343,18 @@ def _read_packed_layer(r: _Reader, shape: tuple) -> tuple:
         return r.f32_array(n).astype(np.float64).reshape(shape), r.f32_array(r.unpack("I")[0]), None
     st = QuantizerState(0.0, scale=float(r.f32_array(1)[0]))
     set_codes(st, unpack_codes(r.take((n + 3) // 4), n).reshape(shape))
-    st.source = st.codes
-    return st.codes, r.f32_array(r.unpack("I")[0]), st
+    st.source = st.float_codes()
+    return st.source, r.f32_array(r.unpack("I")[0]), st
 
 
 def packed_from_bytes(data: bytes) -> Model:
     """A packed Model from the bytes of a TERN file.
 
-    A quantized layer's read-only float64 codes serve as its weights and as
-    its quantizer state's codes and source, beside the file's float32 scale,
-    so the weight-phase forward computes (x @ codes) * scale + bias. The
+    A quantized layer's int8 codes are its quantizer state's codes, beside
+    the file's float32 scale. Their read-only float64 copy, widened once at
+    the load, serves as its weights, as its state's source and as the
+    float64 codes every forward multiplies, so the weight-phase forward
+    computes (x @ codes) * scale + bias and a request widens nothing. The
     codes are set through set_codes(), as a trained layer's are, so a
     quantized dense layer's live columns follow from them the same way.
     """

@@ -5,7 +5,8 @@ ternary phases. In the ternary modes each quantized layer computes
 S * linop(Tern(w)) through one expression: the linear op runs on the codes
 first and the scalar scale multiplies the accumulated result afterwards,
 never the other way around. A quantized dense layer whose codes have
-all-zero columns multiplies only its live columns.
+all-zero columns multiplies only its live columns, and its float64 codes
+are widened only for a product that reads them all.
 
 A Model has one constructor, one pass over its layer specs: each spec is
 checked against the one before it and each parametric layer takes its
@@ -217,22 +218,26 @@ class Model:
                 return ag.matmul(t, weights)
             return ag.conv2d(t, weights, spec.stride, spec.padding)
 
-        st = layer.qstate
+        # The threshold phase takes the thresholds' gradients alone: it reads
+        # every weight and bias as a constant.
+        st, w, b = layer.qstate, layer.w, layer.b
         if mode == FLOAT_MODE or st is None:
-            z = linop(layer.w)
+            if mode == THRESHOLD_PHASE:
+                w, b = Tensor(w.data), Tensor(b.data)
+            z = linop(w)
         else:
             # S * linop(Tern(w)): the threshold phase differentiates S through
             # the threshold with the codes a constant, the weight phase the codes
             # through the straight-through rule with S a constant.
-            check_fresh(st, layer.w.data, layer.name)
+            check_fresh(st, w.data, layer.name)
             if mode == THRESHOLD_PHASE:
                 leaf = Tensor(np.float64(st.delta), requires_grad=True)
                 self.delta_leaves[layer.name] = leaf
-                s, src = threshold_scale_node(leaf, st), Tensor(layer.w.data)
+                s, w, b = threshold_scale_node(leaf, st), Tensor(w.data), Tensor(b.data)
             else:
-                s, src = Tensor(st.scale), layer.w
-            z = ag.smul(s, linop(ste_codes_node(src, st, gc)))
-        return ag.add_bias(z, layer.b)
+                s = Tensor(st.scale)
+            z = ag.smul(s, linop(ste_codes_node(w, st, gc)))
+        return ag.add_bias(z, b)
 
 
 def mlp_specs(dims: list[int]) -> list[LayerSpec]:

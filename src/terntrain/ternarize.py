@@ -12,11 +12,16 @@ gradients through the staircase (ste_codes_node) with a 1/scale correction,
 so the composite derivative of the effective weight w.r.t. the float
 weight is exactly one.
 
-Codes are built as int8 (tern(), the TERN loader) and stay one byte each
-until set_codes(), the one writer of a layer's codes and of the live columns
-that follow from them, widens them to the float64 arrays the tape reads: by
-refresh() for a trained layer, and by the TERN loader for a packed one.
-ste_codes_node() alone hands the live columns to the tape.
+Codes are built as int8 (tern(), the TERN loader) and stay one byte each.
+set_codes(), called by refresh() for a trained layer and by the TERN loader
+for a packed one, is the one writer of a layer's codes and of the live
+columns that follow from them; it widens only the live block of a dense
+layer with dead columns to float64. The full codes are widened once per code
+change, and only when a product reads them: the forward of a conv or of a
+dense layer with no dead column, and the input gradient g @ codes.T of a
+dense layer. A packed layer's float64 weights are its codes, so its state
+holds them from the load on. ste_codes_node() alone hands the codes and the
+live columns to the tape.
 """
 
 from __future__ import annotations
@@ -50,12 +55,14 @@ class QuantizerState:
     delta is the trainable parameter and is never touched by refresh().
     mu/sigma/delta_c/scale/codes are derived by refresh() from the weight
     array `source`, which refresh() marks read-only: the state is fresh
-    exactly while the layer still holds that same array. codes are the
-    float64 codes Tern(source), read-only too: tern() builds them as int8
-    and set_codes() widens them once for the tape.
+    exactly while the layer still holds that same array. codes are the int8
+    codes Tern(source), one byte each and read-only too, as tern() or the
+    TERN loader built them.
 
     codes and live_columns are written by set_codes() alone, which derives
-    the live columns from the codes: see there.
+    the live columns from the codes: see there. codes64 is the float64 copy
+    of the codes that float_codes() builds for a product that reads them,
+    None until then; set_codes() drops it.
     """
 
     delta: float
@@ -66,6 +73,16 @@ class QuantizerState:
     codes: np.ndarray | None = field(default=None, repr=False, compare=False)
     source: np.ndarray | None = field(default=None, repr=False, compare=False)
     live_columns: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False, compare=False)
+    codes64: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    def float_codes(self) -> np.ndarray:
+        """The codes as the read-only float64 array a product reads: widened
+        on the first call after set_codes() and kept in codes64 until the next."""
+        if self.codes64 is None:
+            wide = self.codes.astype(np.float64)
+            wide.flags.writeable = False
+            self.codes64 = wide
+        return self.codes64
 
 
 def layer_stats(w: np.ndarray) -> tuple[float, float]:
@@ -127,17 +144,16 @@ def refresh(state: QuantizerState, w: np.ndarray) -> QuantizerState:
 def set_codes(state: QuantizerState, codes8: np.ndarray) -> None:
     """Set the state's codes and live columns from int8 codes in {-1, 0, +1}.
 
-    state.codes becomes a read-only float64 copy of codes8, the array the
-    tape and the export read. For 2-D (dense, in x out) codes with at least
-    one all-zero column, live_columns is the indices of the columns holding
-    a nonzero code beside the float64 codes on those columns as one
-    contiguous read-only array. It is None when every column is live, and
-    for conv codes. The live set and the live block are read off the
-    one-byte codes, so only the block itself is widened to float64.
+    codes8 itself, marked read-only, becomes state.codes, the array the
+    export and the layer statistics read; the float64 copy of the earlier
+    codes is dropped. For 2-D (dense, in x out) codes with at least one
+    all-zero column, live_columns is the indices of the columns holding a
+    nonzero code beside the float64 codes on those columns as one contiguous
+    read-only array. It is None when every column is live, and for conv
+    codes. Only the live block is widened to float64 here.
     """
-    codes = codes8.astype(np.float64)
-    codes.flags.writeable = False
-    state.codes, state.live_columns = codes, None
+    codes8.flags.writeable = False
+    state.codes, state.codes64, state.live_columns = codes8, None, None
     if codes8.ndim == 2:
         live = codes8.any(axis=0)
         if not live.all():
@@ -169,15 +185,46 @@ def check_fresh(state: QuantizerState, w: np.ndarray, name: str) -> None:
         )
 
 
+class _CodesNode(Tensor):
+    """The tape node of a layer's codes, carrying the state's live columns.
+
+    Its data, the float64 codes, is the state's codes64 when they are
+    widened already, and is otherwise built by state.float_codes() on the
+    first read, so a node that no product reads widens nothing: a dense
+    layer with dead columns multiplies its live block forward, and its
+    weight gradient a.T @ g reads no codes. The node keeps the int8 codes it
+    was made from: should set_codes() run before its backward, it widens
+    those, not the new ones.
+    """
+
+    def __init__(self, state: QuantizerState):
+        self._state, self._codes, self.live_columns = state, state.codes, state.live_columns
+        if state.codes64 is not None:
+            self.data = state.codes64
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self._codes.shape
+
+    def __getattr__(self, name: str):
+        # Called only while data is unset: the first read builds it and keeps it.
+        if name != "data":
+            raise AttributeError(name)
+        st = self._state
+        self.data = st.float_codes() if st.codes is self._codes else self._codes.astype(np.float64)
+        return self.data
+
+
 def ste_codes_node(w: Tensor, state: QuantizerState, grad_correctness: bool = True) -> Tensor:
     """The state's cached Tern(w) as a tape node with the straight-through backward rule.
 
-    The node carries the state's live columns, so a matmul against it
-    multiplies only those. The state must be fresh for w.data. With
-    grad_correctness the backward multiplies incoming gradients by 1/scale,
-    so scale * Tern(w) differentiates to exactly 1 w.r.t. w; without it the
-    staircase passes gradients through unchanged. For a w that requires no
-    gradient the node is a constant holding the codes.
+    The node (see _CodesNode) holds the state's float64 codes and live
+    columns, so a matmul against it multiplies only those columns. The
+    state must be fresh for w.data. With grad_correctness the backward
+    multiplies incoming gradients by 1/scale, so scale * Tern(w)
+    differentiates to exactly 1 w.r.t. w; without it the staircase passes
+    gradients through unchanged. For a w that requires no gradient the node
+    is a constant holding the codes.
     """
     # 1/scale is taken only when a gradient is: a forward alone runs on any
     # scale, 0.0 included.
@@ -186,9 +233,7 @@ def ste_codes_node(w: Tensor, state: QuantizerState, grad_correctness: bool = Tr
     def rule(g):
         return (g * (1.0 / scale if grad_correctness else 1.0),)
 
-    node = ag._node(state.codes, (w,), rule)
-    node.live_columns = state.live_columns
-    return node
+    return ag._node(state, (w,), rule, _CodesNode)
 
 
 def threshold_scale_node(delta_leaf: Tensor, state: QuantizerState) -> Tensor:

@@ -377,6 +377,18 @@ def test_smul_skips_gradient_of_constant_operand():
     assert np.array_equal(xt.grad, g * s)
 
 
+@pytest.mark.parametrize("shape", [(3, 4), (2, 4, 3, 3)], ids=["dense", "conv"])
+def test_add_bias_skips_gradient_of_constant_bias(shape):
+    # A constant bias, as the threshold phase reads it: no sum of g.
+    rng = np.random.default_rng(9)
+    x, b, g = rng.normal(size=shape), rng.normal(size=4), rng.normal(size=shape)
+    xt = Tensor(x, requires_grad=True)
+    out = ag.add_bias(xt, Tensor(b))
+    assert out._backward(g)[1] is None
+    backward(_weighted_sum(out, g))
+    assert np.array_equal(xt.grad, g)
+
+
 def test_no_grad_records_no_parents():
     x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
     w = Tensor(np.ones((3, 2)), requires_grad=True)

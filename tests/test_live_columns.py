@@ -11,6 +11,9 @@ terms' magnitudes (K = 784 here, about 1.7e-13), and RTOL/ATOL leave room
 for that to pass through three layers and the loss.
 """
 
+import copy
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -114,7 +117,7 @@ def test_set_codes_from_int8_matches_a_float_reference(rows, cols, dead_share, s
     state = QuantizerState(0.0)
     ternarize.set_codes(state, codes8)
     ref = codes8.astype(np.float64)
-    assert state.codes.dtype == np.float64 and not state.codes.flags.writeable
+    assert state.codes.dtype == np.int8 and not state.codes.flags.writeable
     assert np.array_equal(state.codes, ref)
     live = np.flatnonzero((ref != 0).any(axis=0))
     if live.size == cols:
@@ -132,8 +135,76 @@ def test_set_codes_keeps_no_live_set_for_conv_codes():
     state = QuantizerState(0.0)
     ternarize.set_codes(state, codes8)
     assert state.live_columns is None
-    assert state.codes.dtype == np.float64 and not state.codes.flags.writeable
+    assert state.codes.dtype == np.int8 and not state.codes.flags.writeable
     assert np.array_equal(state.codes, codes8)
+
+
+def test_set_codes_on_dead_columns_widens_only_the_live_block():
+    """set_codes() allocates no float64 array of the codes' full shape, not
+    even for a moment; float_codes() builds one once, and the next
+    set_codes() drops it."""
+    rng = np.random.default_rng(13)
+    codes8 = rng.integers(-1, 2, size=(784, 300)).astype(np.int8)
+    codes8[:, rng.permutation(300)[:180]] = 0
+    full_bytes = codes8.size * 8
+    state = QuantizerState(0.0)
+    tracemalloc.start()
+    try:
+        ternarize.set_codes(state, codes8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < full_bytes and state.codes64 is None
+    assert state.live_columns[1].shape == (784, 120)
+    wide = state.float_codes()
+    assert wide.dtype == np.float64 and not wide.flags.writeable and np.array_equal(wide, codes8)
+    assert state.float_codes() is wide
+    ternarize.set_codes(state, codes8.copy())
+    assert state.codes64 is None
+
+
+def test_a_ternary_step_widens_no_codes_of_a_first_layer_with_dead_columns():
+    """dense0 multiplies its live block forward and its input takes no
+    gradient, so no product of the step reads its full codes; dense1's input
+    gradient g @ codes.T, and its forward once no column is dead, read them."""
+    model = mlp_with_dead_columns(seed=14)
+    state = make_train_state(
+        model,
+        OptimizerConfig(kind="sgd-momentum", lr=0.01, momentum=0.9),
+        OptimizerConfig(kind="vanilla-sgd", lr=0.05, weight_decay=0.0),
+        seed=14,
+    )
+    rng = np.random.default_rng(15)
+    tern_train_step(state, (rng.normal(size=(32, 784)), rng.integers(0, 10, size=32)))
+    dense0, dense1, _ = model.quantized_layers()
+    st = dense0.qstate
+    assert st.live_columns is not None and st.codes.dtype == np.int8
+    full = [k for k, v in vars(st).items() if isinstance(v, np.ndarray) and v.dtype == np.float64 and v.shape == (784, 300)]
+    assert full == ["source"]  # the weights themselves
+    assert dense1.qstate.codes64 is not None
+
+
+def test_a_codes_node_keeps_the_codes_it_was_made_from():
+    """A refresh between a forward and its backward does not reach the tape:
+    the input gradients of dense1 and dense2, read in the backward, use the
+    codes of the forward."""
+    model = mlp_with_dead_columns(seed=16)
+    rng = np.random.default_rng(17)
+    x, y = rng.normal(size=(16, 784)), rng.integers(0, 10, size=16)
+    twin = copy.deepcopy(model)
+    twin.refresh_all()
+    want = _run(twin, x, y, WEIGHT_PHASE)
+    model.zero_grad()
+    loss = ag.softmax_cross_entropy(model.forward(x, WEIGHT_PHASE), y)
+    before = [l.qstate.codes for l in model.quantized_layers()]
+    for layer in model.quantized_layers():
+        layer.qstate.delta *= 0.5
+    model.refresh_all()
+    assert all(l.qstate.codes is not c for l, c in zip(model.quantized_layers(), before))
+    ag.backward(loss)
+    got = [None if p.grad is None else p.grad.copy() for p in model.parameters()]
+    for a, b in zip(got, want[1], strict=True):
+        assert np.array_equal(a, b)
 
 
 def test_no_dead_column_keeps_the_plain_path():

@@ -749,6 +749,25 @@ def test_packed_inference_matches_reference_interpreter_bit_for_bit(tmp_path, ar
         assert np.allclose(got, in_memory, rtol=1e-6, atol=1e-9)
 
 
+@pytest.mark.parametrize("arch", ["mlp-16-8-4", "lenet-small"])
+def test_codes_are_read_only_int8_after_a_refresh_a_checkpoint_load_and_a_packed_load(arch):
+    """A quantizer's codes stay one byte each however the model was readied;
+    a packed layer's float64 copy of them is its read-only weights."""
+    model = _trained_like_model(arch, seed=26)
+    from_checkpoint = checkpoint_from_bytes(checkpoint_to_bytes(model))
+    from_checkpoint.refresh_all()
+    packed = packed_from_bytes(packed_to_bytes(model))
+    for m in (model, from_checkpoint, packed):
+        for layer in m.quantized_layers():
+            codes = layer.qstate.codes
+            assert codes.dtype == np.int8 and codes.shape == layer.w.shape and not codes.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                codes.reshape(-1)[0] = 1
+    for layer, source in zip(packed.quantized_layers(), model.quantized_layers(), strict=True):
+        assert np.array_equal(layer.qstate.codes, source.qstate.codes)
+        assert layer.qstate.codes64 is layer.w.data and layer.w.data.dtype == np.float64
+
+
 def test_packed_model_with_dead_columns_matches_the_full_codes(tmp_path):
     model = mlp_with_dead_columns(seed=24, shares=(0.7, 0.2, 0.0), f32_biases=True)
     path = tmp_path / "dead.tern"
@@ -855,7 +874,7 @@ def test_packed_model_is_frozen_and_rejects_training_and_checkpoint(tmp_path):
     model.refresh_all()
     for layer, (codes, scale, live) in zip(model.quantized_layers(), before, strict=True):
         assert layer.qstate.codes is codes and layer.qstate.scale == scale and layer.qstate.live_columns is live
-        assert layer.qstate.codes is layer.w.data and not layer.w.data.flags.writeable
+        assert layer.qstate.codes64 is layer.w.data and not layer.w.data.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         model.param_layers()[0].w.data[0, 0] = 1.0
     for mode in (FLOAT_MODE, THRESHOLD_PHASE):

@@ -20,6 +20,7 @@ in pyproject.toml. A name that only tests read is dead API.
 
 import ast
 import builtins
+import ctypes
 import importlib
 import os
 import pathlib
@@ -346,6 +347,60 @@ def test_the_digest_script_reruns_byte_identically_in_fresh_processes():
     for line in lines[1:]:
         assert re.fullmatch(r"(mlp-784-300-100-10|lenet-small) [a-z-]+ [0-9a-f]{64}", line), line
     assert outputs[0] == outputs[1]
+
+
+# What scripts/rerun_digest.py prints at one BLAS thread on the build below.
+# Another numpy, OpenBLAS or BLAS core kernel may sum in another order, so
+# the digests are compared only on this build; a change that moves an output
+# byte has to say so here.
+PINNED_BUILD = {"numpy": "2.4.6", "openblas": "0.3.31.188.0", "core": "SkylakeX"}
+PINNED_DIGESTS = """\
+mlp-784-300-100-10 pretrain-csv bb8471fdc46c56e82a0b2d6f6dfc4258c111c52b748a3ddc09672af154771eee
+mlp-784-300-100-10 pretrain-tnck 93a639a72a05a984c1dfc5d262a01150d983eaea08fc058421aefd32c9780db9
+mlp-784-300-100-10 csv c0fbb64d68f1d3ec592308be016388b518f90d3e4dacdb28440e7be647010731
+mlp-784-300-100-10 tnck 35889e01f762f7c015da91ff93a76d79fe706a33d64ed0b5a50f2a2108ec05ee
+mlp-784-300-100-10 tern 64cbb76a1fdc948e3539ee290ee3e36677fb04bd7fb55eeffefcc51bab212b37
+lenet-small pretrain-csv d116a7432e68d2538239aa27e2a2b75f45ddba9ee08037f1d5f486c529b517a0
+lenet-small pretrain-tnck e56f904aac26dc00e4f4cd2e56832e8bc38582d7315479412ea88e8b040f83bd
+lenet-small csv f0dcf95891c13950101a19435f13ef57a007e36eb5f1900d50d1edeccadee59f
+lenet-small tnck aba544d6c79c42a00ab0b7a65740424be8efbcb590ae958e82fdf90b49baaa70
+lenet-small tern 0420481b2a2dcc88cfe1cd0632f76c49a6c3ec99a6184f6231dea69fe378549a
+""".splitlines()
+
+
+def blas_build() -> dict:
+    """numpy's version, and the version and core name of the OpenBLAS it
+    loaded (None for each when it is not OpenBLAS or cannot be asked)."""
+    build = {"numpy": np.__version__, "openblas": None, "core": None}
+    with open("/proc/self/maps") as fh:
+        libs = sorted({ln.split()[-1] for ln in fh if "openblas" in ln.lower() and ".so" in ln})
+    for path in libs:
+        lib = ctypes.CDLL(path)
+        for config, core in (("scipy_openblas_get_config64_", "scipy_openblas_get_corename64_"),
+                             ("openblas_get_config", "openblas_get_corename")):
+            if hasattr(lib, config) and hasattr(lib, core):
+                getattr(lib, config).restype = getattr(lib, core).restype = ctypes.c_char_p
+                # The config string reads "OpenBLAS <version> <build options>".
+                build["openblas"] = getattr(lib, config)().decode().split()[1]
+                build["core"] = getattr(lib, core)().decode()
+                return build
+    return build
+
+
+def test_the_digest_script_prints_the_pinned_digests():
+    """A change that claims to move no output byte is checked here, on the
+    build the digests were pinned on."""
+    build = blas_build()
+    if build != PINNED_BUILD:
+        pytest.skip(f"digests are pinned on {PINNED_BUILD}, this build is {build}")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "rerun_digest.py")],
+                          capture_output=True, text=True, cwd=ROOT, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    if lines[0] != "blas_threads 1":
+        pytest.skip(f"digests are pinned at one BLAS thread, the script printed {lines[0]!r}")
+    assert lines[1:] == PINNED_DIGESTS
 
 
 def test_the_fixture_script_writes_desk_seed_11s_splits(tmp_path):

@@ -250,6 +250,26 @@ def test_an_unquantized_layer_that_overflows_is_caught_at_its_update():
     assert exc.value.dump == {"phase": "weight", "epoch": 0, "batch": 2}
 
 
+def test_the_threshold_phase_takes_no_weight_or_bias_gradient():
+    """The threshold substep reads every weight and bias as a constant, on a
+    quantized layer and on an unquantized one, so no parameter gets a
+    gradient; the weight substep gives every one of them a gradient."""
+    specs = [LayerSpec("dense", in_dim=6, out_dim=5, quantized=True), LayerSpec("relu"),
+             LayerSpec("dense", in_dim=5, out_dim=4, quantized=False), LayerSpec("relu"),
+             LayerSpec("dense", in_dim=4, out_dim=3, quantized=True)]
+    model = Model(specs, glorot(5))
+    model.init_thresholds(0.1)
+    sgd = OptimizerConfig(kind="vanilla-sgd", lr=0.05)
+    state = make_train_state(model, sgd, sgd, seed=5)
+    ds = _toy_dataset(n=16, seed=5)
+    model.refresh_all()
+    threshold_substep(state, ds.images, ds.labels)
+    assert [(p.grad is None) for p in model.parameters()] == [True] * 6
+    model.refresh_all()
+    weight_substep(state, ds.images, ds.labels)
+    assert [(p.grad is None) for p in model.parameters()] == [False] * 6
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
 def test_a_non_finite_threshold_update_is_a_divergence(monkeypatch, bad):
     state = _toy_state(seed=4)
