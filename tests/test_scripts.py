@@ -372,10 +372,16 @@ def blas_build() -> dict:
     """numpy's version, and the version and core name of the OpenBLAS it
     loaded (None for each when it is not OpenBLAS or cannot be asked)."""
     build = {"numpy": np.__version__, "openblas": None, "core": None}
-    with open("/proc/self/maps") as fh:
-        libs = sorted({ln.split()[-1] for ln in fh if "openblas" in ln.lower() and ".so" in ln})
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = sorted({ln.split()[-1] for ln in fh if "openblas" in ln.lower() and ".so" in ln})
+    except OSError:
+        return build
     for path in libs:
-        lib = ctypes.CDLL(path)
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
         for config, core in (("scipy_openblas_get_config64_", "scipy_openblas_get_corename64_"),
                              ("openblas_get_config", "openblas_get_corename")):
             if hasattr(lib, config) and hasattr(lib, core):
