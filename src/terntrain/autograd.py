@@ -16,8 +16,7 @@ checks unambiguous.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -71,26 +70,34 @@ class Tensor:
 _recording = True
 
 
-@contextmanager
-def no_grad() -> Iterator[None]:
-    """Record no graph inside the block; the previous setting returns on exit."""
-    global _recording
-    before = _recording
-    _recording = False
-    try:
-        yield
-    finally:
-        _recording = before
+class no_grad:
+    """Record no graph inside the block; the previous setting returns on exit,
+    also when the block raises. Each `with no_grad():` makes its own
+    instance, so blocks nest."""
+
+    def __enter__(self) -> None:
+        global _recording
+        self._before = _recording
+        _recording = False
+
+    def __exit__(self, *exc) -> None:
+        global _recording
+        _recording = self._before
 
 
 def _node(data, parents: Sequence[Tensor], backward_rule: BackwardRule, tensor: type[Tensor] = Tensor) -> Tensor:
-    """The one node constructor of every op. The node is tensor(data): a
-    Tensor holding data, or a Tensor subclass that builds its data from the
-    argument on the first read. backward_rule maps the output gradient to
-    one gradient (or None) per parent; backward() checks each one's shape
-    against its parent. Parents and rule are recorded only while recording
-    and when some parent requires a gradient."""
-    out = tensor(data)
+    """The one node constructor of every op. The node is a Tensor holding
+    data, a float64 ndarray as every op computes it, which is held as it is,
+    with no conversion; or tensor(data), a Tensor subclass that builds its
+    data from the argument on the first read. backward_rule maps the output
+    gradient to one gradient (or None) per parent; backward() checks each
+    one's shape against its parent. Parents and rule are recorded only
+    while recording and when some parent requires a gradient."""
+    if tensor is Tensor:
+        out = Tensor.__new__(Tensor)
+        out.data = data
+    else:
+        out = tensor(data)
     if _recording and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)

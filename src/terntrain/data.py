@@ -6,9 +6,9 @@ format: magic 0x00000803 for 3-D image files (N, H, W of unsigned bytes),
 0x00000801 for label files. A header whose sizes claim other than the bytes
 its file holds is rejected before any payload is read. Pixels are scaled to
 [0, 1] and then normalized by the configured mean (which the config holds
-to [0, 1]) and std; a normalized pixel that is not finite is rejected. CSV
-features are read as they are; CSV labels must be whole numbers that a
-64-bit integer holds.
+to [0, 1]) and std; a normalized pixel that is not finite, or whose
+magnitude exceeds MAX_PIXEL_MAGNITUDE, is rejected. CSV features are read
+as they are; CSV labels must be whole numbers that a 64-bit integer holds.
 """
 
 from __future__ import annotations
@@ -24,6 +24,13 @@ IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
 _INT64 = np.iinfo(np.int64)
 _SYNTH_BLOCK = 256  # samples per block of make_synth_mnist
+
+# The largest magnitude of a normalized IDX pixel. A pixel scaled to [0, 1]
+# lies within 1 of the mean, so it normalizes to at most 1/std: a sane std
+# (MNIST's is 0.31) keeps it near 1. Pixels at 1e16 and beyond made float32
+# weights overflow within three SGD steps (mlp-784-16-10, lr 0.1), so a run
+# on such data would write its directory and then diverge.
+MAX_PIXEL_MAGNITUDE = 1e6
 
 
 class DataError(ValueError):
@@ -95,8 +102,13 @@ def load_idx(images_path, labels_path, mean: float = 0.0, std: float = 1.0) -> D
         raise DataError(f"image count {len(pixels)} does not match label count {len(labels)}")
     with np.errstate(over="ignore"):  # a tiny std overflows; the check below names it
         images = (pixels[:, None].astype(np.float64) / 255.0 - mean) / std
-    if not np.isfinite(images).all():
-        raise DataError(f"{images_path}: mean {mean!r} and std {std!r} normalize pixels to non-finite values")
+    # NaN propagates through max, so the one comparison rejects it too.
+    peak = np.abs(images).max(initial=0.0)
+    if not peak <= MAX_PIXEL_MAGNITUDE:
+        what = "non-finite values"
+        if np.isfinite(peak):
+            what = f"magnitude {peak:.3g}, above the bound {MAX_PIXEL_MAGNITUDE:g}"
+        raise DataError(f"{images_path}: mean {mean!r} and std {std!r} normalize pixels to {what}")
     return Dataset(images, labels, mean, std)
 
 

@@ -7,6 +7,7 @@ from terntrain import autograd as ag
 from terntrain import kernels
 from terntrain.autograd import Tensor, backward
 from terntrain.gradcheck import fd_grad, max_rel_err
+from terntrain.ternarize import QuantizerState, refresh, threshold_scale_node
 
 
 def _sum(x):
@@ -413,3 +414,48 @@ def test_recording_resumes_after_no_grad_block():
     assert out._parents and out.requires_grad
     backward(out)
     assert np.array_equal(x.grad, np.ones((2, 2)))
+
+
+def _every_op() -> dict:
+    """One node of every op, on inputs that require a gradient."""
+    rng = np.random.default_rng(31)
+
+    def leaf(*shape):
+        return Tensor(rng.normal(size=shape), requires_grad=True)
+
+    x, img = leaf(3, 4), leaf(2, 3, 5, 5)
+    codes = np.zeros((4, 5))
+    codes[:, [1, 3]] = rng.choice([-1.0, 1.0], size=(4, 2))
+    live = Tensor(codes, requires_grad=True)
+    live.live_columns = (np.array([1, 3]), np.ascontiguousarray(codes[:, [1, 3]]))
+    conv = ag.conv2d(img, leaf(4, 3, 3, 3), 1, 1)
+    state = refresh(QuantizerState(0.5), rng.normal(size=(4, 5)))
+    return {
+        "matmul": ag.matmul(x, leaf(4, 5)),
+        "matmul-live-columns": ag.matmul(x, live),
+        "conv2d": conv,
+        "relu": ag.relu(x),
+        "add_bias-2d": ag.add_bias(x, leaf(4)),
+        "add_bias-4d": ag.add_bias(conv, leaf(4)),
+        "smul": ag.smul(Tensor(0.7, requires_grad=True), x),
+        "mean": ag.mean(x),
+        "flatten": ag.flatten(conv),
+        "softmax_cross_entropy": ag.softmax_cross_entropy(x, np.array([0, 1, 3])),
+        "threshold_scale_node": threshold_scale_node(Tensor(0.5, requires_grad=True), state),
+    }
+
+
+@pytest.mark.parametrize("recording", [True, False], ids=["recording", "no_grad"])
+def test_every_op_node_holds_a_float64_ndarray(recording):
+    # _node keeps an op's result as it is, with no conversion: each op must
+    # compute a float64 ndarray itself.
+    if recording:
+        nodes = _every_op()
+    else:
+        with ag.no_grad():
+            nodes = _every_op()
+    for name, node in nodes.items():
+        assert type(node) is Tensor, name
+        assert type(node.data) is np.ndarray and node.data.dtype == np.float64, name
+        assert node.requires_grad is recording and (node._backward is not None) is recording, name
+        assert node.grad is None and node.live_columns is None, name

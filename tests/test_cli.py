@@ -337,6 +337,9 @@ def _bad_input(command, case, root, cfg, ckpt, tmp_path):
         return text.replace(f"test_labels = {root / 'test_lbl.idx'}\n", ""), ckpt, 1
     if case == "tiny-normalize-std":
         return text + "normalize_std = 1e-320\n", ckpt, 1
+    if case.startswith("normalize-std-"):
+        # Finite pixels, far past the magnitude bound: a run on them diverges.
+        return text + f"normalize_std = {case.removeprefix('normalize-std-')}\n", ckpt, 1
     if case in ("huge-normalize-mean", "negative-huge-normalize-mean"):
         # No mean of pixels scaled to [0, 1].
         return text + f"normalize_mean = {'-' if case.startswith('negative') else ''}1e308\n", ckpt, 1
@@ -368,6 +371,8 @@ def _bad_input(command, case, root, cfg, ckpt, tmp_path):
         ("pretrain", "features-misfit"),
         ("pretrain", "half-named-test-split"),
         ("pretrain", "tiny-normalize-std"),
+        ("pretrain", "normalize-std-1e-36"),
+        ("pretrain", "normalize-std-1e-300"),
         ("pretrain", "huge-normalize-mean"),
         ("pretrain", "negative-huge-normalize-mean"),
         ("pretrain", "test-split-in-both-formats"),
@@ -381,6 +386,8 @@ def _bad_input(command, case, root, cfg, ckpt, tmp_path):
         ("quantize", "features-misfit"),
         ("quantize", "half-named-test-split"),
         ("quantize", "tiny-normalize-std"),
+        ("quantize", "normalize-std-1e-36"),
+        ("quantize", "normalize-std-1e-300"),
         ("quantize", "huge-normalize-mean"),
         ("quantize", "negative-huge-normalize-mean"),
         ("quantize", "test-split-in-both-formats"),
@@ -419,6 +426,11 @@ def test_bad_input_fails_before_the_run_directory_is_written(
         assert f"config error: {tmp_path / 'img.idx'}: header dims (192, 28, 28) claim 150528 pixel bytes" in err
     if case == "tiny-normalize-std":
         assert f"config error: {root / 'train_img.idx'}: mean 0.0 and std 1e-320 normalize pixels to non-finite" in err
+    if case == "normalize-std-1e-36":
+        assert f"config error: {root / 'train_img.idx'}: mean 0.0 and std 1e-36 normalize pixels to magnitude " in err
+        assert "above the bound 1e+06" in err
+    if case == "normalize-std-1e-300":
+        assert "std 1e-300 normalize pixels to magnitude 8.98e+299, above the bound 1e+06" in err
     if case == "huge-normalize-mean":
         assert "config error: normalize_mean: value 1e+308 above allowed range" in err
     if case == "negative-huge-normalize-mean":

@@ -144,3 +144,18 @@ def test_backward_rejects_mismatched_output_gradient():
         kernels.conv2d_backward_x(g, x.shape, w, 1, 0)
     with pytest.raises(ValueError, match="gradient shape"):
         kernels.conv2d_backward_w(g, x, w.shape, 1, 0, kernels.conv2d_forward(x, w, 1, 0)[1])
+
+
+@pytest.mark.parametrize("contiguous", [True, False], ids=["contiguous", "strided"])
+def test_windows_is_a_read_only_view_of_every_receptive_field(contiguous):
+    x = np.random.default_rng(41).normal(size=(2, 3, 7, 6))
+    xt = x.transpose(1, 2, 3, 0)  # (C, H, W, N), not contiguous
+    if contiguous:
+        xt = np.ascontiguousarray(xt)
+    win = kernels._windows(xt, 3, 2, 2)
+    assert win.shape == (3, 3, 2, 3, 3, 2) and not win.flags.writeable
+    for p in range(3):
+        for q in range(2):
+            assert np.array_equal(win[:, p, q], xt[:, p : p + 5 : 2, q : q + 5 : 2])
+    if contiguous:
+        assert np.shares_memory(win, xt)

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import struct
 import zlib
 
@@ -837,6 +838,27 @@ def test_unchanged_file_is_decoded_once(tmp_path, monkeypatch):
     for _ in range(3):
         assert np.array_equal(load_packed_and_infer(path, x), first)
     assert len(calls) == 1
+
+
+def test_file_read_in_short_chunks_serves_the_same_bits(tmp_path, monkeypatch):
+    """The file is read to end of file, however few bytes each read returns."""
+    path = tmp_path / "m.tern"
+    export_packed(_trained_like_model("mlp-784-64-10", seed=27), path)
+    read, returned = os.read, []
+
+    def short_read(fd, n):
+        returned.append(len(chunk := read(fd, min(n, 1000))))
+        return chunk
+
+    monkeypatch.setattr(modelio.os, "read", short_read)
+    x = np.random.default_rng(28).normal(size=(3, 784))
+    for batch in (x, x[1:2]):
+        got = load_packed_and_infer(path, batch)
+        assert np.array_equal(got, _reference_packed_forward(path.read_bytes(), batch))
+    size = path.stat().st_size
+    assert size > 10_000 and returned.count(1000) == 2 * (size // 1000) and returned[-1] == 0
+    with pytest.raises(FileNotFoundError):
+        load_packed_and_infer(tmp_path / "missing.tern", x)
 
 
 def test_rewritten_file_serves_the_new_model(tmp_path):
