@@ -11,11 +11,22 @@ import os
 from terntrain.data import make_synth_mnist, save_idx_images, save_idx_labels
 
 
+def _count(text: str) -> int:
+    """A sample count: an integer of 1 or more, since every command rejects an empty split."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer of 1 or more, got {text!r}")
+    return n
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out-dir", default="data")
-    parser.add_argument("--train", type=int, default=5000)
-    parser.add_argument("--test", type=int, default=1000)
+    parser.add_argument("--train", type=_count, default=5000)
+    parser.add_argument("--test", type=_count, default=1000)
     parser.add_argument("--train-seed", type=int, default=111)
     parser.add_argument("--test-seed", type=int, default=211)
     args = parser.parse_args()

@@ -8,8 +8,8 @@ its text under a RunConfig field name and is checked by that key's parser
 like a value in the file, and beats the file. gradcheck's --seed goes
 through the seed key's parser too. The settings, the checkpoint (whose arch
 must be the config's) and both data splits load before the run directory is
-written, so a bad input leaves no run record behind. A split's keys pick its
-format, CSV or IDX. export prints its report.
+written, so a bad input leaves no run record behind. Each split is an IDX
+image/label pair. export prints its report.
 
 Exit codes: 0 success, 1 usage/config error, 2 runtime/training failure
 (an allocation that fails included), 3 gradcheck failure.
@@ -31,7 +31,7 @@ import numpy as np
 from . import __version__
 from .autograd import no_grad
 from .config import ConfigError, RunConfig, parse_config, parse_value
-from .data import DataError, Dataset, load_csv, load_idx
+from .data import DataError, Dataset, load_idx
 from .gradcheck import run_suite, suite_passed
 from .modelio import ModelIOError, export_packed, load_checkpoint, save_checkpoint
 from .network import FLOAT_MODE, Model, build_from_config
@@ -98,23 +98,18 @@ def _open_checkpoint(path: str, arch: str | None = None) -> Model:
 
 
 def _load_split(cfg: RunConfig, split: str, model: Model, required: bool = True) -> Dataset | None:
-    """A split's dataset (None for an unnamed optional split). Its keys pick its
-    format: {split}_csv a CSV file, {split}_images and {split}_labels an IDX
-    pair. Naming both kinds, or one key of the pair, is a config error. Its
-    samples must fit model, as a float forward of the first one shows, and each
-    label must index one of its logits."""
-    table, images, labels = (getattr(cfg, f"{split}_{kind}") for kind in ("csv", "images", "labels"))
-    if table and (images or labels):
-        raise ConfigError(f"config names {split}_csv beside an IDX key of the {split} split; name one kind")
-    if table:
-        ds = load_csv(table)
-    elif images and labels:
+    """A split's dataset (None for an unnamed optional split), from the IDX pair
+    its {split}_images and {split}_labels keys name. Naming one key of the pair
+    is a config error. Its samples must fit model, as a float forward of the
+    first one shows, and each label must index one of its logits."""
+    images, labels = (getattr(cfg, f"{split}_{kind}") for kind in ("images", "labels"))
+    if images and labels:
         ds = load_idx(images, labels, cfg.normalize_mean, cfg.normalize_std)
     elif images or labels:
         missing = f"{split}_labels" if images else f"{split}_images"
         raise ConfigError(f"config must name {split}_images and {split}_labels; {missing} is not set")
     elif required:
-        raise ConfigError(f"config must name {split}_csv, or {split}_images and {split}_labels")
+        raise ConfigError(f"config must name {split}_images and {split}_labels")
     else:
         return None
     try:

@@ -5,11 +5,10 @@ Zero-dependency text format: one "key = value" per line, blank lines and
 default, so the field list is the key list: the parser checks the value's
 type and range (a float must also be finite), `arch` must name a buildable
 network, and `parse_value` prefixes any rejection with "<key>: ". Unknown
-keys are rejected. A data split's keys pick its format: `{split}_csv` names
-a CSV file, `{split}_images` and `{split}_labels` an IDX pair. The config
-file, the command-line overrides and `gradcheck --seed` all go through
-`parse_value`, and the parsed config echoes back into the run directory so
-ablation grids stay diffable.
+keys are rejected. A data split is the IDX pair its `{split}_images` and
+`{split}_labels` keys name. The config file, the command-line overrides and
+`gradcheck --seed` all go through `parse_value`, and the parsed config
+echoes back into the run directory so ablation grids stay diffable.
 """
 
 from __future__ import annotations
@@ -107,8 +106,6 @@ class RunConfig:
     train_labels: str = _key("", str)
     test_images: str = _key("", str)
     test_labels: str = _key("", str)
-    train_csv: str = _key("", str)
-    test_csv: str = _key("", str)
     normalize_mean: float = _key(0.0, _number(float, at_least=0.0, at_most=1.0))  # of pixels scaled to [0, 1]
     normalize_std: float = _key(1.0, _POSITIVE)
     batch_size: int = _key(64, _number(int, at_least=1))

@@ -1,14 +1,13 @@
-"""Dataset ingestion: IDX image files, CSV feature files, a synthetic MNIST-like fixture.
+"""Dataset ingestion: IDX image files and a synthetic MNIST-like fixture.
 
-A run's config names each split as one CSV file or one IDX image/label
-pair, and its keys pick the loader. IDX files are the plain big-endian
-format: magic 0x00000803 for 3-D image files (N, H, W of unsigned bytes),
-0x00000801 for label files. A header whose sizes claim other than the bytes
-its file holds is rejected before any payload is read. Pixels are scaled to
-[0, 1] and then normalized by the configured mean (which the config holds
-to [0, 1]) and std; a normalized pixel that is not finite, or whose
-magnitude exceeds MAX_PIXEL_MAGNITUDE, is rejected. CSV features are read
-as they are; CSV labels must be whole numbers that a 64-bit integer holds.
+A run's config names each split as one IDX image/label pair, MNIST's own
+plain big-endian format: magic 0x00000803 for 3-D image files (N, H, W of
+unsigned bytes), 0x00000801 for label files. A header whose sizes claim
+other than the bytes its file holds is rejected before any payload is read,
+and so is an image file that holds no images. Pixels are scaled to [0, 1]
+and then normalized by the configured mean (which the config holds to
+[0, 1]) and std; a normalized pixel that is not finite, or whose magnitude
+exceeds MAX_PIXEL_MAGNITUDE, is rejected.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ import numpy as np
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
-_INT64 = np.iinfo(np.int64)
 _SYNTH_BLOCK = 256  # samples per block of make_synth_mnist
 
 # The largest magnitude of a normalized IDX pixel. A pixel scaled to [0, 1]
@@ -97,6 +95,8 @@ def load_idx(images_path, labels_path, mean: float = 0.0, std: float = 1.0) -> D
     if std <= 0:
         raise DataError(f"std must be positive, got {std}")
     pixels = _read_idx(images_path, IDX_IMAGES_MAGIC, 3)
+    if len(pixels) == 0:
+        raise DataError(f"{images_path}: holds no images")
     labels = _read_idx(labels_path, IDX_LABELS_MAGIC, 1)
     if len(pixels) != len(labels):
         raise DataError(f"image count {len(pixels)} does not match label count {len(labels)}")
@@ -138,53 +138,6 @@ def save_idx_labels(path, labels: np.ndarray) -> None:
     with open(path, "wb") as fh:
         fh.write(struct.pack(">II", IDX_LABELS_MAGIC, len(labels)))
         fh.write(labels.tobytes())
-
-
-def load_csv(path) -> Dataset:
-    """Load rows of "label,f1,...,fD"; the header line is optional."""
-    features: list[list[float]] = []
-    labels: list[int] = []
-    width = None
-    with open(path, "rb") as fh:
-        # bytes.splitlines breaks at \n, \r\n and \r, as reading in text mode does.
-        for lineno, raw in enumerate(fh.read().splitlines(), start=1):
-            try:
-                line = raw.decode("utf-8").strip()
-            except UnicodeDecodeError as e:
-                raise DataError(f"{path}: line {lineno}: not UTF-8 text: {e}") from e
-            if not line:
-                continue
-            parts = line.split(",")
-            if lineno == 1:
-                try:
-                    float(parts[0])
-                except ValueError:
-                    continue  # header
-            if len(parts) < 2:
-                raise DataError(f"{path}: line {lineno}: need a label and at least one feature")
-            if width is None:
-                width = len(parts)
-            elif len(parts) != width:
-                raise DataError(
-                    f"{path}: line {lineno}: ragged row, {len(parts)} fields where {width} expected"
-                )
-            try:
-                label = float(parts[0])
-                row = [float(p) for p in parts[1:]]
-            except ValueError as e:
-                raise DataError(f"{path}: line {lineno}: {e}") from e
-            if not label.is_integer():
-                raise DataError(f"{path}: line {lineno}: label {parts[0]!r} is not a whole number")
-            if not _INT64.min <= label <= _INT64.max:
-                raise DataError(f"{path}: line {lineno}: label {parts[0]!r} does not fit a 64-bit integer")
-            bad = [p for p, v in zip(parts[1:], row) if not math.isfinite(v)]
-            if bad:
-                raise DataError(f"{path}: line {lineno}: feature {bad[0]!r} is not a finite number")
-            labels.append(int(label))
-            features.append(row)
-    if not features:
-        raise DataError(f"{path}: no data rows")
-    return Dataset(np.asarray(features), np.asarray(labels))
 
 
 def make_synth_mnist(

@@ -292,24 +292,17 @@ def test_usage_and_config_errors_exit_1(pretrained, tmp_path, capsys):
         assert not out_dir.exists()
 
 
-def _csv_split(text, root, path, split="train"):
-    """The config text with the split's IDX keys replaced by {split}_csv = path."""
-    for key, name in (("images", "img"), ("labels", "lbl")):
-        text = text.replace(f"{split}_{key} = {root / f'{split}_{name}.idx'}\n", "")
-    return text + f"{split}_csv = {path}\n"
-
-
 def _bad_input(command, case, root, cfg, ckpt, tmp_path):
     """A config text and a quantize checkpoint holding one bad input, and its exit code."""
     text = cfg.read_text()
     if case == "features-misfit":
-        # pretrain builds the config's mlp-2-4-2; quantize reads the
-        # config's mlp-784-16-10 checkpoint, which 2 features do not fit either.
-        rows = "0,0.1,0.2,0.3\n1,0.4,0.5,0.6\n" if command == "pretrain" else "0,0.1,0.2\n1,0.4,0.5\n"
-        (tmp_path / "train.csv").write_text(rows)
+        # pretrain builds the config's mlp-2-4-2, which the 28 x 28 split does
+        # not fit; quantize reads the config's mlp-784-16-10 checkpoint, which
+        # 2 x 3 images do not fit.
         if command == "pretrain":
-            text = text.replace("arch = mlp-784-16-10", "arch = mlp-2-4-2")
-        return _csv_split(text, root, tmp_path / "train.csv"), ckpt, 1
+            return text.replace("arch = mlp-784-16-10", "arch = mlp-2-4-2"), ckpt, 1
+        save_idx_images(tmp_path / "img.idx", np.zeros((192, 2, 3)))
+        return text.replace(str(root / "train_img.idx"), str(tmp_path / "img.idx")), ckpt, 1
     if case == "missing-data":
         return text.replace(str(root / "train_img.idx"), str(tmp_path / "nope.idx")), ckpt, 1
     if case == "label-out-of-range":
@@ -317,21 +310,19 @@ def _bad_input(command, case, root, cfg, ckpt, tmp_path):
         return text.replace(str(root / "train_lbl.idx"), str(tmp_path / "lbl.idx")), ckpt, 1
     if case == "bad-arch":
         return text.replace("arch = mlp-784-16-10", "arch = mlp-784-x-10"), ckpt, 1
-    if case == "non-finite-feature":
-        (tmp_path / "train.csv").write_text("0,0.1,0.2\n1,nan,0.5\n0,0.2,inf\n")
-        text = text.replace("arch = mlp-784-16-10", "arch = mlp-2-4-2")
-        return _csv_split(text, root, tmp_path / "train.csv"), ckpt, 1
     if case == "non-utf8-config":
         return text.encode() + b"# caf\xe9\n", ckpt, 1
-    if case == "non-utf8-csv":
-        (tmp_path / "train.csv").write_bytes(b"label,caf\xe9,x\n0,0.1,0.2\n")
-        text = text.replace("arch = mlp-784-16-10", "arch = mlp-2-4-2")
-        return _csv_split(text, root, tmp_path / "train.csv"), ckpt, 1
     if case == "oversized-idx-header":
         (tmp_path / "img.idx").write_bytes(struct.pack(">IIII", 0x00000803, 2**20, 2**12, 2**12) + bytes(64))
         return text.replace(str(root / "train_img.idx"), str(tmp_path / "img.idx")), ckpt, 1
     if case == "idx-trailing-bytes":
         (tmp_path / "img.idx").write_bytes((root / "train_img.idx").read_bytes() + bytes(100))
+        return text.replace(str(root / "train_img.idx"), str(tmp_path / "img.idx")), ckpt, 1
+    if case == "zero-sample-idx":
+        # A well-formed IDX pair that holds no sample.
+        save_idx_images(tmp_path / "img.idx", np.zeros((0, 28, 28)))
+        save_idx_labels(tmp_path / "lbl.idx", np.zeros(0))
+        text = text.replace(str(root / "train_lbl.idx"), str(tmp_path / "lbl.idx"))
         return text.replace(str(root / "train_img.idx"), str(tmp_path / "img.idx")), ckpt, 1
     if case == "half-named-test-split":
         return text.replace(f"test_labels = {root / 'test_lbl.idx'}\n", ""), ckpt, 1
@@ -343,9 +334,6 @@ def _bad_input(command, case, root, cfg, ckpt, tmp_path):
     if case in ("huge-normalize-mean", "negative-huge-normalize-mean"):
         # No mean of pixels scaled to [0, 1].
         return text + f"normalize_mean = {'-' if case.startswith('negative') else ''}1e308\n", ckpt, 1
-    if case == "test-split-in-both-formats":
-        (tmp_path / "test.csv").write_text("0," + ",".join(["0.5"] * 784) + "\n")
-        return text + f"test_csv = {tmp_path / 'test.csv'}\n", ckpt, 1
     if case == "dataset-key":
         return text + "dataset = idx\n", ckpt, 1
     if case == "schedule-overflows-threshold-lr":
@@ -363,11 +351,10 @@ def _bad_input(command, case, root, cfg, ckpt, tmp_path):
         ("pretrain", "missing-data"),
         ("pretrain", "label-out-of-range"),
         ("pretrain", "bad-arch"),
-        ("pretrain", "non-finite-feature"),
         ("pretrain", "non-utf8-config"),
-        ("pretrain", "non-utf8-csv"),
         ("pretrain", "oversized-idx-header"),
         ("pretrain", "idx-trailing-bytes"),
+        ("pretrain", "zero-sample-idx"),
         ("pretrain", "features-misfit"),
         ("pretrain", "half-named-test-split"),
         ("pretrain", "tiny-normalize-std"),
@@ -375,7 +362,6 @@ def _bad_input(command, case, root, cfg, ckpt, tmp_path):
         ("pretrain", "normalize-std-1e-300"),
         ("pretrain", "huge-normalize-mean"),
         ("pretrain", "negative-huge-normalize-mean"),
-        ("pretrain", "test-split-in-both-formats"),
         ("pretrain", "dataset-key"),
         ("quantize", "missing-data"),
         ("quantize", "label-out-of-range"),
@@ -383,6 +369,7 @@ def _bad_input(command, case, root, cfg, ckpt, tmp_path):
         ("quantize", "corrupt-checkpoint"),
         ("quantize", "non-utf8-config"),
         ("quantize", "oversized-idx-header"),
+        ("quantize", "zero-sample-idx"),
         ("quantize", "features-misfit"),
         ("quantize", "half-named-test-split"),
         ("quantize", "tiny-normalize-std"),
@@ -390,7 +377,6 @@ def _bad_input(command, case, root, cfg, ckpt, tmp_path):
         ("quantize", "normalize-std-1e-300"),
         ("quantize", "huge-normalize-mean"),
         ("quantize", "negative-huge-normalize-mean"),
-        ("quantize", "test-split-in-both-formats"),
         ("quantize", "dataset-key"),
         ("quantize", "schedule-overflows-threshold-lr"),
     ],
@@ -414,16 +400,14 @@ def test_bad_input_fails_before_the_run_directory_is_written(
         assert "config error: arch" in err
     if case == "half-named-test-split":
         assert "config error: config must name test_images and test_labels; test_labels is not set" in err
-    if case == "non-finite-feature":
-        assert "line 2: feature 'nan' is not a finite number" in err
     if case == "non-utf8-config":
         assert f"config error: cannot read config {bad_cfg}: " in err
-    if case == "non-utf8-csv":
-        assert "train.csv: line 1: not UTF-8 text" in err
     if case == "oversized-idx-header":
         assert f"config error: {tmp_path / 'img.idx'}: header dims" in err
     if case == "idx-trailing-bytes":
         assert f"config error: {tmp_path / 'img.idx'}: header dims (192, 28, 28) claim 150528 pixel bytes" in err
+    if case == "zero-sample-idx":
+        assert err == f"config error: {tmp_path / 'img.idx'}: holds no images\n"
     if case == "tiny-normalize-std":
         assert f"config error: {root / 'train_img.idx'}: mean 0.0 and std 1e-320 normalize pixels to non-finite" in err
     if case == "normalize-std-1e-36":
@@ -435,41 +419,18 @@ def test_bad_input_fails_before_the_run_directory_is_written(
         assert "config error: normalize_mean: value 1e+308 above allowed range" in err
     if case == "negative-huge-normalize-mean":
         assert "config error: normalize_mean: value -1e+308 below allowed range" in err
-    if case == "test-split-in-both-formats":
-        assert "config error: config names test_csv beside an IDX key of the test split" in err
     if case == "dataset-key":
         assert "config error: " in err and "unknown config key 'dataset'" in err
     if case == "schedule-overflows-threshold-lr":
         assert "config error: lr_schedule breakpoint 0:0.1 scales the threshold lr to inf" in err
     if case == "features-misfit":
-        width = 3 if command == "pretrain" else 2
-        arch = "mlp-2-4-2" if command == "pretrain" else "mlp-784-16-10"
-        assert f"config error: train split: samples of shape ({width},) do not fit arch {arch!r}" in err
+        shape, arch = ((1, 28, 28), "mlp-2-4-2") if command == "pretrain" else ((1, 2, 3), "mlp-784-16-10")
+        assert f"config error: train split: samples of shape {shape} do not fit arch {arch!r}" in err
     if case == "features-misfit" and command == "quantize":
         # eval checks the split it reads against its checkpoint the same way.
         assert main(["eval", "--config", str(bad_cfg), "--checkpoint", str(ckpt), "--split", "train"]) == 1
         assert "config error: train split: samples of shape" in capsys.readouterr().err
     assert not out_dir.exists()
-
-
-def test_a_csv_test_split_beside_an_idx_train_split_logs_test_rows(pretrained, tmp_path, capsys):
-    """Each split's keys pick its own format."""
-    root, cfg, ckpt = pretrained
-    images, labels = make_synth_mnist(64, seed=2, noise=20.0, max_shift=2, gain_lo=0.8)
-    rows = (f"{y}," + ",".join(map(repr, x)) for x, y in zip((images.reshape(64, -1) / 255.0).tolist(), labels))
-    (tmp_path / "test.csv").write_text("\n".join(rows) + "\n")
-    run_cfg = tmp_path / "run.cfg"
-    run_cfg.write_text(_csv_split(cfg.read_text(), root, tmp_path / "test.csv", "test"))
-    out_dir = tmp_path / "out"
-    assert main(["pretrain", "--config", str(run_cfg), "--epochs", "1", "--out-dir", str(out_dir)]) == 0
-    with open(out_dir / "pretrain_metrics.csv") as fh:
-        assert [line.split(",")[:2] for line in fh.read().splitlines()[1:]] == [["0", "train"], ["0", "test"]]
-    # The CSV holds the IDX test split's pixels, so eval reads it as the same split.
-    capsys.readouterr()
-    assert main(["eval", "--config", str(run_cfg), "--checkpoint", str(ckpt), "--mode", "float"]) == 0
-    from_csv = capsys.readouterr().out
-    assert main(["eval", "--config", str(cfg), "--checkpoint", str(ckpt), "--mode", "float"]) == 0
-    assert from_csv == capsys.readouterr().out
 
 
 def test_export_takes_no_report_path(pretrained, tmp_path, capsys):
@@ -504,20 +465,6 @@ def test_a_degenerate_checkpoint_leaves_no_run_directory(pretrained, tmp_path, c
     argv = ["quantize", "--config", str(cfg), "--checkpoint", str(tmp_path / "pretrain.ckpt")]
     assert main(argv + ["--out-dir", str(out_dir)]) == 2
     assert "runtime error: all weights equal" in capsys.readouterr().err
-    assert not out_dir.exists()
-
-
-@pytest.mark.parametrize("label", ["9223372036854775808", "18446744073709551616", "1e30", "-1e30"])
-def test_a_csv_label_int64_cannot_hold_is_a_config_error(pretrained, tmp_path, capsys, label):
-    root, cfg, _ = pretrained
-    (tmp_path / "train.csv").write_text(f"0,0.1,0.2\n{label},0.4,0.5\n")
-    text = cfg.read_text().replace("arch = mlp-784-16-10", "arch = mlp-2-4-2")
-    bad_cfg = tmp_path / "bad.cfg"
-    bad_cfg.write_text(_csv_split(text, root, tmp_path / "train.csv"))
-    out_dir = tmp_path / "out"
-    assert main(["pretrain", "--config", str(bad_cfg), "--out-dir", str(out_dir)]) == 1
-    err = capsys.readouterr().err
-    assert f"config error: {tmp_path / 'train.csv'}: line 2: label {label!r} does not fit a 64-bit integer" in err
     assert not out_dir.exists()
 
 

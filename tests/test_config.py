@@ -30,11 +30,15 @@ def test_unknown_key_rejected():
         _parse(MINIMAL + "learning_rate = 0.1\n")
 
 
-@pytest.mark.parametrize("value", ["idx", "csv"])
-def test_the_removed_dataset_key_is_unknown(value):
-    """A split's keys pick its format, so no key names it."""
-    with pytest.raises(ConfigError, match="unknown config key 'dataset'"):
-        _parse(MINIMAL + f"dataset = {value}\n")
+@pytest.mark.parametrize(
+    "key, value",
+    [("dataset", "idx"), ("dataset", "csv"), ("train_csv", "train.csv"), ("test_csv", "test.csv")],
+    ids=["idx", "csv", "train_csv", "test_csv"],
+)
+def test_the_removed_dataset_key_is_unknown(key, value):
+    """Each split is an IDX pair, so no key names a format or a CSV file."""
+    with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
+        _parse(MINIMAL + f"{key} = {value}\n")
 
 
 @pytest.mark.parametrize("value", ["-1e308", "-0.01", "1.01", "1e308"])

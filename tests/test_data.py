@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from terntrain.data import (
     DataError,
     Dataset,
-    load_csv,
     load_idx,
     make_synth_mnist,
     save_idx_images,
@@ -112,68 +111,6 @@ def test_save_idx_rejects_values_outside_a_byte(tmp_path, save, values):
     with pytest.raises(DataError, match="must lie in 0..255"):
         save(path, values)
     assert not path.exists()
-
-
-def test_load_csv_basic(tmp_path):
-    p = tmp_path / "d.csv"
-    p.write_text("1,0.5,0.5\n0,-1.0,2.0\n")
-    ds = load_csv(p)
-    assert ds.images.shape == (2, 2)
-    assert np.array_equal(ds.labels, [1, 0])
-    assert ds.images[0, 0] == 0.5
-
-
-def test_load_csv_header_skipped(tmp_path):
-    p = tmp_path / "d.csv"
-    p.write_text("label,f1,f2\n1,0.5,0.5\n")
-    ds = load_csv(p)
-    assert len(ds) == 1
-
-
-def test_load_csv_ragged_row_names_line(tmp_path):
-    p = tmp_path / "d.csv"
-    p.write_text("1,0.5,0.5\n0,-1.0\n")
-    with pytest.raises(DataError, match="line 2"):
-        load_csv(p)
-
-
-def test_load_csv_bad_value_names_line(tmp_path):
-    p = tmp_path / "d.csv"
-    p.write_text("1,0.5,0.5\n0,x,1.0\n")
-    with pytest.raises(DataError, match="line 2"):
-        load_csv(p)
-
-
-@pytest.mark.parametrize("label", ["2.7", "inf", "nan"])
-def test_load_csv_non_integral_label_names_line(tmp_path, label):
-    p = tmp_path / "d.csv"
-    p.write_text(f"1.0,0.5,0.5\n{label},-1.0,2.0\n")
-    with pytest.raises(DataError, match=f"line 2: label '{label}'"):
-        load_csv(p)
-    p.write_text("1.0,0.5,0.5\n2,-1.0,2.0\n")
-    assert np.array_equal(load_csv(p).labels, [1, 2])  # an integral float is a class
-
-
-@pytest.mark.parametrize("row, value", [("1,nan,0.5", "nan"), ("0,0.2,inf", "inf"), ("0,-inf,0.2", "-inf")])
-def test_load_csv_non_finite_feature_names_line(tmp_path, row, value):
-    p = tmp_path / "d.csv"
-    p.write_text(f"1,0.5,0.5\n{row}\n")
-    with pytest.raises(DataError, match=f"line 2: feature '{value}' is not a finite number"):
-        load_csv(p)
-
-
-def test_load_csv_non_utf8_names_line(tmp_path):
-    p = tmp_path / "d.csv"
-    p.write_bytes(b"1,0.5,0.5\r\n0,0.2,0.1 \xff\r\n")
-    with pytest.raises(DataError, match="line 2: not UTF-8 text"):
-        load_csv(p)
-
-
-def test_load_csv_empty(tmp_path):
-    p = tmp_path / "d.csv"
-    p.write_text("label,f1\n")
-    with pytest.raises(DataError, match="no data"):
-        load_csv(p)
 
 
 def test_dataset_validation():

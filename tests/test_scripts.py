@@ -427,3 +427,22 @@ def test_the_fixture_script_writes_desk_seed_11s_splits(tmp_path):
         images, labels = make_synth_mnist(n, seed=seed)
         assert np.array_equal(ds.images[:, 0], images / 255.0), split
         assert np.array_equal(ds.labels, labels), split
+
+
+@pytest.mark.parametrize("flag, count", [("--train", "-5"), ("--train", "0"), ("--test", "0"), ("--test", "2.5")])
+def test_the_fixture_script_rejects_a_count_below_one_before_writing(tmp_path, flag, count):
+    """Every command rejects an empty split, and numpy a negative one, so
+    such a count is a usage error and no file is written."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    script = ROOT / "scripts" / "make_synth_mnist.py"
+    out_dir = tmp_path / "data"
+    proc = subprocess.run(
+        [sys.executable, str(script), "--out-dir", str(out_dir), flag, count],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert f"argument {flag}: expected an integer of 1 or more, got '{count}'" in proc.stderr
+    assert not out_dir.exists()

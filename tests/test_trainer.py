@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from terntrain.data import Dataset
+from terntrain.data import Dataset, save_idx_images, save_idx_labels
 from terntrain.gaussian import (
     TruncGaussParams,
     clip_threshold,
@@ -413,17 +413,20 @@ def test_schedule_breakpoints_apply():
     assert state.threshold_opt.lr == pytest.approx(0.02)
 
 
-def _write_csv_split(path, ds):
-    path.write_text("".join(f"{y}," + ",".join(map(repr, x)) + "\n" for x, y in zip(ds.images.tolist(), ds.labels)))
+def _write_idx_split(root, split, ds):
+    """Config lines naming ds, its features as 2 x 3 uint8 images, as the split's IDX pair."""
+    save_idx_images(root / f"{split}_img.idx", np.clip(ds.images * 32 + 128, 0, 255).reshape(-1, 2, 3))
+    save_idx_labels(root / f"{split}_lbl.idx", ds.labels)
+    return f"{split}_images = {root / f'{split}_img.idx'}\n{split}_labels = {root / f'{split}_lbl.idx'}\n"
 
 
 def test_metrics_csv_layout(tmp_path):
     # train() writes no file: the metrics CSV is the one `terntrain quantize` writes.
     save_checkpoint(build_from_config("mlp-6-5-3", seed=12), tmp_path / "pretrain.ckpt")
-    _write_csv_split(tmp_path / "train.csv", _toy_dataset(seed=12))
-    _write_csv_split(tmp_path / "test.csv", _toy_dataset(seed=13))
+    train_keys = _write_idx_split(tmp_path, "train", _toy_dataset(seed=12))
+    test_keys = _write_idx_split(tmp_path, "test", _toy_dataset(seed=13))
     (tmp_path / "run.cfg").write_text(
-        f"arch = mlp-6-5-3\ntrain_csv = {tmp_path / 'train.csv'}\ntest_csv = {tmp_path / 'test.csv'}\n"
+        f"arch = mlp-6-5-3\n{train_keys}{test_keys}"
         "epochs = 2\nbatch_size = 32\nseed = 12\nweight_opt = vanilla-sgd\nweight_lr = 0.05\n"
         f"threshold_lr = 0.05\ninit_frac = 0.1\npretrain_checkpoint = {tmp_path / 'pretrain.ckpt'}\n"
         f"out_dir = {tmp_path / 'run'}\n"
