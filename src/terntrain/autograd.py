@@ -157,23 +157,45 @@ def relu(x: Tensor) -> Tensor:
     return _node(np.maximum(x.data, 0.0), (x,), rule)
 
 
-def add_bias(x: Tensor, b: Tensor) -> Tensor:
-    """Bias add: [N,D]+[D] for dense outputs, [N,F,H,W]+[F] for conv outputs."""
+def add_bias(x: Tensor, b: Tensor, s: Tensor | None = None, relu: bool = False) -> Tensor:
+    """A layer's epilogue, relu?(s * x + b), as one node in one new array.
+
+    Bias add: [N,D]+[D] for dense outputs, [N,F,H,W]+[F] for conv outputs.
+    s, when given, is a scalar Tensor that multiplies x first; relu applies
+    the ReLU last. The result and every gradient are bit for bit those of
+    relu(add_bias(smul(s, x), b)). The ReLU's mask is read from the output,
+    which is > 0 exactly where the input was, NaN and -0.0 included.
+    """
     if x.data.ndim == 2 and b.data.ndim == 1 and x.shape[1] == b.shape[0]:
-        data = x.data + b.data
-
-        def rule(g):
-            return g, (g.sum(axis=0) if b.requires_grad else None)
-
+        axes, bias = 0, b.data
     elif x.data.ndim == 4 and b.data.ndim == 1 and x.shape[1] == b.shape[0]:
-        data = x.data + b.data[None, :, None, None]
-
-        def rule(g):
-            return g, (g.sum(axis=(0, 2, 3)) if b.requires_grad else None)
-
+        axes, bias = (0, 2, 3), b.data[None, :, None, None]
     else:
         raise ValueError(f"add_bias shape mismatch: {x.shape} + {b.shape}")
-    return _node(data, (x, b), rule)
+    if s is None:
+        data = x.data + bias
+        parents = (x, b)
+    else:
+        if s.data.size != 1:
+            raise ValueError(f"add_bias scale must be a scalar tensor, got shape {s.shape}")
+        sval = float(s.data)
+        data = sval * x.data
+        data += bias
+        parents = (x, b, s)
+    if relu:
+        np.maximum(data, 0.0, out=data)
+
+    def rule(g):
+        if relu:
+            g = g * (data > 0)
+        gb = g.sum(axis=axes) if b.requires_grad else None
+        if s is None:
+            return g, gb
+        gx = g * sval if x.requires_grad else None
+        gs = np.asarray(np.sum(g * x.data)).reshape(s.data.shape) if s.requires_grad else None
+        return gx, gb, gs
+
+    return _node(data, parents, rule)
 
 
 def smul(s: Tensor, x: Tensor) -> Tensor:

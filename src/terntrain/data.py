@@ -99,7 +99,7 @@ def load_idx(images_path, labels_path, mean: float = 0.0, std: float = 1.0) -> D
         raise DataError(f"{images_path}: holds no images")
     labels = _read_idx(labels_path, IDX_LABELS_MAGIC, 1)
     if len(pixels) != len(labels):
-        raise DataError(f"image count {len(pixels)} does not match label count {len(labels)}")
+        raise DataError(f"{images_path} holds {len(pixels)} images, but {labels_path} holds {len(labels)} labels")
     with np.errstate(over="ignore"):  # a tiny std overflows; the check below names it
         images = (pixels[:, None].astype(np.float64) / 255.0 - mean) / std
     # NaN propagates through max, so the one comparison rejects it too.

@@ -118,15 +118,27 @@ def check_relu(rng) -> CheckResult:
 
 
 def check_add_bias(rng) -> CheckResult:
-    err = max(
-        _op_err(ag.add_bias, np.add, [rng.normal(size=(3, 4)), rng.normal(size=4)]),
-        _op_err(
-            ag.add_bias,
-            lambda x, b: x + b[None, :, None, None],
-            [rng.normal(size=(2, 3, 4, 4)), rng.normal(size=3)],
-        ),
-    )
-    return CheckResult("add_bias", err, REL_TOL)
+    """The bias add alone, with a trainable scale, with the ReLU, and with
+    both, on a dense output and on a batch-last conv output. x is drawn so
+    that every pre-activation s * x + b lies at least 0.05 from the kink."""
+
+    def twin(x, b, *s, relu):
+        y = (float(s[0]) * x if s else x) + b.reshape(-1, *(1,) * (x.ndim - 2))
+        return np.maximum(y, 0.0) if relu else y
+
+    worst = 0.0
+    for shape in ((3, 4), (2, 3, 4, 4)):
+        b = rng.normal(size=shape[1])
+        pre = rng.normal(size=shape)
+        pre[np.abs(pre) < 0.05] += 0.1
+        for s in ((), (np.float64(1.7),)):
+            x = (pre - b.reshape(-1, *(1,) * (len(shape) - 2))) / (s[0] if s else 1.0)
+            if x.ndim == 4:
+                x = np.ascontiguousarray(x.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
+            for relu in (False, True):
+                op = lambda x, b, *s, relu=relu: ag.add_bias(x, b, *s, relu=relu)
+                worst = max(worst, _op_err(op, lambda *a, relu=relu: twin(*a, relu=relu), [x, b, *s]))
+    return CheckResult("add_bias", worst, REL_TOL)
 
 
 def check_smul(rng) -> CheckResult:

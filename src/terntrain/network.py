@@ -2,11 +2,12 @@
 
 One weight base serves three forward modes: full-precision, and the two
 ternary phases. In the ternary modes each quantized layer computes
-S * linop(Tern(w)) through one expression: the linear op runs on the codes
-first and the scalar scale multiplies the accumulated result afterwards,
-never the other way around. A quantized dense layer whose codes have
-all-zero columns multiplies only its live columns, and its float64 codes
-are widened only for a product that reads them all.
+relu?(S * linop(Tern(w)) + b) through one expression: the linear op runs on
+the codes first, and one add_bias node then scales the accumulated result,
+adds the bias and applies the ReLU that follows the layer, if one does. The
+scale never multiplies the codes before the product. A quantized dense
+layer whose codes have all-zero columns multiplies only its live columns,
+and its int8 codes are widened only for a product that reads them all.
 
 A Model has one constructor, one pass over its layer specs: each spec is
 checked against the one before it and each parametric layer takes its
@@ -59,13 +60,15 @@ class LayerSpec:
 
 @dataclass
 class ParamLayer:
-    """A dense or conv layer's parameters; biases are never ternarized."""
+    """A dense or conv layer's parameters; biases are never ternarized.
+    relu: a relu spec follows the layer, and its add_bias node applies it."""
 
     spec: LayerSpec
     name: str
     w: Tensor
     b: Tensor
     qstate: QuantizerState | None = None
+    relu: bool = False
 
 
 class Model:
@@ -82,7 +85,8 @@ class Model:
         source is held to one contract, checked before the layer is built:
         the weights have the layer's shape, the bias length is out_dim, and a
         state is given exactly when the spec is quantized. glorot(seed) draws
-        a fresh model; loaders read a file.
+        a fresh model; loaders read a file. A relu spec right after a
+        parametric layer sets that layer's relu flag and is not run again.
         """
         if not specs:
             raise ValueError("model needs at least one layer spec")
@@ -122,6 +126,11 @@ class Model:
                 chan, rank = spec.out_dim, 4
                 name, shape = f"conv{idx}", (spec.out_dim, spec.in_dim, spec.kernel, spec.kernel)
             elif spec.kind in ("relu", "flatten"):
+                prev = self._items[-1][1] if self._items else None
+                if spec.kind == "relu" and prev is not None and not prev.relu:
+                    # A ReLU right after a parametric layer runs in its add_bias node.
+                    prev.relu = True
+                    continue
                 if spec.kind == "flatten":
                     feat, rank = None, 2
                 self._items.append((spec, None))
@@ -224,20 +233,18 @@ class Model:
         if mode == FLOAT_MODE or st is None:
             if mode == THRESHOLD_PHASE:
                 w, b = Tensor(w.data), Tensor(b.data)
-            z = linop(w)
+            return ag.add_bias(linop(w), b, relu=layer.relu)
+        # relu?(S * linop(Tern(w)) + b): the threshold phase differentiates S
+        # through the threshold with the codes a constant, the weight phase the
+        # codes through the straight-through rule with S a constant.
+        check_fresh(st, w.data, layer.name)
+        if mode == THRESHOLD_PHASE:
+            leaf = Tensor(np.float64(st.delta), requires_grad=True)
+            self.delta_leaves[layer.name] = leaf
+            s, w, b = threshold_scale_node(leaf, st), Tensor(w.data), Tensor(b.data)
         else:
-            # S * linop(Tern(w)): the threshold phase differentiates S through
-            # the threshold with the codes a constant, the weight phase the codes
-            # through the straight-through rule with S a constant.
-            check_fresh(st, w.data, layer.name)
-            if mode == THRESHOLD_PHASE:
-                leaf = Tensor(np.float64(st.delta), requires_grad=True)
-                self.delta_leaves[layer.name] = leaf
-                s, w, b = threshold_scale_node(leaf, st), Tensor(w.data), Tensor(b.data)
-            else:
-                s = Tensor(st.scale)
-            z = ag.smul(s, linop(ste_codes_node(w, st, gc)))
-        return ag.add_bias(z, b)
+            s = Tensor(st.scale)
+        return ag.add_bias(linop(ste_codes_node(w, st, gc)), b, s, layer.relu)
 
 
 def mlp_specs(dims: list[int]) -> list[LayerSpec]:

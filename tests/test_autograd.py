@@ -1,3 +1,4 @@
+import contextlib
 import math
 
 import numpy as np
@@ -416,6 +417,63 @@ def test_recording_resumes_after_no_grad_block():
     assert np.array_equal(x.grad, np.ones((2, 2)))
 
 
+def _bits(a: np.ndarray) -> tuple:
+    """a's shape, memory layout and every bit of every value."""
+    return a.shape, a.strides, np.ascontiguousarray(a).view(np.uint64).tobytes()
+
+
+@pytest.mark.parametrize("relu", [True, False], ids=["relu", "no-relu"])
+@pytest.mark.parametrize("scale", [None, "constant", "trainable"])
+@pytest.mark.parametrize("shape", [(4, 5), (4, 3, 2, 2)], ids=["dense", "batch-last-conv"])
+@pytest.mark.parametrize("recording", [True, False], ids=["recording", "no_grad"])
+def test_fused_epilogue_matches_smul_add_bias_relu_bit_for_bit(recording, shape, scale, relu):
+    """add_bias(x, b, s, relu) against relu(add_bias(smul(s, x), b)): the
+    output and every gradient agree in every bit and in memory layout, on
+    pre-activations that include exact 0.0, -0.0 and NaN."""
+    rng = np.random.default_rng(5)
+    sval = 1.0 if scale is None else 0.5  # a power of two: x = -b / s is exact
+    b = rng.normal(size=shape[1])
+    b[0] = -0.0
+    x = rng.normal(size=shape)
+    corner = (0,) * (len(shape) - 2)
+    x[(0, 1, *corner)] = -b[1] / sval  # s * x + b is 0.0
+    x[(1, 0, *corner)] = -0.0  # -0.0 + -0.0 is -0.0
+    x[(2, 0, *corner)] = 0.0  # 0.0 + -0.0 is 0.0
+    x[(3, 2, *corner)] = np.nan
+    if len(shape) == 4:
+        x = np.ascontiguousarray(x.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
+    r = Tensor(rng.normal(size=(x[0].size, 3)))
+
+    def run(fused):
+        xt, bt = Tensor(x, requires_grad=True), Tensor(b, requires_grad=True)
+        st = None if scale is None else Tensor(sval, requires_grad=scale == "trainable")
+        if fused:
+            out = ag.add_bias(xt, bt, st, relu)
+        else:
+            out = ag.add_bias(xt if st is None else ag.smul(st, xt), bt)
+            out = ag.relu(out) if relu else out
+        if recording:
+            backward(ag.mean(ag.matmul(ag.flatten(out), r)))
+        return out, [t.grad for t in (xt, bt, st) if t is not None and t.requires_grad]
+
+    with contextlib.nullcontext() if recording else ag.no_grad():
+        fused, grads = run(True)
+        reference, ref_grads = run(False)
+    pre = sval * x + b.reshape(-1, *(1,) * len(corner))
+    assert [pre[(i, c, *corner)].tobytes() for i, c in ((0, 1), (1, 0), (2, 0))] == [
+        np.float64(v).tobytes() for v in (0.0, -0.0, 0.0)
+    ]
+    assert np.isnan(pre).sum() == 1
+    assert fused.requires_grad is recording
+    assert len(fused._parents) == (2 + (scale is not None) if recording else 0)
+    assert _bits(fused.data) == _bits(reference.data)
+    assert len(grads) == 2 + (scale == "trainable")
+    if recording:
+        assert [_bits(g) for g in grads] == [_bits(g) for g in ref_grads]
+    else:
+        assert grads == ref_grads == [None] * len(grads)
+
+
 def _every_op() -> dict:
     """One node of every op, on inputs that require a gradient."""
     rng = np.random.default_rng(31)
@@ -437,6 +495,7 @@ def _every_op() -> dict:
         "relu": ag.relu(x),
         "add_bias-2d": ag.add_bias(x, leaf(4)),
         "add_bias-4d": ag.add_bias(conv, leaf(4)),
+        "add_bias-scale-relu": ag.add_bias(conv, leaf(4), Tensor(0.7, requires_grad=True), relu=True),
         "smul": ag.smul(Tensor(0.7, requires_grad=True), x),
         "mean": ag.mean(x),
         "flatten": ag.flatten(conv),

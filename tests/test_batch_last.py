@@ -1,10 +1,11 @@
 """The conv path's memory layout and column lifetime.
 
 A conv output is held batch-last, (C, H, W, N) in memory, and the ReLU,
-bias-add and scale nodes after it keep that order, so the next conv gathers
-its columns in contiguous runs of N values; a copy back to (N, C, H, W)
-anywhere on that path fails here. flatten then views the batch-last array
-as a column-major (N, C*H*W) matrix, which the dense GEMM reads as it is.
+bias-add and scale nodes after it keep that order, alone or fused into one
+add_bias node, so the next conv gathers its columns in contiguous runs of
+N values; a copy back to (N, C, H, W) anywhere on that path fails here.
+flatten then views the batch-last array as a column-major (N, C*H*W)
+matrix, which the dense GEMM reads as it is.
 The forward's column buffer outlives the forward only when a kernel
 gradient will be taken from it.
 """
@@ -35,7 +36,8 @@ def test_conv_relu_add_bias_smul_keep_the_batch_last(requires_grad):
     s = Tensor(1.5, requires_grad=requires_grad)
     t = ag.conv2d(x, w, 2, 1)
     assert _is_batch_last(t)
-    for op in (ag.relu, lambda t: ag.add_bias(t, b), lambda t: ag.smul(s, t)):
+    epilogue = lambda t: ag.add_bias(t, b, s, relu=True)
+    for op in (ag.relu, lambda t: ag.add_bias(t, b), lambda t: ag.smul(s, t), epilogue):
         t = op(t)
         assert _is_batch_last(t)
     t = ag.conv2d(t, Tensor(rng.normal(size=(2, 3, 3, 3))), 1, 1)

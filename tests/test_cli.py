@@ -308,6 +308,10 @@ def _bad_input(command, case, root, cfg, ckpt, tmp_path):
     if case == "label-out-of-range":
         save_idx_labels(tmp_path / "lbl.idx", np.arange(192) % 11)
         return text.replace(str(root / "train_lbl.idx"), str(tmp_path / "lbl.idx")), ckpt, 1
+    if case == "label-count-mismatch":
+        # 192 images, one label short.
+        save_idx_labels(tmp_path / "lbl.idx", np.arange(191) % 10)
+        return text.replace(str(root / "train_lbl.idx"), str(tmp_path / "lbl.idx")), ckpt, 1
     if case == "bad-arch":
         return text.replace("arch = mlp-784-16-10", "arch = mlp-784-x-10"), ckpt, 1
     if case == "non-utf8-config":
@@ -363,6 +367,7 @@ def _bad_input(command, case, root, cfg, ckpt, tmp_path):
         ("pretrain", "huge-normalize-mean"),
         ("pretrain", "negative-huge-normalize-mean"),
         ("pretrain", "dataset-key"),
+        ("pretrain", "label-count-mismatch"),
         ("quantize", "missing-data"),
         ("quantize", "label-out-of-range"),
         ("quantize", "bad-arch"),
@@ -379,6 +384,7 @@ def _bad_input(command, case, root, cfg, ckpt, tmp_path):
         ("quantize", "negative-huge-normalize-mean"),
         ("quantize", "dataset-key"),
         ("quantize", "schedule-overflows-threshold-lr"),
+        ("quantize", "label-count-mismatch"),
     ],
 )
 def test_bad_input_fails_before_the_run_directory_is_written(
@@ -398,6 +404,10 @@ def test_bad_input_fails_before_the_run_directory_is_written(
         assert "config error: train split: label 10" in err
     if case == "bad-arch":
         assert "config error: arch" in err
+    if case == "label-count-mismatch":
+        assert err == (
+            f"config error: {root / 'train_img.idx'} holds 192 images, but {tmp_path / 'lbl.idx'} holds 191 labels\n"
+        )
     if case == "half-named-test-split":
         assert "config error: config must name test_images and test_labels; test_labels is not set" in err
     if case == "non-utf8-config":

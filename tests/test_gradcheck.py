@@ -30,14 +30,14 @@ def test_fixture_dense_layers_multiply_only_live_columns():
 def _scaled_input_grad(op, index, factor=1.001):
     """op with the gradient of its input index scaled by factor."""
 
-    def faulty(*args):
-        out = op(*args)
+    def faulty(*args, **kwargs):
+        out = op(*args, **kwargs)
         rule = out._backward
         if rule is not None:
 
             def scaled(g):
                 grads = list(rule(g))
-                if grads[index] is not None:
+                if index < len(grads) and grads[index] is not None:
                     grads[index] = factor * grads[index]
                 return tuple(grads)
 
@@ -70,6 +70,11 @@ def _scaled_smul_scale_grad(mp):
     mp.setattr(ag, "smul", _scaled_input_grad(ag.smul, 0))
 
 
+def _scaled_add_bias_scale_grad(mp):
+    # add_bias's parents are (x, b) or, given a scale, (x, b, s).
+    mp.setattr(ag, "add_bias", _scaled_input_grad(ag.add_bias, 2))
+
+
 def _negated_live_columns(mp):
     real = gradcheck.ternary_fixture
 
@@ -90,7 +95,8 @@ def _negated_live_columns(mp):
         (_scaled_scale_derivative, {"threshold_phase_grad"}),
         (_scaled_matmul_input_grad, {"matmul", "threshold_phase_grad", "model_composite"}),
         (_scaled_conv_weight_grad, {"conv2d", "model_composite"}),
-        (_scaled_smul_scale_grad, {"smul", "threshold_phase_grad"}),
+        (_scaled_smul_scale_grad, {"smul"}),
+        (_scaled_add_bias_scale_grad, {"add_bias", "threshold_phase_grad"}),
         (_negated_live_columns, {"ste_identity", "threshold_phase_grad"}),
     ],
     ids=[
@@ -99,6 +105,7 @@ def _negated_live_columns(mp):
         "matmul_input_grad_x1.001",
         "conv2d_backward_w_x1.001",
         "smul_scale_grad_x1.001",
+        "add_bias_scale_grad_x1.001",
         "live_columns_negated",
     ],
 )

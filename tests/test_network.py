@@ -4,8 +4,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from terntrain.modelio import checkpoint_from_bytes, checkpoint_to_bytes
-from terntrain.network import LayerSpec, Model, arch_specs, build_from_config, glorot, mlp_specs
+from terntrain import autograd as ag
+from terntrain.modelio import checkpoint_from_bytes, checkpoint_to_bytes, export_packed, load_packed_and_infer
+from terntrain.network import FLOAT_MODE, LayerSpec, Model, arch_specs, build_from_config, glorot, mlp_specs
+from terntrain.optim import OptimizerConfig
+from terntrain.trainer import make_train_state, tern_train_step
 from terntrain.ternarize import THRESHOLD_PHASE, WEIGHT_PHASE, QuantizerState, refresh, tern
 
 
@@ -279,3 +282,52 @@ def test_snap_params_f32_rounds_as_a_double_cast_and_reports_non_finite_values(b
         assert model.snap_params_f32() is False
     for p, want in zip(model.parameters(), rounded):
         assert p.data.tobytes() == want.tobytes()
+
+
+def _nodes_built(monkeypatch, fn) -> int:
+    """The tape nodes fn builds, counted by wrapping autograd._node."""
+    real, count = ag._node, 0
+
+    def counted(*args, **kwargs):
+        nonlocal count
+        count += 1
+        return real(*args, **kwargs)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(ag, "_node", counted)
+        fn()
+    return count
+
+
+def test_a_relu_after_a_parametric_layer_runs_in_its_add_bias_node(monkeypatch):
+    """relu, dense, relu, relu: the first ReLU follows no layer and the last
+    follows a ReLU, so each stays a relu node; the middle one runs in the
+    dense layer's add_bias node. The forward builds 4 nodes, not 5."""
+    specs = [LayerSpec("relu"), LayerSpec("dense", in_dim=4, out_dim=3), LayerSpec("relu"), LayerSpec("relu")]
+    model = Model(specs, glorot(0))
+    layer = model.param_layers()[0]
+    assert layer.relu
+    layer.b.data = np.random.default_rng(2).normal(size=3)
+    x = np.random.default_rng(1).normal(size=(5, 4))
+    out = model.forward(x, FLOAT_MODE)
+    assert np.array_equal(out.data, np.maximum(np.maximum(x, 0.0) @ layer.w.data + layer.b.data, 0.0))
+    assert _nodes_built(monkeypatch, lambda: model.forward(x, FLOAT_MODE)) == 4
+
+
+@pytest.mark.parametrize("arch", ["mlp-784-300-100-10", "lenet-small"])
+def test_one_epilogue_node_per_layer(monkeypatch, tmp_path, arch):
+    """Each parametric layer records its linear op, its codes and one
+    add_bias node for scale, bias and ReLU; the threshold phase adds a
+    scale node. A ternary step (both phases) builds 25 nodes on either
+    arch, a batch-1 request to a packed file 10."""
+    model = build_from_config(arch, seed=0)
+    model.init_thresholds(0.1)
+    sgd = OptimizerConfig(kind="vanilla-sgd", lr=0.01)
+    state = make_train_state(model, sgd, OptimizerConfig(kind="vanilla-sgd", lr=1e-4))
+    rng = np.random.default_rng(0)
+    x, y = rng.normal(size=(4, 1, 28, 28)), rng.integers(0, 10, size=4)
+    assert _nodes_built(monkeypatch, lambda: tern_train_step(state, (x, y))) == 25
+    model.refresh_all()
+    export_packed(model, tmp_path / "m.tern")
+    load_packed_and_infer(tmp_path / "m.tern", x[:1])  # decodes the file; a repeat request reads it only
+    assert _nodes_built(monkeypatch, lambda: load_packed_and_infer(tmp_path / "m.tern", x[:1])) == 10
